@@ -5,6 +5,8 @@
 module Rng = Tivaware_util.Rng
 module Stats = Tivaware_util.Stats
 module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
 module Alert = Tivaware_tiv.Alert
 module Eval = Tivaware_tiv.Eval
 module System = Tivaware_vivaldi.System
@@ -115,10 +117,11 @@ let abl_beta_sweep ctx =
     fun i j -> System.predicted system i j
   in
   let cfg = Ring.default_config in
+  let engine = Engine.of_matrix m in
   let r =
     Experiment.run_meridian (Context.rng ctx 304) m ~runs:3 ~meridian_count:count
-      ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted)
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ()) ()
+      ~build:(Selectors.meridian_build_tiv_aware engine cfg ~predicted)
+      ~fallback:(Selectors.meridian_fallback_tiv_aware engine ~predicted ()) ()
   in
   Printf.printf "TIV-alert (beta=0.5): %s probes=%d\n"
     (Tivaware_core.Penalty.summarize r.Experiment.base.Experiment.penalties)
@@ -134,13 +137,14 @@ let abl_thresholds ctx =
     let system = Context.vivaldi ctx in
     fun i j -> System.predicted system i j
   in
+  let engine = Engine.of_matrix m in
   List.iter
     (fun (ts, tl) ->
       let r =
         Experiment.run_meridian (Context.rng ctx 305) m ~runs:3
           ~meridian_count:count
-          ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted ~ts ~tl)
-          ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ~ts ())
+          ~build:(Selectors.meridian_build_tiv_aware engine cfg ~predicted ~ts ~tl)
+          ~fallback:(Selectors.meridian_fallback_tiv_aware engine ~predicted ~ts ())
           ()
       in
       Printf.printf "ts=%.1f tl=%.1f: %s probes=%d restarts=%d\n" ts tl
@@ -225,10 +229,11 @@ let abl_dht ctx =
   in
   List.iter
     (fun (name, predict) ->
-      let overlay = Chord.build ?predict m in
+      let overlay = Chord.build ?predict (Matrix.size m) in
       let latencies =
         Array.map
-          (fun (source, key) -> (Chord.lookup overlay m ~source ~key).Chord.latency)
+          (fun (source, key) ->
+            (Chord.lookup overlay (Backend.dense m) ~source ~key).Chord.latency)
           workload
       in
       Printf.printf "%-18s median=%.1f p90=%.1f mean=%.1f ms\n" name
@@ -255,7 +260,10 @@ let abl_online ctx =
   let rng = Context.rng ctx 310 in
   let count = Context.meridian_count_normal ctx in
   let nodes = Tivaware_util.Rng.sample_indices rng ~n ~k:count in
-  let overlay = Overlay.build rng m Ring.default_config ~meridian_nodes:nodes in
+  let overlay =
+    Overlay.build rng (Backend.dense m) Ring.default_config ~meridian_nodes:nodes
+  in
+  let engine = Engine.of_matrix m in
   let sim = Sim.create () in
   let latencies = ref [] and probes = ref 0 and queries = ref 0 in
   for _ = 1 to 400 do
@@ -269,7 +277,7 @@ let abl_online ctx =
       && Matrix.known m client start
       && Matrix.known m start target
     then begin
-      let o = Online.closest sim overlay m ~client ~start ~target in
+      let o = Online.closest sim overlay engine ~client ~start ~target in
       latencies := o.Online.latency :: !latencies;
       probes := !probes + o.Online.query.Tivaware_meridian.Query.probes;
       incr queries
@@ -296,7 +304,8 @@ let abl_diversity ctx =
   List.iter
     (fun (name, selection) ->
       let build rng nodes =
-        Overlay.build ~selection rng m Ring.default_config ~meridian_nodes:nodes
+        Overlay.build ~selection rng (Backend.dense m) Ring.default_config
+          ~meridian_nodes:nodes
       in
       let r =
         Experiment.run_meridian (Context.rng ctx 313) m ~runs:3
@@ -321,14 +330,16 @@ let abl_gossip ctx =
     (fun (name, duration) ->
       let build rng nodes =
         match duration with
-        | None -> Overlay.build rng m Ring.default_config ~meridian_nodes:nodes
+        | None ->
+          Overlay.build rng (Backend.dense m) Ring.default_config
+            ~meridian_nodes:nodes
         | Some d ->
           let sim = Tivaware_eventsim.Sim.create () in
           let g = Gossip.run sim rng m ~meridian_nodes:nodes ~duration:d in
           Printf.printf "  [%s: coverage %.2f after %d messages]\n" name
             (Gossip.coverage g) (Gossip.messages_sent g);
-          Overlay.build ~candidates:(Gossip.candidates_hook g) rng m
-            Ring.default_config ~meridian_nodes:nodes
+          Overlay.build ~candidates:(Gossip.candidates_hook g) rng
+            (Backend.dense m) Ring.default_config ~meridian_nodes:nodes
       in
       let r =
         Experiment.run_meridian (Context.rng ctx 314) m ~runs:2

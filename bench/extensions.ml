@@ -5,6 +5,7 @@
 module Rng = Tivaware_util.Rng
 module Matrix = Tivaware_delay_space.Matrix
 module Multicast = Tivaware_overlay.Multicast
+module Engine = Tivaware_measure.Engine
 module System = Tivaware_vivaldi.System
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
 module Selectors = Tivaware_core.Selectors
@@ -15,6 +16,7 @@ let ext_multicast ctx =
     "sequential joins with degree cap 6; stretch = tree delay to root / \
      direct unicast delay";
   let m = Context.matrix ctx in
+  let engine = Engine.of_matrix m in
   let rng = Context.rng ctx 400 in
   let join_order = Rng.permutation rng (Matrix.size m) in
   let vivaldi = Context.vivaldi ctx in
@@ -23,22 +25,22 @@ let ext_multicast ctx =
   Dynamic_neighbors.run aware
     { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
   let show name t =
-    let metrics = Multicast.evaluate t m in
+    let metrics = Multicast.evaluate t engine in
     Printf.printf "%-24s members=%d edge=%.1fms stretch p50=%.2f p90=%.2f depth=%d\n"
       name metrics.Multicast.members metrics.Multicast.mean_edge_ms
       metrics.Multicast.median_stretch metrics.Multicast.p90_stretch
       metrics.Multicast.max_depth
   in
   let oracle =
-    Multicast.build m ~join_order ~predict:(fun a b -> Matrix.get m a b)
+    Multicast.build engine ~join_order
   in
   show "oracle" oracle;
   let t_vivaldi =
-    Multicast.build m ~join_order ~predict:(Selectors.vivaldi_predict vivaldi)
+    Multicast.build ~predict:(Selectors.vivaldi_predict vivaldi) engine ~join_order
   in
   show "vivaldi" t_vivaldi;
   let t_aware =
-    Multicast.build m ~join_order ~predict:(Selectors.vivaldi_predict aware)
+    Multicast.build ~predict:(Selectors.vivaldi_predict aware) engine ~join_order
   in
   show "tiv-aware vivaldi" t_aware;
   let refresh_rng = Context.rng ctx 402 in
@@ -46,8 +48,8 @@ let ext_multicast ctx =
   for _ = 1 to 3 do
     switches :=
       !switches
-      + Multicast.refresh t_aware refresh_rng m
-          ~predict:(Selectors.vivaldi_predict aware)
+      + Multicast.refresh ~predict:(Selectors.vivaldi_predict aware) t_aware
+          refresh_rng engine
   done;
   show (Printf.sprintf "  + refresh (%d moves)" !switches) t_aware
 

@@ -6,6 +6,7 @@
 module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
 module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
 module Stats = Tivaware_util.Stats
 module Ring = Tivaware_meridian.Ring
 module Query = Tivaware_meridian.Query
@@ -303,7 +304,7 @@ let measure ctx =
     Rng.sample_indices (Context.rng ctx 53) ~n ~k:(min meridian_count (n / 2))
   in
   let overlay =
-    Overlay.build (Context.rng ctx 54) m cfg ~meridian_nodes:nodes
+    Overlay.build (Context.rng ctx 54) (Backend.dense m) cfg ~meridian_nodes:nodes
   in
   let online_table =
     Table.create
@@ -329,9 +330,7 @@ let measure ctx =
           && client <> start
           && not (Matrix.is_missing m client start)
         then begin
-          let o =
-            Online.closest_engine sim overlay engine ~client ~start ~target
-          in
+          let o = Online.closest sim overlay engine ~client ~start ~target in
           latencies := o.Online.latency :: !latencies
         end
       done;

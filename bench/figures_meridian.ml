@@ -3,6 +3,8 @@
 module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
 module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
 module Euclidean = Tivaware_topology.Euclidean
 module Ring = Tivaware_meridian.Ring
 module Query = Tivaware_meridian.Query
@@ -67,11 +69,12 @@ let fig12 ctx =
      never asked to probe";
   ignore ctx;
   let m, a, b, n, t = fig12_matrix () in
+  let truth = Backend.dense m and engine = Engine.of_matrix m in
   let overlay =
-    Tivaware_meridian.Overlay.build (Rng.create 12) m Ring.default_config
+    Tivaware_meridian.Overlay.build (Rng.create 12) truth Ring.default_config
       ~meridian_nodes:[| a; b; n |]
   in
-  let outcome = Query.closest overlay m ~start:a ~target:t in
+  let outcome = Query.closest overlay engine ~start:a ~target:t in
   Report.measured "chosen %c at %.0f ms (optimal N at 1 ms); path %s"
     (match outcome.Query.chosen with
     | x when x = a -> 'A'
@@ -94,13 +97,13 @@ let fig12 ctx =
     Tivaware_meridian.Overlay.build
       ~placement:
         (Tivaware_meridian.Tiv_aware.placement Ring.default_config ~predicted
-           ~measured:m ())
-      (Rng.create 12) m Ring.default_config ~meridian_nodes:[| a; b; n |]
+           ~engine ())
+      (Rng.create 12) truth Ring.default_config ~meridian_nodes:[| a; b; n |]
   in
   let fallback =
-    Tivaware_meridian.Tiv_aware.fallback aware_overlay ~predicted ~measured:m ()
+    Tivaware_meridian.Tiv_aware.fallback aware_overlay ~predicted ~engine ()
   in
-  let aware = Query.closest ~fallback aware_overlay m ~start:a ~target:t in
+  let aware = Query.closest ~fallback aware_overlay engine ~start:a ~target:t in
   Report.measured "with TIV awareness: chosen %s at %.0f ms"
     (if aware.Query.chosen = n then "N" else "not-N")
     aware.Query.chosen_delay

@@ -6,6 +6,7 @@
 module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
 module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
 module Ring = Tivaware_meridian.Ring
 module Query = Tivaware_meridian.Query
 module Overlay = Tivaware_meridian.Overlay
@@ -129,10 +130,12 @@ let repair_arm ctx ~on =
     Rng.sample_indices (Context.rng ctx 73) ~n ~k:(Context.meridian_count_ideal ctx)
   in
   let overlay =
-    Overlay.build (Context.rng ctx 74) m (Ring.unlimited_config n)
+    Overlay.build (Context.rng ctx 74) (Backend.dense m) (Ring.unlimited_config n)
       ~meridian_nodes:nodes
   in
-  let chord = Chord.build_engine ~successor_list:8 e in
+  let chord =
+    Chord.build ~successor_list:8 ~predict:(Engine.rtt ~label:"dht" e) n
+  in
   let is_meridian s = Array.exists (( = ) s) nodes in
   let q_ok = ref 0 and q_total = ref 0 in
   let l_ok = ref 0 and l_total = ref 0 in
@@ -172,7 +175,7 @@ let repair_arm ctx ~on =
         && not (Matrix.is_missing m start target)
       then begin
         incr q_total;
-        let o = Query.closest_engine overlay e ~start ~target in
+        let o = Query.closest overlay e ~start ~target in
         if not (Float.is_nan o.Query.chosen_delay) then incr q_ok
       end
     done;
@@ -186,7 +189,7 @@ let repair_arm ctx ~on =
         let key =
           Id_space.add (Id_space.of_node (Rng.int lk n)) (Rng.int lk 1_000_000)
         in
-        let o = Chord.lookup chord m ~source ~key in
+        let o = Chord.lookup chord (Backend.dense m) ~source ~key in
         if Churn.is_up c o.Chord.owner then incr l_ok
       end
     done

@@ -9,6 +9,7 @@ module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
 module Zipf = Tivaware_util.Zipf
 module Engine = Tivaware_measure.Engine
+module Backend = Tivaware_backend.Delay_backend
 module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Arbiter = Tivaware_measure.Arbiter
@@ -50,7 +51,11 @@ let arm ctx ?interval ?share () =
       (Context.matrix ctx)
   in
   let c = Option.get (Engine.churn e) in
-  let chord = Chord.build_engine ~successor_list:8 e in
+  let chord =
+    Chord.build ~successor_list:8 ~predict:(Engine.rtt ~label:"dht" e) n
+  in
+  (* Lookup hops are charged as probes on the dht plane. *)
+  let probed = Backend.of_fn ~size:n (Engine.rtt ~label:"dht" e) in
   let keys =
     let krng = Context.rng ctx 97 in
     Array.init key_count (fun i ->
@@ -96,10 +101,7 @@ let arm ctx ?interval ?share () =
         let key = keys.(Zipf.sample zipf wl) in
         if Churn.is_up c source then begin
           incr issued;
-          let o =
-            Chord.lookup_fn chord (fun u v -> Engine.rtt ~label:"dht" e u v)
-              ~source ~key
-          in
+          let o = Chord.lookup chord probed ~source ~key in
           if Churn.is_up c o.Chord.owner
              && Chord.Store.holds store ~key ~node:o.Chord.owner
           then incr correct

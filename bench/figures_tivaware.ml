@@ -1,6 +1,7 @@
 (* Section 5.3 figures: TIV-aware Meridian. *)
 
 module Matrix = Tivaware_delay_space.Matrix
+module Engine = Tivaware_measure.Engine
 module Ring = Tivaware_meridian.Ring
 module Query = Tivaware_meridian.Query
 module Experiment = Tivaware_core.Experiment
@@ -27,14 +28,15 @@ let fig24 ctx =
   let cfg = Ring.default_config in
   let count = Context.meridian_count_normal ctx in
   let predicted = predicted_fn ctx in
+  let engine = Engine.of_matrix m in
   let r_orig =
     Experiment.run_meridian (Context.rng ctx 24) m ~runs:5 ~meridian_count:count
       ~build:(Selectors.meridian_build m cfg) ()
   in
   let r_aware =
     Experiment.run_meridian (Context.rng ctx 241) m ~runs:5 ~meridian_count:count
-      ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted)
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ()) ()
+      ~build:(Selectors.meridian_build_tiv_aware engine cfg ~predicted)
+      ~fallback:(Selectors.meridian_fallback_tiv_aware engine ~predicted ()) ()
   in
   Report.measured
     "probes: original %d, TIV-alert %d (%+.1f%%); restarts %d over %d queries"
@@ -57,14 +59,15 @@ let fig25 ctx =
   let count = Context.meridian_count_ideal ctx in
   let cfg = Ring.unlimited_config (Matrix.size m) in
   let predicted = predicted_fn ctx in
+  let engine = Engine.of_matrix m in
   let r_orig =
     Experiment.run_meridian (Context.rng ctx 25) m ~runs:5 ~meridian_count:count
       ~build:(Selectors.meridian_build m cfg) ()
   in
   let r_aware =
     Experiment.run_meridian (Context.rng ctx 251) m ~runs:5 ~meridian_count:count
-      ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted)
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ()) ()
+      ~build:(Selectors.meridian_build_tiv_aware engine cfg ~predicted)
+      ~fallback:(Selectors.meridian_fallback_tiv_aware engine ~predicted ()) ()
   in
   let r_noterm =
     Experiment.run_meridian (Context.rng ctx 252) m ~runs:5 ~meridian_count:count

@@ -5,6 +5,7 @@ open Bechamel
 open Toolkit
 module Rng = Tivaware_util.Rng
 module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
 module Severity = Tivaware_tiv.Severity
 module Shortest_path = Tivaware_delay_space.Shortest_path
 module System = Tivaware_vivaldi.System
@@ -110,8 +111,10 @@ let tests () =
   let rng = Rng.create 2 in
   let meridian_nodes = Rng.sample_indices rng ~n:(Matrix.size m) ~k:100 in
   let overlay =
-    Overlay.build (Rng.create 3) m Ring.default_config ~meridian_nodes
+    Overlay.build (Rng.create 3) (Backend.dense m) Ring.default_config
+      ~meridian_nodes
   in
+  let engine = Engine.of_matrix m in
   let query_rng = Rng.create 4 in
   [
     Test.make ~name:"rng/int" (Staged.stage (fun () -> Rng.int query_rng 1000));
@@ -128,7 +131,7 @@ let tests () =
            if Overlay.is_meridian overlay start
               && (not (Overlay.is_meridian overlay target))
               && not (Matrix.is_missing m start target)
-           then ignore (Query.closest overlay m ~start ~target)));
+           then ignore (Query.closest overlay engine ~start ~target)));
     Test.make ~name:"generator/200-nodes"
       (Staged.stage (fun () ->
            ignore (Datasets.generate ~size:200 ~seed:5 Datasets.Ds2)));

@@ -319,22 +319,24 @@ let make_engine_config ?(labels = lazy [||]) opts ~seed =
   in
   config
 
-let make_engine m ?labels opts ~seed =
-  let config = make_engine_config ?labels opts ~seed in
-  try Engine.of_matrix ~config m
+(* Bad caller input raises [Invalid_argument] naming the field; report
+   it as a usage error instead of an uncaught exception. *)
+let or_usage_error f =
+  try f ()
   with Invalid_argument msg ->
     prerr_endline ("tivlab: " ^ msg);
     exit 2
 
+let make_engine m ?labels opts ~seed =
+  let config = make_engine_config ?labels opts ~seed in
+  or_usage_error (fun () -> Engine.of_matrix ~config m)
+
 let make_backend_engine backend ?labels opts ~seed =
   let config = make_engine_config ?labels opts ~seed in
-  try
-    let engine = Backend.engine ~config backend in
-    Backend.attach_obs backend (Engine.obs engine);
-    engine
-  with Invalid_argument msg ->
-    prerr_endline ("tivlab: " ^ msg);
-    exit 2
+  or_usage_error (fun () ->
+      let engine = Backend.engine ~config backend in
+      Backend.attach_obs backend (Engine.obs engine);
+      engine)
 
 let print_probe_summary engine =
   Format.printf "probes: %a@." Probe_stats.pp (Engine.stats engine)
@@ -499,8 +501,9 @@ let vivaldi_cmd =
     in
     Format.printf "embedding error: %a@." Error.pp err;
     let result =
-      Experiment.run_predictor rng m ~runs:5 ~candidate_count:candidates
-        ~predict:(Selectors.vivaldi_predict system) ()
+      or_usage_error (fun () ->
+          Experiment.run_predictor rng m ~runs:5 ~candidate_count:candidates
+            ~predict:(Selectors.vivaldi_predict system) ())
     in
     Printf.printf "neighbor selection: %s (failures %d)\n"
       (Penalty.summarize result.Experiment.penalties)
@@ -551,14 +554,14 @@ let meridian_cmd =
       if no_termination then Some Tivaware_meridian.Query.Any_improvement else None
     in
     let result =
+      or_usage_error @@ fun () ->
       if tiv_aware then begin
         let vivaldi = Selectors.embed_vivaldi (Rng.create (seed + 1)) m in
         let predicted i j = System.predicted vivaldi i j in
         Experiment.run_meridian rng m ~runs:5 ?termination ~engine
           ~meridian_count:count
-          ~build:(Selectors.meridian_build_tiv_aware_engine engine cfg ~predicted)
-          ~fallback:
-            (Selectors.meridian_fallback_tiv_aware_engine engine ~predicted ())
+          ~build:(Selectors.meridian_build_tiv_aware engine cfg ~predicted)
+          ~fallback:(Selectors.meridian_fallback_tiv_aware engine ~predicted ())
           ()
       end
       else
@@ -773,7 +776,9 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
   end;
   let engine = make_backend_engine backend ~labels meas ~seed in
   let n = Backend.size backend in
-  let overlay = Chord.build_engine ~candidates engine in
+  let overlay =
+    Chord.build ~candidates ~predict:(Engine.rtt ~label:"dht" engine) n
+  in
   (* Distinct key ids, deterministic in the seed. *)
   let krng = Rng.create (seed + 11) in
   let seen = Hashtbl.create (2 * keys) in
@@ -822,6 +827,8 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
   let ground_up node =
     match Engine.churn engine with None -> true | Some c -> Churn.is_up c node
   in
+  (* Lookup hops are charged as probes on the dht plane. *)
+  let probed = Backend.of_fn ~size:n (Engine.rtt ~label:"dht" engine) in
   let lrng = Rng.create (seed + 13) in
   let latencies = ref [] and hops = ref 0 in
   let issued = ref 0 and skipped = ref 0 in
@@ -834,11 +841,7 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
         if not (ground_up source) then incr skipped
         else begin
           incr issued;
-          let l =
-            Chord.lookup_fn overlay
-              (fun u v -> Engine.rtt ~label:"dht" engine u v)
-              ~source ~key
-          in
+          let l = Chord.lookup overlay probed ~source ~key in
           latencies := l.Chord.latency :: !latencies;
           hops := !hops + l.Chord.hops;
           (* A lookup is correct when it terminates at a node that is
@@ -906,37 +909,31 @@ let dht_cmd =
     else
     let n = Backend.size backend in
     let rng = Rng.create seed in
-    let engine = ref None in
-    let overlay =
+    let engine = make_backend_engine backend ~labels meas ~seed in
+    let vivaldi () =
+      (* Coordinate embeddings need the materialized space. *)
+      Selectors.embed_vivaldi (Rng.create (seed + 1)) (Backend.densify backend)
+    in
+    let predict =
       match pns with
-      | `None -> Chord.build_sized ~candidates n
-      | `Oracle -> Chord.build_backend ~candidates backend
+      | `None -> None
+      | `Oracle -> Some (Backend.query backend)
       | `Engine ->
         (* PNS probes pay the measurement plane (--loss, --retry-policy,
            --cache-capacity, ...). *)
-        let e = make_backend_engine backend ~labels meas ~seed in
-        engine := Some e;
-        Chord.build_engine ~candidates e
-      | `Vivaldi ->
-        (* Coordinate embeddings need the materialized space. *)
-        let system =
-          Selectors.embed_vivaldi (Rng.create (seed + 1)) (Backend.densify backend)
-        in
-        Chord.build_backend ~candidates
-          ~predict:(Selectors.vivaldi_predict system) backend
+        Some (Engine.rtt ~label:"dht" engine)
+      | `Vivaldi -> Some (Selectors.vivaldi_predict (vivaldi ()))
       | `Tiv_aware ->
-        let system =
-          Selectors.embed_vivaldi (Rng.create (seed + 1)) (Backend.densify backend)
-        in
+        let system = vivaldi () in
         Dynamic_neighbors.run system
           { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
-        Chord.build_backend ~candidates
-          ~predict:(Selectors.vivaldi_predict system) backend
+        Some (Selectors.vivaldi_predict system)
     in
+    let overlay = Chord.build ~candidates ?predict n in
     let latencies = ref [] and hops = ref 0 in
     for _ = 1 to lookups do
       let l =
-        Chord.lookup_backend overlay backend
+        Chord.lookup overlay backend
           ~source:(Rng.int rng n)
           ~key:(Rng.int rng Id_space.modulus)
       in
@@ -951,18 +948,13 @@ let dht_cmd =
       (Stats.median lat)
       (Stats.percentile lat 90.)
       (Stats.mean lat);
-    (match !engine with
-    | Some e ->
-      print_probe_summary e;
-      set_gauge e "dht.lookups" (float_of_int lookups);
-      set_gauge e "dht.hops_mean" (float_of_int !hops /. float_of_int lookups);
-      set_gauge e "dht.latency_median_ms" (Stats.median lat);
-      set_gauge e "dht.latency_p90_ms" (Stats.percentile lat 90.);
-      write_metrics meas e
-    | None ->
-      if meas.metrics_out <> None then
-        prerr_endline
-          "tivlab: --metrics-out needs the measurement plane; use --pns engine")
+    (* Only engine PNS probes; the other sources leave nothing to report. *)
+    if pns = `Engine then print_probe_summary engine;
+    set_gauge engine "dht.lookups" (float_of_int lookups);
+    set_gauge engine "dht.hops_mean" (float_of_int !hops /. float_of_int lookups);
+    set_gauge engine "dht.latency_median_ms" (Stats.median lat);
+    set_gauge engine "dht.latency_p90_ms" (Stats.percentile lat 90.);
+    write_metrics meas engine
   in
   let lookups =
     Arg.(value & opt int 1000 & info [ "lookups" ] ~docv:"N" ~doc:"Lookup count.")
@@ -1053,18 +1045,11 @@ let multicast_cmd =
     let rng = Rng.create seed in
     let join_order = Rng.permutation rng (Backend.size backend) in
     let config = { Multicast.default_config with Multicast.max_degree } in
-    let t, switches, engine =
-      if measured then begin
-        (* Joins and refreshes probe candidate edges through the
-           measurement plane instead of trusting coordinates. *)
-        let engine = make_backend_engine backend ~labels meas ~seed in
-        let t = Multicast.build_engine ~config engine ~join_order in
-        let switches = ref 0 in
-        for _ = 1 to refreshes do
-          switches := !switches + Multicast.refresh_engine t rng engine
-        done;
-        (t, !switches, Some engine)
-      end
+    let engine = make_backend_engine backend ~labels meas ~seed in
+    (* --measured: joins and refreshes probe candidate edges through the
+       measurement plane instead of trusting coordinates. *)
+    let predict =
+      if measured then None
       else begin
         (* Coordinate embeddings need the materialized space. *)
         let system =
@@ -1073,42 +1058,33 @@ let multicast_cmd =
         if tiv_aware then
           Dynamic_neighbors.run system
             { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
-        let predict = Selectors.vivaldi_predict system in
-        let t = Multicast.build_backend ~config ~predict backend ~join_order in
-        let switches = ref 0 in
-        for _ = 1 to refreshes do
-          switches := !switches + Multicast.refresh_backend ~predict t rng backend
-        done;
-        (t, !switches, None)
+        Some (Selectors.vivaldi_predict system)
       end
     in
-    (* Engine-backed runs evaluate through the nan-audited path, so
-       unmeasurable edges land in multicast.evaluate_failures instead
-       of silently vanishing from the percentiles. *)
-    let metrics =
-      match engine with
-      | Some e -> Multicast.evaluate_engine t e
-      | None -> Multicast.evaluate_backend t backend
-    in
+    let t = Multicast.build ~config ?predict engine ~join_order in
+    let switches = ref 0 in
+    for _ = 1 to refreshes do
+      switches := !switches + Multicast.refresh ?predict t rng engine
+    done;
+    let switches = !switches in
+    (* Evaluation is nan-audited: unmeasurable edges land in
+       multicast.evaluate_failures instead of silently vanishing from
+       the percentiles. *)
+    let metrics = Multicast.evaluate t engine in
     Printf.printf
       "members=%d  mean edge=%.1f ms  stretch p50=%.2f p90=%.2f  depth=%d \
        fanout=%d  (%d refresh switches)\n"
       metrics.Multicast.members metrics.Multicast.mean_edge_ms
       metrics.Multicast.median_stretch metrics.Multicast.p90_stretch
       metrics.Multicast.max_depth metrics.Multicast.max_fanout switches;
-    (match engine with
-    | Some e ->
-      print_probe_summary e;
-      set_gauge e "multicast.members" (float_of_int metrics.Multicast.members);
-      set_gauge e "multicast.mean_edge_ms" metrics.Multicast.mean_edge_ms;
-      set_gauge e "multicast.stretch_p50" metrics.Multicast.median_stretch;
-      set_gauge e "multicast.stretch_p90" metrics.Multicast.p90_stretch;
-      set_gauge e "multicast.refresh_switches" (float_of_int switches);
-      write_metrics meas e
-    | None ->
-      if meas.metrics_out <> None then
-        prerr_endline
-          "tivlab: --metrics-out needs the measurement plane; use --measured")
+    (* Coordinate-driven trees issue no probes; only --measured reports them. *)
+    if measured then print_probe_summary engine;
+    set_gauge engine "multicast.members" (float_of_int metrics.Multicast.members);
+    set_gauge engine "multicast.mean_edge_ms" metrics.Multicast.mean_edge_ms;
+    set_gauge engine "multicast.stretch_p50" metrics.Multicast.median_stretch;
+    set_gauge engine "multicast.stretch_p90" metrics.Multicast.p90_stretch;
+    set_gauge engine "multicast.refresh_switches" (float_of_int switches);
+    write_metrics meas engine
   in
   let max_degree =
     Arg.(value & opt int 6 & info [ "max-degree" ] ~docv:"N" ~doc:"Children cap.")
@@ -1203,13 +1179,13 @@ let closest_cmd =
     let count = min count nodes in
     let meridian_nodes = Rng.sample_indices rng ~n:nodes ~k:count in
     let overlay =
-      Overlay.build_backend ~candidate_budget rng backend cfg ~meridian_nodes
+      Overlay.build ~candidate_budget rng backend cfg ~meridian_nodes
     in
     let stretches = ref [] and hops = ref 0 and failures = ref 0 in
     for _ = 1 to queries do
       let start = meridian_nodes.(Rng.int rng count) in
       let target = Rng.int rng nodes in
-      let outcome = Query.closest_engine overlay engine ~start ~target in
+      let outcome = Query.closest overlay engine ~start ~target in
       if Float.is_nan outcome.Query.chosen_delay then incr failures
       else begin
         hops := !hops + outcome.Query.hops;

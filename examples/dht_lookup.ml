@@ -13,6 +13,7 @@
 module Rng = Tivaware_util.Rng
 module Stats = Tivaware_util.Stats
 module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
 module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
 module Chord = Tivaware_dht.Chord
@@ -23,6 +24,7 @@ module Selectors = Tivaware_core.Selectors
 let () =
   let data = Datasets.generate ~size:250 ~seed:41 Datasets.Ds2 in
   let m = data.Generator.matrix in
+  let n = Matrix.size m and truth = Backend.dense m in
 
   let vivaldi = Selectors.embed_vivaldi (Rng.create 42) m in
   let aware = Selectors.embed_vivaldi (Rng.create 42) m in
@@ -31,10 +33,10 @@ let () =
 
   let overlays =
     [
-      ("plain Chord", Chord.build m);
-      ("PNS / Vivaldi", Chord.build ~predict:(Selectors.vivaldi_predict vivaldi) m);
-      ("PNS / TIV-aware", Chord.build ~predict:(Selectors.vivaldi_predict aware) m);
-      ("PNS / oracle", Chord.build ~predict:(fun a b -> Matrix.get m a b) m);
+      ("plain Chord", Chord.build n);
+      ("PNS / Vivaldi", Chord.build ~predict:(Selectors.vivaldi_predict vivaldi) n);
+      ("PNS / TIV-aware", Chord.build ~predict:(Selectors.vivaldi_predict aware) n);
+      ("PNS / oracle", Chord.build ~predict:(Backend.query truth) n);
     ]
   in
 
@@ -42,7 +44,7 @@ let () =
   let rng = Rng.create 43 in
   let workload =
     Array.init 1000 (fun _ ->
-        (Rng.int rng (Matrix.size m), Rng.int rng Id_space.modulus))
+        (Rng.int rng n, Rng.int rng Id_space.modulus))
   in
 
   Printf.printf "%-18s %10s %12s %12s %10s\n" "finger selection" "mean hops"
@@ -52,7 +54,7 @@ let () =
       let latencies = ref [] and hops = ref 0 in
       Array.iter
         (fun (source, key) ->
-          let l = Chord.lookup overlay m ~source ~key in
+          let l = Chord.lookup overlay truth ~source ~key in
           latencies := l.Chord.latency :: !latencies;
           hops := !hops + l.Chord.hops)
         workload;

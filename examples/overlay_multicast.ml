@@ -15,6 +15,7 @@ module Matrix = Tivaware_delay_space.Matrix
 module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
 module Multicast = Tivaware_overlay.Multicast
+module Engine = Tivaware_measure.Engine
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
 module Selectors = Tivaware_core.Selectors
 
@@ -26,18 +27,19 @@ let show name (m : Multicast.metrics) =
 let () =
   let data = Datasets.generate ~size:220 ~seed:17 Datasets.Ds2 in
   let m = data.Generator.matrix in
+  let engine = Engine.of_matrix m in
   let rng = Rng.create 23 in
   let join_order = Rng.permutation rng (Matrix.size m) in
 
   (* Mechanism 1: full-measurement oracle (brute-force probing). *)
   let oracle =
-    Multicast.build m ~join_order ~predict:(fun a b -> Matrix.get m a b)
+    Multicast.build engine ~join_order
   in
 
   (* Mechanism 2: raw Vivaldi coordinates. *)
   let vivaldi = Selectors.embed_vivaldi (Rng.create 24) m in
   let t_vivaldi =
-    Multicast.build m ~join_order ~predict:(Selectors.vivaldi_predict vivaldi)
+    Multicast.build ~predict:(Selectors.vivaldi_predict vivaldi) engine ~join_order
   in
 
   (* Mechanism 3: TIV-aware dynamic-neighbor Vivaldi. *)
@@ -45,14 +47,14 @@ let () =
   Dynamic_neighbors.run aware
     { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
   let t_aware =
-    Multicast.build m ~join_order ~predict:(Selectors.vivaldi_predict aware)
+    Multicast.build ~predict:(Selectors.vivaldi_predict aware) engine ~join_order
   in
 
   Printf.printf "%-28s %8s %12s %10s %9s %7s %8s\n" "mechanism" "members"
     "edge (ms)" "stretch50" "stretch90" "depth" "fanout";
-  show "oracle (brute force)" (Multicast.evaluate oracle m);
-  show "vivaldi" (Multicast.evaluate t_vivaldi m);
-  show "tiv-aware vivaldi" (Multicast.evaluate t_aware m);
+  show "oracle (brute force)" (Multicast.evaluate oracle engine);
+  show "vivaldi" (Multicast.evaluate t_vivaldi engine);
+  show "tiv-aware vivaldi" (Multicast.evaluate t_aware engine);
 
   (* Parent refresh: three passes under each predictor. *)
   let refresh_rng = Rng.create 25 in
@@ -60,11 +62,11 @@ let () =
   for _ = 1 to 3 do
     total_switches :=
       !total_switches
-      + Multicast.refresh t_aware refresh_rng m
-          ~predict:(Selectors.vivaldi_predict aware)
+      + Multicast.refresh ~predict:(Selectors.vivaldi_predict aware) t_aware
+          refresh_rng engine
   done;
   Printf.printf "\nafter 3 refresh passes (%d parent switches):\n" !total_switches;
-  show "tiv-aware + refresh" (Multicast.evaluate t_aware m);
+  show "tiv-aware + refresh" (Multicast.evaluate t_aware engine);
   print_endline
     "\nLower stretch = multicast paths closer to direct unicast.\n\
      TIV-aware neighbor sets shrink the gap to the oracle tree."

@@ -11,6 +11,7 @@
 module Rng = Tivaware_util.Rng
 module Cdf = Tivaware_util.Cdf
 module Matrix = Tivaware_delay_space.Matrix
+module Engine = Tivaware_measure.Engine
 module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
 module Ring = Tivaware_meridian.Ring
@@ -33,10 +34,11 @@ let () =
     Experiment.run_meridian (Rng.create 33) m ~runs:3 ~meridian_count:replicas
       ~build:(Selectors.meridian_build m cfg) ()
   in
+  let engine = Engine.of_matrix m in
   let aware =
     Experiment.run_meridian (Rng.create 33) m ~runs:3 ~meridian_count:replicas
-      ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted)
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ()) ()
+      ~build:(Selectors.meridian_build_tiv_aware engine cfg ~predicted)
+      ~fallback:(Selectors.meridian_fallback_tiv_aware engine ~predicted ()) ()
   in
 
   let show name (r : Experiment.meridian_result) =

@@ -3,6 +3,7 @@ module Matrix = Tivaware_delay_space.Matrix
 module Query = Tivaware_meridian.Query
 module Overlay = Tivaware_meridian.Overlay
 module Engine = Tivaware_measure.Engine
+module Backend = Tivaware_backend.Delay_backend
 
 type result = {
   penalties : float array;
@@ -34,7 +35,11 @@ let optimal_candidate m client candidates =
 
 let run_predictor rng m ?(runs = 5) ~candidate_count ~predict () =
   let n = Matrix.size m in
-  assert (candidate_count > 0 && candidate_count < n);
+  if candidate_count < 1 || candidate_count >= n then
+    invalid_arg
+      (Printf.sprintf
+         "Experiment.run_predictor: candidate_count must be in [1, %d) (got %d)"
+         n candidate_count);
   let penalties = ref [] and failures = ref 0 in
   for _ = 1 to runs do
     let candidates, clients = split_population rng n candidate_count in
@@ -73,8 +78,16 @@ type meridian_result = {
 
 let run_meridian rng m ?(runs = 5) ?termination ?fallback ?engine
     ~meridian_count ~build () =
+  let engine =
+    match engine with Some e -> e | None -> Engine.of_matrix m
+  in
   let n = Matrix.size m in
-  assert (meridian_count > 1 && meridian_count < n);
+  if meridian_count < 2 || meridian_count >= n then
+    invalid_arg
+      (Printf.sprintf
+         "Experiment.run_meridian: meridian_count must be in [2, %d) (got %d)"
+         n meridian_count);
+  let truth = Backend.dense m in
   let penalties = ref [] and failures = ref 0 in
   let probes = ref 0 and queries = ref 0 and hops = ref 0 and restarts = ref 0 in
   for _ = 1 to runs do
@@ -84,22 +97,17 @@ let run_meridian rng m ?(runs = 5) ?termination ?fallback ?engine
     Array.iter
       (fun client ->
         let start = meridian_nodes.(Rng.int rng meridian_count) in
-        match Query.optimal overlay m ~target:client with
+        match Query.optimal overlay truth ~target:client with
         | None -> incr failures
         | Some (_, opt_d) -> (
           if Float.is_nan (Matrix.get m start client) then incr failures
           else begin
+            (* Service mode: one logical second per query, so cache
+               TTLs and budget refills span queries. *)
+            Engine.advance engine 1.;
             let outcome =
-              match engine with
-              | None ->
-                Query.closest ?termination ?fallback:fb overlay m ~start
-                  ~target:client
-              | Some e ->
-                (* Service mode: one logical second per query, so cache
-                   TTLs and budget refills span queries. *)
-                Engine.advance e 1.;
-                Query.closest_engine ?termination ?fallback:fb overlay e
-                  ~start ~target:client
+              Query.closest ?termination ?fallback:fb overlay engine ~start
+                ~target:client
             in
             incr queries;
             probes := !probes + outcome.Query.probes;

@@ -27,7 +27,9 @@ val run_predictor :
   result
 (** [run_predictor rng m ~candidate_count ~predict ()] with [runs]
     (default 5) different random candidate subsets.  [predict client
-    candidate] may return [nan] to abstain from a candidate. *)
+    candidate] may return [nan] to abstain from a candidate.  Raises
+    [Invalid_argument] naming [candidate_count] unless
+    [0 < candidate_count < size m]. *)
 
 type meridian_result = {
   base : result;
@@ -52,12 +54,14 @@ val run_meridian :
 (** [run_meridian rng m ~meridian_count ~build ()]: per run, samples the
     Meridian subset, calls [build] to construct the overlay (hooks for
     filtered / TIV-aware construction), then queries once per client
-    from a random start node.
+    from a random start node.  Raises [Invalid_argument] naming
+    [meridian_count] unless [1 < meridian_count < size m].
 
-    With [?engine], every query probes through the measurement plane
-    ({!Tivaware_meridian.Query.closest_engine}); the engine clock
-    advances one logical second per query, queries whose start probe
-    fails count as failures, and probe/penalty degradation under
-    loss/jitter shows up in the result.  [m] stays the ground truth:
-    noisy measurements steer the choice, but the penalty charges the
-    chosen node's true delay against the true optimum. *)
+    Every query probes through [engine]
+    ({!Tivaware_meridian.Query.closest}; default: an oracle-mode engine
+    over [m]); the engine clock advances one logical second per query,
+    queries whose start probe fails count as failures, and
+    probe/penalty degradation under loss/jitter shows up in the result.
+    [m] stays the ground truth: noisy measurements steer the choice,
+    but the penalty charges the chosen node's true delay against the
+    true optimum. *)

@@ -6,7 +6,7 @@ module Lat = Tivaware_embedding.Lat
 module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
 module Tiv_aware = Tivaware_meridian.Tiv_aware
-module Engine = Tivaware_measure.Engine
+module Backend = Tivaware_backend.Delay_backend
 
 let default_rounds = 200
 
@@ -58,23 +58,16 @@ let banned_set pairs =
   fun e -> Hashtbl.mem table (normalize e)
 
 let meridian_build m cfg rng nodes =
-  Overlay.build rng m cfg ~meridian_nodes:nodes
+  Overlay.build rng (Backend.dense m) cfg ~meridian_nodes:nodes
 
 let meridian_build_filtered m cfg ~banned rng nodes =
   let edge_filter a b = not (banned (normalize (a, b))) in
-  Overlay.build ~edge_filter rng m cfg ~meridian_nodes:nodes
+  Overlay.build ~edge_filter rng (Backend.dense m) cfg ~meridian_nodes:nodes
 
-let meridian_build_tiv_aware m cfg ~predicted ?ts ?tl rng nodes =
-  let placement = Tiv_aware.placement cfg ~predicted ~measured:m ?ts ?tl () in
-  Overlay.build ~placement rng m cfg ~meridian_nodes:nodes
+let meridian_build_tiv_aware engine cfg ~predicted ?ts ?tl rng nodes =
+  let placement = Tiv_aware.placement cfg ~predicted ~engine ?ts ?tl () in
+  Overlay.build ~placement rng (Backend.of_engine engine) cfg
+    ~meridian_nodes:nodes
 
-let meridian_build_tiv_aware_engine engine cfg ~predicted ?ts ?tl rng nodes =
-  let m = Engine.matrix_exn engine in
-  let placement = Tiv_aware.placement_engine cfg ~predicted ~engine ?ts ?tl () in
-  Overlay.build ~placement rng m cfg ~meridian_nodes:nodes
-
-let meridian_fallback_tiv_aware m ~predicted ?ts () overlay =
-  Tiv_aware.fallback overlay ~predicted ~measured:m ?ts ()
-
-let meridian_fallback_tiv_aware_engine engine ~predicted ?ts () overlay =
-  Tiv_aware.fallback_engine overlay ~predicted ~engine ?ts ()
+let meridian_fallback_tiv_aware engine ~predicted ?ts () overlay =
+  Tiv_aware.fallback overlay ~predicted ~engine ?ts ()

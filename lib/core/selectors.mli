@@ -61,17 +61,6 @@ val meridian_build_filtered :
 (** Overlay builder that excludes banned edges from ring construction. *)
 
 val meridian_build_tiv_aware :
-  Tivaware_delay_space.Matrix.t ->
-  Tivaware_meridian.Ring.config ->
-  predicted:(int -> int -> float) ->
-  ?ts:float ->
-  ?tl:float ->
-  Tivaware_util.Rng.t ->
-  int array ->
-  Tivaware_meridian.Overlay.t
-(** Overlay builder with TIV-aware dual ring placement. *)
-
-val meridian_build_tiv_aware_engine :
   Tivaware_measure.Engine.t ->
   Tivaware_meridian.Ring.config ->
   predicted:(int -> int -> float) ->
@@ -80,24 +69,17 @@ val meridian_build_tiv_aware_engine :
   Tivaware_util.Rng.t ->
   int array ->
   Tivaware_meridian.Overlay.t
-(** TIV-aware overlay builder whose alert ratios are probed through the
-    measurement plane (engine must be matrix-backed). *)
+(** Overlay builder with TIV-aware dual ring placement: rings are filed
+    by the engine's ground truth ({!Tivaware_backend.Delay_backend.of_engine}),
+    alert ratios are probed through the engine.  Matrix-backed and lazy
+    engines both work. *)
 
 val meridian_fallback_tiv_aware :
-  Tivaware_delay_space.Matrix.t ->
-  predicted:(int -> int -> float) ->
-  ?ts:float ->
-  unit ->
-  Tivaware_meridian.Overlay.t ->
-  Tivaware_meridian.Query.fallback
-(** Query-restart fallback, shaped for {!Experiment.run_meridian}'s
-    [?fallback]. *)
-
-val meridian_fallback_tiv_aware_engine :
   Tivaware_measure.Engine.t ->
   predicted:(int -> int -> float) ->
   ?ts:float ->
   unit ->
   Tivaware_meridian.Overlay.t ->
   Tivaware_meridian.Query.fallback
-(** Measurement-plane variant of {!meridian_fallback_tiv_aware}. *)
+(** Query-restart fallback probing through the engine, shaped for
+    {!Experiment.run_meridian}'s [?fallback]. *)

@@ -1,4 +1,4 @@
-module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
 
 type t = {
   ids : int array;  (* ids.(node) = identifier *)
@@ -116,8 +116,9 @@ let dedup_fingers raw =
     raw;
   Array.of_list !out
 
-let build_sized ?(candidates = 8) ?(successor_list = 4) ?predict n =
-  assert (n >= 2);
+let build ?(candidates = 8) ?(successor_list = 4) ?predict n =
+  if n < 2 then
+    invalid_arg (Printf.sprintf "Chord.build: n must be >= 2 (got %d)" n);
   if successor_list < 1 then
     invalid_arg "Chord.build: successor_list must be >= 1";
   let ids = Array.init n Id_space.of_node in
@@ -193,20 +194,6 @@ let build_sized ?(candidates = 8) ?(successor_list = 4) ?predict n =
     dead = Array.make n false;
   }
 
-let build ?candidates ?successor_list ?predict m =
-  build_sized ?candidates ?successor_list ?predict (Matrix.size m)
-
-(* The id-space structure needs only a node count, so a backend-built
-   overlay is identical to a matrix-built one whenever the backends
-   agree on delays — which the dense==lazy-densified equivalence tests
-   lean on. *)
-let build_backend ?candidates ?successor_list ?predict backend =
-  let module B = Tivaware_backend.Delay_backend in
-  let predict =
-    match predict with Some p -> p | None -> B.query backend
-  in
-  build_sized ?candidates ?successor_list ~predict (B.size backend)
-
 type lookup = {
   hops : int;
   latency : float;
@@ -214,12 +201,12 @@ type lookup = {
   owner : int;
 }
 
-let lookup_fn t delay ~source ~key =
+let lookup t backend ~source ~key =
   let n = size t in
   if source < 0 || source >= n then invalid_arg "Chord.lookup: bad source";
   let owner = live_owner_of t key in
   let hop_cost a b =
-    let d = delay a b in
+    let d = Backend.query backend a b in
     if Float.is_nan d then 0. else d
   in
   let rec route_from cur latency hops acc =
@@ -259,22 +246,6 @@ let lookup_fn t delay ~source ~key =
     end
   in
   route_from source 0. 0 [ source ]
-
-let lookup t m ~source ~key = lookup_fn t (Matrix.get m) ~source ~key
-
-let lookup_backend t backend ~source ~key =
-  lookup_fn t (Tivaware_backend.Delay_backend.query backend) ~source ~key
-
-(* Measurement-plane PNS: the proximity predictor probes through the
-   engine (budgets, faults, cache all apply), while id-space structure
-   needs only the engine's node count — so matrix-backed and lazy
-   backend engines both work.  Under the default (exact-oracle) config
-   this is bit-for-bit [build ~predict:(Matrix.get m) m]. *)
-let build_engine ?candidates ?successor_list ?(label = "dht") engine =
-  let module Engine = Tivaware_measure.Engine in
-  build_sized ?candidates ?successor_list
-    ~predict:(Engine.rtt ~label engine)
-    (Engine.size engine)
 
 (* ------------------------------------------------------------------ *)
 (* Successor-list healing                                              *)

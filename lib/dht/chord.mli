@@ -6,8 +6,9 @@
     id-space candidates by network proximity, and a TIV-confused
     proximity estimate inflates every lookup.
 
-    The overlay is built statically over a delay matrix (no churn — the
-    paper's experiments are delay-space simulations).  Each node gets:
+    The overlay is built statically over a node count (the paper's
+    experiments are delay-space simulations); churn is handled by
+    {!heal_engine} and {!Stabilizer}.  Each node gets:
 
     - a successor pointer (next node clockwise in id space);
     - one finger per power-of-two offset [2^k].  With plain Chord the
@@ -25,57 +26,21 @@ val build :
   ?candidates:int ->
   ?successor_list:int ->
   ?predict:(int -> int -> float) ->
-  Tivaware_delay_space.Matrix.t ->
-  t
-(** [build m] constructs the overlay over all nodes of [m].  Without
-    [predict], plain Chord fingers.  With [predict], PNS fingers chosen
-    among [candidates] (default 8) arc candidates by smallest predicted
-    delay; candidates whose prediction is [nan] are skipped (falling
-    back to the first candidate).  Every node also records its
-    [successor_list] (default 4, capped at [n - 1]) next nodes
-    clockwise — the healing candidates {!heal_engine} falls back on
-    when a successor dies.  Raises [Invalid_argument] when
-    [successor_list < 1]. *)
-
-val build_sized :
-  ?candidates:int ->
-  ?successor_list:int ->
-  ?predict:(int -> int -> float) ->
   int ->
   t
-(** [build_sized n] is {!build} over [n] nodes without a delay source —
-    id-space structure needs none.  Plain Chord fingers unless
-    [predict] is given. *)
-
-val build_backend :
-  ?candidates:int ->
-  ?successor_list:int ->
-  ?predict:(int -> int -> float) ->
-  Tivaware_backend.Delay_backend.t ->
-  t
-(** [build_backend b] constructs the overlay over all nodes of any
-    delay backend — a dense matrix, a lazily synthesized model, a
-    sparse overlay — with PNS fingers predicted by the backend's own
-    delays ([Delay_backend.query b]) unless a [predict] override is
-    given.  Two backends that agree on every queried pair build
-    identical overlays; with a matrix-wrapping backend this is exactly
-    [build ~predict:(Matrix.get m) m]. *)
-
-val build_engine :
-  ?candidates:int ->
-  ?successor_list:int ->
-  ?label:string ->
-  Tivaware_measure.Engine.t ->
-  t
-(** PNS through the measurement plane: finger candidates are compared
-    by probing the engine ([label] defaults to ["dht"] in its
-    {!Tivaware_measure.Probe_stats}); probes that fail (loss, outage,
-    budget denial) read as [nan] and the candidate is skipped.  Works
-    with any engine — id-space structure needs only the node count —
-    so lazily synthesized backend engines serve as well as
-    matrix-backed ones.  Under
-    {!Tivaware_measure.Engine.default_config} over a matrix the
-    overlay is identical to [build ~predict:(Matrix.get m) m]. *)
+(** [build n] constructs the overlay over nodes [0 .. n-1]; id-space
+    structure needs only the node count.  Without [predict], plain
+    Chord fingers.  With [predict], PNS fingers chosen among
+    [candidates] (default 8) arc candidates by smallest predicted
+    delay; candidates whose prediction is [nan] are skipped (falling
+    back to the first candidate).  The predictor decides what PNS
+    costs: [Delay_backend.query b] reads ground truth for free,
+    [Engine.rtt ~label engine] probes through the measurement plane
+    (budgets, faults and cache all apply; a failed probe reads as
+    [nan]).  Every node also records its [successor_list] (default 4,
+    capped at [n - 1]) next nodes clockwise — the healing candidates
+    {!heal_engine} falls back on when a successor dies.  Raises
+    [Invalid_argument] when [n < 2] or [successor_list < 1]. *)
 
 val size : t -> int
 val node_id : t -> int -> int
@@ -110,21 +75,15 @@ type lookup = {
   owner : int;  (** node responsible for the key *)
 }
 
-val lookup : t -> Tivaware_delay_space.Matrix.t -> source:int -> key:int -> lookup
+val lookup :
+  t -> Tivaware_backend.Delay_backend.t -> source:int -> key:int -> lookup
 (** Greedy clockwise routing from [source] to the node owning [key] —
     the first node at or after [key] {e not believed dead}, so once
     healing has converged a lookup never terminates at a failed node.
-    Believed-dead fingers are skipped en route.  Hops with missing
-    measurements contribute 0 latency (the overlay link exists
-    regardless).  Raises [Invalid_argument] on a bad source. *)
-
-val lookup_fn : t -> (int -> int -> float) -> source:int -> key:int -> lookup
-(** {!lookup} generalized over any delay function: hops whose delay
-    reads [nan] contribute 0 latency, as with a missing matrix pair. *)
-
-val lookup_backend :
-  t -> Tivaware_backend.Delay_backend.t -> source:int -> key:int -> lookup
-(** {!lookup} with hop latencies charged from a delay backend. *)
+    Believed-dead fingers are skipped en route.  Hop latencies are the
+    backend's answers; hops that read [nan] contribute 0 latency (the
+    overlay link exists regardless).  Raises [Invalid_argument] on a
+    bad source. *)
 
 val owner_of : t -> int -> int
 (** The node index whose id is the first at or after [key], ignoring

@@ -31,15 +31,8 @@ let validate_config ctx c =
           plane carved)
     c.shares
 
-type carve = {
-  cap : float;
-  refill : float;  (* tokens per logical second *)
-  mutable tokens : float;
-  mutable stamp : float;  (* last refill time *)
-}
-
 type t = {
-  carves : (string, carve) Hashtbl.t;
+  carves : (string, Token_bucket.t) Hashtbl.t;
   granted : (string, int ref) Hashtbl.t;
   denied : (string, int ref) Hashtbl.t;
 }
@@ -50,9 +43,9 @@ let create c =
   let carves = Hashtbl.create 8 in
   List.iter
     (fun (plane, w) ->
-      let cap = c.capacity *. w /. total in
       Hashtbl.replace carves plane
-        { cap; refill = c.rate *. w /. total; tokens = cap; stamp = 0. })
+        (Token_bucket.create ~capacity:(c.capacity *. w /. total)
+           ~rate:(c.rate *. w /. total)))
     c.shares;
   { carves; granted = Hashtbl.create 8; denied = Hashtbl.create 8 }
 
@@ -64,35 +57,22 @@ let bump table plane =
 let count table plane =
   match Hashtbl.find_opt table plane with Some r -> !r | None -> 0
 
-let refill_to carve now =
-  if now > carve.stamp then begin
-    carve.tokens <- Float.min carve.cap (carve.tokens +. ((now -. carve.stamp) *. carve.refill));
-    carve.stamp <- now
-  end
-
 let admit t ~now plane =
   match Hashtbl.find_opt t.carves plane with
   | None ->
     bump t.granted plane;
     true
   | Some carve ->
-    refill_to carve now;
-    if carve.tokens >= 1. then begin
-      carve.tokens <- carve.tokens -. 1.;
-      bump t.granted plane;
-      true
-    end
-    else begin
-      bump t.denied plane;
-      false
-    end
+    let admitted = Token_bucket.take carve ~now in
+    bump (if admitted then t.granted else t.denied) plane;
+    admitted
 
 let tokens t ~now plane =
   match Hashtbl.find_opt t.carves plane with
   | None -> infinity
   | Some carve ->
-    refill_to carve now;
-    carve.tokens
+    Token_bucket.refill carve ~now;
+    Token_bucket.tokens carve
 
 let granted t plane = count t.granted plane
 let denied t plane = count t.denied plane

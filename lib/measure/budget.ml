@@ -16,12 +16,10 @@ let unlimited =
 let per_node ~capacity ~rate =
   { unlimited with node_capacity = capacity; node_rate = rate }
 
-type bucket = { mutable tokens : float; mutable refilled : float }
-
 type t = {
   config : config;
-  nodes : bucket array;
-  global : bucket;
+  nodes : Token_bucket.t array;
+  global : Token_bucket.t;
 }
 
 (* A capacity below one token can never admit a probe: the bucket is a
@@ -47,39 +45,23 @@ let create config ~n =
   {
     config;
     nodes =
-      Array.init n (fun _ -> { tokens = config.node_capacity; refilled = 0. });
-    global = { tokens = config.global_capacity; refilled = 0. };
+      Array.init n (fun _ ->
+          Token_bucket.create ~capacity:config.node_capacity
+            ~rate:config.node_rate);
+    global =
+      Token_bucket.create ~capacity:config.global_capacity
+        ~rate:config.global_rate;
   }
 
 let config t = t.config
 
-let refill bucket ~capacity ~rate ~now =
-  if now > bucket.refilled then begin
-    if Float.is_finite capacity && Float.is_finite rate then
-      bucket.tokens <-
-        Float.min capacity (bucket.tokens +. (rate *. (now -. bucket.refilled)));
-    bucket.refilled <- now
-  end
+let try_take t ~now i = Token_bucket.take_pair t.nodes.(i) t.global ~now
 
-let node_bucket t ~now i =
+let tokens t ~now i =
   let b = t.nodes.(i) in
-  refill b ~capacity:t.config.node_capacity ~rate:t.config.node_rate ~now;
-  b
+  Token_bucket.refill b ~now;
+  Token_bucket.tokens b
 
-let global_bucket t ~now =
-  refill t.global ~capacity:t.config.global_capacity
-    ~rate:t.config.global_rate ~now;
-  t.global
-
-let try_take t ~now i =
-  let nb = node_bucket t ~now i in
-  let gb = global_bucket t ~now in
-  if nb.tokens >= 1. && gb.tokens >= 1. then begin
-    if Float.is_finite nb.tokens then nb.tokens <- nb.tokens -. 1.;
-    if Float.is_finite gb.tokens then gb.tokens <- gb.tokens -. 1.;
-    true
-  end
-  else false
-
-let tokens t ~now i = (node_bucket t ~now i).tokens
-let global_tokens t ~now = (global_bucket t ~now).tokens
+let global_tokens t ~now =
+  Token_bucket.refill t.global ~now;
+  Token_bucket.tokens t.global

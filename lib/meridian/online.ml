@@ -1,5 +1,4 @@
 module Sim = Tivaware_eventsim.Sim
-module Matrix = Tivaware_delay_space.Matrix
 module Engine = Tivaware_measure.Engine
 module Obs = Tivaware_obs
 
@@ -33,123 +32,20 @@ let attach sim engine =
   Sim.on_advance sim (fun t_ms -> Engine.advance_to engine (t_ms /. 1000.))
 
 (* The protocol is a sequential chain of timed phases; we model it with
-   events that each schedule the next phase.  All delays are RTT-derived:
-   a request/response exchange costs one full RTT, a one-way hand-off
-   costs RTT / 2. *)
-let closest ?(termination = Query.Threshold) sim overlay matrix ~client ~start
-    ~target =
-  if not (Overlay.is_meridian overlay start) then
-    invalid_arg "Online.closest: start is not a Meridian node";
-  let rtt a b = Matrix.get matrix a b in
-  if Float.is_nan (rtt client start) then
-    invalid_arg "Online.closest: no measurement between client and start";
-  if Float.is_nan (rtt start target) then
-    invalid_arg "Online.closest: no measurement between start and target";
-  let beta = (Overlay.config overlay).Ring.beta in
-  let st = Query.make_probe_state matrix ~target in
-  let visited = Hashtbl.create 16 in
-  let send_time = Sim.now sim in
-  let finished = ref None in
-  let path = ref [] and hops = ref 0 in
-  let finish () =
-    let best, best_delay = Query.best_seen st in
-    (* Answer travels back to the client. *)
-    let back = rtt client best in
-    let back = if Float.is_nan back then 0. else back /. 2. in
-    Sim.schedule_after sim back (fun () ->
-        finished :=
-          Some
-            {
-              query =
-                {
-                  Query.chosen = best;
-                  chosen_delay = best_delay;
-                  probes = Query.probe_count st;
-                  hops = !hops;
-                  restarts = 0;
-                  path = List.rev !path;
-                };
-              latency = Sim.now sim -. send_time;
-            })
-  in
-  (* One hop: the current node probes the target, fans out to eligible
-     members, waits for every report, then forwards or finishes. *)
-  let rec arrive_at node =
-    Hashtbl.replace visited node ();
-    path := node :: !path;
-    let probe_cost = if Query.probe_cached st node then 0. else rtt node target in
-    let d = Query.probe st node in
-    if Float.is_nan d then finish ()
-    else begin
-      let probe_cost = if Float.is_nan probe_cost then 0. else probe_cost in
-      Sim.schedule_after sim probe_cost (fun () -> fan_out node d)
-    end
-  and fan_out node d =
-    let members = Query.eligible_members overlay node d in
-    let pending = ref 0 in
-    let reports = ref [] in
-    let conclude () =
-      let candidate =
-        List.fold_left
-          (fun acc (id, delay) ->
-            if Float.is_nan delay || Hashtbl.mem visited id then acc
-            else begin
-              match acc with
-              | Some (_, bd) when bd <= delay -> acc
-              | _ -> Some (id, delay)
-            end)
-          None !reports
-      in
-      match candidate with
-      | Some (next, cd)
-        when Query.accepts termination ~beta ~d ~candidate_delay:cd ->
-        incr hops;
-        (* Hand the query off to the next node. *)
-        Sim.schedule_after sim (rtt node next /. 2.) (fun () -> arrive_at next)
-      | _ -> finish ()
-    in
-    if members = [] then conclude ()
-    else begin
-      List.iter
-        (fun m ->
-          let id = m.Overlay.id in
-          incr pending;
-          (* Request to the member and its report back: one RTT to the
-             member, plus the member's own probe of the target when not
-             already cached. *)
-          let member_probe = if Query.probe_cached st id then 0. else rtt id target in
-          let member_probe = if Float.is_nan member_probe then 0. else member_probe in
-          let total = rtt node id +. member_probe in
-          let total = if Float.is_nan total then 0. else total in
-          Sim.schedule_after sim total (fun () ->
-              let delay = Query.probe st id in
-              reports := (id, delay) :: !reports;
-              decr pending;
-              if !pending = 0 then conclude ()))
-        members
-    end
-  in
-  Sim.schedule_after sim (rtt client start /. 2.) (fun () -> arrive_at start);
-  Sim.run sim;
-  match !finished with
-  | Some outcome -> outcome
-  | None -> assert false
-
-(* Measurement-plane replay of the same protocol: message transit still
-   rides the ground-truth matrix (the network does not care what the
-   measurement plane charges), but every *probe* goes through the
-   engine and its cost — delivered RTT, timeouts, backoff delays —
-   is charged on the simulator clock at the point the probing node
-   issues it.  Under the default (exact-oracle) engine config the
-   schedule reduces to {!closest}'s arithmetic exactly. *)
-let closest_engine ?(termination = Query.Threshold) sim overlay engine ~client
+   events that each schedule the next phase.  Message transit rides the
+   engine's ground-truth backend (the network does not care what the
+   measurement plane charges): a one-way hand-off costs RTT / 2.  Every
+   *probe* goes through the engine and its cost — delivered RTT,
+   timeouts, backoff delays — is charged on the simulator clock at the
+   point the probing node issues it. *)
+let closest ?(termination = Query.Threshold) sim overlay engine ~client
     ~start ~target =
   if not (Overlay.is_meridian overlay start) then
-    invalid_arg "Online.closest_engine: start is not a Meridian node";
+    invalid_arg "Online.closest: start is not a Meridian node";
   let backend = Tivaware_backend.Delay_backend.of_engine engine in
   if Float.is_nan (Tivaware_backend.Delay_backend.query backend client start)
   then
-    invalid_arg "Online.closest_engine: no measurement between client and start";
+    invalid_arg "Online.closest: no measurement between client and start";
   (* One-way transit on the ground-truth path; missing edges transit
      instantaneously, as in {!closest}. *)
   let transit a b =
@@ -157,7 +53,7 @@ let closest_engine ?(termination = Query.Threshold) sim overlay engine ~client
     if Float.is_nan r then 0. else r
   in
   let beta = (Overlay.config overlay).Ring.beta in
-  let st = Query.make_probe_state_engine engine ~target in
+  let st = Query.make_probe_state engine ~target in
   let visited = Hashtbl.create 16 in
   let send_time = Sim.now sim in
   let finished = ref None in
@@ -166,7 +62,7 @@ let closest_engine ?(termination = Query.Threshold) sim overlay engine ~client
     let best, best_delay = Query.best_seen st in
     (* Under loss every probe of a hop can fail, leaving no best node;
        the failure answer returns to the client instantaneously and
-       reads [chosen_delay = nan], exactly like {!Query.closest_engine}
+       reads [chosen_delay = nan], exactly like {!Query.closest}
        (not the probe state's untouched [infinity]). *)
     let back = if best < 0 then 0. else transit client best /. 2. in
     Sim.schedule_after sim back (fun () ->

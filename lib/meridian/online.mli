@@ -17,6 +17,11 @@
       the final answer returns to the client after half the client-to-
       chosen RTT.
 
+    Probes go through a {!Tivaware_measure.Engine}, not delay-matrix
+    lookups: under its default (oracle) config a probe costs exactly
+    the ground-truth RTT, and with faults configured it costs what the
+    measurement plane charges.
+
     The recursion, acceptance window, termination rule and answer are
     identical to {!Query.closest} — property tests assert this — so the
     module adds {e timing}, not different semantics. *)
@@ -26,27 +31,13 @@ type outcome = {
   latency : float;  (** virtual ms from client send to answer received *)
 }
 
-val closest :
-  ?termination:Query.termination ->
-  Tivaware_eventsim.Sim.t ->
-  Overlay.t ->
-  Tivaware_delay_space.Matrix.t ->
-  client:int ->
-  start:int ->
-  target:int ->
-  outcome
-(** Runs the simulator until the query completes.  The simulator's
-    clock keeps advancing across calls, so one [Sim.t] can serve many
-    sequential queries.  Raises like {!Query.closest}; additionally the
-    client must have a measured delay to the start node. *)
-
 val attach : Tivaware_eventsim.Sim.t -> Tivaware_measure.Engine.t -> unit
 (** Slaves the engine's logical clock (seconds) to the simulator's
     virtual clock (ms) via {!Tivaware_eventsim.Sim.on_advance}, so
     probe budgets refill and cache entries age in simulator time.  Call
     once per (sim, engine) pair, before querying. *)
 
-val closest_engine :
+val closest :
   ?termination:Query.termination ->
   Tivaware_eventsim.Sim.t ->
   Overlay.t ->
@@ -55,21 +46,21 @@ val closest_engine :
   start:int ->
   target:int ->
   outcome
-(** Measurement-cost-aware replay: message transit (client hand-off,
-    fan-out request/report halves, forwarding, the answer's return)
-    still rides the engine's ground-truth delay backend, but every probe is
-    issued through the engine at the moment the protocol reaches it and
-    its cost — the delivered RTT, or the timeouts and backoff delays a
-    lost probe burns — advances the simulator clock on the issuing
-    path.  Failed probes degrade the query exactly as in
-    {!Query.closest_engine} (a node that cannot measure the target
-    becomes ineligible; a failed start probe ends the query with
-    [chosen_delay = nan], same convention as the offline path), and
-    [latency] now includes what measurement actually cost.  Under
-    {!Tivaware_measure.Engine.default_config} the outcome and latency
-    are identical to {!closest} on the same (complete) matrix.  The
-    engine should be created with [charge_time = false] here — the
-    simulator owns time; pair with {!attach} to keep the engine clock
-    in sync.  Ground truth is recovered with
+(** Runs the simulator until the query completes.  The simulator's
+    clock keeps advancing across calls, so one [Sim.t] can serve many
+    sequential queries.  Message transit (client hand-off, fan-out
+    request/report halves, forwarding, the answer's return) rides the
+    engine's ground-truth delay backend, recovered with
     {!Tivaware_backend.Delay_backend.of_engine}, so any engine works —
-    matrix-backed or lazy. *)
+    matrix-backed or lazy.  Every probe is issued through the engine at
+    the moment the protocol reaches it and its cost — the delivered
+    RTT, or the timeouts and backoff delays a lost probe burns —
+    advances the simulator clock on the issuing path, so [latency]
+    includes what measurement actually cost.  Failed probes degrade
+    the query exactly as in {!Query.closest} (a node that cannot
+    measure the target becomes ineligible; a failed start probe ends
+    the query with [chosen_delay = nan]).  The engine should be created
+    with [charge_time = false] here — the simulator owns time; pair
+    with {!attach} to keep the engine clock in sync.  Raises
+    [Invalid_argument] when [start] is not a Meridian node or the
+    client has no measured delay to it. *)

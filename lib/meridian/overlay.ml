@@ -1,5 +1,5 @@
 module Rng = Tivaware_util.Rng
-module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
 
 type member = { id : int; delay : float }
 
@@ -65,8 +65,37 @@ let diversity_swap delay members candidate =
   | Some (swapped, score) when score > current -> Some swapped
   | _ -> None
 
-let build_delay ?(edge_filter = fun _ _ -> true) ?placement
-    ?(selection = First_come) ?candidates rng ~delay cfg ~meridian_nodes =
+(* Bounded discovery: each node samples [budget] distinct peers instead
+   of scanning every participant — O(budget) backend queries per node,
+   so a lazy space materializes only the sampled pairs.  A budget of at
+   least the participant count keeps the full shuffle. *)
+let sampled_candidates rng meridian_nodes budget =
+  let count = Array.length meridian_nodes in
+  if budget < 1 then
+    invalid_arg "Overlay.build: candidate_budget must be >= 1";
+  if budget >= count - 1 then None
+  else begin
+    let slot_of = Hashtbl.create count in
+    Array.iteri (fun s id -> Hashtbl.replace slot_of id s) meridian_nodes;
+    Some
+      (fun node ->
+        let self = Hashtbl.find slot_of node in
+        let picks = Rng.sample_indices rng ~n:(count - 1) ~k:budget in
+        Array.map
+          (fun p -> meridian_nodes.(if p >= self then p + 1 else p))
+          picks)
+  end
+
+let build ?(edge_filter = fun _ _ -> true) ?placement
+    ?(selection = First_come) ?candidates ?candidate_budget rng backend cfg
+    ~meridian_nodes =
+  let delay = Backend.query backend in
+  let candidates =
+    match (candidates, candidate_budget) with
+    | Some _, _ -> candidates
+    | None, Some budget -> sampled_candidates rng meridian_nodes budget
+    | None, None -> None
+  in
   let placement =
     match placement with
     | Some f -> f
@@ -144,37 +173,6 @@ let build_delay ?(edge_filter = fun _ _ -> true) ?placement
     slot_of;
     pending_reentry = Hashtbl.create 16;
   }
-
-let build ?edge_filter ?placement ?selection ?candidates rng matrix cfg
-    ~meridian_nodes =
-  build_delay ?edge_filter ?placement ?selection ?candidates rng
-    ~delay:(Matrix.get matrix) cfg ~meridian_nodes
-
-let build_backend ?edge_filter ?placement ?selection ?candidate_budget rng
-    backend cfg ~meridian_nodes =
-  let module Backend = Tivaware_backend.Delay_backend in
-  let count = Array.length meridian_nodes in
-  let candidates =
-    match candidate_budget with
-    | Some b when b < 1 ->
-      invalid_arg "Overlay.build_backend: candidate_budget must be >= 1"
-    | Some b when b < count - 1 ->
-      (* Bounded discovery: each node samples [b] distinct peers instead
-         of scanning every participant — O(b) backend queries per node,
-         so a lazy space materializes only the sampled pairs. *)
-      let slot_of = Hashtbl.create count in
-      Array.iteri (fun s id -> Hashtbl.replace slot_of id s) meridian_nodes;
-      Some
-        (fun node ->
-          let self = Hashtbl.find slot_of node in
-          let picks = Rng.sample_indices rng ~n:(count - 1) ~k:b in
-          Array.map
-            (fun p -> meridian_nodes.(if p >= self then p + 1 else p))
-            picks)
-    | _ -> None
-  in
-  build_delay ?edge_filter ?placement ?selection ?candidates rng
-    ~delay:(Backend.query backend) cfg ~meridian_nodes
 
 let ring_members t node i =
   assert (i >= 1 && i <= t.config.Ring.rings);

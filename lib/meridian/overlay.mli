@@ -39,14 +39,16 @@ val build :
   ?placement:(int -> int -> float -> (int * float) list) ->
   ?selection:selection ->
   ?candidates:(int -> int array) ->
+  ?candidate_budget:int ->
   Tivaware_util.Rng.t ->
-  Tivaware_delay_space.Matrix.t ->
+  Tivaware_backend.Delay_backend.t ->
   Ring.config ->
   meridian_nodes:int array ->
   t
-(** [build rng matrix cfg ~meridian_nodes] constructs rings for every
-    participant.  [edge_filter a b] (default: always [true]) must hold
-    for [b] to be considered by [a].  [placement a b delay] (default:
+(** [build rng backend cfg ~meridian_nodes] constructs rings for every
+    participant from the backend's delays ([nan] = unmeasurable).
+    [edge_filter a b] (default: always [true]) must hold for [b] to be
+    considered by [a].  [placement a b delay] (default:
     [[(Ring.ring_of cfg delay, delay)]]) returns the ring entries [b]
     occupies in [a]'s structure as [(ring index, represented delay)]
     pairs; the first entry consumes a primary slot (up to [k] per ring),
@@ -56,39 +58,13 @@ val build :
 
     [candidates node] (default: all other participants in random order)
     restricts which peers [node] may file into its rings — e.g. the
-    members it discovered through {!Gossip}. *)
-
-val build_delay :
-  ?edge_filter:(int -> int -> bool) ->
-  ?placement:(int -> int -> float -> (int * float) list) ->
-  ?selection:selection ->
-  ?candidates:(int -> int array) ->
-  Tivaware_util.Rng.t ->
-  delay:(int -> int -> float) ->
-  Ring.config ->
-  meridian_nodes:int array ->
-  t
-(** The core of {!build} over an arbitrary delay function ([nan] =
-    unmeasurable).  [build rng matrix ...] is exactly
-    [build_delay rng ~delay:(Matrix.get matrix) ...]. *)
-
-val build_backend :
-  ?edge_filter:(int -> int -> bool) ->
-  ?placement:(int -> int -> float -> (int * float) list) ->
-  ?selection:selection ->
-  ?candidate_budget:int ->
-  Tivaware_util.Rng.t ->
-  Tivaware_backend.Delay_backend.t ->
-  Ring.config ->
-  meridian_nodes:int array ->
-  t
-(** {!build_delay} over a delay backend.  [candidate_budget] bounds
-    each node's discovery to that many uniformly sampled peers (instead
-    of a shuffle of {e all} participants), so ring construction over an
-    N-node lazy space costs O(meridian · budget) queries rather than
-    O(meridian²) — the sampled replacement for the full row scan.  A
-    budget of at least the participant count keeps the historical
-    shuffle.  Raises [Invalid_argument] when the budget is < 1. *)
+    members it discovered through {!Gossip}.  Without [candidates],
+    [candidate_budget] bounds each node's discovery to that many
+    uniformly sampled peers, so ring construction over an N-node lazy
+    space costs O(meridian · budget) queries rather than
+    O(meridian²); a budget of at least the participant count keeps
+    the full shuffle.  Raises [Invalid_argument] when the budget is
+    < 1. *)
 
 val config : t -> Ring.config
 val meridian_nodes : t -> int array

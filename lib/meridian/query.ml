@@ -1,4 +1,4 @@
-module Matrix = Tivaware_delay_space.Matrix
+module Backend = Tivaware_backend.Delay_backend
 module Engine = Tivaware_measure.Engine
 module Obs = Tivaware_obs
 
@@ -25,7 +25,7 @@ type probe_state = {
   mutable best_delay : float;
 }
 
-let make_probe_state_engine engine ~target =
+let make_probe_state engine ~target =
   {
     engine;
     target;
@@ -34,9 +34,6 @@ let make_probe_state_engine engine ~target =
     best = -1;
     best_delay = infinity;
   }
-
-let make_probe_state matrix ~target =
-  make_probe_state_engine (Engine.of_matrix matrix) ~target
 
 let probe_cached st node = Hashtbl.mem st.probe_cache node
 let probe_count st = st.probes
@@ -128,12 +125,12 @@ let accepts termination ~beta ~d ~candidate_delay =
   | Threshold -> candidate_delay <= beta *. d
   | Any_improvement -> candidate_delay < d
 
-let closest_engine ?(termination = Threshold) ?fallback overlay engine ~start
+let closest ?(termination = Threshold) ?fallback overlay engine ~start
     ~target =
   if not (Overlay.is_meridian overlay start) then
     invalid_arg "Query.closest: start is not a Meridian node";
   let beta = (Overlay.config overlay).Ring.beta in
-  let st = make_probe_state_engine engine ~target in
+  let st = make_probe_state engine ~target in
   st.best <- start;
   let d0 = probe st start in
   if Float.is_nan d0 then
@@ -202,28 +199,19 @@ let closest_engine ?(termination = Threshold) ?fallback overlay engine ~start
     }
   end
 
-let closest ?termination ?fallback overlay matrix ~start ~target =
-  if not (Overlay.is_meridian overlay start) then
-    invalid_arg "Query.closest: start is not a Meridian node";
-  if Float.is_nan (Matrix.get matrix start target) then
-    invalid_arg "Query.closest: no measurement between start and target";
-  (* Oracle mode: a throwaway default engine is a plain matrix view. *)
-  closest_engine ?termination ?fallback overlay (Engine.of_matrix matrix)
-    ~start ~target
-
 (* Max-norm delay of [node] to the target set; [nan] if any measurement
    is missing. *)
-let max_norm matrix node targets =
+let max_norm backend node targets =
   List.fold_left
     (fun acc t ->
       if node = t then acc
       else begin
-        let d = Matrix.get matrix node t in
+        let d = Backend.query backend node t in
         if Float.is_nan d || Float.is_nan acc then nan else Float.max acc d
       end)
     0. targets
 
-let closest_multi_engine ?(termination = Threshold) overlay engine ~start
+let closest_multi ?(termination = Threshold) overlay engine ~start
     ~targets =
   if targets = [] then invalid_arg "Query.closest_multi: no targets";
   if not (Overlay.is_meridian overlay start) then
@@ -309,22 +297,13 @@ let closest_multi_engine ?(termination = Threshold) overlay engine ~start
     }
   end
 
-let closest_multi ?termination overlay matrix ~start ~targets =
-  if targets = [] then invalid_arg "Query.closest_multi: no targets";
-  if not (Overlay.is_meridian overlay start) then
-    invalid_arg "Query.closest_multi: start is not a Meridian node";
-  if Float.is_nan (max_norm matrix start targets) then
-    invalid_arg "Query.closest_multi: start cannot measure every target";
-  closest_multi_engine ?termination overlay (Engine.of_matrix matrix) ~start
-    ~targets
-
-let optimal_multi overlay matrix ~targets =
+let optimal_multi overlay backend ~targets =
   if targets = [] then invalid_arg "Query.optimal_multi: no targets";
   Array.fold_left
     (fun acc node ->
       if List.mem node targets then acc
       else begin
-        let d = max_norm matrix node targets in
+        let d = max_norm backend node targets in
         if Float.is_nan d then acc
         else begin
           match acc with
@@ -334,12 +313,12 @@ let optimal_multi overlay matrix ~targets =
       end)
     None (Overlay.meridian_nodes overlay)
 
-let optimal overlay matrix ~target =
+let optimal overlay backend ~target =
   Array.fold_left
     (fun acc node ->
       if node = target then acc
       else begin
-        let d = Matrix.get matrix node target in
+        let d = Backend.query backend node target in
         if Float.is_nan d then acc
         else begin
           match acc with

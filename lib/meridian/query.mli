@@ -10,9 +10,11 @@
     improvement exists (the idealized "no termination condition" mode
     of Section 3.2.2).
 
-    Probes are delay-matrix lookups; each distinct (node, target)
-    measurement within a query is counted once (values are cached, as a
-    real implementation would within one query).  The answer returned
+    Probes go through a {!Tivaware_measure.Engine}: under its default
+    (oracle) config a probe is a free ground-truth lookup, and loss,
+    jitter, outages and budgets apply when configured.  Each distinct
+    (node, target) measurement within a query is counted once (values
+    are cached, as a real implementation would within one query).  The answer returned
     to the client is the best node observed among all probed
     participants, as in the paper's Figure 12 narrative. *)
 
@@ -39,33 +41,22 @@ val closest :
   ?termination:termination ->
   ?fallback:fallback ->
   Overlay.t ->
-  Tivaware_delay_space.Matrix.t ->
-  start:int ->
-  target:int ->
-  outcome
-(** [closest overlay matrix ~start ~target].  [start] must be a Meridian
-    node and [target] must have a measured delay to it; otherwise
-    [Invalid_argument].  Default termination is [Threshold] with the
-    overlay's [beta].  Oracle mode: probes are free matrix lookups
-    (a throwaway default {!Tivaware_measure.Engine} under the hood). *)
-
-val closest_engine :
-  ?termination:termination ->
-  ?fallback:fallback ->
-  Overlay.t ->
   Tivaware_measure.Engine.t ->
   start:int ->
   target:int ->
   outcome
-(** As {!closest}, but every probe pays the measurement plane: loss,
-    jitter, outages and budget denials make nodes unmeasurable for the
-    rest of the query.  When the start node's own probe of the target
-    fails the query returns immediately with [chosen_delay = nan]
-    (instead of raising) so drivers under injected faults degrade
-    gracefully. *)
+(** [closest overlay engine ~start ~target].  Default termination is
+    [Threshold] with the overlay's [beta].  Every probe pays the
+    measurement plane: loss, jitter, outages and budget denials make
+    nodes unmeasurable for the rest of the query.  When the start
+    node's own probe of the target fails (or the pair is unmeasurable)
+    the query returns immediately with [chosen_delay = nan] and counts
+    a [meridian.query_failures] in the engine registry, so drivers
+    under injected faults degrade gracefully.  Raises
+    [Invalid_argument] when [start] is not a Meridian node. *)
 
 val optimal :
-  Overlay.t -> Tivaware_delay_space.Matrix.t -> target:int -> (int * float) option
+  Overlay.t -> Tivaware_backend.Delay_backend.t -> target:int -> (int * float) option
 (** Ground truth: the Meridian node with the smallest measured delay to
     the target ([None] if the target has no measured Meridian edge). *)
 
@@ -79,29 +70,22 @@ val optimal :
 val closest_multi :
   ?termination:termination ->
   Overlay.t ->
-  Tivaware_delay_space.Matrix.t ->
-  start:int ->
-  targets:int list ->
-  outcome
-(** [closest_multi overlay m ~start ~targets]: [chosen_delay] is the
-    max-norm delay of the chosen node to the target set.  A node with a
-    missing measurement to any target is skipped as a candidate.
-    Raises [Invalid_argument] on an empty target list, a non-Meridian
-    start, or when [start] cannot measure every target. *)
-
-val closest_multi_engine :
-  ?termination:termination ->
-  Overlay.t ->
   Tivaware_measure.Engine.t ->
   start:int ->
   targets:int list ->
   outcome
-(** Measurement-plane variant of {!closest_multi}; a failed probe to
-    any target makes the probing node ineligible, and a failed start
-    measurement returns [chosen_delay = nan] instead of raising. *)
+(** [closest_multi overlay engine ~start ~targets]: [chosen_delay] is
+    the max-norm delay of the chosen node to the target set.  A failed
+    probe to any target makes the probing node ineligible as a
+    candidate, and a failed start measurement returns
+    [chosen_delay = nan].  Raises [Invalid_argument] on an empty target
+    list or a non-Meridian start. *)
 
 val optimal_multi :
-  Overlay.t -> Tivaware_delay_space.Matrix.t -> targets:int list -> (int * float) option
+  Overlay.t ->
+  Tivaware_backend.Delay_backend.t ->
+  targets:int list ->
+  (int * float) option
 (** Brute-force best max-norm participant. *)
 
 (** {2 Protocol building blocks}
@@ -111,11 +95,7 @@ val optimal_multi :
 
 type probe_state
 
-val make_probe_state : Tivaware_delay_space.Matrix.t -> target:int -> probe_state
-(** Oracle mode (wraps the matrix in a default engine). *)
-
-val make_probe_state_engine :
-  Tivaware_measure.Engine.t -> target:int -> probe_state
+val make_probe_state : Tivaware_measure.Engine.t -> target:int -> probe_state
 
 val probe : probe_state -> int -> float
 (** One online probe from a node to the target: counted once per query,

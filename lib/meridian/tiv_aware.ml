@@ -1,18 +1,17 @@
-module Matrix = Tivaware_delay_space.Matrix
 module Engine = Tivaware_measure.Engine
 
 let default_ts = 0.6
 let default_tl = 2.0
 
-let ratio_engine engine predicted a b =
+let ratio engine predicted a b =
   let d = Engine.rtt ~label:"tiv-aware" engine a b in
   if Float.is_nan d || d < 1e-9 then nan else predicted a b /. d
 
-let placement_engine cfg ~predicted ~engine ?(ts = default_ts)
+let placement cfg ~predicted ~engine ?(ts = default_ts)
     ?(tl = default_tl) () =
   fun node peer delay ->
     let measured_entry = (Ring.ring_of cfg delay, delay) in
-    let r = ratio_engine engine predicted node peer in
+    let r = ratio engine predicted node peer in
     if Float.is_nan r || (r >= ts && r <= tl) then [ measured_entry ]
     else begin
       let p = predicted node peer in
@@ -21,14 +20,11 @@ let placement_engine cfg ~predicted ~engine ?(ts = default_ts)
       else [ measured_entry; (predicted_ring, p) ]
     end
 
-let placement cfg ~predicted ~measured ?ts ?tl () =
-  placement_engine cfg ~predicted ~engine:(Engine.of_matrix measured) ?ts ?tl ()
-
-let fallback_engine overlay ~predicted ~engine ?(ts = default_ts) () :
+let fallback overlay ~predicted ~engine ?(ts = default_ts) () :
     Query.fallback =
  fun ~current ~target ~measured:d ->
   ignore d;
-  let r = ratio_engine engine predicted current target in
+  let r = ratio engine predicted current target in
   if Float.is_nan r || r >= ts then []
   else begin
     (* The measured edge to the target looks TIV-inflated: re-select
@@ -40,6 +36,3 @@ let fallback_engine overlay ~predicted ~engine ?(ts = default_ts) () :
       (fun m -> m.Overlay.delay >= lo && m.Overlay.delay <= hi)
       (Overlay.all_members overlay current)
   end
-
-let fallback overlay ~predicted ~measured ?ts () =
-  fallback_engine overlay ~predicted ~engine:(Engine.of_matrix measured) ?ts ()

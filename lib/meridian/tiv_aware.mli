@@ -23,44 +23,25 @@ val default_tl : float
 val placement :
   Ring.config ->
   predicted:(int -> int -> float) ->
-  measured:Tivaware_delay_space.Matrix.t ->
+  engine:Tivaware_measure.Engine.t ->
   ?ts:float ->
   ?tl:float ->
   unit ->
   int -> int -> float -> (int * float) list
 (** Dual-placement hook for {!Overlay.build}'s [?placement]: the first
     entry represents the measured delay, the second (when the edge is
-    alerted and the rings differ) the predicted delay.  Oracle mode:
-    the ratio's measured delay is a free matrix lookup. *)
-
-val placement_engine :
-  Ring.config ->
-  predicted:(int -> int -> float) ->
-  engine:Tivaware_measure.Engine.t ->
-  ?ts:float ->
-  ?tl:float ->
-  unit ->
-  int -> int -> float -> (int * float) list
-(** As {!placement}, but the alert ratio's measured delay is probed
-    through the measurement plane (label ["tiv-aware"]): a failed probe
-    suppresses the alert and the member is placed by its measured delay
-    only. *)
+    alerted and the rings differ) the predicted delay.  The alert
+    ratio's measured delay is probed through the measurement plane
+    (label ["tiv-aware"]): a failed probe suppresses the alert and the
+    member is placed by its measured delay only. *)
 
 val fallback :
   Overlay.t ->
   predicted:(int -> int -> float) ->
-  measured:Tivaware_delay_space.Matrix.t ->
-  ?ts:float ->
-  unit ->
-  Query.fallback
-(** Query-restart hook for {!Query.closest}'s [?fallback]. *)
-
-val fallback_engine :
-  Overlay.t ->
-  predicted:(int -> int -> float) ->
   engine:Tivaware_measure.Engine.t ->
   ?ts:float ->
   unit ->
   Query.fallback
-(** As {!fallback}, probing the alert ratio through the measurement
-    plane; a failed probe means no restart. *)
+(** Query-restart hook for {!Query.closest}'s [?fallback], probing the
+    alert ratio through the measurement plane; a failed probe means no
+    restart. *)

@@ -1,6 +1,9 @@
 module Rng = Tivaware_util.Rng
 module Stats = Tivaware_util.Stats
-module Matrix = Tivaware_delay_space.Matrix
+module Engine = Tivaware_measure.Engine
+module Oracle = Tivaware_measure.Oracle
+module Churn = Tivaware_measure.Churn
+module Obs = Tivaware_obs
 
 type config = {
   max_degree : int;
@@ -39,14 +42,17 @@ let children t node =
     t.parent;
   List.rev !out
 
-(* [known] abstracts [Matrix.known]: whether the pair can carry a tree
-   edge at all.  Backends answer it as "query is not nan", matrices as
-   membership — identical for a matrix-wrapping backend. *)
-let known_of_matrix m node cand = Matrix.known m node cand
+(* Edge existence against the engine's ground truth, whatever backs
+   it: a matrix pair is known iff its oracle query is non-nan, so this
+   matches [Matrix.known] exactly on matrix engines and extends to
+   lazy backend engines. *)
+let known_of_engine engine i j =
+  i <> j && not (Float.is_nan (Oracle.query (Engine.oracle engine) i j))
 
-let known_of_backend b node cand =
-  node <> cand
-  && not (Float.is_nan (Tivaware_backend.Delay_backend.query b node cand))
+(* The attachment predictor: an override, else a probe through the
+   engine charged under [label]. *)
+let predictor ~label ?predict engine =
+  match predict with Some p -> p | None -> Engine.rtt ~label engine
 
 (* Predicted-nearest joined member with spare degree among candidates. *)
 let best_attachment t ~known ~predict node candidates =
@@ -68,8 +74,16 @@ let best_attachment t ~known ~predict node candidates =
       else acc)
     None candidates
 
-let build_general ?(config = default_config) ~n ~known ~join_order ~predict () =
-  assert (Array.length join_order > 0);
+(* Joins predict edge delays by probing through the engine unless
+   [predict] overrides; edge existence consults the engine's ground
+   truth directly (matrix or lazy backend alike). *)
+let build ?(config = default_config) ?(label = "multicast") ?predict engine
+    ~join_order =
+  if Array.length join_order = 0 then
+    invalid_arg "Multicast.build: join_order must be non-empty";
+  let known = known_of_engine engine in
+  let predict = predictor ~label ?predict engine in
+  let n = Engine.size engine in
   let t =
     {
       config;
@@ -96,18 +110,6 @@ let build_general ?(config = default_config) ~n ~known ~join_order ~predict () =
       end)
     join_order;
   t
-
-let build ?config m ~join_order ~predict =
-  build_general ?config ~n:(Matrix.size m) ~known:(known_of_matrix m)
-    ~join_order ~predict ()
-
-let build_backend ?config ?predict backend ~join_order =
-  let module B = Tivaware_backend.Delay_backend in
-  let predict =
-    match predict with Some p -> p | None -> B.query backend
-  in
-  build_general ?config ~n:(B.size backend) ~known:(known_of_backend backend)
-    ~join_order ~predict ()
 
 (* Is [candidate] in the subtree rooted at [node]?  Switching to a
    descendant would create a cycle. *)
@@ -138,7 +140,9 @@ let predicted_root_delays t ~predict =
   List.iter (fun node -> ignore (resolve node)) (members t);
   out
 
-let refresh_general t rng ~known ~predict =
+let refresh ?(label = "multicast") ?predict t rng engine =
+  let known = known_of_engine engine in
+  let predict = predictor ~label ?predict engine in
   let all_members = Array.of_list (members t) in
   let order = Array.copy all_members in
   Rng.shuffle rng order;
@@ -193,16 +197,6 @@ let refresh_general t rng ~known ~predict =
     order;
   !switches
 
-let refresh t rng m ~predict =
-  refresh_general t rng ~known:(known_of_matrix m) ~predict
-
-let refresh_backend ?predict t rng backend =
-  let module B = Tivaware_backend.Delay_backend in
-  let predict =
-    match predict with Some p -> p | None -> B.query backend
-  in
-  refresh_general t rng ~known:(known_of_backend backend) ~predict
-
 type metrics = {
   members : int;
   mean_edge_ms : float;
@@ -212,7 +206,20 @@ type metrics = {
   max_fanout : int;
 }
 
-let evaluate_fn ?(on_missing = fun () -> ()) t delay =
+(* Evaluation against the engine's ground truth, with the nan audit:
+   every silent fallback (missing tree edge, unmeasurable direct root
+   delay) increments [multicast.evaluate_failures] instead of
+   disappearing into the percentiles — the multicast counterpart of
+   [meridian.query_failures]. *)
+let evaluate t engine =
+  let reg = Engine.obs engine in
+  let failures = Obs.Registry.counter reg "multicast.evaluate_failures" in
+  let missing = ref 0 in
+  let on_missing () =
+    incr missing;
+    Obs.Counter.incr failures
+  in
+  let delay = Oracle.query (Engine.oracle engine) in
   let n = Array.length t.parent in
   (* Root-to-node tree delay and depth by memoized ascent. *)
   let tree_delay = Array.make n nan in
@@ -225,8 +232,7 @@ let evaluate_fn ?(on_missing = fun () -> ()) t delay =
       let p = t.parent.(node) in
       let pd, pdepth = resolve p in
       let edge = delay node p in
-      (* A missing edge contributes zero to the path — a silent nan
-         exit; [on_missing] lets engine-backed callers count it. *)
+      (* A missing edge contributes zero to the path. *)
       if Float.is_nan edge then on_missing ();
       let d = pd +. (if Float.is_nan edge then 0. else edge) in
       tree_delay.(node) <- d;
@@ -247,10 +253,13 @@ let evaluate_fn ?(on_missing = fun () -> ()) t delay =
           stretches := (tree_delay.(node) /. direct) :: !stretches
         else
           (* No measurable direct root delay: the member drops out of
-             the stretch percentiles without a trace. *)
+             the stretch percentiles. *)
           on_missing ()
       end)
     (members t);
+  if !missing > 0 then
+    Obs.Registry.trace_event reg ~time:(Engine.now engine) ~label:"multicast"
+      (Printf.sprintf "evaluate dropped %d unmeasurable edges" !missing);
   let edges = Array.of_list !edges and stretches = Array.of_list !stretches in
   {
     members = List.length (members t);
@@ -261,38 +270,6 @@ let evaluate_fn ?(on_missing = fun () -> ()) t delay =
     max_depth = !max_depth;
     max_fanout = Array.fold_left max 0 t.degree;
   }
-
-let evaluate t m = evaluate_fn t (Matrix.get m)
-
-let evaluate_backend t backend =
-  evaluate_fn t (Tivaware_backend.Delay_backend.query backend)
-
-(* Evaluation against the engine's ground truth, with the nan audit:
-   every silent fallback (missing tree edge, unmeasurable direct root
-   delay) increments [multicast.evaluate_failures] instead of
-   disappearing into the percentiles — the multicast counterpart of
-   [meridian.query_failures]. *)
-let evaluate_failures_counter reg =
-  Tivaware_obs.Registry.counter reg "multicast.evaluate_failures"
-
-let evaluate_engine t engine =
-  let module Engine = Tivaware_measure.Engine in
-  let module Oracle = Tivaware_measure.Oracle in
-  let module Obs = Tivaware_obs in
-  let reg = Engine.obs engine in
-  let failures = evaluate_failures_counter reg in
-  let missing = ref 0 in
-  let on_missing () =
-    incr missing;
-    Obs.Counter.incr failures
-  in
-  let m =
-    evaluate_fn ~on_missing t (Oracle.query (Engine.oracle engine))
-  in
-  if !missing > 0 then
-    Obs.Registry.trace_event reg ~time:(Engine.now engine) ~label:"multicast"
-      (Printf.sprintf "evaluate dropped %d unmeasurable edges" !missing);
-  m
 
 (* ------------------------------------------------------------------ *)
 (* Churn-aware tree repair                                             *)
@@ -311,7 +288,20 @@ let recompute_degrees t =
         t.degree.(p) <- t.degree.(p) + 1)
     t.parent
 
-let repair_general t rng ~known ~predict ~up =
+(* One repair pass; liveness defaults to the engine's churn view (no
+   churn = everyone up), and the pass's counts land in the engine's
+   [repair.*{plane=multicast}] series. *)
+let repair ?(label = "multicast-repair") ?predict ?up t rng engine =
+  let up =
+    match up with
+    | Some up -> up
+    | None -> (
+      match Engine.churn engine with
+      | None -> fun _ -> true
+      | Some c -> Churn.is_up c)
+  in
+  let known = known_of_engine engine in
+  let predict = predictor ~label ?predict engine in
   let detached = ref 0 and reattached = ref 0 and rejoined = ref 0 in
   (* 1. Down members leave the tree; their children become orphans
      (still joined, parent no longer a member). *)
@@ -382,34 +372,8 @@ let repair_general t rng ~known ~predict ~up =
         | _ -> ()
       end)
     t.wants;
-  { detached = !detached; reattached = !reattached; rejoined = !rejoined }
-
-let repair t rng m ~predict ~up =
-  repair_general t rng ~known:(known_of_matrix m) ~predict ~up
-
-(* Edge existence against the engine's ground truth, whatever backs
-   it: a matrix pair is known iff its oracle query is non-nan, so this
-   matches [Matrix.known] exactly on matrix engines and extends to
-   lazy backend engines. *)
-let known_of_engine engine i j =
-  let module Engine = Tivaware_measure.Engine in
-  let module Oracle = Tivaware_measure.Oracle in
-  i <> j && not (Float.is_nan (Oracle.query (Engine.oracle engine) i j))
-
-let repair_engine ?(label = "multicast-repair") ?predict t rng engine =
-  let module Engine = Tivaware_measure.Engine in
-  let module Churn = Tivaware_measure.Churn in
-  let module Obs = Tivaware_obs in
-  let up i =
-    match Engine.churn engine with
-    | None -> true
-    | Some c -> Churn.is_up c i
-  in
-  let predict =
-    match predict with Some p -> p | None -> Engine.rtt ~label engine
-  in
   let result =
-    repair_general t rng ~known:(known_of_engine engine) ~predict ~up
+    { detached = !detached; reattached = !reattached; rejoined = !rejoined }
   in
   let reg = Engine.obs engine in
   let labels = [ ("plane", "multicast") ] in
@@ -426,23 +390,3 @@ let repair_engine ?(label = "multicast-repair") ?predict t rng engine =
     (Printf.sprintf "detached=%d reattached=%d rejoined=%d" result.detached
        result.reattached result.rejoined);
   result
-
-(* Measurement-plane neighbor selection: joins and refreshes predict
-   edge delays by probing through the engine; edge existence consults
-   the engine's ground truth directly (matrix or lazy backend alike).
-   Oracle-mode default over a matrix reproduces
-   [build ~predict:(Matrix.get m)] bit-for-bit. *)
-let build_engine ?config ?(label = "multicast") ?predict engine ~join_order =
-  let module Engine = Tivaware_measure.Engine in
-  let predict =
-    match predict with Some p -> p | None -> Engine.rtt ~label engine
-  in
-  build_general ?config ~n:(Engine.size engine)
-    ~known:(known_of_engine engine) ~join_order ~predict ()
-
-let refresh_engine ?(label = "multicast") ?predict t rng engine =
-  let module Engine = Tivaware_measure.Engine in
-  let predict =
-    match predict with Some p -> p | None -> Engine.rtt ~label engine
-  in
-  refresh_general t rng ~known:(known_of_engine engine) ~predict

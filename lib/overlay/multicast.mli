@@ -41,20 +41,27 @@ val children : t -> int -> int list
 
 val build :
   ?config:config ->
-  Tivaware_delay_space.Matrix.t ->
+  ?label:string ->
+  ?predict:(int -> int -> float) ->
+  Tivaware_measure.Engine.t ->
   join_order:int array ->
-  predict:(int -> int -> float) ->
   t
-(** [build m ~join_order ~predict] grows the tree: [join_order.(0)]
-    is the root; every other node attaches to the predicted-nearest
-    member with spare degree.  Nodes with no measurable candidate are
-    left out (reported by {!members}). *)
+(** [build engine ~join_order] grows the tree: [join_order.(0)] is the
+    root; every other node attaches to the predicted-nearest member
+    with spare degree.  The predictor probes through the engine,
+    charged under [label] (default ["multicast"]); [predict] overrides
+    it (coordinate or policy-ranked joins; any probes it issues are its
+    own business).  Edge existence is "the engine's ground truth is not
+    [nan]" — matrix-backed and lazy backend engines both work.  Nodes
+    with no measurable candidate are left out (reported by
+    {!members}).  Raises [Invalid_argument] on an empty [join_order]. *)
 
 val refresh :
+  ?label:string ->
+  ?predict:(int -> int -> float) ->
   t ->
   Tivaware_util.Rng.t ->
-  Tivaware_delay_space.Matrix.t ->
-  predict:(int -> int -> float) ->
+  Tivaware_measure.Engine.t ->
   int
 (** One refresh pass over all non-root members in random order: sample
     candidates and switch parents when a member offers a strictly
@@ -62,29 +69,9 @@ val refresh :
     the predicted edge to it) and has spare degree.  Descendants are
     excluded to keep the tree acyclic.  Optimizing end-to-end delay
     rather than the parent edge alone prevents refresh from collapsing
-    the tree into long low-latency chains.  Returns the number of
+    the tree into long low-latency chains.  Same label, ground-truth
+    and [predict] conventions as {!build}.  Returns the number of
     parent switches. *)
-
-val build_backend :
-  ?config:config ->
-  ?predict:(int -> int -> float) ->
-  Tivaware_backend.Delay_backend.t ->
-  join_order:int array ->
-  t
-(** {!build} over any delay backend: edge existence is "the backend's
-    query is not [nan]" (identical to [Matrix.known] for a
-    matrix-wrapping backend), and the predictor defaults to the
-    backend's own delays.  Two backends that agree on every queried
-    pair grow identical trees. *)
-
-val refresh_backend :
-  ?predict:(int -> int -> float) ->
-  t ->
-  Tivaware_util.Rng.t ->
-  Tivaware_backend.Delay_backend.t ->
-  int
-(** {!refresh} over a delay backend, with the same edge-existence and
-    default-predictor conventions as {!build_backend}. *)
 
 (** {2 Churn-aware tree repair} *)
 
@@ -95,13 +82,15 @@ type repair = {
 }
 
 val repair :
+  ?label:string ->
+  ?predict:(int -> int -> float) ->
+  ?up:(int -> bool) ->
   t ->
   Tivaware_util.Rng.t ->
-  Tivaware_delay_space.Matrix.t ->
-  predict:(int -> int -> float) ->
-  up:(int -> bool) ->
+  Tivaware_measure.Engine.t ->
   repair
-(** One repair pass against a liveness oracle [up]: down members are
+(** One repair pass against a liveness oracle [up] (default: the
+    engine's churn model; no churn = everyone up): down members are
     detached (their children orphaned), every orphan re-attaches to the
     best live member with spare degree among a sampled candidate set
     (the root is always a candidate, so the tree cannot fragment while
@@ -110,47 +99,12 @@ val repair :
     the tree and rejoin on a later pass.  Degrees are recomputed from
     the repaired parent relation.  The root never detaches; while it is
     down, repair keeps the surviving members attached among themselves
-    and re-hangs them once it returns. *)
-
-val repair_engine :
-  ?label:string ->
-  ?predict:(int -> int -> float) ->
-  t ->
-  Tivaware_util.Rng.t ->
-  Tivaware_measure.Engine.t ->
-  repair
-(** {!repair} with liveness taken from the engine's churn model (no
-    churn = everyone up) and predictions probing through the engine,
-    charged and accounted under [label] (default ["multicast-repair"]).
-    [predict] overrides the per-probe predictor — the hook policy-driven
-    overlays (e.g. {!Tivaware_stream}) use to re-graft orphans by
-    coordinate rank or TIV-alert-verified rank instead of a raw probe. *)
-
-val build_engine :
-  ?config:config ->
-  ?label:string ->
-  ?predict:(int -> int -> float) ->
-  Tivaware_measure.Engine.t ->
-  join_order:int array ->
-  t
-(** {!build} with the predictor probing through the measurement plane
-    ([label] defaults to ["multicast"]); joins consult the engine's
-    ground truth for edge existence — matrix-backed and lazy backend
-    engines both work.  [predict] overrides the attachment predictor
-    (policy-ranked joins); any probes it issues are its own business.
-    Oracle-mode default config over a matrix reproduces
-    [build ~predict:(Matrix.get m)] bit-for-bit. *)
-
-val refresh_engine :
-  ?label:string ->
-  ?predict:(int -> int -> float) ->
-  t ->
-  Tivaware_util.Rng.t ->
-  Tivaware_measure.Engine.t ->
-  int
-(** {!refresh} with engine-mediated predictions; same label,
-    ground-truth and [predict]-override conventions as
-    {!build_engine}. *)
+    and re-hangs them once it returns.  Predictions probe through the
+    engine under [label] (default ["multicast-repair"]); [predict]
+    overrides them — the hook policy-driven overlays (e.g.
+    {!Tivaware_stream}) use to re-graft orphans by coordinate rank or
+    TIV-alert-verified rank.  The pass's counts are added to the
+    engine registry's [repair.*{plane=multicast}] counters. *)
 
 type metrics = {
   members : int;
@@ -161,25 +115,12 @@ type metrics = {
   max_fanout : int;
 }
 
-val evaluate : t -> Tivaware_delay_space.Matrix.t -> metrics
-(** Tree quality under {e measured} delays.  Stretch is computed for
-    members with a measured direct delay to the root. *)
-
-val evaluate_fn :
-  ?on_missing:(unit -> unit) -> t -> (int -> int -> float) -> metrics
-(** {!evaluate} generalized over any delay function ([nan] = missing
-    measurement, as with a matrix).  [on_missing] is invoked once per
-    silent [nan] fallback — a missing parent edge (contributes zero to
-    the tree path) or a member with no measurable direct root delay
-    (drops out of the stretch percentiles); default: ignore, the
-    historical behaviour. *)
-
-val evaluate_backend : t -> Tivaware_backend.Delay_backend.t -> metrics
-(** {!evaluate} judged by a delay backend's answers. *)
-
-val evaluate_engine : t -> Tivaware_measure.Engine.t -> metrics
-(** {!evaluate_fn} against the engine's ground-truth oracle, with the
-    nan-sentinel audit: every silent fallback increments the engine
-    registry's [multicast.evaluate_failures] counter (and a trace event
-    summarizes the drop count), mirroring [meridian.query_failures] —
-    no unmeasurable edge vanishes into the percentiles unrecorded. *)
+val evaluate : t -> Tivaware_measure.Engine.t -> metrics
+(** Tree quality under the engine's ground-truth delays.  Stretch is
+    computed for members with a measured direct delay to the root.
+    Every silent [nan] fallback — a missing parent edge (contributes
+    zero to the tree path) or a member with no measurable direct root
+    delay (drops out of the stretch percentiles) — increments the
+    engine registry's [multicast.evaluate_failures] counter, and a
+    trace event summarizes the drop count, mirroring
+    [meridian.query_failures]. *)

@@ -69,13 +69,16 @@ let create spec =
   let meridian_nodes = Rng.sample_indices rng ~n ~k:spec.meridian_count in
   let cfg = { Ring.default_config with beta = spec.beta } in
   let overlay =
-    Overlay.build_backend ?candidate_budget:spec.candidate_budget rng backend
-      cfg ~meridian_nodes
+    Overlay.build ?candidate_budget:spec.candidate_budget rng backend cfg
+      ~meridian_nodes
   in
-  let chord = Chord.build_backend backend in
+  let truth = Backend.query backend in
+  let chord = Chord.build ~predict:truth n in
   let join_order = Rng.permutation rng n in
-  let tree = Multicast.build_backend backend ~join_order in
   let engine = Backend.engine ~config:spec.engine_config backend in
+  (* The world is built from ground truth, before the backend's
+     instruments are attached: only query traffic is metered. *)
+  let tree = Multicast.build ~predict:truth engine ~join_order in
   Backend.attach_obs backend (Engine.obs engine);
   let obs = Engine.obs engine in
   let per_kind f =
@@ -114,19 +117,19 @@ let execute t kind qrng =
     let start = Rng.choice qrng t.meridian_nodes in
     let target = Rng.int qrng t.size in
     let before = stats.Probe_stats.probe_ms in
-    let out = Query.closest_engine t.overlay t.engine ~start ~target in
+    let out = Query.closest t.overlay t.engine ~start ~target in
     if Float.is_nan out.Query.chosen_delay then
       Obs.Counter.incr t.failures_c.(i);
     Obs.Histogram.observe t.latency_h.(i) (stats.Probe_stats.probe_ms -. before)
   | Workload.Dht_lookup ->
     let source = Rng.int qrng t.size in
     let key = Rng.int qrng Id_space.modulus in
-    let r = Chord.lookup_backend t.chord t.backend ~source ~key in
+    let r = Chord.lookup t.chord t.backend ~source ~key in
     Obs.Histogram.observe t.hops_h (float_of_int r.Chord.hops);
     Obs.Histogram.observe t.latency_h.(i) r.Chord.latency
   | Workload.Multicast_refresh ->
     let before = stats.Probe_stats.probe_ms in
-    let switches = Multicast.refresh_engine t.tree qrng t.engine in
+    let switches = Multicast.refresh t.tree qrng t.engine in
     Obs.Counter.add t.switches_c (float_of_int switches);
     Obs.Histogram.observe t.latency_h.(i) (stats.Probe_stats.probe_ms -. before)
 

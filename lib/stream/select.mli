@@ -52,7 +52,7 @@ val name : t -> string
 val predictor :
   ?label:string -> t -> Tivaware_measure.Engine.t -> int -> int -> float
 (** The ranking function handed to
-    {!Tivaware_overlay.Multicast.build_engine} (and refresh/repair).
+    {!Tivaware_overlay.Multicast.build} (and refresh/repair).
     Probes issued by the {!alert} policy are charged through [engine]
     under [label] (default ["stream"]); {!naive} and {!coordinate}
     never touch the engine. *)

@@ -190,7 +190,7 @@ let create ?arbiter ~config ~select ~backend ~engine () =
     { Multicast.default_config with Multicast.max_degree = config.max_degree }
   in
   let tree =
-    Multicast.build_engine ~config:mc_config ~label:"stream"
+    Multicast.build ~config:mc_config ~label:"stream"
       ~predict:(Select.predictor ~label:"stream" select engine)
       engine ~join_order
   in
@@ -360,7 +360,7 @@ let repair_pass t now =
   end
   else begin
     let r =
-      Multicast.repair_engine ~label:"stream_repair" ~predict:t.repair_predict
+      Multicast.repair ~label:"stream_repair" ~predict:t.repair_predict
         t.tree t.repair_rng t.engine
     in
     t.repair_passes <- t.repair_passes + 1;
@@ -469,5 +469,5 @@ let run t =
         reattached = t.repair_reattached;
         rejoined = t.repair_rejoined;
       };
-    tree_metrics = Multicast.evaluate_engine t.tree t.engine;
+    tree_metrics = Multicast.evaluate t.tree t.engine;
   }

@@ -92,7 +92,7 @@ type result = {
           direct source delay *)
   repair : repair_totals;
   tree_metrics : Tivaware_overlay.Multicast.metrics;
-      (** final tree judged by {!Tivaware_overlay.Multicast.evaluate_engine}
+      (** final tree judged by {!Tivaware_overlay.Multicast.evaluate}
           (ground truth, nan-audited) *)
 }
 

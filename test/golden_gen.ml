@@ -114,8 +114,8 @@ let meridian () =
             target
         else begin
           let o =
-            Query.closest_engine ~termination:Query.Any_improvement overlay e
-              ~start ~target
+            Query.closest ~termination:Query.Any_improvement overlay e ~start
+              ~target
           in
           Printf.fprintf oc
             "q%02d start=%02d target=%02d chosen=%02d delay=%s probes=%d hops=%d path=%s\n"
@@ -298,10 +298,12 @@ let repair () =
       let e = engine ~churn ~loss:0. ~jitter:0. ~seed:83 () in
       let c = Option.get (Engine.churn e) in
       let sys = System.create_with_engine (Rng.create 89) e in
-      let chord = Chord.build_engine ~successor_list:8 e in
+      let chord =
+        Chord.build ~successor_list:8 ~predict:(Engine.rtt ~label:"dht" e) n
+      in
       let nodes = Rng.sample_indices (Rng.create 97) ~n ~k:24 in
       let overlay =
-        Overlay.build (Rng.create 101) m (Ring.unlimited_config n)
+        Overlay.build (Rng.create 101) (Backend.dense m) (Ring.unlimited_config n)
           ~meridian_nodes:nodes
       in
       let root =
@@ -318,7 +320,7 @@ let repair () =
         Rng.shuffle (Rng.create 103) rest;
         Array.append [| root |] rest
       in
-      let tree = Multicast.build_engine e ~join_order in
+      let tree = Multicast.build e ~join_order in
       let tree_rng = Rng.create 107 in
       Array.iter
         (fun t ->
@@ -330,7 +332,7 @@ let repair () =
           let v = Dynamic_neighbors.repair_neighbors sys in
           let h = Chord.heal_engine chord e in
           let r = Overlay.repair_engine overlay e in
-          let mr = Multicast.repair_engine tree tree_rng e in
+          let mr = Multicast.repair tree tree_rng e in
           Printf.fprintf oc
             "t=%03.0f up=%02d | vivaldi ev=%d rs=%d | chord rerouted=%d \
              marked=%d revived=%d | meridian ev=%d re=%d pending=%d | \
@@ -365,7 +367,9 @@ let stabilize () =
       in
       let e = engine ~churn ~loss:0. ~jitter:0. ~seed:113 () in
       let c = Option.get (Engine.churn e) in
-      let chord = Chord.build_engine ~successor_list:8 e in
+      let chord =
+        Chord.build ~successor_list:8 ~predict:(Engine.rtt ~label:"dht" e) n
+      in
       let module Id_space = Tivaware_dht.Id_space in
       let krng = Rng.create 127 in
       (* spread over the whole id space; low bits carry the index so
@@ -391,6 +395,8 @@ let stabilize () =
       let sim = Sim.create () in
       Chord.Stabilizer.schedule stab sim;
       let zipf = Zipf.create ~n:64 ~s:0.9 in
+      (* Lookup hops are charged as probes on the dht plane. *)
+      let probed = Backend.of_fn ~size:n (Engine.rtt ~label:"dht" e) in
       let wl = Rng.create 131 in
       let looked = ref 0 and correct = ref 0 in
       for i = 0 to 119 do
@@ -399,11 +405,7 @@ let stabilize () =
             let key = keys.(Zipf.sample zipf wl) in
             if Churn.is_up c source then begin
               incr looked;
-              let l =
-                Chord.lookup_fn chord
-                  (fun u v -> Engine.rtt ~label:"dht" e u v)
-                  ~source ~key
-              in
+              let l = Chord.lookup chord probed ~source ~key in
               if
                 Churn.is_up c l.Chord.owner
                 && Chord.Store.holds store ~key ~node:l.Chord.owner

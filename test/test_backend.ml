@@ -173,37 +173,44 @@ let same_rings a b nodes =
       done)
     nodes
 
+(* A function-backed view of a matrix: the same answers through a
+   different backend kind (and a function-backed oracle). *)
+let fn_backend m = Backend.of_fn ~size:(Matrix.size m) (Matrix.get m)
+
 let test_equiv_meridian_rings () =
   let m = euclidean_matrix 22 60 in
   let nodes = Rng.sample_indices (Rng.create 23) ~n:60 ~k:30 in
-  let raw = Overlay.build (Rng.create 24) m ring_cfg ~meridian_nodes:nodes in
+  let raw =
+    Overlay.build (Rng.create 24) (fn_backend m) ring_cfg ~meridian_nodes:nodes
+  in
   let via =
-    Overlay.build_backend (Rng.create 24) (Backend.dense m) ring_cfg
+    Overlay.build (Rng.create 24) (Backend.dense m) ring_cfg
       ~meridian_nodes:nodes
   in
   same_rings raw via nodes;
   (* A budget covering every participant keeps the historical shuffle. *)
   let budgeted =
-    Overlay.build_backend ~candidate_budget:30 (Rng.create 24)
-      (Backend.dense m) ring_cfg ~meridian_nodes:nodes
+    Overlay.build ~candidate_budget:30 (Rng.create 24) (Backend.dense m)
+      ring_cfg ~meridian_nodes:nodes
   in
   same_rings raw budgeted nodes
 
 let test_equiv_meridian_closest () =
   let m = euclidean_matrix 25 50 in
   let nodes = Rng.sample_indices (Rng.create 26) ~n:50 ~k:25 in
-  let overlay = Overlay.build (Rng.create 27) m ring_cfg ~meridian_nodes:nodes in
-  let engine = Backend.engine (Backend.dense m) in
+  let overlay =
+    Overlay.build (Rng.create 27) (Backend.dense m) ring_cfg ~meridian_nodes:nodes
+  in
+  let raw_engine = Engine.of_matrix m in
+  let engine = Backend.engine (fn_backend m) in
   Array.to_list (Rng.permutation (Rng.create 28) 50)
   |> List.iter (fun target ->
          if
            (not (Overlay.is_meridian overlay target))
            && Matrix.known m nodes.(0) target
          then begin
-           let raw = Query.closest overlay m ~start:nodes.(0) ~target in
-           let via =
-             Query.closest_engine overlay engine ~start:nodes.(0) ~target
-           in
+           let raw = Query.closest overlay raw_engine ~start:nodes.(0) ~target in
+           let via = Query.closest overlay engine ~start:nodes.(0) ~target in
            Alcotest.(check int) "chosen" raw.Query.chosen via.Query.chosen;
            checkf "chosen delay" raw.Query.chosen_delay via.Query.chosen_delay;
            Alcotest.(check int) "probes" raw.Query.probes via.Query.probes;
@@ -213,7 +220,9 @@ let test_equiv_meridian_closest () =
 let test_equiv_meridian_online () =
   let m = euclidean_matrix 29 50 in
   let nodes = Rng.sample_indices (Rng.create 30) ~n:50 ~k:25 in
-  let overlay = Overlay.build (Rng.create 31) m ring_cfg ~meridian_nodes:nodes in
+  let overlay =
+    Overlay.build (Rng.create 31) (Backend.dense m) ring_cfg ~meridian_nodes:nodes
+  in
   let client, target =
     match
       Array.to_list (Rng.permutation (Rng.create 32) 50)
@@ -222,15 +231,13 @@ let test_equiv_meridian_online () =
     | c :: t :: _ -> (c, t)
     | _ -> Alcotest.fail "expected two non-members"
   in
-  let raw =
-    Online.closest (Sim.create ()) overlay m ~client ~start:nodes.(0) ~target
+  let run engine =
+    let sim = Sim.create () in
+    Online.attach sim engine;
+    Online.closest sim overlay engine ~client ~start:nodes.(0) ~target
   in
-  let sim = Sim.create () in
-  let engine = Backend.engine (Backend.dense m) in
-  Online.attach sim engine;
-  let via =
-    Online.closest_engine sim overlay engine ~client ~start:nodes.(0) ~target
-  in
+  let raw = run (Engine.of_matrix m) in
+  let via = run (Backend.engine (fn_backend m)) in
   Alcotest.(check int) "chosen" raw.Online.query.Query.chosen
     via.Online.query.Query.chosen;
   Alcotest.(check int) "probes" raw.Online.query.Query.probes
@@ -423,7 +430,8 @@ let lazy_and_densified seed =
 
 let test_equiv_chord () =
   let lz, dn = lazy_and_densified 31 in
-  let ov_l = Chord.build_backend lz and ov_d = Chord.build_backend dn in
+  let build b = Chord.build ~predict:(Backend.query b) (Backend.size b) in
+  let ov_l = build lz and ov_d = build dn in
   for node = 0 to Backend.size lz - 1 do
     Alcotest.(check int) "successor" (Chord.successor ov_d node)
       (Chord.successor ov_l node);
@@ -435,8 +443,8 @@ let test_equiv_chord () =
   for _ = 1 to 200 do
     let source = Rng.int rng (Backend.size lz) in
     let key = Rng.int rng 4096 in
-    let rl = Chord.lookup_backend ov_l lz ~source ~key in
-    let rd = Chord.lookup_backend ov_d dn ~source ~key in
+    let rl = Chord.lookup ov_l lz ~source ~key in
+    let rd = Chord.lookup ov_d dn ~source ~key in
     Alcotest.(check int) "hops" rd.Chord.hops rl.Chord.hops;
     Alcotest.(check int) "owner" rd.Chord.owner rl.Chord.owner;
     checkf "latency" rd.Chord.latency rl.Chord.latency;
@@ -447,24 +455,70 @@ let test_equiv_multicast () =
   let lz, dn = lazy_and_densified 47 in
   let n = Backend.size lz in
   let join_order = Rng.permutation (Rng.create 9) n in
-  let t_l = Multicast.build_backend lz ~join_order in
-  let t_d = Multicast.build_backend dn ~join_order in
+  let e_l = Backend.engine lz and e_d = Backend.engine dn in
+  let t_l = Multicast.build e_l ~join_order in
+  let t_d = Multicast.build e_d ~join_order in
   let parents t = List.map (fun m -> (m, Multicast.parent t m)) (Multicast.members t) in
   Alcotest.(check (list (pair int (option int)))) "built parents equal"
     (parents t_d) (parents t_l);
-  let sw_l = Multicast.refresh_backend t_l (Rng.create 3) lz in
-  let sw_d = Multicast.refresh_backend t_d (Rng.create 3) dn in
+  let sw_l = Multicast.refresh t_l (Rng.create 3) e_l in
+  let sw_d = Multicast.refresh t_d (Rng.create 3) e_d in
   Alcotest.(check int) "refresh switches equal" sw_d sw_l;
   Alcotest.(check (list (pair int (option int)))) "refreshed parents equal"
     (parents t_d) (parents t_l);
-  let m_l = Multicast.evaluate_backend t_l lz in
-  let m_d = Multicast.evaluate_backend t_d dn in
+  let m_l = Multicast.evaluate t_l e_l in
+  let m_d = Multicast.evaluate t_d e_d in
   Alcotest.(check int) "members" m_d.Multicast.members m_l.Multicast.members;
   checkf "mean edge" m_d.Multicast.mean_edge_ms m_l.Multicast.mean_edge_ms;
   checkf "median stretch" m_d.Multicast.median_stretch m_l.Multicast.median_stretch;
   checkf "p90 stretch" m_d.Multicast.p90_stretch m_l.Multicast.p90_stretch;
   Alcotest.(check int) "max depth" m_d.Multicast.max_depth m_l.Multicast.max_depth;
   Alcotest.(check int) "max fanout" m_d.Multicast.max_fanout m_l.Multicast.max_fanout
+
+(* TIV-aware Meridian needs no matrix: dual-placement rings built over
+   a lazy engine, and the fallback queries run on them, equal the same
+   run over the densified dense engine. *)
+let test_equiv_tiv_aware_meridian () =
+  let lz, dn = lazy_and_densified 59 in
+  let n = Backend.size lz in
+  let nodes = Rng.sample_indices (Rng.create 61) ~n ~k:40 in
+  let targets =
+    List.filter
+      (fun i -> not (Array.mem i nodes))
+      (Array.to_list (Rng.permutation (Rng.create 62) n))
+  in
+  (* A uniformly shrunk prediction: every edge's ratio (0.5) is below
+     ts, so dual placement and the query restart both fire. *)
+  let predicted i j = 0.5 *. Backend.query dn i j in
+  let run backend =
+    let engine = Backend.engine backend in
+    let overlay =
+      Tivaware_core.Selectors.meridian_build_tiv_aware engine ring_cfg
+        ~predicted (Rng.create 63) nodes
+    in
+    let fallback =
+      Tivaware_core.Selectors.meridian_fallback_tiv_aware engine ~predicted ()
+        overlay
+    in
+    let outcomes =
+      List.map
+        (fun target -> Query.closest ~fallback overlay engine ~start:nodes.(0) ~target)
+        targets
+    in
+    (overlay, outcomes)
+  in
+  let ov_l, out_l = run lz in
+  let ov_d, out_d = run dn in
+  same_rings ov_d ov_l nodes;
+  Alcotest.(check bool) "dual entries placed" true
+    (Array.exists
+       (fun node ->
+         List.length (Overlay.all_entries ov_l node)
+         > List.length (Overlay.all_members ov_l node))
+       nodes);
+  Alcotest.(check bool) "restarts fired" true
+    (List.exists (fun o -> o.Query.restarts > 0) out_l);
+  Alcotest.(check bool) "outcomes equal" true (compare out_d out_l = 0)
 
 (* A lazy store scenario, densified, replays bit-identically: same
    device placements, same per-read policy decisions, same repair
@@ -550,6 +604,8 @@ let () =
           Alcotest.test_case "tiv alert" `Quick test_equiv_alert;
           Alcotest.test_case "chord" `Quick test_equiv_chord;
           Alcotest.test_case "multicast" `Quick test_equiv_multicast;
+          Alcotest.test_case "tiv-aware meridian" `Quick
+            test_equiv_tiv_aware_meridian;
           Alcotest.test_case "store" `Quick test_equiv_store;
         ] );
       ( "lazy",

@@ -19,6 +19,7 @@ module Engine = Tivaware_measure.Engine
 module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Probe_stats = Tivaware_measure.Probe_stats
+module Backend = Tivaware_backend.Delay_backend
 
 let n = 60
 
@@ -183,7 +184,7 @@ let test_meridian_completes_under_churn () =
   Online.attach sim e;
   let nodes = Rng.sample_indices (Rng.create 17) ~n ~k:20 in
   let overlay =
-    Overlay.build (Rng.create 19) m (Ring.unlimited_config n)
+    Overlay.build (Rng.create 19) (Backend.dense m) (Ring.unlimited_config n)
       ~meridian_nodes:nodes
   in
   let pick = Rng.create 23 in
@@ -198,7 +199,7 @@ let test_meridian_completes_under_churn () =
       && not (Matrix.is_missing m client start)
     then begin
       incr total;
-      let o = Online.closest_engine sim overlay e ~client ~start ~target in
+      let o = Online.closest sim overlay e ~client ~start ~target in
       (* Completion, not success: a query hit by churn returns a nan
          delay instead of looping. *)
       if not (Float.is_nan o.Online.query.Query.chosen_delay) then

@@ -11,6 +11,8 @@ module Penalty = Tivaware_core.Penalty
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
 module System = Tivaware_vivaldi.System
+module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
 
 let checkf = Alcotest.check (Alcotest.float 1e-9)
 
@@ -80,8 +82,28 @@ let test_experiment_sample_counts () =
   Alcotest.(check int) "penalties+failures = runs * clients" (4 * 40)
     (Array.length r.Experiment.penalties + r.Experiment.failures)
 
+let test_predictor_count_validation () =
+  let m = euclidean_matrix 13 20 in
+  Alcotest.check_raises "candidate_count >= size names the field"
+    (Invalid_argument
+       "Experiment.run_predictor: candidate_count must be in [1, 20) (got 20)")
+    (fun () ->
+      ignore
+        (Experiment.run_predictor (Rng.create 14) m ~candidate_count:20
+           ~predict:(Matrix.get m) ()))
+
 (* ------------------------------------------------------------------ *)
 (* Experiment: meridian                                                *)
+
+let test_meridian_count_validation () =
+  let m = euclidean_matrix 15 100 in
+  Alcotest.check_raises "meridian_count >= size names the field"
+    (Invalid_argument
+       "Experiment.run_meridian: meridian_count must be in [2, 100) (got 150)")
+    (fun () ->
+      ignore
+        (Experiment.run_meridian (Rng.create 16) m ~meridian_count:150
+           ~build:(Selectors.meridian_build m Ring.default_config) ()))
 
 let test_meridian_experiment_counts () =
   let m = euclidean_matrix 9 60 in
@@ -155,9 +177,9 @@ let test_meridian_build_tiv_aware_dual_entries () =
   let cfg = Ring.default_config in
   let rng1 = Rng.create 18 and rng2 = Rng.create 18 in
   let nodes = Rng.sample_indices (Rng.create 19) ~n:80 ~k:40 in
-  let plain = Overlay.build rng1 m cfg ~meridian_nodes:nodes in
+  let plain = Overlay.build rng1 (Backend.dense m) cfg ~meridian_nodes:nodes in
   let aware =
-    Selectors.meridian_build_tiv_aware m cfg
+    Selectors.meridian_build_tiv_aware (Engine.of_matrix m) cfg
       ~predicted:(fun i j ->
         let d = Matrix.get m i j in
         if Float.is_nan d then nan else d /. 4.)
@@ -185,11 +207,13 @@ let () =
           Alcotest.test_case "anti-oracle is poor" `Quick test_anti_oracle_is_poor;
           Alcotest.test_case "abstaining predictor" `Quick test_abstaining_predictor_fails;
           Alcotest.test_case "sample counts" `Quick test_experiment_sample_counts;
+          Alcotest.test_case "count validation" `Quick test_predictor_count_validation;
         ] );
       ( "experiment_meridian",
         [
           Alcotest.test_case "counts" `Quick test_meridian_experiment_counts;
           Alcotest.test_case "metric accuracy" `Quick test_meridian_metric_accuracy;
+          Alcotest.test_case "count validation" `Quick test_meridian_count_validation;
         ] );
       ( "selectors",
         [

@@ -8,9 +8,14 @@ module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
 module Id_space = Tivaware_dht.Id_space
 module Chord = Tivaware_dht.Chord
+module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
 
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* Lookups read hop latencies through a backend over the test matrix. *)
+let truth m = Backend.dense m
 
 (* ------------------------------------------------------------------ *)
 (* Id_space                                                            *)
@@ -52,7 +57,7 @@ let euclidean_matrix seed n =
 
 let test_successors_form_a_cycle () =
   let m = euclidean_matrix 1 40 in
-  let c = Chord.build m in
+  let c = Chord.build (Matrix.size m) in
   let visited = Array.make 40 false in
   let rec walk node steps =
     if steps > 40 then Alcotest.fail "cycle too long"
@@ -68,7 +73,7 @@ let test_successors_form_a_cycle () =
 
 let test_successor_is_id_order () =
   let m = euclidean_matrix 2 30 in
-  let c = Chord.build m in
+  let c = Chord.build (Matrix.size m) in
   (* The successor must be the node with the smallest clockwise id
      distance. *)
   for node = 0 to 29 do
@@ -84,7 +89,7 @@ let test_successor_is_id_order () =
 
 let test_owner_of () =
   let m = euclidean_matrix 3 20 in
-  let c = Chord.build m in
+  let c = Chord.build (Matrix.size m) in
   for node = 0 to 19 do
     let id = Chord.node_id c node in
     Alcotest.(check int) "node owns its own id" node (Chord.owner_of c id);
@@ -95,7 +100,7 @@ let test_owner_of () =
 
 let test_fingers_not_self () =
   let m = euclidean_matrix 4 50 in
-  let c = Chord.build m in
+  let c = Chord.build (Matrix.size m) in
   for node = 0 to 49 do
     Array.iter
       (fun f ->
@@ -109,12 +114,12 @@ let test_fingers_not_self () =
 
 let test_lookup_reaches_owner () =
   let m = euclidean_matrix 5 60 in
-  let c = Chord.build m in
+  let c = Chord.build (Matrix.size m) in
   let rng = Rng.create 6 in
   for _ = 1 to 200 do
     let source = Rng.int rng 60 in
     let key = Rng.int rng Id_space.modulus in
-    let l = Chord.lookup c m ~source ~key in
+    let l = Chord.lookup c (truth m) ~source ~key in
     Alcotest.(check int) "route ends at owner" (Chord.owner_of c key)
       l.Chord.owner;
     (match List.rev l.Chord.route with
@@ -127,11 +132,14 @@ let test_lookup_reaches_owner () =
 
 let test_lookup_logarithmic_hops () =
   let m = euclidean_matrix 7 128 in
-  let c = Chord.build m in
+  let c = Chord.build (Matrix.size m) in
   let rng = Rng.create 8 in
   let hops = ref [] in
   for _ = 1 to 300 do
-    let l = Chord.lookup c m ~source:(Rng.int rng 128) ~key:(Rng.int rng Id_space.modulus) in
+    let l =
+      Chord.lookup c (truth m) ~source:(Rng.int rng 128)
+        ~key:(Rng.int rng Id_space.modulus)
+    in
     hops := float_of_int l.Chord.hops :: !hops
   done;
   let mean = Stats.mean (Array.of_list !hops) in
@@ -141,26 +149,31 @@ let test_lookup_logarithmic_hops () =
 
 let test_lookup_self_key () =
   let m = euclidean_matrix 9 20 in
-  let c = Chord.build m in
-  let l = Chord.lookup c m ~source:5 ~key:(Chord.node_id c 5) in
+  let c = Chord.build (Matrix.size m) in
+  let l = Chord.lookup c (truth m) ~source:5 ~key:(Chord.node_id c 5) in
   Alcotest.(check int) "own key, zero hops" 0 l.Chord.hops;
   Alcotest.(check (float 0.)) "zero latency" 0. l.Chord.latency
 
 let test_lookup_bad_source () =
   let m = euclidean_matrix 10 20 in
-  let c = Chord.build m in
+  let c = Chord.build (Matrix.size m) in
   Alcotest.check_raises "bad source" (Invalid_argument "Chord.lookup: bad source")
-    (fun () -> ignore (Chord.lookup c m ~source:100 ~key:3))
+    (fun () -> ignore (Chord.lookup c (truth m) ~source:100 ~key:3))
+
+let test_build_too_small () =
+  Alcotest.check_raises "n < 2 names the field"
+    (Invalid_argument "Chord.build: n must be >= 2 (got 1)")
+    (fun () -> ignore (Chord.build 1))
 
 let prop_lookup_deterministic =
   qcheck ~count:30 "same lookup, same route"
     QCheck2.Gen.(pair (int_range 0 30) int)
     (fun (source, key_seed) ->
       let m = euclidean_matrix 11 31 in
-      let c = Chord.build m in
+      let c = Chord.build (Matrix.size m) in
       let key = Id_space.of_node (abs key_seed) in
-      let a = Chord.lookup c m ~source ~key in
-      let b = Chord.lookup c m ~source ~key in
+      let a = Chord.lookup c (truth m) ~source ~key in
+      let b = Chord.lookup c (truth m) ~source ~key in
       a = b)
 
 (* ------------------------------------------------------------------ *)
@@ -172,14 +185,14 @@ let test_pns_reduces_latency () =
      identical (PNS changes the route, not the result). *)
   let data = Datasets.generate ~size:150 ~seed:12 Datasets.Ds2 in
   let m = data.Generator.matrix in
-  let plain = Chord.build m in
-  let pns = Chord.build ~predict:(fun a b -> Matrix.get m a b) m in
+  let plain = Chord.build (Matrix.size m) in
+  let pns = Chord.build ~predict:(Matrix.get m) (Matrix.size m) in
   let rng = Rng.create 13 in
   let lat_plain = ref [] and lat_pns = ref [] in
   for _ = 1 to 400 do
     let source = Rng.int rng 150 and key = Rng.int rng Id_space.modulus in
-    let a = Chord.lookup plain m ~source ~key in
-    let b = Chord.lookup pns m ~source ~key in
+    let a = Chord.lookup plain (truth m) ~source ~key in
+    let b = Chord.lookup pns (truth m) ~source ~key in
     Alcotest.(check int) "same owner" a.Chord.owner b.Chord.owner;
     lat_plain := a.Chord.latency :: !lat_plain;
     lat_pns := b.Chord.latency :: !lat_pns
@@ -195,11 +208,14 @@ let test_pns_candidate_budget () =
   let data = Datasets.generate ~size:120 ~seed:14 Datasets.Ds2 in
   let m = data.Generator.matrix in
   let mean_latency candidates =
-    let c = Chord.build ~candidates ~predict:(fun a b -> Matrix.get m a b) m in
+    let c = Chord.build ~candidates ~predict:(Matrix.get m) (Matrix.size m) in
     let rng = Rng.create 15 in
     let acc = ref 0. in
     for _ = 1 to 300 do
-      let l = Chord.lookup c m ~source:(Rng.int rng 120) ~key:(Rng.int rng Id_space.modulus) in
+      let l =
+        Chord.lookup c (truth m) ~source:(Rng.int rng 120)
+          ~key:(Rng.int rng Id_space.modulus)
+      in
       acc := !acc +. l.Chord.latency
     done;
     !acc /. 300.
@@ -213,11 +229,12 @@ let test_pns_latency_never_negative_progress () =
   (* Route latency equals the sum of its hop delays. *)
   let data = Datasets.generate ~size:80 ~seed:18 Datasets.Ds2 in
   let m = data.Generator.matrix in
-  let c = Chord.build ~predict:(fun a b -> Matrix.get m a b) m in
+  let c = Chord.build ~predict:(Matrix.get m) (Matrix.size m) in
   let rng = Rng.create 19 in
   for _ = 1 to 100 do
     let l =
-      Chord.lookup c m ~source:(Rng.int rng 80) ~key:(Rng.int rng Id_space.modulus)
+      Chord.lookup c (truth m) ~source:(Rng.int rng 80)
+        ~key:(Rng.int rng Id_space.modulus)
     in
     let rec sum acc = function
       | a :: (b :: _ as rest) ->
@@ -231,11 +248,12 @@ let test_pns_latency_never_negative_progress () =
 
 let test_pns_route_no_cycles () =
   let m = euclidean_matrix 20 100 in
-  let c = Chord.build m in
+  let c = Chord.build (Matrix.size m) in
   let rng = Rng.create 21 in
   for _ = 1 to 200 do
     let l =
-      Chord.lookup c m ~source:(Rng.int rng 100) ~key:(Rng.int rng Id_space.modulus)
+      Chord.lookup c (truth m) ~source:(Rng.int rng 100)
+        ~key:(Rng.int rng Id_space.modulus)
     in
     let seen = Hashtbl.create 16 in
     List.iter
@@ -252,9 +270,12 @@ let test_pns_engine_oracle_equivalence () =
   let module Engine = Tivaware_measure.Engine in
   let data = Datasets.generate ~size:100 ~seed:22 Datasets.Ds2 in
   let m = data.Generator.matrix in
-  let oracle = Chord.build ~candidates:8 ~predict:(fun a b -> Matrix.get m a b) m in
+  let oracle = Chord.build ~candidates:8 ~predict:(Matrix.get m) (Matrix.size m) in
   let engine = Engine.of_matrix m in
-  let engined = Chord.build_engine ~candidates:8 engine in
+  let engined =
+    Chord.build ~candidates:8 ~predict:(Engine.rtt ~label:"dht" engine)
+      (Engine.size engine)
+  in
   for node = 0 to 99 do
     Alcotest.(check int) "same successor" (Chord.successor oracle node)
       (Chord.successor engined node);
@@ -264,8 +285,8 @@ let test_pns_engine_oracle_equivalence () =
   let rng = Rng.create 23 in
   for _ = 1 to 200 do
     let source = Rng.int rng 100 and key = Rng.int rng Id_space.modulus in
-    let a = Chord.lookup oracle m ~source ~key in
-    let b = Chord.lookup engined m ~source ~key in
+    let a = Chord.lookup oracle (truth m) ~source ~key in
+    let b = Chord.lookup engined (truth m) ~source ~key in
     Alcotest.(check int) "same owner" a.Chord.owner b.Chord.owner;
     Alcotest.(check (list int)) "same route" a.Chord.route b.Chord.route;
     Alcotest.(check (float 0.)) "same latency" a.Chord.latency b.Chord.latency
@@ -279,14 +300,14 @@ let test_pns_engine_oracle_equivalence () =
 
 let test_pns_abstaining_predictor_falls_back () =
   let m = euclidean_matrix 16 40 in
-  let c = Chord.build ~predict:(fun _ _ -> nan) m in
-  let plain = Chord.build m in
+  let c = Chord.build ~predict:(fun _ _ -> nan) (Matrix.size m) in
+  let plain = Chord.build (Matrix.size m) in
   (* With an all-nan predictor PNS must fall back to the first arc
      candidate: lookups still terminate correctly. *)
   let rng = Rng.create 17 in
   for _ = 1 to 100 do
     let source = Rng.int rng 40 and key = Rng.int rng Id_space.modulus in
-    let a = Chord.lookup c m ~source ~key in
+    let a = Chord.lookup c (truth m) ~source ~key in
     Alcotest.(check int) "owner correct" (Chord.owner_of plain key) a.Chord.owner
   done
 
@@ -305,6 +326,7 @@ let () =
           Alcotest.test_case "successor cycle" `Quick test_successors_form_a_cycle;
           Alcotest.test_case "successor minimal" `Quick test_successor_is_id_order;
           Alcotest.test_case "owner_of" `Quick test_owner_of;
+          Alcotest.test_case "too small" `Quick test_build_too_small;
           Alcotest.test_case "fingers valid" `Quick test_fingers_not_self;
         ] );
       ( "lookup",

@@ -36,6 +36,7 @@ module Probe_stats = Tivaware_measure.Probe_stats
 module Sim = Tivaware_eventsim.Sim
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
+module Backend = Tivaware_backend.Delay_backend
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -74,6 +75,11 @@ let engine ?churn ~seed () =
         seed;
       }
     (Lazy.force matrix)
+
+(* Engine-PNS ring: finger candidates are compared by probing. *)
+let chord_of ?successor_list e =
+  Chord.build ?successor_list ~predict:(Engine.rtt ~label:"dht" e)
+    (Engine.size e)
 
 let is_up churn i =
   match churn with None -> true | Some c -> Churn.is_up c i
@@ -168,7 +174,7 @@ let all_fingers_config =
 let prop_ring_converges (churn_salt, epochs) =
   let churn = burst_churn ((prop_seed * 31) + churn_salt) in
   let e = engine ~churn ~seed:5 () in
-  let chord = Chord.build_engine ~successor_list e in
+  let chord = chord_of ~successor_list e in
   let store = Chord.Store.create ~replicas:2 chord ~keys:(make_keys 17 96) in
   let stab =
     Chord.Stabilizer.create ~config:all_fingers_config ~store chord e
@@ -228,7 +234,7 @@ let prop_ring_converges (churn_salt, epochs) =
     if is_up c source then begin
       incr looked;
       let key = Chord.Store.key store (Rng.int g (Chord.Store.key_count store)) in
-      let o = Chord.lookup chord m ~source ~key in
+      let o = Chord.lookup chord (Backend.dense m) ~source ~key in
       if not (Chord.Store.holds store ~key ~node:o.Chord.owner) then
         fail "lookup of key %d ended at %d, which does not hold it" key
           o.Chord.owner
@@ -243,8 +249,8 @@ let test_heal_equivalence () =
   let churn_seed = (prop_seed * 37) + 5 in
   let e_heal = engine ~churn:(burst_churn churn_seed) ~seed:6 () in
   let e_stab = engine ~churn:(burst_churn churn_seed) ~seed:6 () in
-  let a = Chord.build_engine ~successor_list e_heal in
-  let b = Chord.build_engine ~successor_list e_stab in
+  let a = chord_of ~successor_list e_heal in
+  let b = chord_of ~successor_list e_stab in
   let sorted = ring a in
   (* Freeze at an instant where no dead run exceeds the successor
      list: past that, healing (which can only walk its list) and
@@ -288,7 +294,7 @@ let test_heal_equivalence () =
 
 let test_zero_churn_inert () =
   let e = engine ~seed:7 () in
-  let chord = Chord.build_engine ~successor_list e in
+  let chord = chord_of ~successor_list e in
   let store = Chord.Store.create ~replicas:2 chord ~keys:(make_keys 19 64) in
   let stab =
     Chord.Stabilizer.create ~config:all_fingers_config ~store chord e
@@ -325,7 +331,7 @@ let test_zero_churn_inert () =
 let scheduled_run () =
   let churn = burst_churn ((prop_seed * 41) + 3) in
   let e = engine ~churn ~seed:9 () in
-  let chord = Chord.build_engine ~successor_list e in
+  let chord = chord_of ~successor_list e in
   let store = Chord.Store.create ~replicas:2 chord ~keys:(make_keys 29 64) in
   let arbiter =
     Arbiter.create
@@ -367,7 +373,7 @@ let raises_invalid f =
 
 let test_validation () =
   let e = engine ~seed:11 () in
-  let chord = Chord.build_engine e in
+  let chord = chord_of e in
   checkb "duplicate key rejected" true
     (raises_invalid (fun () ->
          Chord.Store.create chord ~keys:[| 1; 2; 1 |]));
@@ -387,7 +393,7 @@ let test_validation () =
        });
   checkb "zero candidates rejected" true
     (bad { Chord.Stabilizer.default_config with Chord.Stabilizer.candidates = 0 });
-  let other = Chord.build_engine e in
+  let other = chord_of e in
   let store = Chord.Store.create other ~keys:[| 1 |] in
   checkb "store over a different ring rejected" true
     (raises_invalid (fun () -> Chord.Stabilizer.create ~store chord e));

@@ -18,6 +18,8 @@ module Ring = Tivaware_meridian.Ring
 module Query = Tivaware_meridian.Query
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
+module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
 
 (* One shared world for the whole integration suite. *)
 let world = lazy (Datasets.generate ~size:160 ~seed:1234 Datasets.Ds2)
@@ -123,10 +125,11 @@ let test_tiv_aware_meridian_not_worse () =
       r.Experiment.probes )
   in
   let mean_orig, probes_orig = run (Selectors.meridian_build m cfg) in
+  let engine = Engine.of_matrix m in
   let mean_aware, probes_aware =
     run
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ())
-      (Selectors.meridian_build_tiv_aware m cfg ~predicted)
+      ~fallback:(Selectors.meridian_fallback_tiv_aware engine ~predicted ())
+      (Selectors.meridian_build_tiv_aware engine cfg ~predicted)
   in
   Alcotest.(check bool)
     (Printf.sprintf "mean penalty not degraded (%.1f vs %.1f)" mean_orig mean_aware)

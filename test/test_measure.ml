@@ -16,6 +16,7 @@ module System = Tivaware_vivaldi.System
 module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
 module Query = Tivaware_meridian.Query
+module Backend = Tivaware_backend.Delay_backend
 
 let checkf = Alcotest.check (Alcotest.float 1e-9)
 let checki = Alcotest.(check int)
@@ -90,15 +91,24 @@ let test_meridian_engine_path_identical () =
   let rng = Rng.create 7 in
   let nodes = Rng.sample_indices rng ~n:60 ~k:30 in
   let overlay =
-    Overlay.build (Rng.create 8) m Ring.default_config ~meridian_nodes:nodes
+    Overlay.build (Rng.create 8) (Backend.dense m) Ring.default_config
+      ~meridian_nodes:nodes
   in
-  let target =
+  let outsiders =
     Array.to_list (Rng.permutation (Rng.create 9) 60)
-    |> List.find (fun i -> not (Overlay.is_meridian overlay i))
+    |> List.filter (fun i -> not (Overlay.is_meridian overlay i))
   in
+  let target = List.hd outsiders in
   let start = nodes.(0) in
-  let a = Query.closest overlay m ~start ~target in
-  let b = Query.closest_engine overlay (Engine.of_matrix m) ~start ~target in
+  (* A fresh oracle-mode engine and one that already served other
+     queries answer alike: the engine carries no state between queries,
+     so drivers may share one across a whole run. *)
+  let a = Query.closest overlay (Engine.of_matrix m) ~start ~target in
+  let shared = Engine.of_matrix m in
+  List.iter
+    (fun t -> ignore (Query.closest overlay shared ~start ~target:t))
+    (List.rev outsiders);
+  let b = Query.closest overlay shared ~start ~target in
   checki "same chosen" a.Query.chosen b.Query.chosen;
   checkf "same delay" a.Query.chosen_delay b.Query.chosen_delay;
   checki "same probes" a.Query.probes b.Query.probes;
@@ -472,7 +482,8 @@ let test_meridian_query_under_loss_degrades_gracefully () =
   let rng = Rng.create 23 in
   let nodes = Rng.sample_indices rng ~n:80 ~k:40 in
   let overlay =
-    Overlay.build (Rng.create 24) m Ring.default_config ~meridian_nodes:nodes
+    Overlay.build (Rng.create 24) (Backend.dense m) Ring.default_config
+      ~meridian_nodes:nodes
   in
   let e = engine ~fault:{ Fault.default with Fault.loss = 0.3 } ~seed:25 m in
   let targets =
@@ -482,7 +493,7 @@ let test_meridian_query_under_loss_degrades_gracefully () =
   (* No exception under loss; failed queries surface as nan. *)
   List.iter
     (fun target ->
-      let o = Query.closest_engine overlay e ~start:nodes.(0) ~target in
+      let o = Query.closest overlay e ~start:nodes.(0) ~target in
       Alcotest.(check bool) "probes counted" true (o.Query.probes >= 1))
     targets;
   Alcotest.(check bool) "some probes were lost" true
@@ -498,7 +509,8 @@ let test_online_loss_inflates_simulator_time () =
   let m = euclidean_matrix 30 60 in
   let nodes = Rng.sample_indices (Rng.create 31) ~n:60 ~k:30 in
   let overlay =
-    Overlay.build (Rng.create 32) m Ring.default_config ~meridian_nodes:nodes
+    Overlay.build (Rng.create 32) (Backend.dense m) Ring.default_config
+      ~meridian_nodes:nodes
   in
   let total_latency fault =
     let e = engine ~fault ~seed:33 m in
@@ -511,7 +523,7 @@ let test_online_loss_inflates_simulator_time () =
       let start = nodes.(Rng.int pick (Array.length nodes)) in
       let target = Rng.int pick 60 in
       if not (Overlay.is_meridian overlay target) then begin
-        let o = Online.closest_engine sim overlay e ~client ~start ~target in
+        let o = Online.closest sim overlay e ~client ~start ~target in
         acc := !acc +. o.Online.latency
       end
     done;

@@ -28,6 +28,7 @@ module Eval = Tivaware_tiv.Eval
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Multicast = Tivaware_overlay.Multicast
+module Backend = Tivaware_backend.Delay_backend
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -341,9 +342,9 @@ let test_default_engine_equals_oracle () =
       - int_of_float (Engine.stats e).Probe_stats.probe_ms)
   done
 
-(* The online (event-sim) query under a default engine reproduces the
-   pure-matrix online query: same answer, same probes, same virtual
-   latency. *)
+(* The online (event-sim) query depends only on the delay answers: a
+   matrix engine and an attached engine over a function-backed view of
+   the same matrix give the same answer, probes and virtual latency. *)
 let test_online_engine_equals_matrix () =
   let g = rng 11 in
   for _ = 1 to 10 do
@@ -351,7 +352,7 @@ let test_online_engine_equals_matrix () =
     let m = random_matrix g ~n in
     let nodes = Rng.sample_indices g ~n ~k:(n / 2) in
     let overlay =
-      Overlay.build (Rng.create (Rng.int g 10_000)) m Ring.default_config
+      Overlay.build (Rng.create (Rng.int g 10_000)) (Backend.dense m) Ring.default_config
         ~meridian_nodes:nodes
     in
     let is_meridian i = Overlay.is_meridian overlay i in
@@ -361,14 +362,13 @@ let test_online_engine_equals_matrix () =
     done;
     let client = Rng.int g n and start = nodes.(0) in
     let a =
-      Online.closest (Sim.create ()) overlay m ~client ~start ~target:!target
+      Online.closest (Sim.create ()) overlay (Engine.of_matrix m) ~client ~start
+        ~target:!target
     in
     let sim = Sim.create () in
-    let e = Engine.of_matrix m in
+    let e = Backend.engine (Backend.of_fn ~size:n (Matrix.get m)) in
     Online.attach sim e;
-    let b =
-      Online.closest_engine sim overlay e ~client ~start ~target:!target
-    in
+    let b = Online.closest sim overlay e ~client ~start ~target:!target in
     checki "same chosen" a.Online.query.Query.chosen b.Online.query.Query.chosen;
     checki "same probes" a.Online.query.Query.probes b.Online.query.Query.probes;
     checki "same hops" a.Online.query.Query.hops b.Online.query.Query.hops;
@@ -548,7 +548,7 @@ let test_zero_fault_profile_equals_oracle_protocols () =
         let start = nodes.(Rng.int pick (Array.length nodes)) in
         let target = Rng.int pick n in
         if Array.mem target nodes then None
-        else Some (Query.closest_engine overlay e ~start ~target))
+        else Some (Query.closest overlay e ~start ~target))
   in
   checkb "meridian traces identical" true
     (meridian_trace None = meridian_trace (Some zero_profile));
@@ -564,11 +564,14 @@ let test_zero_fault_profile_equals_oracle_protocols () =
     (alert_points None = alert_points (Some zero_profile));
   (* Chord PNS: identical fingers, hence identical lookups. *)
   let dht_digest profile =
-    let overlay = Chord.build_engine ~candidates:6 (mk profile) in
+    let e = mk profile in
+    let overlay =
+      Chord.build ~candidates:6 ~predict:(Engine.rtt ~label:"dht" e) n
+    in
     let r = Rng.create 31 in
     List.init 40 (fun _ ->
         let l =
-          Chord.lookup overlay m ~source:(Rng.int r n)
+          Chord.lookup overlay (Backend.dense m) ~source:(Rng.int r n)
             ~key:(Rng.int r Id_space.modulus)
         in
         (l.Chord.hops, l.Chord.latency))
@@ -579,9 +582,9 @@ let test_zero_fault_profile_equals_oracle_protocols () =
   let multicast_digest profile =
     let e = mk profile in
     let join_order = Rng.permutation (Rng.create 33) n in
-    let t = Multicast.build_engine ~config:Multicast.default_config e ~join_order in
-    let switches = Multicast.refresh_engine t (Rng.create 35) e in
-    (Multicast.evaluate t m, switches)
+    let t = Multicast.build ~config:Multicast.default_config e ~join_order in
+    let switches = Multicast.refresh t (Rng.create 35) e in
+    (Multicast.evaluate t e, switches)
   in
   checkb "multicast tree identical" true
     (multicast_digest None = multicast_digest (Some zero_profile))
@@ -923,7 +926,10 @@ let test_repair_inert_without_churn () =
   (* Chord: healing on a churn-free engine marks nobody and reroutes
      nothing; lookups keep terminating at the structural owner. *)
   let e = Engine.of_matrix m in
-  let t = Chord.build_engine ~successor_list:6 e in
+  let t =
+    Chord.build ~successor_list:6 ~predict:(Engine.rtt ~label:"dht" e)
+      (Engine.size e)
+  in
   let h = Chord.heal_engine t e in
   checkb "heal probed" true (h.Chord.checked > 0);
   checki "nobody marked dead" 0 h.Chord.marked_dead;
@@ -932,7 +938,7 @@ let test_repair_inert_without_churn () =
     let key = Id_space.add (Id_space.of_node (Rng.int g n)) (Rng.int g 1_000_000) in
     checki "live owner = structural owner" (Chord.owner_of t key)
       (Chord.live_owner_of t key);
-    let o = Chord.lookup t m ~source:(Rng.int g n) ~key in
+    let o = Chord.lookup t (Backend.dense m) ~source:(Rng.int g n) ~key in
     checki "lookup lands on the structural owner" (Chord.owner_of t key)
       o.Chord.owner
   done;
@@ -940,7 +946,7 @@ let test_repair_inert_without_churn () =
      and gossips nothing. *)
   let nodes = Rng.sample_indices g ~n ~k:10 in
   let overlay =
-    Overlay.build g m (Ring.unlimited_config n) ~meridian_nodes:nodes
+    Overlay.build g (Backend.dense m) (Ring.unlimited_config n) ~meridian_nodes:nodes
   in
   let before = Array.map (Overlay.ring_population overlay) nodes in
   let r = Overlay.repair_engine overlay e in
@@ -958,9 +964,9 @@ let test_repair_inert_without_churn () =
      relation is untouched. *)
   let join_order = Array.init n Fun.id in
   Rng.shuffle g join_order;
-  let tree = Multicast.build_engine e ~join_order in
+  let tree = Multicast.build e ~join_order in
   let parents = Array.init n (Multicast.parent tree) in
-  let mr = Multicast.repair_engine tree g e in
+  let mr = Multicast.repair tree g e in
   checki "nothing detached" 0 mr.Multicast.detached;
   checki "nothing rejoined" 0 mr.Multicast.rejoined;
   for i = 0 to n - 1 do

@@ -9,8 +9,15 @@ module Overlay = Tivaware_meridian.Overlay
 module Query = Tivaware_meridian.Query
 module Misplacement = Tivaware_meridian.Misplacement
 module Tiv_aware = Tivaware_meridian.Tiv_aware
+module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
 
 let checkf = Alcotest.check (Alcotest.float 1e-9)
+
+(* The protocol entries take an engine (probing) or a backend (ground
+   truth); these tests build both over a plain matrix. *)
+let oracle m = Engine.of_matrix m
+let truth m = Backend.dense m
 
 let qcheck ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -60,7 +67,7 @@ let euclidean_matrix seed n =
 let build_overlay ?edge_filter ?placement seed m count =
   let rng = Rng.create seed in
   let nodes = Rng.sample_indices rng ~n:(Matrix.size m) ~k:count in
-  (Overlay.build ?edge_filter ?placement rng m cfg ~meridian_nodes:nodes, nodes)
+  (Overlay.build ?edge_filter ?placement rng (truth m) cfg ~meridian_nodes:nodes, nodes)
 
 let test_overlay_membership () =
   let m = euclidean_matrix 1 60 in
@@ -107,7 +114,7 @@ let test_overlay_edge_filter () =
   let overlay_f, _ =
     let rng = Rng.create 9 in
     let nodes = Rng.sample_indices rng ~n:(Matrix.size m) ~k:20 in
-    (Overlay.build ~edge_filter rng m cfg ~meridian_nodes:nodes, nodes)
+    (Overlay.build ~edge_filter rng (truth m) cfg ~meridian_nodes:nodes, nodes)
   in
   ignore overlay;
   let members = Overlay.all_members overlay_f observer in
@@ -135,8 +142,14 @@ let test_overlay_diverse_selection () =
   let small = { cfg with Ring.k = 4 } in
   let rng1 = Rng.create 71 and rng2 = Rng.create 71 in
   let nodes = Rng.sample_indices (Rng.create 72) ~n:60 ~k:30 in
-  let first = Overlay.build ~selection:Overlay.First_come rng1 m small ~meridian_nodes:nodes in
-  let diverse = Overlay.build ~selection:Overlay.Diverse rng2 m small ~meridian_nodes:nodes in
+  let first =
+    Overlay.build ~selection:Overlay.First_come rng1 (truth m) small
+      ~meridian_nodes:nodes
+  in
+  let diverse =
+    Overlay.build ~selection:Overlay.Diverse rng2 (truth m) small
+      ~meridian_nodes:nodes
+  in
   let min_pairwise overlay node i =
     let members = Overlay.ring_members overlay node i in
     let ids = List.map (fun mem -> mem.Overlay.id) members in
@@ -178,7 +191,7 @@ let test_overlay_full_membership () =
   let u = Ring.unlimited_config 40 in
   let rng = Rng.create 13 in
   let nodes = Rng.sample_indices rng ~n:40 ~k:20 in
-  let overlay = Overlay.build rng m u ~meridian_nodes:nodes in
+  let overlay = Overlay.build rng (truth m) u ~meridian_nodes:nodes in
   Array.iter
     (fun node ->
       Alcotest.(check int) "every other participant is a member" 19
@@ -201,7 +214,7 @@ let test_query_finds_good_neighbor_on_metric () =
   let u = Ring.unlimited_config 80 in
   let rng = Rng.create 17 in
   let nodes = Rng.sample_indices rng ~n:80 ~k:30 in
-  let overlay = Overlay.build rng m u ~meridian_nodes:nodes in
+  let overlay = Overlay.build rng (truth m) u ~meridian_nodes:nodes in
   let misses = ref 0 and total = ref 0 in
   for target = 0 to 79 do
     if not (Overlay.is_meridian overlay target) then begin
@@ -209,9 +222,10 @@ let test_query_finds_good_neighbor_on_metric () =
       if Matrix.known m start target then begin
         incr total;
         let outcome =
-          Query.closest ~termination:Query.Any_improvement overlay m ~start ~target
+          Query.closest ~termination:Query.Any_improvement overlay (oracle m)
+            ~start ~target
         in
-        match Query.optimal overlay m ~target with
+        match Query.optimal overlay (truth m) ~target with
         | Some (_, opt) ->
           if outcome.Query.chosen_delay > opt +. 1e-9 then incr misses
         | None -> ()
@@ -231,7 +245,7 @@ let test_query_validation () =
     |> List.find (fun i -> not (Overlay.is_meridian overlay i))
   in
   Alcotest.(check bool) "non-meridian start rejected" true
-    (match Query.closest overlay m ~start:outsider ~target:nodes.(0) with
+    (match Query.closest overlay (oracle m) ~start:outsider ~target:nodes.(0) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -242,7 +256,7 @@ let test_query_outcome_fields () =
     Array.to_list (Rng.permutation (Rng.create 23) 40)
     |> List.find (fun i -> not (Overlay.is_meridian overlay i))
   in
-  let outcome = Query.closest overlay m ~start:nodes.(0) ~target in
+  let outcome = Query.closest overlay (oracle m) ~start:nodes.(0) ~target in
   Alcotest.(check bool) "probes counted" true (outcome.Query.probes > 0);
   Alcotest.(check int) "no restarts without fallback" 0 outcome.Query.restarts;
   (match outcome.Query.path with
@@ -269,7 +283,7 @@ let test_query_fallback_invoked () =
        member exists. *)
     Overlay.all_members overlay current
   in
-  let outcome = Query.closest ~fallback overlay m ~start:nodes.(0) ~target in
+  let outcome = Query.closest ~fallback overlay (oracle m) ~start:nodes.(0) ~target in
   Alcotest.(check bool) "fallback invoked" true (!invoked > 0);
   Alcotest.(check bool) "restarts recorded" true (outcome.Query.restarts > 0)
 
@@ -280,7 +294,7 @@ let test_query_optimal_brute_force () =
     Array.to_list (Rng.permutation (Rng.create 29) 30)
     |> List.find (fun i -> not (Overlay.is_meridian overlay i))
   in
-  match Query.optimal overlay m ~target with
+  match Query.optimal overlay (truth m) ~target with
   | None -> Alcotest.fail "expected an optimum"
   | Some (best, d) ->
     Array.iter
@@ -302,7 +316,7 @@ let prop_query_invariants =
       if Overlay.is_meridian overlay target || not (Matrix.known m start target)
       then true
       else begin
-        let o = Query.closest overlay m ~start ~target in
+        let o = Query.closest overlay (oracle m) ~start ~target in
         o.Query.chosen_delay <= Matrix.get m start target +. 1e-9
         && o.Query.probes >= o.Query.hops + 1
         && List.length o.Query.path = o.Query.hops + 1
@@ -321,9 +335,9 @@ let test_figure12_worked_example () =
   Matrix.set m b t 2.;
   Matrix.set m b n 4.;
   let overlay =
-    Overlay.build (Rng.create 12) m cfg ~meridian_nodes:[| a; b; n |]
+    Overlay.build (Rng.create 12) (truth m) cfg ~meridian_nodes:[| a; b; n |]
   in
-  let plain = Query.closest overlay m ~start:a ~target:t in
+  let plain = Query.closest overlay (oracle m) ~start:a ~target:t in
   Alcotest.(check int) "plain Meridian returns B" b plain.Query.chosen;
   Alcotest.(check (float 1e-9)) "at 2ms" 2. plain.Query.chosen_delay;
   Alcotest.(check (list int)) "path A -> B" [ a; b ] plain.Query.path;
@@ -338,11 +352,11 @@ let test_figure12_worked_example () =
   in
   let aware_overlay =
     Overlay.build
-      ~placement:(Tiv_aware.placement cfg ~predicted ~measured:m ())
-      (Rng.create 12) m cfg ~meridian_nodes:[| a; b; n |]
+      ~placement:(Tiv_aware.placement cfg ~predicted ~engine:(oracle m) ())
+      (Rng.create 12) (truth m) cfg ~meridian_nodes:[| a; b; n |]
   in
-  let fallback = Tiv_aware.fallback aware_overlay ~predicted ~measured:m () in
-  let aware = Query.closest ~fallback aware_overlay m ~start:a ~target:t in
+  let fallback = Tiv_aware.fallback aware_overlay ~predicted ~engine:(oracle m) () in
+  let aware = Query.closest ~fallback aware_overlay (oracle m) ~start:a ~target:t in
   Alcotest.(check int) "TIV-aware finds N" n aware.Query.chosen;
   Alcotest.(check (float 1e-9)) "at 1ms" 1. aware.Query.chosen_delay
 
@@ -389,7 +403,7 @@ let test_gossip_overlay_quality () =
   let sim = Sim_g.create () in
   let g = Gossip.run sim rng m ~meridian_nodes:nodes ~duration:120. in
   let overlay =
-    Overlay.build ~candidates:(Gossip.candidates_hook g) (Rng.create 86) m cfg
+    Overlay.build ~candidates:(Gossip.candidates_hook g) (Rng.create 86) (truth m) cfg
       ~meridian_nodes:nodes
   in
   let misses = ref 0 and total = ref 0 in
@@ -400,10 +414,10 @@ let test_gossip_overlay_quality () =
            if Matrix.known m start target then begin
              incr total;
              let outcome =
-               Query.closest ~termination:Query.Any_improvement overlay m ~start
+               Query.closest ~termination:Query.Any_improvement overlay (oracle m) ~start
                  ~target
              in
-             match Query.optimal overlay m ~target with
+             match Query.optimal overlay (truth m) ~target with
              | Some (_, opt) when outcome.Query.chosen_delay > opt *. 1.2 +. 1. ->
                incr misses
              | _ -> ()
@@ -421,7 +435,7 @@ let test_multi_validation () =
   let m = euclidean_matrix 60 30 in
   let overlay, nodes = build_overlay 61 m 15 in
   Alcotest.(check bool) "empty targets rejected" true
-    (match Query.closest_multi overlay m ~start:nodes.(0) ~targets:[] with
+    (match Query.closest_multi overlay (oracle m) ~start:nodes.(0) ~targets:[] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -434,8 +448,10 @@ let test_multi_single_target_agrees () =
     Array.to_list (Rng.permutation (Rng.create 64) 60)
     |> List.find (fun i -> not (Overlay.is_meridian overlay i))
   in
-  let single = Query.closest overlay m ~start:nodes.(0) ~target in
-  let multi = Query.closest_multi overlay m ~start:nodes.(0) ~targets:[ target ] in
+  let single = Query.closest overlay (oracle m) ~start:nodes.(0) ~target in
+  let multi =
+    Query.closest_multi overlay (oracle m) ~start:nodes.(0) ~targets:[ target ]
+  in
   Alcotest.(check int) "same answer" single.Query.chosen multi.Query.chosen;
   Alcotest.(check (float 1e-9)) "same delay" single.Query.chosen_delay
     multi.Query.chosen_delay
@@ -447,17 +463,17 @@ let test_multi_leader_quality () =
   let u = Ring.unlimited_config 80 in
   let rng = Rng.create 66 in
   let nodes = Rng.sample_indices rng ~n:80 ~k:30 in
-  let overlay = Overlay.build rng m u ~meridian_nodes:nodes in
+  let overlay = Overlay.build rng (truth m) u ~meridian_nodes:nodes in
   let non_members =
     Array.to_list (Rng.permutation (Rng.create 67) 80)
     |> List.filter (fun i -> not (Overlay.is_meridian overlay i))
   in
   let targets = [ List.nth non_members 0; List.nth non_members 1; List.nth non_members 2 ] in
   let outcome =
-    Query.closest_multi ~termination:Query.Any_improvement overlay m
+    Query.closest_multi ~termination:Query.Any_improvement overlay (oracle m)
       ~start:nodes.(0) ~targets
   in
-  match Query.optimal_multi overlay m ~targets with
+  match Query.optimal_multi overlay (truth m) ~targets with
   | None -> Alcotest.fail "expected an optimum"
   | Some (_, opt) ->
     Alcotest.(check bool)
@@ -474,7 +490,7 @@ let test_multi_probe_accounting () =
     |> List.filter (fun i -> not (Overlay.is_meridian overlay i))
   in
   let targets = [ List.nth non_members 0; List.nth non_members 1 ] in
-  let outcome = Query.closest_multi overlay m ~start:nodes.(0) ~targets in
+  let outcome = Query.closest_multi overlay (oracle m) ~start:nodes.(0) ~targets in
   (* Each measured node costs one probe per target. *)
   Alcotest.(check bool) "probes are a multiple of target count" true
     (outcome.Query.probes mod 2 = 0);
@@ -506,9 +522,9 @@ let test_online_matches_offline () =
     let m, overlay, nodes, client, target = online_setup seed in
     let start = nodes.(0) in
     if Matrix.known m client start && Matrix.known m start target then begin
-      let offline = Query.closest overlay m ~start ~target in
+      let offline = Query.closest overlay (oracle m) ~start ~target in
       let sim = Sim.create () in
-      let online = Online.closest sim overlay m ~client ~start ~target in
+      let online = Online.closest sim overlay (oracle m) ~client ~start ~target in
       Alcotest.(check int) "same chosen node" offline.Query.chosen
         online.Online.query.Query.chosen;
       Alcotest.(check int) "same hops" offline.Query.hops
@@ -522,7 +538,7 @@ let test_online_latency_positive () =
   let m, overlay, nodes, client, target = online_setup 120 in
   let start = nodes.(0) in
   let sim = Sim.create () in
-  let outcome = Online.closest sim overlay m ~client ~start ~target in
+  let outcome = Online.closest sim overlay (oracle m) ~client ~start ~target in
   Alcotest.(check bool) "latency strictly positive" true (outcome.Online.latency > 0.);
   (* At minimum the request reaches the start node and the start node
      probes the target. *)
@@ -535,9 +551,9 @@ let test_online_latency_positive () =
 let test_online_clock_accumulates () =
   let m, overlay, nodes, client, target = online_setup 130 in
   let sim = Sim.create () in
-  let o1 = Online.closest sim overlay m ~client ~start:nodes.(0) ~target in
+  let o1 = Online.closest sim overlay (oracle m) ~client ~start:nodes.(0) ~target in
   let t1 = Sim.now sim in
-  let o2 = Online.closest sim overlay m ~client ~start:nodes.(1) ~target in
+  let o2 = Online.closest sim overlay (oracle m) ~client ~start:nodes.(1) ~target in
   ignore o1;
   ignore o2;
   Alcotest.(check bool) "clock advanced across queries" true (Sim.now sim > t1)
@@ -547,7 +563,7 @@ let test_online_validation () =
   ignore nodes;
   let sim = Sim.create () in
   Alcotest.(check bool) "non-meridian start rejected" true
-    (match Online.closest sim overlay m ~client ~start:client ~target with
+    (match Online.closest sim overlay (oracle m) ~client ~start:client ~target with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -605,7 +621,7 @@ let test_tiv_aware_placement_dual () =
   Matrix.set m 0 1 100.;
   (* Prediction says this edge is really 10ms: ratio 0.1 < ts. *)
   let predicted _ _ = 10. in
-  let place = Tiv_aware.placement cfg ~predicted ~measured:m () in
+  let place = Tiv_aware.placement cfg ~predicted ~engine:(oracle m) () in
   let rings = place 0 1 100. in
   Alcotest.check entry_list "dual placement"
     [ (Ring.ring_of cfg 100., 100.); (Ring.ring_of cfg 10., 10.) ]
@@ -615,7 +631,7 @@ let test_tiv_aware_placement_safe_band () =
   let m = Matrix.create 4 in
   Matrix.set m 0 1 100.;
   let predicted _ _ = 100. in
-  let place = Tiv_aware.placement cfg ~predicted ~measured:m () in
+  let place = Tiv_aware.placement cfg ~predicted ~engine:(oracle m) () in
   Alcotest.check entry_list "single placement in safe band"
     [ (Ring.ring_of cfg 100., 100.) ]
     (place 0 1 100.)
@@ -625,7 +641,7 @@ let test_tiv_aware_placement_same_ring_collapses () =
   Matrix.set m 0 1 100.;
   (* Shrunk, but prediction lands in the same ring -> one entry. *)
   let predicted _ _ = 70. in
-  let place = Tiv_aware.placement cfg ~predicted ~measured:m ~ts:0.8 () in
+  let place = Tiv_aware.placement cfg ~predicted ~engine:(oracle m) ~ts:0.8 () in
   Alcotest.check entry_list "same ring collapses"
     [ (Ring.ring_of cfg 100., 100.) ]
     (place 0 1 100.)
@@ -643,15 +659,17 @@ let test_dual_placement_reaches_queries () =
   let nodes = [| 0; 1 |] in
   let run placement =
     let overlay =
-      Overlay.build ?placement (Rng.create 1) m cfg ~meridian_nodes:nodes
+      Overlay.build ?placement (Rng.create 1) (truth m) cfg ~meridian_nodes:nodes
     in
-    Query.closest overlay m ~start:0 ~target:2
+    Query.closest overlay (oracle m) ~start:0 ~target:2
   in
   let plain = run None in
   Alcotest.(check int) "plain Meridian misses the member" 0 plain.Query.chosen;
   let predicted a b = if (min a b, max a b) = (0, 1) then 30. else Matrix.get m a b in
   let aware =
-    run (Some (Tivaware_meridian.Tiv_aware.placement cfg ~predicted ~measured:m ()))
+    run
+      (Some
+         (Tivaware_meridian.Tiv_aware.placement cfg ~predicted ~engine:(oracle m) ()))
   in
   Alcotest.(check int) "dual placement exposes the member" 1 aware.Query.chosen
 
@@ -665,12 +683,16 @@ let test_tiv_aware_fallback_behaviour () =
   let node = nodes.(0) in
   let measured = Matrix.get m node target in
   (* Ratio fine -> no extra members. *)
-  let fb_ok = Tiv_aware.fallback overlay ~predicted:(fun _ _ -> measured) ~measured:m () in
+  let fb_ok =
+    Tiv_aware.fallback overlay ~predicted:(fun _ _ -> measured) ~engine:(oracle m) ()
+  in
   Alcotest.(check int) "no restart when ratio healthy" 0
     (List.length (fb_ok ~current:node ~target ~measured));
   (* Shrunk prediction -> members around the predicted delay. *)
   let fb_shrunk =
-    Tiv_aware.fallback overlay ~predicted:(fun _ _ -> measured /. 10.) ~measured:m ()
+    Tiv_aware.fallback overlay
+      ~predicted:(fun _ _ -> measured /. 10.)
+      ~engine:(oracle m) ()
   in
   let extra = fb_shrunk ~current:node ~target ~measured in
   let beta = cfg.Ring.beta in

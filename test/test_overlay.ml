@@ -6,6 +6,8 @@ module Euclidean = Tivaware_topology.Euclidean
 module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
 module Multicast = Tivaware_overlay.Multicast
+module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
 
 let qcheck ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -18,7 +20,8 @@ let oracle m a b = Matrix.get m a b
 let build_oracle ?config seed n =
   let m = euclidean_matrix seed n in
   let order = Rng.permutation (Rng.create (seed + 1)) n in
-  (m, Multicast.build ?config m ~join_order:order ~predict:(oracle m))
+  let e = Engine.of_matrix m in
+  (e, Multicast.build ?config ~predict:(oracle m) e ~join_order:order)
 
 (* Walk to the root; returns depth or None on a cycle/corruption. *)
 let depth_of t node =
@@ -70,7 +73,10 @@ let test_degree_cap_respected () =
   let config = { Multicast.default_config with Multicast.max_degree = 2 } in
   let m = euclidean_matrix 3 50 in
   let order = Rng.permutation (Rng.create 4) 50 in
-  let t = Multicast.build ~config m ~join_order:order ~predict:(oracle m) in
+  let t =
+    Multicast.build ~config ~predict:(oracle m) (Engine.of_matrix m)
+      ~join_order:order
+  in
   List.iter
     (fun node ->
       Alcotest.(check bool) "degree cap" true (Multicast.children_count t node <= 2))
@@ -80,7 +86,9 @@ let test_degree_cap_respected () =
 let test_root_properties () =
   let m = euclidean_matrix 5 20 in
   let order = Rng.permutation (Rng.create 6) 20 in
-  let t = Multicast.build m ~join_order:order ~predict:(oracle m) in
+  let t =
+    Multicast.build ~predict:(oracle m) (Engine.of_matrix m) ~join_order:order
+  in
   Alcotest.(check int) "root is first joiner" order.(0) (Multicast.root t);
   Alcotest.(check bool) "root has no parent" true
     (Multicast.parent t (Multicast.root t) = None)
@@ -92,7 +100,10 @@ let test_unjoinable_nodes_left_out () =
   Matrix.set m 0 2 10.;
   Matrix.set m 1 2 10.;
   (* node 3 fully unmeasured *)
-  let t = Multicast.build m ~join_order:[| 0; 1; 2; 3 |] ~predict:(oracle m) in
+  let t =
+    Multicast.build ~predict:(oracle m) (Engine.of_matrix m)
+      ~join_order:[| 0; 1; 2; 3 |]
+  in
   Alcotest.(check int) "three members" 3 (List.length (Multicast.members t));
   Alcotest.(check bool) "node 3 out" true (Multicast.parent t 3 = None)
 
@@ -102,7 +113,10 @@ let test_oracle_attaches_nearest () =
   let config = { Multicast.default_config with Multicast.max_degree = 1000 } in
   let m = euclidean_matrix 7 30 in
   let order = Rng.permutation (Rng.create 8) 30 in
-  let t = Multicast.build ~config m ~join_order:order ~predict:(oracle m) in
+  let t =
+    Multicast.build ~config ~predict:(oracle m) (Engine.of_matrix m)
+      ~join_order:order
+  in
   Array.iteri
     (fun idx node ->
       if idx > 0 then begin
@@ -118,8 +132,8 @@ let test_oracle_attaches_nearest () =
     order
 
 let test_evaluate_fields () =
-  let m, t = build_oracle 9 40 in
-  let metrics = Multicast.evaluate t m in
+  let e, t = build_oracle 9 40 in
+  let metrics = Multicast.evaluate t e in
   Alcotest.(check int) "members" 40 metrics.Multicast.members;
   Alcotest.(check bool) "stretch >= 1" true (metrics.Multicast.median_stretch >= 1. -. 1e-9);
   Alcotest.(check bool) "p90 >= median" true
@@ -131,10 +145,11 @@ let test_refresh_keeps_invariants () =
   let data = Datasets.generate ~size:100 ~seed:10 Datasets.Ds2 in
   let m = data.Generator.matrix in
   let order = Rng.permutation (Rng.create 11) 100 in
-  let t = Multicast.build m ~join_order:order ~predict:(oracle m) in
+  let e = Engine.of_matrix m in
+  let t = Multicast.build ~predict:(oracle m) e ~join_order:order in
   let rng = Rng.create 12 in
   for _ = 1 to 5 do
-    ignore (Multicast.refresh t rng m ~predict:(oracle m))
+    ignore (Multicast.refresh ~predict:(oracle m) t rng e)
   done;
   check_tree_invariants t 100
 
@@ -148,29 +163,37 @@ let test_refresh_improves_bad_tree () =
     let d = Matrix.get m a b in
     if Float.is_nan d then nan else -.d
   in
-  let t = Multicast.build m ~join_order:order ~predict:anti in
-  let before = (Multicast.evaluate t m).Multicast.median_stretch in
+  let e = Engine.of_matrix m in
+  let t = Multicast.build ~predict:anti e ~join_order:order in
+  let before = (Multicast.evaluate t e).Multicast.median_stretch in
   let rng = Rng.create 15 in
   for _ = 1 to 5 do
-    ignore (Multicast.refresh t rng m ~predict:(oracle m))
+    ignore (Multicast.refresh ~predict:(oracle m) t rng e)
   done;
-  let after = (Multicast.evaluate t m).Multicast.median_stretch in
+  let after = (Multicast.evaluate t e).Multicast.median_stretch in
   Alcotest.(check bool)
     (Printf.sprintf "stretch improved (%.2f -> %.2f)" before after)
     true (after < before);
   check_tree_invariants t 120
 
+let test_empty_join_order () =
+  Alcotest.check_raises "empty join order names the field"
+    (Invalid_argument "Multicast.build: join_order must be non-empty")
+    (fun () ->
+      ignore
+        (Multicast.build (Engine.of_matrix (euclidean_matrix 1 5)) ~join_order:[||]))
+
 let test_engine_build_refresh_equivalence () =
-  (* Build and refresh routed through a default-config measurement
+  (* Build and refresh probing through a default-config measurement
      engine must be bit-for-bit identical to the oracle-predictor path:
      same parents, same metrics, after the same refresh schedule. *)
-  let module Engine = Tivaware_measure.Engine in
   let data = Datasets.generate ~size:100 ~seed:16 Datasets.Ds2 in
   let m = data.Generator.matrix in
   let order = Rng.permutation (Rng.create 17) 100 in
-  let a = Multicast.build m ~join_order:order ~predict:(oracle m) in
+  let truth = Engine.of_matrix m in
+  let a = Multicast.build ~predict:(oracle m) truth ~join_order:order in
   let engine = Engine.of_matrix m in
-  let b = Multicast.build_engine engine ~join_order:order in
+  let b = Multicast.build engine ~join_order:order in
   let same_trees x y =
     Alcotest.(check (list int)) "same members" (Multicast.members x)
       (Multicast.members y);
@@ -180,7 +203,7 @@ let test_engine_build_refresh_equivalence () =
           (Printf.sprintf "same parent of %d" node)
           (Multicast.parent x node) (Multicast.parent y node))
       (Multicast.members x);
-    let mx = Multicast.evaluate x m and my = Multicast.evaluate y m in
+    let mx = Multicast.evaluate x truth and my = Multicast.evaluate y truth in
     Alcotest.(check (float 0.)) "same median stretch"
       mx.Multicast.median_stretch my.Multicast.median_stretch;
     Alcotest.(check (float 0.)) "same p90 stretch" mx.Multicast.p90_stretch
@@ -190,8 +213,8 @@ let test_engine_build_refresh_equivalence () =
   (* Identical rng seeds drive identical refresh decisions. *)
   let ra = Rng.create 18 and rb = Rng.create 18 in
   for _ = 1 to 5 do
-    ignore (Multicast.refresh a ra m ~predict:(oracle m));
-    ignore (Multicast.refresh_engine b rb engine)
+    ignore (Multicast.refresh ~predict:(oracle m) a ra truth);
+    ignore (Multicast.refresh b rb engine)
   done;
   same_trees a b;
   let st = Engine.stats engine in
@@ -206,7 +229,9 @@ let prop_build_invariants_random =
       let n = 30 + (seed mod 20) in
       let m = euclidean_matrix seed n in
       let order = Rng.permutation (Rng.create (seed + 1)) n in
-      let t = Multicast.build m ~join_order:order ~predict:(oracle m) in
+      let t =
+    Multicast.build ~predict:(oracle m) (Engine.of_matrix m) ~join_order:order
+  in
       let ok = ref true in
       List.iter
         (fun node -> if depth_of t node = None then ok := false)
@@ -222,6 +247,7 @@ let () =
           Alcotest.test_case "build invariants" `Quick test_build_invariants;
           Alcotest.test_case "degree cap" `Quick test_degree_cap_respected;
           Alcotest.test_case "root properties" `Quick test_root_properties;
+          Alcotest.test_case "empty join order" `Quick test_empty_join_order;
           Alcotest.test_case "unjoinable nodes" `Quick test_unjoinable_nodes_left_out;
           Alcotest.test_case "oracle attaches nearest" `Quick test_oracle_attaches_nearest;
           Alcotest.test_case "evaluate fields" `Quick test_evaluate_fields;

@@ -12,7 +12,7 @@
      dead members from live hosts' rings, query success recovers after
      a churn burst, and gossiped evictions re-enter once the member
      revives.
-   - Multicast ({!Multicast.repair_engine}): the tree stays connected
+   - Multicast ({!Multicast.repair}): the tree stays connected
      (every member reaches the root through live members) and revived
      members rejoin.
 
@@ -42,6 +42,7 @@ module Protocol = Tivaware_vivaldi.Protocol
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Multicast = Tivaware_overlay.Multicast
+module Backend = Tivaware_backend.Delay_backend
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -120,7 +121,10 @@ let test_vivaldi_no_dead_neighbors () =
 
 let test_chord_lookup_liveness () =
   let e = engine ~churn:(burst_churn (2 + prop_seed)) ~seed:2 () in
-  let t = Chord.build_engine ~successor_list:8 e in
+  let t =
+    Chord.build ~successor_list:8 ~predict:(Engine.rtt ~label:"dht" e)
+      (Engine.size e)
+  in
   Engine.advance_to e 200.;
   let churn = churn_of e in
   let h1 = Chord.heal_engine t e in
@@ -149,7 +153,7 @@ let test_chord_lookup_liveness () =
       let key =
         Id_space.add (Id_space.of_node (Rng.int g n)) (Rng.int g 1_000_000)
       in
-      let o = Chord.lookup t m ~source ~key in
+      let o = Chord.lookup t (Backend.dense m) ~source ~key in
       checkb
         (Printf.sprintf "owner %d of key %d is alive" o.Chord.owner key)
         true
@@ -184,7 +188,8 @@ let test_meridian_recovery () =
   let m = Lazy.force matrix in
   let nodes = Rng.sample_indices (rng 3) ~n ~k:24 in
   let overlay =
-    Overlay.build (rng 4) m (Ring.unlimited_config n) ~meridian_nodes:nodes
+    Overlay.build (rng 4) (Backend.dense m) (Ring.unlimited_config n)
+      ~meridian_nodes:nodes
   in
   let sim = Sim.create () in
   Online.attach sim e;
@@ -206,7 +211,7 @@ let test_meridian_recovery () =
       in
       if eligible then begin
         incr total;
-        let o = Online.closest_engine sim overlay e ~client ~start ~target in
+        let o = Online.closest sim overlay e ~client ~start ~target in
         if not (Float.is_nan o.Online.query.Query.chosen_delay) then
           incr answered
       end
@@ -277,11 +282,11 @@ let test_multicast_tree_connected () =
     Rng.shuffle (rng 7) rest;
     Array.append [| root |] rest
   in
-  let t = Multicast.build_engine e ~join_order in
+  let t = Multicast.build e ~join_order in
   let initial_members = List.length (Multicast.members t) in
   checkb "most nodes joined" true (initial_members > n / 2);
   Engine.advance_to e 200.;
-  let r = Multicast.repair_engine t (rng 8) e in
+  let r = Multicast.repair t (rng 8) e in
   checkb "repair detached dead members" true (r.Multicast.detached > 0);
   let assert_connected () =
     List.iter
@@ -314,7 +319,7 @@ let test_multicast_tree_connected () =
   while !rejoined = 0 && !clock < 5_000. do
     clock := !clock +. 100.;
     Engine.advance_to e !clock;
-    let r' = Multicast.repair_engine t g e in
+    let r' = Multicast.repair t g e in
     rejoined := !rejoined + r'.Multicast.rejoined
   done;
   checkb "revived members rejoined" true (!rejoined > 0);
@@ -334,12 +339,13 @@ let test_multicast_root_children_burst () =
     Array.append [| 0 |] rest
   in
   let predict i j = Matrix.get m i j in
+  let e = Engine.of_matrix m in
   (* A small degree cap forces real depth: the root's children own
      subtrees, not leaves, so the burst actually orphans someone. *)
   let t =
     Multicast.build
       ~config:{ Multicast.default_config with Multicast.max_degree = 3 }
-      m ~join_order ~predict
+      ~predict e ~join_order
   in
   let before = List.length (Multicast.members t) in
   checki "everyone joined a complete matrix" n before;
@@ -350,7 +356,7 @@ let test_multicast_root_children_burst () =
   in
   checkb "the burst orphans at least one grandchild" true (orphaned <> []);
   let up i = not (List.mem i victims) in
-  let r = Multicast.repair t (rng 11) m ~predict ~up in
+  let r = Multicast.repair ~predict ~up t (rng 11) e in
   checki "exactly the root's children detached" (List.length victims)
     r.Multicast.detached;
   checkb "orphaned subtrees re-grafted" true
@@ -374,7 +380,7 @@ let test_multicast_root_children_burst () =
       ascend node 0)
     members;
   (* Revival: with everyone back up, one pass re-admits all victims. *)
-  let r' = Multicast.repair t (rng 12) m ~predict ~up:(fun _ -> true) in
+  let r' = Multicast.repair ~predict t (rng 12) e in
   checki "all victims rejoined" (List.length victims) r'.Multicast.rejoined;
   checki "full membership restored" before
     (List.length (Multicast.members t))

@@ -19,6 +19,8 @@ module Overlay = Tivaware_meridian.Overlay
 module Query = Tivaware_meridian.Query
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
+module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
 
 (* ------------------------------------------------------------------ *)
 (* Tiny and degenerate matrices                                        *)
@@ -168,7 +170,7 @@ let test_alert_zero_delay_edges () =
 
 let test_overlay_on_disconnected () =
   (* Meridian nodes that cannot measure the target: queries must fail
-     gracefully via Invalid_argument, not loop. *)
+     gracefully — a nan answer and a counted failure — not loop. *)
   let m = Matrix.create 6 in
   for i = 0 to 3 do
     for j = i + 1 to 3 do
@@ -177,12 +179,17 @@ let test_overlay_on_disconnected () =
   done;
   (* nodes 4,5 isolated *)
   let overlay =
-    Overlay.build (Rng.create 10) m Ring.default_config ~meridian_nodes:[| 0; 1; 2 |]
+    Overlay.build (Rng.create 10) (Backend.dense m) Ring.default_config
+      ~meridian_nodes:[| 0; 1; 2 |]
   in
+  let engine = Engine.of_matrix m in
+  let o = Query.closest overlay engine ~start:0 ~target:4 in
   Alcotest.(check bool) "unmeasurable target rejected" true
-    (match Query.closest overlay m ~start:0 ~target:4 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+    (Float.is_nan o.Query.chosen_delay && o.Query.hops = 0);
+  Alcotest.(check (float 0.)) "failure counted" 1.
+    (Tivaware_obs.Counter.value
+       (Tivaware_obs.Registry.counter (Engine.obs engine)
+          "meridian.query_failures"))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism under identical seeds, variation under different ones   *)
