@@ -752,6 +752,52 @@ let synthesize_cmd =
     Term.(const run $ input $ output $ size $ seed_arg $ jitter)
 
 (* ---------------------------------------------------------------- *)
+(* Scenario helpers shared by dht --stabilize, store and stream      *)
+
+(* Strict arbiter carve of the system-wide probe allowance: weight
+   [share] of it is a hard admission bucket for the background plane
+   [bg], the rest belongs to the foreground plane [fg].  The share is
+   checked here, so stage the carve before building any world; the
+   returned function builds the arbiter once the node count is known.
+   A share of 0 or 1, or no --probe-budget, means no arbitration. *)
+let arbiter_carve meas ~flag ~share ~bg ~fg =
+  if Float.is_nan share || share < 0. || share > 1. then begin
+    prerr_endline (Printf.sprintf "tivlab: --%s must be in [0, 1] (got %g)" flag share);
+    exit 2
+  end;
+  fun n ->
+    if meas.probe_budget > 0 && share > 0. && share < 1. then begin
+      let total = float_of_int (meas.probe_budget * n) in
+      Some
+        (Arbiter.create
+           (Arbiter.config ~capacity:total ~rate:total
+              ~shares:[ (bg, share); (fg, 1. -. share) ]))
+    end
+    else None
+
+(* Coordinate-based policies embed through a separate maintenance
+   engine over the same backend (same measurement-plane options, seed
+   + 1), so the scenario engine's fault/churn streams stay identical
+   across policies and the embedding's probe bill is reported
+   separately.  Returns the embedding, to force only for policies that
+   need coordinates, and a reader of its probe bill (0 when nothing was
+   embedded). *)
+let maintenance_embedding backend ~labels meas ~seed =
+  let maintenance = ref None in
+  let embed () =
+    let e = make_backend_engine backend ~labels meas ~seed:(seed + 1) in
+    let sys = Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e in
+    maintenance := Some e;
+    System.predictor sys
+  in
+  let probes () =
+    match !maintenance with
+    | None -> 0
+    | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
+  in
+  (embed, probes)
+
+(* ---------------------------------------------------------------- *)
 (* dht                                                               *)
 
 (* Continuous-stabilization scenario (--stabilize MS): a Zipf key
@@ -763,7 +809,7 @@ let synthesize_cmd =
    additionally admission-controlled by a strict arbiter carve.  The
    whole run is a deterministic function of (seed, interval, budget). *)
 let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
-    ~interval ~keys ~zipf_s ~duration ~replicas ~share ~fingers_per_round =
+    ~interval ~keys ~zipf_s ~duration ~replicas ~carve ~fingers_per_round =
   let module Chord = Tivaware_dht.Chord in
   let module Id_space = Tivaware_dht.Id_space in
   if keys < 1 then begin
@@ -795,20 +841,10 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
         draw ())
   in
   let store = Chord.Store.create ~replicas overlay ~keys:key_ids in
-  let arbiter =
-    if meas.probe_budget > 0 && share > 0. && share < 1. then begin
-      (* Carve the system-wide probe allowance between the maintenance
-         plane and foreground lookups; only the stabilizer asks for
-         admission, so its carve is a hard ceiling on background spend
-         while the engine-level budget still caps the aggregate. *)
-      let total = float_of_int (meas.probe_budget * n) in
-      Some
-        (Arbiter.create
-           (Arbiter.config ~capacity:total ~rate:total
-              ~shares:[ ("chord_stabilize", share); ("dht", 1. -. share) ]))
-    end
-    else None
-  in
+  (* Only the stabilizer asks the arbiter for admission, so its carve
+     is a hard ceiling on background spend while the engine-level
+     budget still caps the aggregate. *)
+  let arbiter = carve n in
   let config =
     { Chord.Stabilizer.default_config with Chord.Stabilizer.interval; fingers_per_round }
   in
@@ -896,6 +932,10 @@ let dht_cmd =
       fingers_per_round meas =
     let module Chord = Tivaware_dht.Chord in
     let module Id_space = Tivaware_dht.Id_space in
+    let carve =
+      arbiter_carve meas ~flag:"stabilize-share" ~share:stab_share
+        ~bg:"chord_stabilize" ~fg:"dht"
+    in
     let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
@@ -905,7 +945,7 @@ let dht_cmd =
          measurement plane (PNS = engine); --pns is ignored here. *)
       run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
         ~interval:(stabilize_ms /. 1000.) ~keys:stab_keys ~zipf_s ~duration
-        ~replicas ~share:stab_share ~fingers_per_round
+        ~replicas ~carve ~fingers_per_round
     else
     let n = Backend.size backend in
     let rng = Rng.create seed in
@@ -1014,8 +1054,8 @@ let dht_cmd =
       & info [ "stabilize-share" ] ~docv:"F"
           ~doc:"With $(b,--probe-budget), carve this weight fraction of \
                 the system-wide probe allowance into a strict admission \
-                bucket for the stabilization plane (0 or 1 disables \
-                arbitration).")
+                bucket for the stabilization plane (in [0, 1]; 0 or 1 \
+                disables arbitration).")
   in
   let fingers_per_round =
     Arg.(
@@ -1401,6 +1441,10 @@ let store_cmd =
   let run matrix_file size seed kind nodes model_size memo policy devices zones
       part_power replicas objects zipf_s reads duration repair_ms repair_share
       penalty meas =
+    let carve =
+      arbiter_carve meas ~flag:"repair-share" ~share:repair_share
+        ~bg:"store_repair" ~fg:"store"
+    in
     let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
@@ -1425,18 +1469,7 @@ let store_cmd =
        prerr_endline ("tivlab: " ^ msg);
        exit 2);
     let engine = make_backend_engine backend ~labels meas ~seed in
-    (* Coordinate-based policies embed through a separate maintenance
-       engine over the same backend (same measurement-plane options),
-       so the scenario engine's fault/churn streams stay identical
-       across policies and the embedding's probe bill is reported
-       separately. *)
-    let maintenance = ref None in
-    let embed () =
-      let e = make_backend_engine backend ~labels meas ~seed:(seed + 1) in
-      let sys = Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e in
-      maintenance := Some e;
-      System.predictor sys
-    in
+    let embed, maint_probes = maintenance_embedding backend ~labels meas ~seed in
     let pol =
       match policy with
       | `Naive -> Store_policy.naive ()
@@ -1444,19 +1477,7 @@ let store_cmd =
       | `Meridian -> Store_policy.probe ()
       | `Alert -> Store_policy.alert (embed ())
     in
-    let arbiter =
-      if meas.probe_budget > 0 && repair_share > 0. && repair_share < 1. then begin
-        (* Same carve as dht --stabilize: the repair plane's admission
-           bucket is a strict share of the system-wide allowance. *)
-        let total = float_of_int (meas.probe_budget * Backend.size backend) in
-        Some
-          (Arbiter.create
-             (Arbiter.config ~capacity:total ~rate:total
-                ~shares:
-                  [ ("store_repair", repair_share); ("store", 1. -. repair_share) ]))
-      end
-      else None
-    in
+    let arbiter = carve (Backend.size backend) in
     let sc =
       try Store_scenario.create ?arbiter ~config ~policy:pol ~backend ~engine ()
       with Invalid_argument msg ->
@@ -1480,11 +1501,7 @@ let store_cmd =
     let mean = if lat = [||] then 0. else Stats.mean lat in
     let p50 = if lat = [||] then 0. else Stats.median lat in
     let p99 = if lat = [||] then 0. else Stats.percentile lat 99. in
-    let maint_probes =
-      match !maintenance with
-      | None -> 0
-      | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-    in
+    let maint_probes = maint_probes () in
     Printf.printf
       "store: latency mean=%.1f p50=%.1f p99=%.1f ms  policy probes=%d  \
        maintenance probes=%d\n"
@@ -1570,7 +1587,7 @@ let store_cmd =
       & info [ "repair-share" ] ~docv:"F"
           ~doc:"With $(b,--probe-budget), carve this weight fraction of the \
                 system-wide probe allowance into a strict admission bucket \
-                for the repair plane (0 or 1 disables arbitration).")
+                for the repair plane (in [0, 1]; 0 or 1 disables arbitration).")
   in
   let penalty =
     Arg.(
@@ -1596,6 +1613,10 @@ let stream_cmd =
   let run matrix_file size seed kind nodes model_size memo policy members
       chunk_ms deadline_ms buffer pull_ms repair_ms repair_share degree duration
       meas =
+    let carve =
+      arbiter_carve meas ~flag:"repair-share" ~share:repair_share
+        ~bg:"stream_repair" ~fg:"stream"
+    in
     let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
@@ -1618,37 +1639,14 @@ let stream_cmd =
        prerr_endline ("tivlab: " ^ msg);
        exit 2);
     let engine = make_backend_engine backend ~labels meas ~seed in
-    (* Same discipline as store: coordinate-based policies embed through
-       a separate maintenance engine over the same backend, so the swarm
-       engine's fault/churn streams stay identical across policies and
-       the embedding's probe bill is reported separately. *)
-    let maintenance = ref None in
-    let embed () =
-      let e = make_backend_engine backend ~labels meas ~seed:(seed + 1) in
-      let sys = Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e in
-      maintenance := Some e;
-      System.predictor sys
-    in
+    let embed, maint_probes = maintenance_embedding backend ~labels meas ~seed in
     let select =
       match policy with
       | `Naive -> Stream_select.naive ~seed:(seed + 23)
       | `Vivaldi -> Stream_select.coordinate (embed ())
       | `Alert -> Stream_select.alert (embed ())
     in
-    let arbiter =
-      if meas.probe_budget > 0 && repair_share > 0. && repair_share < 1. then begin
-        let total = float_of_int (meas.probe_budget * Backend.size backend) in
-        Some
-          (Arbiter.create
-             (Arbiter.config ~capacity:total ~rate:total
-                ~shares:
-                  [
-                    ("stream_repair", repair_share);
-                    ("stream", 1. -. repair_share);
-                  ]))
-      end
-      else None
-    in
+    let arbiter = carve (Backend.size backend) in
     let sw =
       try Stream_swarm.create ?arbiter ~config ~select ~backend ~engine ()
       with Invalid_argument msg ->
@@ -1693,11 +1691,7 @@ let stream_cmd =
        depth=%d fanout=%d\n"
       r.Stream_swarm.joined members tm.Multicast.mean_edge_ms
       tm.Multicast.median_stretch tm.Multicast.max_depth tm.Multicast.max_fanout;
-    let maint_probes =
-      match !maintenance with
-      | None -> 0
-      | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-    in
+    let maint_probes = maint_probes () in
     Printf.printf "stream: maintenance probes=%d\n" maint_probes;
     print_probe_summary engine;
     set_gauge engine "stream.miss_rate" r.Stream_swarm.miss_rate;
@@ -1764,7 +1758,7 @@ let stream_cmd =
       & info [ "repair-share" ] ~docv:"F"
           ~doc:"With $(b,--probe-budget), carve this weight fraction of the \
                 system-wide probe allowance into a strict admission bucket \
-                for the repair plane (0 or 1 disables arbitration).")
+                for the repair plane (in [0, 1]; 0 or 1 disables arbitration).")
   in
   let degree =
     Arg.(

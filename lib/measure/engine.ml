@@ -32,9 +32,9 @@ let ms_per_second = 1000.
 
 (* Observability instruments, resolved once at engine creation so the
    probe hot path pays plain field accesses, not registry lookups.
-   Per-plane series ([{plane=...}] labels) are resolved lazily and
-   memoized, mirroring what Probe_stats already does for its label
-   table. *)
+   They are the engine's only probe accounting: [stats] reads its
+   Probe_stats view from them.  Per-plane series ([{plane=...}]
+   labels) are resolved lazily and memoized. *)
 type instruments = {
   i_requests : Obs.Counter.t;
   i_sent : Obs.Counter.t;
@@ -63,7 +63,6 @@ type t = {
   dynamics : Dynamics.t option;
   budget : Budget.t option;
   cache : Cache.t option;
-  stats : Probe_stats.t;
   obs : Obs.Registry.t;
   inst : instruments;
   (* Hot-path scratch: slot 0 the last probe's value, slot 1 its
@@ -203,7 +202,6 @@ let create ?(config = default_config) oracle =
       Option.map
         (fun ttl -> Cache.create ?capacity:config.cache_capacity ~ttl ())
         config.cache_ttl;
-    stats = Probe_stats.create ();
     obs;
     inst = make_instruments obs;
     scratch = Array.make 2 nan;
@@ -278,11 +276,9 @@ let code_unmeasured = 5
    top-level recursive function, not a local closure, so the loop
    captures nothing. *)
 let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
-  let st = t.stats in
   let inst = t.inst in
   let s = t.scratch in
   if k > 0 then begin
-    st.Probe_stats.retried <- st.Probe_stats.retried + 1;
     Obs.Counter.incr inst.i_retried;
     s.(1) <- s.(1) +. Fault.backoff_delay t.fault ~attempt:k
   end;
@@ -296,25 +292,21 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
     | Some b -> Budget.try_take b ~now:t.clock i
   in
   if not admitted then begin
-    st.Probe_stats.denied <- st.Probe_stats.denied + 1;
     Obs.Counter.incr inst.i_denied;
     code_denied
   end
   else begin
-    Probe_stats.record_issue st label;
     Obs.Counter.incr inst.i_sent;
     (match label with
     | None -> ()
     | Some plane -> Obs.Counter.incr (fst (plane_counters t plane)));
     if endpoint_down then begin
-      st.Probe_stats.lost <- st.Probe_stats.lost + 1;
       Obs.Counter.incr inst.i_lost;
       Fault.record_outcome t.fault i j ~lost:true;
       s.(1) <- s.(1) +. timeout;
       if k < retries then
         probe_attempt t label i j ~endpoint_down ~retries ~timeout (k + 1)
       else begin
-        st.Probe_stats.down <- st.Probe_stats.down + 1;
         Obs.Counter.incr inst.i_down;
         code_down
       end
@@ -322,7 +314,6 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
     else begin
       let true_rtt = Oracle.query t.oracle i j in
       if Float.is_nan true_rtt then begin
-        st.Probe_stats.unmeasured <- st.Probe_stats.unmeasured + 1;
         Obs.Counter.incr inst.i_unmeasured;
         (* Indistinguishable from loss at the prober: it waits the
            timeout and its loss estimate takes the hit. *)
@@ -339,19 +330,16 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
         | None -> ()
         | Some c ->
           let evicted = Cache.store c ~now:t.clock i j sample in
-          st.Probe_stats.evicted <- st.Probe_stats.evicted + evicted;
           Obs.Counter.add inst.i_evicted (float_of_int evicted));
         code_rtt
       end
       else begin
-        st.Probe_stats.lost <- st.Probe_stats.lost + 1;
         Obs.Counter.incr inst.i_lost;
         Fault.record_outcome t.fault i j ~lost:true;
         s.(1) <- s.(1) +. timeout;
         if k < retries then
           probe_attempt t label i j ~endpoint_down ~retries ~timeout (k + 1)
         else begin
-          st.Probe_stats.failed <- st.Probe_stats.failed + 1;
           Obs.Counter.incr inst.i_failed;
           code_lost
         end
@@ -360,7 +348,6 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
   end
 
 let probe_uncached_code t label i j =
-  let st = t.stats in
   let inst = t.inst in
   t.scratch.(1) <- 0.;
   let admitted =
@@ -369,7 +356,6 @@ let probe_uncached_code t label i j =
     | Some b -> Budget.try_take b ~now:t.clock i
   in
   if not admitted then begin
-    st.Probe_stats.denied <- st.Probe_stats.denied + 1;
     Obs.Counter.incr inst.i_denied;
     code_denied
   end
@@ -386,9 +372,7 @@ let probe_uncached_code t label i j =
   end
 
 let probe_code t label i j =
-  let st = t.stats in
   let inst = t.inst in
-  st.Probe_stats.requests <- st.Probe_stats.requests + 1;
   Obs.Counter.incr inst.i_requests;
   let code =
     match t.cache with
@@ -396,25 +380,16 @@ let probe_code t label i j =
     | Some c ->
       let lc = Cache.find_code c ~now:t.clock ~into:t.scratch i j in
       if lc = Cache.code_hit then begin
-        st.Probe_stats.hits <- st.Probe_stats.hits + 1;
         Obs.Counter.incr inst.i_hits;
         t.scratch.(1) <- 0.;
         code_cached
       end
       else begin
-        if lc = Cache.code_stale then begin
-          st.Probe_stats.stale <- st.Probe_stats.stale + 1;
-          Obs.Counter.incr inst.i_stale
-        end
-        else begin
-          st.Probe_stats.misses <- st.Probe_stats.misses + 1;
-          Obs.Counter.incr inst.i_misses
-        end;
+        Obs.Counter.incr (if lc = Cache.code_stale then inst.i_stale else inst.i_misses);
         probe_uncached_code t label i j
       end
   in
   let cost = t.scratch.(1) in
-  st.Probe_stats.probe_ms <- st.Probe_stats.probe_ms +. cost;
   Obs.Histogram.observe inst.i_cost_ms cost;
   if cost > 0. then begin
     Obs.Counter.add inst.i_probe_ms cost;
@@ -451,7 +426,33 @@ let rtt_timed ?label t i j =
   let v = if code <= code_cached then t.scratch.(0) else nan in
   (v, t.scratch.(1))
 
-let stats t = t.stats
-let reset_stats t = Probe_stats.reset t.stats
+(* The view is read straight from the instruments, so it cannot drift
+   from the exported [measure.*] series.  Per-plane counters pinned by
+   [register_plane] but never probed stay out of [per_label]. *)
+let stats t =
+  let i = t.inst in
+  let n c = int_of_float (Obs.Counter.value c) in
+  let per_label =
+    Hashtbl.fold
+      (fun plane (sent, _) acc -> if n sent > 0 then (plane, n sent) :: acc else acc)
+      i.i_per_plane []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  {
+    Probe_stats.requests = n i.i_requests;
+    issued = n i.i_sent;
+    lost = n i.i_lost;
+    retried = n i.i_retried;
+    failed = n i.i_failed;
+    denied = n i.i_denied;
+    down = n i.i_down;
+    unmeasured = n i.i_unmeasured;
+    hits = n i.i_hits;
+    stale = n i.i_stale;
+    misses = n i.i_misses;
+    evicted = n i.i_evicted;
+    probe_ms = Obs.Counter.value i.i_probe_ms;
+    per_label;
+  }
 
 let register_plane t plane = ignore (plane_counters t plane : Obs.Counter.t * Obs.Counter.t)

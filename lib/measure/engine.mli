@@ -11,7 +11,9 @@
     + per-node and engine-wide token-bucket {!Budget}s,
     + seeded {!Fault} injection (loss, jitter, outages) with a retry
       policy (fixed, exponential backoff, or adaptive),
-    + {!Probe_stats} accounting, attributable per protocol label.
+    + probe accounting in the engine's metric registry ({!obs}),
+      attributable per protocol label and read back as {!Probe_stats}
+      views ({!stats}).
 
     The default configuration is the exact oracle model: no cache, no
     budget, no faults, no time charging — a probe is then a plain
@@ -138,7 +140,7 @@ val probe_timed : ?label:string -> t -> int -> int -> timed
     where the retry budget is sized at request start by the engine's
     {!Fault.retry_policy} (per-link loss estimate under [Adaptive]).
     Successful measurements are cached (service mode); capacity
-    evictions land in {!Probe_stats.t.evicted}.  The budget is charged
+    evictions land in [measure.cache.evicted] ({!Probe_stats.t.evicted}).  The budget is charged
     once per wire attempt, against node [i] and the global bucket.
     When [charge_time] is set the engine clock advances by
     [cost /. 1000.]. *)
@@ -156,19 +158,18 @@ val rtt_timed : ?label:string -> t -> int -> int -> float * float
     ms, for callers that schedule simulator events around probes. *)
 
 val stats : t -> Probe_stats.t
-(** Live counters (mutated by every probe).  Use
-    {!Probe_stats.snapshot} to diff around a phase. *)
-
-val reset_stats : t -> unit
+(** The probe counters as they stand now, read from the [measure.*]
+    series of {!obs}: an immutable view; call again after more probes.
+    Two views taken around a phase diff it. *)
 
 (** {2 Observability} *)
 
 val obs : t -> Tivaware_obs.Registry.t
 (** The engine's metric registry.  Created with the engine and updated
-    on every probe: request/outcome/cache counters ([measure.*],
-    mirroring {!Probe_stats}), per-plane probe and charged-time series
-    ([measure.probes.sent{plane=...}], [measure.probe_ms{plane=...}]),
-    and RTT/cost histograms.  The repair planes, TIV alert evaluation
+    on every probe: request/outcome/cache counters ([measure.*], the
+    only store of probe counts — {!stats} reads them), per-plane probe
+    and charged-time series ([measure.probes.sent{plane=...}],
+    [measure.probe_ms{plane=...}]), and RTT/cost histograms.  The repair planes, TIV alert evaluation
     and Meridian queries record their [repair.*], [alert.*] and
     [meridian.*] series here too — those families are pre-registered at
     zero so every {!Tivaware_obs.Summary} carries the full schema.
@@ -181,4 +182,5 @@ val register_plane : t -> string -> unit
     for a plane label, so summaries written before the plane's first
     probe — or from a run where it never probes — still carry the full
     schema.  Planes that do probe are registered lazily as before;
-    this only pins the schema. *)
+    this only pins the schema ({!stats} lists a plane only once it has
+    issued a probe). *)

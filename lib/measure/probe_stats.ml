@@ -1,84 +1,22 @@
 type t = {
-  mutable requests : int;
-  mutable issued : int;
-  mutable lost : int;
-  mutable retried : int;
-  mutable failed : int;
-  mutable denied : int;
-  mutable down : int;
-  mutable unmeasured : int;
-  mutable hits : int;
-  mutable stale : int;
-  mutable misses : int;
-  mutable evicted : int;
-  mutable probe_ms : float;
-  per_label : (string, int) Hashtbl.t;
+  requests : int;
+  issued : int;
+  lost : int;
+  retried : int;
+  failed : int;
+  denied : int;
+  down : int;
+  unmeasured : int;
+  hits : int;
+  stale : int;
+  misses : int;
+  evicted : int;
+  probe_ms : float;
+  per_label : (string * int) list;
 }
 
-let create () =
-  {
-    requests = 0;
-    issued = 0;
-    lost = 0;
-    retried = 0;
-    failed = 0;
-    denied = 0;
-    down = 0;
-    unmeasured = 0;
-    hits = 0;
-    stale = 0;
-    misses = 0;
-    evicted = 0;
-    probe_ms = 0.;
-    per_label = Hashtbl.create 8;
-  }
-
-let reset t =
-  t.requests <- 0;
-  t.issued <- 0;
-  t.lost <- 0;
-  t.retried <- 0;
-  t.failed <- 0;
-  t.denied <- 0;
-  t.down <- 0;
-  t.unmeasured <- 0;
-  t.hits <- 0;
-  t.stale <- 0;
-  t.misses <- 0;
-  t.evicted <- 0;
-  t.probe_ms <- 0.;
-  Hashtbl.reset t.per_label
-
-let snapshot t =
-  let s = create () in
-  s.requests <- t.requests;
-  s.issued <- t.issued;
-  s.lost <- t.lost;
-  s.retried <- t.retried;
-  s.failed <- t.failed;
-  s.denied <- t.denied;
-  s.down <- t.down;
-  s.unmeasured <- t.unmeasured;
-  s.hits <- t.hits;
-  s.stale <- t.stale;
-  s.misses <- t.misses;
-  s.evicted <- t.evicted;
-  s.probe_ms <- t.probe_ms;
-  Hashtbl.iter (fun k v -> Hashtbl.replace s.per_label k v) t.per_label;
-  s
-
-let label_count t label =
-  Option.value ~default:0 (Hashtbl.find_opt t.per_label label)
-
-let labels t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.per_label []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let record_issue t label =
-  t.issued <- t.issued + 1;
-  match label with
-  | None -> ()
-  | Some l -> Hashtbl.replace t.per_label l (label_count t l + 1)
+let label_count t label = Option.value ~default:0 (List.assoc_opt label t.per_label)
+let labels t = t.per_label
 
 let pp fmt t =
   Format.fprintf fmt
@@ -86,7 +24,7 @@ let pp fmt t =
      unmeasured=%d cache hit/stale/miss=%d/%d/%d evicted=%d probe_ms=%.0f"
     t.requests t.issued t.lost t.retried t.failed t.denied t.down t.unmeasured
     t.hits t.stale t.misses t.evicted t.probe_ms;
-  match labels t with
+  match t.per_label with
   | [] -> ()
   | ls ->
     Format.fprintf fmt " |";

@@ -1,46 +1,41 @@
-(** Probe accounting.
+(** Probe accounting, as an immutable view.
 
-    One mutable record per {!Engine}; every counter is monotone so
-    callers can diff snapshots around a phase.  [requests] counts calls
-    into the engine; [issued] counts attempts actually sent to the
-    oracle (retransmissions included), so [issued - requests] bounds the
-    retry overhead and [hits / requests] is the service-mode cache
-    efficiency (IDMS-style).  Per-label counters attribute issued
-    probes to protocols ([vivaldi], [meridian], [alert], ...). *)
+    The engine's metric registry is the only store of probe counts
+    ([measure.*] series, see {!Engine.obs}); {!Engine.stats} reads them
+    into this record.  A value is frozen at the moment it was taken, so
+    callers diff two views around a phase.  [requests] counts calls into
+    the engine; [issued] counts attempts actually sent to the oracle
+    (retransmissions included), so [issued - requests] bounds the retry
+    overhead and [hits / requests] is the service-mode cache efficiency
+    (IDMS-style).  Per-label counts attribute issued probes to
+    protocols ([vivaldi], [meridian], [alert], ...). *)
 
 type t = {
-  mutable requests : int;  (** calls to {!Engine.probe} / {!Engine.rtt} *)
-  mutable issued : int;  (** attempts sent to the oracle, retries included *)
-  mutable lost : int;  (** attempts dropped by injected loss *)
-  mutable retried : int;  (** extra attempts after a loss *)
-  mutable failed : int;  (** requests that exhausted every retry *)
-  mutable denied : int;  (** requests refused by the probe budget *)
-  mutable down : int;  (** requests to/from a node in outage *)
-  mutable unmeasured : int;  (** oracle had no measurement for the pair *)
-  mutable hits : int;  (** fresh cache hits (no probe issued) *)
-  mutable stale : int;  (** cache entries found expired (re-probed) *)
-  mutable misses : int;  (** cache lookups with no entry *)
-  mutable evicted : int;  (** cache entries evicted by the LRU capacity bound *)
-  mutable probe_ms : float;
+  requests : int;  (** calls to {!Engine.probe} / {!Engine.rtt} *)
+  issued : int;  (** attempts sent to the oracle, retries included *)
+  lost : int;  (** attempts dropped by injected loss *)
+  retried : int;  (** extra attempts after a loss *)
+  failed : int;  (** requests that exhausted every retry *)
+  denied : int;  (** requests refused by the probe budget *)
+  down : int;  (** requests to/from a node in outage *)
+  unmeasured : int;  (** oracle had no measurement for the pair *)
+  hits : int;  (** fresh cache hits (no probe issued) *)
+  stale : int;  (** cache entries found expired (re-probed) *)
+  misses : int;  (** cache lookups with no entry *)
+  evicted : int;  (** cache entries evicted by the LRU capacity bound *)
+  probe_ms : float;
       (** total measurement time charged on the issuing path (RTTs of
           delivered attempts, timeouts of lost ones, backoff delays) *)
-  per_label : (string, int) Hashtbl.t;  (** issued probes per protocol *)
+  per_label : (string * int) list;
+      (** issued probes per protocol, sorted by label; labels that never
+          issued a probe are absent *)
 }
-
-val create : unit -> t
-val reset : t -> unit
-
-val snapshot : t -> t
-(** An independent copy (for diffing around a phase). *)
 
 val label_count : t -> string -> int
 (** Issued probes attributed to a label; 0 when never seen. *)
 
 val labels : t -> (string * int) list
-(** All per-label counters, sorted by label. *)
-
-val record_issue : t -> string option -> unit
-(** One attempt sent to the oracle, attributed to the label. *)
+(** All per-label counts, sorted by label ([per_label]). *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary, e.g.

@@ -1,7 +1,6 @@
 module Rng = Tivaware_util.Rng
 module Backend = Tivaware_backend.Delay_backend
 module Engine = Tivaware_measure.Engine
-module Probe_stats = Tivaware_measure.Probe_stats
 module Obs = Tivaware_obs
 module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
@@ -34,6 +33,7 @@ type t = {
   queries_c : Obs.Counter.t array;  (* per kind, Workload.kind_index order *)
   failures_c : Obs.Counter.t array;
   latency_h : Obs.Histogram.t array;
+  probe_ms_c : Obs.Counter.t;
   hops_h : Obs.Histogram.t;
   switches_c : Obs.Counter.t;
 }
@@ -101,6 +101,7 @@ let create spec =
       per_kind (fun ~labels ->
           Obs.Registry.histogram obs ~labels ~edges:latency_edges
             "service.latency_ms");
+    probe_ms_c = Obs.Registry.counter obs "measure.probe_ms";
     hops_h = Obs.Registry.histogram obs ~edges:hops_edges "service.hops";
     switches_c = Obs.Registry.counter obs "service.switches";
   }
@@ -111,16 +112,15 @@ let create spec =
 let execute t kind qrng =
   let i = Workload.kind_index kind in
   Obs.Counter.incr t.queries_c.(i);
-  let stats = Engine.stats t.engine in
   match kind with
   | Workload.Closest ->
     let start = Rng.choice qrng t.meridian_nodes in
     let target = Rng.int qrng t.size in
-    let before = stats.Probe_stats.probe_ms in
+    let before = Obs.Counter.value t.probe_ms_c in
     let out = Query.closest t.overlay t.engine ~start ~target in
     if Float.is_nan out.Query.chosen_delay then
       Obs.Counter.incr t.failures_c.(i);
-    Obs.Histogram.observe t.latency_h.(i) (stats.Probe_stats.probe_ms -. before)
+    Obs.Histogram.observe t.latency_h.(i) (Obs.Counter.value t.probe_ms_c -. before)
   | Workload.Dht_lookup ->
     let source = Rng.int qrng t.size in
     let key = Rng.int qrng Id_space.modulus in
@@ -128,10 +128,10 @@ let execute t kind qrng =
     Obs.Histogram.observe t.hops_h (float_of_int r.Chord.hops);
     Obs.Histogram.observe t.latency_h.(i) r.Chord.latency
   | Workload.Multicast_refresh ->
-    let before = stats.Probe_stats.probe_ms in
+    let before = Obs.Counter.value t.probe_ms_c in
     let switches = Multicast.refresh t.tree qrng t.engine in
     Obs.Counter.add t.switches_c (float_of_int switches);
-    Obs.Histogram.observe t.latency_h.(i) (stats.Probe_stats.probe_ms -. before)
+    Obs.Histogram.observe t.latency_h.(i) (Obs.Counter.value t.probe_ms_c -. before)
 
 let run_partition t ~domain ~domains =
   if domains < 1 then invalid_arg "Shard.run_partition: domains must be >= 1";

@@ -10,16 +10,12 @@ type kind =
 
 type t = kind
 
-let default_threshold = 0.5
 let naive () = Naive (Hashtbl.create 256)
 let coordinate predicted = Coordinate predicted
 let probe () = Probe
 
-let alert ?(threshold = default_threshold) predicted =
-  if not (Float.is_finite threshold) || threshold <= 0. then
-    invalid_arg
-      (Printf.sprintf "Store.Policy.alert: threshold must be positive and finite (got %g)"
-         threshold);
+let alert ?(threshold = Alert.default_threshold) predicted =
+  Alert.validate_threshold "Store.Policy.alert" threshold;
   Alert_aware { predicted; threshold }
 
 let name = function

@@ -34,12 +34,9 @@ val coordinate : (int -> int -> float) -> t
 val probe : unit -> t
 
 val alert : ?threshold:float -> (int -> int -> float) -> t
-(** [alert predicted] with the prediction-ratio [threshold]
-    (default {!default_threshold}). *)
-
-val default_threshold : float
-(** 0.5 — an edge measured at more than twice its predicted distance
-    is flagged as likely-severe. *)
+(** [alert predicted] with the prediction-ratio [threshold] (default
+    {!Tivaware_tiv.Alert.default_threshold}).  Raises [Invalid_argument]
+    on a non-positive or non-finite threshold. *)
 
 val name : t -> string
 (** ["naive" | "coordinate" | "probe" | "alert"]. *)

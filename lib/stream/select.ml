@@ -5,18 +5,13 @@ type t =
   | Coordinate of (int -> int -> float)
   | Alert_aware of { predicted : int -> int -> float; threshold : float }
 
-let default_threshold = 0.5
 let flagged_penalty = 1000.
 
 let naive ~seed = Naive seed
 let coordinate predicted = Coordinate predicted
 
-let alert ?(threshold = default_threshold) predicted =
-  if not (Float.is_finite threshold) || threshold <= 0. then
-    invalid_arg
-      (Printf.sprintf
-         "Stream.Select.alert: threshold must be positive and finite (got %g)"
-         threshold);
+let alert ?(threshold = Alert.default_threshold) predicted =
+  Alert.validate_threshold "Stream.Select.alert" threshold;
   Alert_aware { predicted; threshold }
 
 let name = function

@@ -35,12 +35,8 @@ val coordinate : (int -> int -> float) -> t
 
 val alert : ?threshold:float -> (int -> int -> float) -> t
 (** [alert predicted] with the prediction-ratio [threshold] (default
-    {!default_threshold}).  Raises [Invalid_argument] on a
-    non-positive or non-finite threshold. *)
-
-val default_threshold : float
-(** 0.5 — an edge measured at more than twice its predicted distance
-    is flagged as likely-severe. *)
+    {!Tivaware_tiv.Alert.default_threshold}).  Raises [Invalid_argument]
+    on a non-positive or non-finite threshold. *)
 
 val flagged_penalty : float
 (** Rank multiplier applied to flagged edges (1000): a flagged

@@ -41,6 +41,16 @@ val is_alert :
   ratios:Tivaware_delay_space.Matrix.t -> threshold:float -> int -> int -> bool
 (** [false] when the edge or its ratio is missing. *)
 
+val default_threshold : float
+(** 0.5 — the selection policies' {!alert_pair} threshold: an edge
+    measured at more than twice its predicted distance is flagged as
+    likely-severe. *)
+
+val validate_threshold : string -> float -> unit
+(** [validate_threshold who threshold] raises [Invalid_argument],
+    prefixed with [who] (the caller's name), unless [threshold] is
+    positive and finite. *)
+
 val alert_pair :
   ?label:string ->
   engine:Tivaware_measure.Engine.t ->

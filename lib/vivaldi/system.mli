@@ -60,8 +60,8 @@ val backend : t -> Tivaware_backend.Delay_backend.t
 
 val engine : t -> Tivaware_measure.Engine.t
 (** The measurement plane observations go through ({!create} installs
-    an oracle-mode engine; its {!Tivaware_measure.Probe_stats} still
-    account every probe). *)
+    an oracle-mode engine; its metric registry still counts every
+    probe, readable through {!Tivaware_measure.Engine.stats}). *)
 
 val rng : t -> Tivaware_util.Rng.t
 (** The system's private generator, for components (dynamic neighbor

@@ -29,6 +29,7 @@ module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Multicast = Tivaware_overlay.Multicast
 module Backend = Tivaware_backend.Delay_backend
+module Obs = Tivaware_obs
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -986,6 +987,138 @@ let test_repair_inert_without_churn () =
       neighbors.(i) (System.neighbors sys i)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Probe_stats view = registry                                          *)
+
+(* The engine's metric registry is its only probe-accounting store, so
+   [Engine.stats] must read back exactly the [measure.*] series under
+   any mix of loss, retry policy, cache, budget, churn and plane labels
+   — including planes pinned by [register_plane] that never probe. *)
+type view_case = {
+  config : Engine.config;
+  planes : string option array;  (** labels the probes draw from *)
+  pinned : string list;  (** planes only ever registered *)
+  world : int;  (** matrix and probe-sequence seed *)
+}
+
+let gen_view_case =
+  let open QCheck2.Gen in
+  let* loss = float_range 0. 0.5 in
+  let* retries = int_range 0 3 in
+  let* policy =
+    oneofl [ Fault.Fixed; Fault.Backoff Fault.default_backoff; Fault.adaptive () ]
+  in
+  let* cache = opt (pair (float_range 0.5 20.) (opt (int_range 1 16))) in
+  let* budget = opt (pair (float_range 1. 8.) (float_range 0. 4.)) in
+  let* churn = opt (float_range 0.1 0.6) in
+  let* charge_time = bool in
+  let* planes =
+    oneofl
+      [
+        [| Some "vivaldi"; Some "alert" |];
+        [| Some "meridian" |];
+        [| None |];
+        [| Some "vivaldi"; None |];
+      ]
+  in
+  let* pinned = oneofl [ []; [ "store_repair" ]; [ "vivaldi"; "idle" ] ] in
+  let* seed = int_range 0 9_999 in
+  let+ world = int_range 0 1_000_000 in
+  let config =
+    {
+      Engine.default_config with
+      Engine.fault = { Fault.default with Fault.loss; retries; policy };
+      cache_ttl = Option.map fst cache;
+      cache_capacity = Option.join (Option.map snd cache);
+      budget =
+        Option.map (fun (capacity, rate) -> Budget.per_node ~capacity ~rate) budget;
+      churn = Option.map (fun fraction -> { Churn.default with Churn.fraction; seed }) churn;
+      charge_time;
+      seed;
+    }
+  in
+  { config; planes; pinned; world }
+
+let print_view_case c =
+  let cfg = c.config in
+  Printf.sprintf
+    "loss=%g retries=%d cache_ttl=%s capacity=%s budget=%b churn=%b \
+     charge_time=%b planes=[%s] pinned=[%s] seed=%d world=%d"
+    cfg.Engine.fault.Fault.loss cfg.Engine.fault.Fault.retries
+    (Option.fold ~none:"-" ~some:string_of_float cfg.Engine.cache_ttl)
+    (Option.fold ~none:"-" ~some:string_of_int cfg.Engine.cache_capacity)
+    (Option.is_some cfg.Engine.budget) (Option.is_some cfg.Engine.churn)
+    cfg.Engine.charge_time
+    (String.concat ";" (Array.to_list (Array.map (Option.value ~default:"-") c.planes)))
+    (String.concat ";" c.pinned) cfg.Engine.seed c.world
+
+let stats_view_matches_registry c =
+  let g = Rng.create c.world in
+  let n = 10 + Rng.int g 10 in
+  let e = Engine.of_matrix ~config:c.config (random_matrix ~missing:0.1 g ~n) in
+  List.iter (Engine.register_plane e) c.pinned;
+  for _ = 1 to 150 do
+    if Rng.bernoulli g 0.2 then Engine.advance e (Rng.uniform g 0. 5.);
+    let i, j = random_pair g n in
+    let label = c.planes.(Rng.int g (Array.length c.planes)) in
+    ignore (Engine.rtt ?label e i j)
+  done;
+  let series = Obs.Registry.metrics (Engine.obs e) in
+  let counter key =
+    match List.assoc_opt key series with
+    | Some (Obs.Registry.Counter ctr) -> Obs.Counter.value ctr
+    | _ -> QCheck2.Test.fail_reportf "no counter series %s" key
+  in
+  let count key = int_of_float (counter key) in
+  let st = Engine.stats e in
+  let field name v key =
+    if v <> count key then
+      QCheck2.Test.fail_reportf "%s=%d but %s=%d" name v key (count key)
+  in
+  field "requests" st.Probe_stats.requests "measure.requests";
+  field "issued" st.Probe_stats.issued "measure.probes.sent";
+  field "lost" st.Probe_stats.lost "measure.probes.lost";
+  field "retried" st.Probe_stats.retried "measure.probes.retried";
+  field "failed" st.Probe_stats.failed "measure.probes.failed";
+  field "denied" st.Probe_stats.denied "measure.probes.denied";
+  field "down" st.Probe_stats.down "measure.probes.down";
+  field "unmeasured" st.Probe_stats.unmeasured "measure.probes.unmeasured";
+  field "hits" st.Probe_stats.hits "measure.cache.hits";
+  field "stale" st.Probe_stats.stale "measure.cache.stale";
+  field "misses" st.Probe_stats.misses "measure.cache.misses";
+  field "evicted" st.Probe_stats.evicted "measure.cache.evicted";
+  if st.Probe_stats.probe_ms <> counter "measure.probe_ms" then
+    QCheck2.Test.fail_reportf "probe_ms=%g but measure.probe_ms=%g"
+      st.Probe_stats.probe_ms (counter "measure.probe_ms");
+  let prefix = "measure.probes.sent{plane=" in
+  let plen = String.length prefix in
+  let sent_series =
+    List.filter_map
+      (fun (key, _) ->
+        if String.starts_with ~prefix key && count key > 0 then
+          Some (String.sub key plen (String.length key - plen - 1), count key)
+        else None)
+      series
+  in
+  if Probe_stats.labels st <> sent_series then
+    QCheck2.Test.fail_reportf "labels differ from the non-zero sent{plane} series";
+  List.iter
+    (fun plane ->
+      if (not (Array.mem (Some plane) c.planes)) && List.mem_assoc plane st.Probe_stats.per_label
+      then QCheck2.Test.fail_reportf "pinned plane %s listed" plane)
+    c.pinned;
+  let labelled = List.fold_left (fun acc (_, k) -> acc + k) 0 st.Probe_stats.per_label in
+  if (not (Array.mem None c.planes)) && labelled <> st.Probe_stats.issued then
+    QCheck2.Test.fail_reportf "sum per_label=%d but issued=%d" labelled
+      st.Probe_stats.issued;
+  true
+
+let test_stats_view_matches_registry =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| prop_seed |])
+    (QCheck2.Test.make ~count:60 ~name:"stats view = registry"
+       ~print:print_view_case gen_view_case stats_view_matches_registry)
+
 let () =
   Alcotest.run "measure-properties"
     [
@@ -1012,6 +1145,7 @@ let () =
           Alcotest.test_case "cache identities" `Quick test_engine_cache_accounting;
           Alcotest.test_case "no loss, one attempt" `Quick
             test_engine_no_loss_single_attempt;
+          test_stats_view_matches_registry;
         ] );
       ( "oracle-mode",
         [

@@ -355,7 +355,7 @@ let test_validation () =
           { Ring.node = 0; zone = 0; weight = 1. };
           { Ring.node = 1; zone = 1; weight = 1. };
         |]);
-  expect_invalid "threshold" "threshold" (fun () ->
+  expect_invalid "threshold" "Store.Policy.alert: threshold" (fun () ->
       Policy.alert ~threshold:0. (fun _ _ -> 1.))
 
 (* --- scenario determinism --- *)

@@ -268,7 +268,11 @@ let test_validate_config () =
   | exception Invalid_argument _ -> ());
   match Select.alert ~threshold:0. true_delay with
   | _ -> Alcotest.fail "non-positive alert threshold must be rejected"
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "message %S names its caller" msg)
+      true
+      (String.starts_with ~prefix:"Stream.Select.alert: threshold" msg)
 
 (* ------------------------------------------------------------------ *)
 (* Arbiter carve: a starved repair plane is denied, and counted        *)
