@@ -7,18 +7,15 @@
    alert threshold.  Companion to test/test_store_properties.ml and the
    committed BENCH_store.md. *)
 
-module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
 module Stats = Tivaware_util.Stats
 module Engine = Tivaware_measure.Engine
 module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
-module Probe_stats = Tivaware_measure.Probe_stats
-module System = Tivaware_vivaldi.System
 module Selectors = Tivaware_core.Selectors
 module Backend = Tivaware_backend.Delay_backend
-module Store_policy = Tivaware_store.Policy
+module Selection = Tivaware_tiv.Selection
 module Store_scenario = Tivaware_store.Scenario
 
 (* One policy arm, mirroring `tivlab store --loss 0.03 --churn
@@ -50,21 +47,15 @@ let arm ctx policy_kind =
     }
   in
   let engine = Backend.engine ~config:(config seed) backend in
-  let maintenance = ref None in
-  let predictor () =
-    let e = Backend.engine ~config:(config (seed + 1)) backend in
-    let system =
-      Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e
-    in
-    maintenance := Some e;
-    fun i j -> System.predicted system i j
+  let embed, maint_probes =
+    Selectors.maintenance_embedding ~config:(config (seed + 1)) backend
   in
   let policy =
     match policy_kind with
-    | `Naive -> Store_policy.naive ()
-    | `Vivaldi -> Store_policy.coordinate (predictor ())
-    | `Meridian -> Store_policy.probe ()
-    | `Alert -> Store_policy.alert (predictor ())
+    | `Naive -> Selection.cached ()
+    | `Vivaldi -> Selection.coordinate (embed ())
+    | `Meridian -> Selection.probe ()
+    | `Alert -> Selection.alert (embed ())
   in
   let sc =
     Store_scenario.create
@@ -72,12 +63,7 @@ let arm ctx policy_kind =
       ~policy ~backend ~engine ()
   in
   let result = Store_scenario.run sc in
-  let maint_probes =
-    match !maintenance with
-    | None -> 0
-    | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-  in
-  (result, maint_probes)
+  (result, maint_probes ())
 
 let store ctx =
   Report.section "store"
@@ -96,19 +82,14 @@ let store ctx =
           "maint probes"; "dead"; "handoffs"; "rehomed";
         ]
   in
-  let row kind =
+  let row name kind =
     let result, maint = arm ctx kind in
     let lat = result.Store_scenario.latencies in
     let completed = max 1 result.Store_scenario.completed in
     let p99 = Stats.percentile lat 99. in
     Table.add_row table
       [
-        Store_policy.name
-          (match kind with
-          | `Naive -> Store_policy.naive ()
-          | `Vivaldi -> Store_policy.coordinate (fun _ _ -> 0.)
-          | `Meridian -> Store_policy.probe ()
-          | `Alert -> Store_policy.alert (fun _ _ -> 0.));
+        name;
         string_of_int result.Store_scenario.completed;
         Printf.sprintf "%.1f" (Stats.mean lat);
         Printf.sprintf "%.1f" (Stats.percentile lat 50.);
@@ -123,10 +104,10 @@ let store ctx =
       ];
     (p99, result.Store_scenario.policy_probes)
   in
-  let naive_p99, _ = row `Naive in
-  let _ = row `Vivaldi in
-  let _, meridian_probes = row `Meridian in
-  let alert_p99, alert_probes = row `Alert in
+  let naive_p99, _ = row "naive" `Naive in
+  let _ = row "coordinate" `Vivaldi in
+  let _, meridian_probes = row "probe" `Meridian in
+  let alert_p99, alert_probes = row "alert" `Alert in
   Table.print table;
   Report.measured
     "p99 read latency %.1f ms alert vs %.1f ms naive; alert foreground \

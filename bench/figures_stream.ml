@@ -8,7 +8,6 @@
    and quarantines likely-shrunk edges.  Companion to
    test/test_stream.ml and the committed BENCH_stream.md. *)
 
-module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
 module Stats = Tivaware_util.Stats
 module Engine = Tivaware_measure.Engine
@@ -16,11 +15,10 @@ module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
 module Probe_stats = Tivaware_measure.Probe_stats
-module System = Tivaware_vivaldi.System
 module Selectors = Tivaware_core.Selectors
 module Backend = Tivaware_backend.Delay_backend
 module Multicast = Tivaware_overlay.Multicast
-module Select = Tivaware_stream.Select
+module Selection = Tivaware_tiv.Selection
 module Swarm = Tivaware_stream.Swarm
 
 (* One policy arm, mirroring `tivlab stream --churn --dynamics
@@ -52,18 +50,14 @@ let arm ctx policy_kind =
     }
   in
   let engine = Backend.engine ~config:(config seed) backend in
-  let maintenance = ref None in
-  let predictor () =
-    let e = Backend.engine ~config:(config (seed + 1)) backend in
-    let system = Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e in
-    maintenance := Some e;
-    fun i j -> System.predicted system i j
+  let embed, maint_probes =
+    Selectors.maintenance_embedding ~config:(config (seed + 1)) backend
   in
   let select =
     match policy_kind with
-    | `Naive -> Select.naive ~seed:(seed + 23)
-    | `Vivaldi -> Select.coordinate (predictor ())
-    | `Alert -> Select.alert (predictor ())
+    | `Naive -> Selection.random ~seed:(seed + 23)
+    | `Vivaldi -> Selection.coordinate (embed ())
+    | `Alert -> Selection.alert (embed ())
   in
   let sw =
     Swarm.create
@@ -76,12 +70,7 @@ let arm ctx policy_kind =
     Probe_stats.label_count stats "stream"
     + Probe_stats.label_count stats "stream_repair"
   in
-  let maint_probes =
-    match !maintenance with
-    | None -> 0
-    | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-  in
-  (select, result, fg_probes, maint_probes)
+  (result, fg_probes, maint_probes ())
 
 let stream ctx =
   Report.section "stream"
@@ -101,12 +90,12 @@ let stream ctx =
           "fg probes"; "maint probes";
         ]
   in
-  let row kind =
-    let select, r, fg, maint = arm ctx kind in
+  let row name kind =
+    let r, fg, maint = arm ctx kind in
     let st = r.Swarm.stretches in
     Table.add_row table
       [
-        Select.name select;
+        name;
         string_of_int r.Swarm.on_time;
         string_of_int r.Swarm.missed;
         Printf.sprintf "%.4f" r.Swarm.miss_rate;
@@ -121,9 +110,9 @@ let stream ctx =
       ];
     r
   in
-  let naive = row `Naive in
-  let vivaldi = row `Vivaldi in
-  let alert = row `Alert in
+  let naive = row "naive" `Naive in
+  let vivaldi = row "vivaldi" `Vivaldi in
+  let alert = row "alert" `Alert in
   Table.print table;
   Report.measured
     "chunk-miss rate %.4f alert vs %.4f naive (vivaldi %.4f); final \

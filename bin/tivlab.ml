@@ -55,9 +55,8 @@ module Overlay = Tivaware_meridian.Overlay
 module Query = Tivaware_meridian.Query
 module Multicast = Tivaware_overlay.Multicast
 module Store_ring = Tivaware_store.Ring
-module Store_policy = Tivaware_store.Policy
 module Store_scenario = Tivaware_store.Scenario
-module Stream_select = Tivaware_stream.Select
+module Selection = Tivaware_tiv.Selection
 module Stream_swarm = Tivaware_stream.Swarm
 
 (* ---------------------------------------------------------------- *)
@@ -67,7 +66,15 @@ let seed_arg =
   Arg.(value & opt int 2007 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
 let size_arg =
-  Arg.(value & opt int 400 & info [ "size"; "n" ] ~docv:"N" ~doc:"Node count.")
+  Arg.(
+    value & opt int 400
+    & info [ "size"; "n"; "nodes" ] ~docv:"N"
+        ~doc:"Node count.  With $(b,--backend lazy) this can exceed \
+              dense-matrix scale (e.g. 100000).")
+
+(* An enum converter that also hands back the flag value, so reports
+   print the name the user typed. *)
+let named_enum choices = Arg.enum (List.map (fun (n, v) -> (n, (n, v))) choices)
 
 let matrix_arg =
   Arg.(
@@ -365,14 +372,6 @@ let backend_kind_arg =
               matrix (the historical model); $(b,lazy) synthesizes each \
               queried pair on demand from a DS2 model, so memory stays \
               independent of the pair count.")
-
-let nodes_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "nodes" ] ~docv:"N"
-        ~doc:"Delay-space size for backend subcommands (0 = $(b,--size)). \
-              With $(b,--backend lazy) this can exceed dense-matrix scale \
-              (e.g. 100000).")
 
 let model_size_arg =
   Arg.(
@@ -775,28 +774,6 @@ let arbiter_carve meas ~flag ~share ~bg ~fg =
     end
     else None
 
-(* Coordinate-based policies embed through a separate maintenance
-   engine over the same backend (same measurement-plane options, seed
-   + 1), so the scenario engine's fault/churn streams stay identical
-   across policies and the embedding's probe bill is reported
-   separately.  Returns the embedding, to force only for policies that
-   need coordinates, and a reader of its probe bill (0 when nothing was
-   embedded). *)
-let maintenance_embedding backend ~labels meas ~seed =
-  let maintenance = ref None in
-  let embed () =
-    let e = make_backend_engine backend ~labels meas ~seed:(seed + 1) in
-    let sys = Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e in
-    maintenance := Some e;
-    System.predictor sys
-  in
-  let probes () =
-    match !maintenance with
-    | None -> 0
-    | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-  in
-  (embed, probes)
-
 (* ---------------------------------------------------------------- *)
 (* dht                                                               *)
 
@@ -927,7 +904,7 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
   write_metrics meas engine
 
 let dht_cmd =
-  let run matrix_file size seed kind nodes model_size memo lookups candidates
+  let run matrix_file nodes seed kind model_size memo lookups candidates
       pns stabilize_ms stab_keys zipf_s duration replicas stab_share
       fingers_per_round meas =
     let module Chord = Tivaware_dht.Chord in
@@ -936,7 +913,6 @@ let dht_cmd =
       arbiter_carve meas ~flag:"stabilize-share" ~share:stab_share
         ~bg:"chord_stabilize" ~fg:"dht"
     in
-    let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
     in
@@ -1067,7 +1043,7 @@ let dht_cmd =
     (Cmd.info "dht" ~doc:"Chord-like DHT lookups with proximity neighbor selection.")
     Term.(
       const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ nodes_arg $ model_size_arg $ memo_arg $ lookups $ candidates $ pns
+      $ model_size_arg $ memo_arg $ lookups $ candidates $ pns
       $ stabilize $ stab_keys $ zipf_s $ duration $ replicas $ stab_share
       $ fingers_per_round $ meas_term)
 
@@ -1075,10 +1051,9 @@ let dht_cmd =
 (* multicast                                                         *)
 
 let multicast_cmd =
-  let run matrix_file size seed kind nodes model_size memo max_degree refreshes
+  let run matrix_file nodes seed kind model_size memo max_degree refreshes
       tiv_aware measured meas =
     let module Multicast = Tivaware_overlay.Multicast in
-    let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
     in
@@ -1147,16 +1122,15 @@ let multicast_cmd =
     (Cmd.info "multicast" ~doc:"Build and score an overlay multicast tree.")
     Term.(
       const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ nodes_arg $ model_size_arg $ memo_arg $ max_degree $ refreshes
+      $ model_size_arg $ memo_arg $ max_degree $ refreshes
       $ tiv_aware $ measured $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* embed                                                             *)
 
 let embed_cmd =
-  let run matrix_file size seed kind nodes model_size memo rounds dim sample
+  let run matrix_file nodes seed kind model_size memo rounds dim sample
       meas =
-    let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
     in
@@ -1200,16 +1174,15 @@ let embed_cmd =
              scales to 100k+ nodes with flat memory).")
     Term.(
       const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ nodes_arg $ model_size_arg $ memo_arg $ rounds $ dim $ sample
+      $ model_size_arg $ memo_arg $ rounds $ dim $ sample
       $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* closest                                                           *)
 
 let closest_cmd =
-  let run matrix_file size seed kind nodes model_size memo count
+  let run matrix_file nodes seed kind model_size memo count
       candidate_budget beta queries meas =
-    let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
     in
@@ -1283,16 +1256,15 @@ let closest_cmd =
        ~doc:"Meridian closest-node search over a delay backend.")
     Term.(
       const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ nodes_arg $ model_size_arg $ memo_arg $ count $ candidate_budget
+      $ model_size_arg $ memo_arg $ count $ candidate_budget
       $ beta $ queries $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* tiv-scan                                                          *)
 
 let tiv_scan_cmd =
-  let run matrix_file size seed kind nodes model_size memo rounds pairs legs
+  let run matrix_file nodes seed kind model_size memo rounds pairs legs
       worst meas =
-    let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
     in
@@ -1349,7 +1321,7 @@ let tiv_scan_cmd =
        ~doc:"Sampled TIV alert evaluation over a delay backend.")
     Term.(
       const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ nodes_arg $ model_size_arg $ memo_arg $ rounds $ pairs $ legs $ worst
+      $ model_size_arg $ memo_arg $ rounds $ pairs $ legs $ worst
       $ meas_term)
 
 (* ---------------------------------------------------------------- *)
@@ -1438,14 +1410,13 @@ let metrics_diff_cmd =
 (* store: replica placement + read-path policy comparison            *)
 
 let store_cmd =
-  let run matrix_file size seed kind nodes model_size memo policy devices zones
-      part_power replicas objects zipf_s reads duration repair_ms repair_share
-      penalty meas =
+  let run matrix_file nodes seed kind model_size memo (policy_name, policy)
+      devices zones part_power replicas objects zipf_s reads duration repair_ms
+      repair_share penalty meas =
     let carve =
       arbiter_carve meas ~flag:"repair-share" ~share:repair_share
         ~bg:"store_repair" ~fg:"store"
     in
-    let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
     in
@@ -1469,13 +1440,17 @@ let store_cmd =
        prerr_endline ("tivlab: " ^ msg);
        exit 2);
     let engine = make_backend_engine backend ~labels meas ~seed in
-    let embed, maint_probes = maintenance_embedding backend ~labels meas ~seed in
+    let embed, maint_probes =
+      Selectors.maintenance_embedding
+        ~config:(make_engine_config ~labels meas ~seed:(seed + 1))
+        backend
+    in
     let pol =
       match policy with
-      | `Naive -> Store_policy.naive ()
-      | `Vivaldi -> Store_policy.coordinate (embed ())
-      | `Meridian -> Store_policy.probe ()
-      | `Alert -> Store_policy.alert (embed ())
+      | `Naive -> Selection.cached ()
+      | `Vivaldi -> Selection.coordinate (embed ())
+      | `Meridian -> Selection.probe ()
+      | `Alert -> Selection.alert (embed ())
     in
     let arbiter = carve (Backend.size backend) in
     let sc =
@@ -1489,7 +1464,7 @@ let store_cmd =
     Printf.printf
       "store: policy=%s backend=%s devices=%d zones=%d parts=%d replicas=%d \
        objects=%d zipf=%.2f\n"
-      (Store_policy.name pol) (Backend.kind_name backend) devices zones
+      policy_name (Backend.kind_name backend) devices zones
       (Store_ring.parts ring) replicas objects zipf_s;
     Printf.printf
       "store: reads issued=%d completed=%d failed=%d skipped=%d handoffs=%d \
@@ -1525,7 +1500,8 @@ let store_cmd =
         ("alert", `Alert) ]
     in
     Arg.(
-      value & opt (enum policies) `Alert
+      value
+      & opt (named_enum policies) ("alert", `Alert)
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:"Replica selection: $(b,naive) static proximity (probe once, \
                 trust forever), $(b,vivaldi) coordinate prediction, \
@@ -1602,7 +1578,7 @@ let store_cmd =
              replica-selection policies under churn and dynamics.")
     Term.(
       const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ nodes_arg $ model_size_arg $ memo_arg $ policy $ devices $ zones
+      $ model_size_arg $ memo_arg $ policy $ devices $ zones
       $ part_power $ replicas $ objects $ zipf_s $ reads $ duration
       $ repair_ms $ repair_share $ penalty $ meas_term)
 
@@ -1610,14 +1586,13 @@ let store_cmd =
 (* stream: P2P live streaming with pluggable neighbor selection      *)
 
 let stream_cmd =
-  let run matrix_file size seed kind nodes model_size memo policy members
-      chunk_ms deadline_ms buffer pull_ms repair_ms repair_share degree duration
-      meas =
+  let run matrix_file nodes seed kind model_size memo (policy_name, policy)
+      members chunk_ms deadline_ms buffer pull_ms repair_ms repair_share degree
+      duration meas =
     let carve =
       arbiter_carve meas ~flag:"repair-share" ~share:repair_share
         ~bg:"stream_repair" ~fg:"stream"
     in
-    let nodes = if nodes > 0 then nodes else size in
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
     in
@@ -1639,12 +1614,16 @@ let stream_cmd =
        prerr_endline ("tivlab: " ^ msg);
        exit 2);
     let engine = make_backend_engine backend ~labels meas ~seed in
-    let embed, maint_probes = maintenance_embedding backend ~labels meas ~seed in
+    let embed, maint_probes =
+      Selectors.maintenance_embedding
+        ~config:(make_engine_config ~labels meas ~seed:(seed + 1))
+        backend
+    in
     let select =
       match policy with
-      | `Naive -> Stream_select.naive ~seed:(seed + 23)
-      | `Vivaldi -> Stream_select.coordinate (embed ())
-      | `Alert -> Stream_select.alert (embed ())
+      | `Naive -> Selection.random ~seed:(seed + 23)
+      | `Vivaldi -> Selection.coordinate (embed ())
+      | `Alert -> Selection.alert (embed ())
     in
     let arbiter = carve (Backend.size backend) in
     let sw =
@@ -1657,7 +1636,7 @@ let stream_cmd =
     Printf.printf
       "stream: policy=%s backend=%s members=%d source=%d chunks=%d \
        chunk=%.0fms deadline=%.0fms degree=%d\n"
-      (Stream_select.name select) (Backend.kind_name backend) members
+      policy_name (Backend.kind_name backend) members
       (Stream_swarm.source sw) r.Stream_swarm.chunks chunk_ms deadline_ms degree;
     Printf.printf
       "stream: deadlines on_time=%d missed=%d down=%d miss_rate=%.4f\n"
@@ -1704,7 +1683,8 @@ let stream_cmd =
   let policy =
     let policies = [ ("naive", `Naive); ("vivaldi", `Vivaldi); ("alert", `Alert) ] in
     Arg.(
-      value & opt (enum policies) `Alert
+      value
+      & opt (named_enum policies) ("alert", `Alert)
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:"Neighbor selection: $(b,naive) seeded-random attachment, \
                 $(b,vivaldi) coordinate-ranked candidates, or $(b,alert) \
@@ -1779,7 +1759,7 @@ let stream_cmd =
              coordinate-based and TIV-alert-aware neighbor selection.")
     Term.(
       const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ nodes_arg $ model_size_arg $ memo_arg $ policy $ members $ chunk_ms
+      $ model_size_arg $ memo_arg $ policy $ members $ chunk_ms
       $ deadline_ms $ buffer $ pull_ms $ repair_ms $ repair_share $ degree
       $ duration $ meas_term)
 

@@ -7,6 +7,8 @@ module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
 module Tiv_aware = Tivaware_meridian.Tiv_aware
 module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
+module Probe_stats = Tivaware_measure.Probe_stats
 
 let default_rounds = 200
 
@@ -19,6 +21,23 @@ let embed_vivaldi_engine ?config ?(rounds = default_rounds) rng engine =
   let system = System.create_with_engine ?config rng engine in
   System.run system ~rounds;
   system
+
+(* No [Backend.attach_obs] here: the backend has one instrument slot,
+   and it belongs to the scenario engine's exported registry. *)
+let maintenance_embedding ~config backend =
+  let maintenance = ref None in
+  let embed () =
+    let e = Backend.engine ~config backend in
+    let sys = embed_vivaldi_engine (Rng.create config.Engine.seed) e in
+    maintenance := Some e;
+    System.predictor sys
+  in
+  let probes () =
+    match !maintenance with
+    | None -> 0
+    | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
+  in
+  (embed, probes)
 
 let normalize (i, j) = if i < j then (i, j) else (j, i)
 

@@ -23,6 +23,22 @@ val embed_vivaldi_engine :
 (** As {!embed_vivaldi}, but probing through a measurement-plane
     engine (loss/jitter/budget-aware embedding). *)
 
+val maintenance_embedding :
+  config:Tivaware_measure.Engine.config ->
+  Tivaware_backend.Delay_backend.t ->
+  (unit -> int -> int -> float) * (unit -> int)
+(** The coordinates a scenario's selection policy ranks by, embedded
+    through a separate maintenance engine over [backend] built from
+    [config] (scenarios use their own engine options with seed + 1), so
+    the scenario engine's fault and churn streams are the same for
+    every policy and the embedding's probes are billed apart.  Returns
+    [(embed, probes)]: [embed ()] runs {!embed_vivaldi_engine} (Vivaldi
+    seeded with [config.seed]) and returns its predictor — call it only
+    for policies that need coordinates; [probes ()] is the embedding's
+    ["vivaldi"] probe count, 0 when nothing was embedded.  The backend's
+    instruments are left attached where they were, so its queries keep
+    counting on the scenario engine's registry. *)
+
 val embed_vivaldi_filtered :
   ?config:Tivaware_vivaldi.System.config ->
   ?rounds:int ->

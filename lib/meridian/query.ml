@@ -327,20 +327,3 @@ let optimal overlay backend ~target =
         end
       end)
     None (Overlay.meridian_nodes overlay)
-
-(* Degenerate one-hop closest-search over an explicit candidate set:
-   what a Meridian-style proxy does when the candidates are known up
-   front (replica selection) rather than discovered by recursion.
-   Every candidate probes the target once; unmeasurable candidates
-   drop out; ties keep the first candidate in array order. *)
-let closest_among ?label engine ~target ~candidates =
-  let best = ref None in
-  Array.iter
-    (fun node ->
-      let d = Engine.rtt ?label engine node target in
-      if not (Float.is_nan d) then
-        match !best with
-        | Some (_, bd) when bd <= d -> ()
-        | _ -> best := Some (node, d))
-    candidates;
-  !best

@@ -125,14 +125,3 @@ val hop_edges : float array
 (** Bucket edges of the [meridian.query_hops] histogram (shared with
     the event-driven {!Online} driver so both record into the same
     series). *)
-
-val closest_among :
-  ?label:string ->
-  Tivaware_measure.Engine.t ->
-  target:int ->
-  candidates:int array ->
-  (int * float) option
-(** One-hop closest-search over an explicit candidate set (replica
-    selection): each candidate probes the target once through the
-    engine, and the measurably-closest candidate wins (first in array
-    order on ties).  [None] when every probe fails. *)

@@ -8,6 +8,7 @@ module Arbiter = Tivaware_measure.Arbiter
 module Backend = Tivaware_backend.Delay_backend
 module Sim = Tivaware_eventsim.Sim
 module Obs = Tivaware_obs
+module Selection = Tivaware_tiv.Selection
 
 type config = {
   devices : int;
@@ -74,7 +75,7 @@ let read_ms_edges =
 
 type t = {
   config : config;
-  policy : Policy.t;
+  policy : Selection.t;
   backend : Backend.t;
   engine : Engine.t;
   arbiter : Arbiter.t option;
@@ -245,16 +246,16 @@ let read t ~client ~obj =
     | [] -> handoff_walk ()
     | cands -> (
         match
-          Policy.select ~label:"store" t.policy ~engine:t.engine ~client
+          Selection.select ~label:"store" t.policy ~engine:t.engine ~client
             ~candidates:(Array.of_list cands)
         with
         | None -> handoff_walk ()
         | Some c -> (
-            probes := !probes + c.Policy.probes;
-            match try_serve c.Policy.device c.Policy.node with
-            | Some latency -> finish ~device:c.Policy.device latency false
+            probes := !probes + c.Selection.probes;
+            match try_serve c.Selection.device c.Selection.node with
+            | Some latency -> finish ~device:c.Selection.device latency false
             | None ->
-                remaining := List.filter (fun (id, _) -> id <> c.Policy.device) cands;
+                remaining := List.filter (fun (id, _) -> id <> c.Selection.device) cands;
                 policy_attempts ()))
   and handoff_walk () =
     let rec walk = function

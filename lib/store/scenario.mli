@@ -1,5 +1,5 @@
 (** The object-store read-path scenario: Zipf-popular GETs routed by a
-    proxy through a replica-selection {!Policy} over a {!Ring}, under
+    proxy through a {!Tivaware_tiv.Selection} policy over a {!Ring}, under
     churn and network dynamics, with a repair plane re-homing
     partitions away from dead devices.
 
@@ -48,7 +48,7 @@ type t
 val create :
   ?arbiter:Tivaware_measure.Arbiter.t ->
   config:config ->
-  policy:Policy.t ->
+  policy:Tivaware_tiv.Selection.t ->
   backend:Tivaware_backend.Delay_backend.t ->
   engine:Tivaware_measure.Engine.t ->
   unit ->
@@ -66,7 +66,7 @@ val create :
 
 val ring : t -> Ring.t
 val config : t -> config
-val policy : t -> Policy.t
+val policy : t -> Tivaware_tiv.Selection.t
 
 val serving : t -> int -> int array
 (** The device ids currently serving a partition — the ring assignment

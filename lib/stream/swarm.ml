@@ -8,6 +8,7 @@ module Backend = Tivaware_backend.Delay_backend
 module Sim = Tivaware_eventsim.Sim
 module Multicast = Tivaware_overlay.Multicast
 module Obs = Tivaware_obs
+module Selection = Tivaware_tiv.Selection
 
 type config = {
   members : int;
@@ -191,7 +192,7 @@ let create ?arbiter ~config ~select ~backend ~engine () =
   in
   let tree =
     Multicast.build ~config:mc_config ~label:"stream"
-      ~predict:(Select.predictor ~label:"stream" select engine)
+      ~predict:(Selection.rank ~label:"stream" select engine)
       engine ~join_order
   in
   let chunks =
@@ -209,7 +210,7 @@ let create ?arbiter ~config ~select ~backend ~engine () =
     chunks;
     recv = Array.init config.members (fun _ -> Array.make chunks nan);
     repair_rng = Rng.create ((config.seed * 0x9e37) + 0xb7);
-    repair_predict = Select.predictor ~label:"stream_repair" select engine;
+    repair_predict = Selection.rank ~label:"stream_repair" select engine;
     inst = make_instruments (Engine.obs engine);
     deliveries = 0;
     duplicates = 0;

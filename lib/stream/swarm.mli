@@ -3,14 +3,15 @@
     rather than a protocol metric.
 
     A seeded source emits fixed-rate chunks with playback deadlines
-    into a dissemination tree built over
-    {!Tivaware_overlay.Multicast} with a pluggable {!Select} policy.
-    Members hold bounded chunk buffers; chunks are pushed down the
-    tree paying the real link delay (backend base delay plus whatever
-    the dynamics plane currently imposes), and gaps are recovered by a
-    periodic have-map/pull exchange with the parent whose control
-    round-trip is a probe through the {!Tivaware_measure.Engine} (so
-    loss, budgets and churn tax recovery like any other measurement).
+    into a dissemination tree built over {!Tivaware_overlay.Multicast},
+    whose [?predict] hook is the {!Tivaware_tiv.Selection.rank} of the
+    swarm's policy.  Members hold bounded chunk buffers; chunks are
+    pushed down the tree paying the real link delay (backend base delay
+    plus whatever the dynamics plane currently imposes), and gaps are
+    recovered by a periodic have-map/pull exchange with the parent
+    whose control round-trip is a probe through the
+    {!Tivaware_measure.Engine} (so loss, budgets and churn tax recovery
+    like any other measurement).
     Churn-driven re-neighboring runs through a [stream_repair] plane
     gated by an optional {!Tivaware_measure.Arbiter} carve.
 
@@ -43,7 +44,7 @@ type t
 val create :
   ?arbiter:Tivaware_measure.Arbiter.t ->
   config:config ->
-  select:Select.t ->
+  select:Tivaware_tiv.Selection.t ->
   backend:Tivaware_backend.Delay_backend.t ->
   engine:Tivaware_measure.Engine.t ->
   unit ->

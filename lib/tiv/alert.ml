@@ -33,15 +33,7 @@ let alerted ~ratios ~threshold =
 let is_alert ~ratios ~threshold i j =
   Matrix.known ratios i j && Matrix.get ratios i j <= threshold
 
-let default_threshold = 0.5
-
-let validate_threshold who threshold =
-  if not (Float.is_finite threshold) || threshold <= 0. then
-    invalid_arg
-      (Printf.sprintf "%s: threshold must be positive and finite (got %g)" who
-         threshold)
-
-(* Per-pair alert check: the replica-selection building block.  Unlike
+(* Per-pair alert check: the building block of Selection.  Unlike
    [ratio_matrix_engine] it needs no dense matrix — one verification
    probe per call, so it works over lazy delay backends too. *)
 let alert_pair ?(label = "alert") ~engine ~predicted ~threshold i j =

@@ -41,16 +41,6 @@ val is_alert :
   ratios:Tivaware_delay_space.Matrix.t -> threshold:float -> int -> int -> bool
 (** [false] when the edge or its ratio is missing. *)
 
-val default_threshold : float
-(** 0.5 — the selection policies' {!alert_pair} threshold: an edge
-    measured at more than twice its predicted distance is flagged as
-    likely-severe. *)
-
-val validate_threshold : string -> float -> unit
-(** [validate_threshold who threshold] raises [Invalid_argument],
-    prefixed with [who] (the caller's name), unless [threshold] is
-    positive and finite. *)
-
 val alert_pair :
   ?label:string ->
   engine:Tivaware_measure.Engine.t ->
@@ -65,4 +55,4 @@ val alert_pair :
     [predicted /. measured] is [<= threshold] (a likely-severe shrunk
     edge) and [`Clean] otherwise.  A missing prediction ([nan]) cannot
     raise an alert.  Works over any backend — the per-pair counterpart
-    of {!ratio_matrix_engine} for selection loops. *)
+    of {!ratio_matrix_engine} for {!Selection}. *)

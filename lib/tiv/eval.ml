@@ -9,6 +9,17 @@ type point = {
 
 let default_thresholds = List.init 10 (fun i -> 0.1 *. float_of_int (i + 1))
 
+(* Alert quality at one threshold from its counts; an empty alert set
+   (or an empty worst set) scores a vacuous 1. *)
+let point ~threshold ~alerts ~hits ~worst =
+  {
+    threshold;
+    alerts;
+    accuracy =
+      (if alerts = 0 then 1. else float_of_int hits /. float_of_int alerts);
+    recall = (if worst = 0 then 1. else float_of_int hits /. float_of_int worst);
+  }
+
 let evaluate ~ratios ~severity ~worst_fraction ~thresholds =
   let worst = Severity.worst_edges severity ~fraction:worst_fraction in
   let worst_set = Hashtbl.create (Array.length worst) in
@@ -22,17 +33,7 @@ let evaluate ~ratios ~severity ~worst_fraction ~thresholds =
           (fun acc e -> if Hashtbl.mem worst_set e then acc + 1 else acc)
           0 alerts
       in
-      let n_alerts = Array.length alerts in
-      {
-        threshold;
-        alerts = n_alerts;
-        accuracy =
-          (if n_alerts = 0 then 1.
-           else float_of_int hits /. float_of_int n_alerts);
-        recall =
-          (if worst_count = 0 then 1.
-           else float_of_int hits /. float_of_int worst_count);
-      })
+      point ~threshold ~alerts:(Array.length alerts) ~hits ~worst:worst_count)
     thresholds
 
 let f1 p =
@@ -156,16 +157,7 @@ let evaluate_sampled ~engine ~predicted ~pairs ~legs ~worst_fraction
               if worst.(k) then incr hits
             end)
           samples;
-        {
-          threshold;
-          alerts = !alerts;
-          accuracy =
-            (if !alerts = 0 then 1.
-             else float_of_int !hits /. float_of_int !alerts);
-          recall =
-            (if worst_count = 0 then 1.
-             else float_of_int !hits /. float_of_int worst_count);
-        })
+        point ~threshold ~alerts:!alerts ~hits:!hits ~worst:worst_count)
       thresholds
   in
   record_obs engine points;

@@ -38,7 +38,7 @@ module Chord = Tivaware_dht.Chord
 module Multicast = Tivaware_overlay.Multicast
 module Backend = Tivaware_backend.Delay_backend
 module Store_ring = Tivaware_store.Ring
-module Store_policy = Tivaware_store.Policy
+module Selection = Tivaware_tiv.Selection
 module Store_scenario = Tivaware_store.Scenario
 
 let n = 80
@@ -491,7 +491,7 @@ let store () =
       in
       let system = Selectors.embed_vivaldi (Rng.create 163) m in
       let policy =
-        Store_policy.alert (fun i j -> System.predicted system i j)
+        Selection.alert (fun i j -> System.predicted system i j)
       in
       let config =
         {

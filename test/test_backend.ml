@@ -14,7 +14,7 @@ module Engine = Tivaware_measure.Engine
 module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Store_ring = Tivaware_store.Ring
-module Store_policy = Tivaware_store.Policy
+module Selection = Tivaware_tiv.Selection
 module Scenario = Tivaware_store.Scenario
 module System = Tivaware_vivaldi.System
 module Ring = Tivaware_meridian.Ring
@@ -580,9 +580,9 @@ let test_equiv_store () =
     Alcotest.(check bool) "repair traces equal" true (rl = rd);
     Alcotest.(check bool) "results equal" true (resl = resd)
   in
-  arm (fun _ -> Store_policy.naive ());
+  arm (fun _ -> Selection.cached ());
   arm (fun backend ->
-      Store_policy.alert (fun i j -> 0.9 *. Backend.query backend i j))
+      Selection.alert (fun i j -> 0.9 *. Backend.query backend i j))
 
 let () =
   Alcotest.run "backend"

@@ -19,7 +19,9 @@
    - Policies: under a triangle-inequality delay space with an exact
      predictor, all four policies pick the same replica; the
      alert-aware policy never picks a flagged (likely-TIV) replica
-     while a clean one is available.
+     while a clean one is available; [select] is the first strict
+     argmin of [rank] (alert: the first clean candidate in predicted
+     order), and a choice's [probes] equals the engine calls it made.
    - Validation: bad workload parameters raise [Invalid_argument]
      naming the offending field.
 
@@ -31,12 +33,14 @@ module Zipf = Tivaware_util.Zipf
 module Matrix = Tivaware_delay_space.Matrix
 module Euclidean = Tivaware_topology.Euclidean
 module Engine = Tivaware_measure.Engine
+module Probe_stats = Tivaware_measure.Probe_stats
 module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
 module Backend = Tivaware_backend.Delay_backend
 module Ring = Tivaware_store.Ring
-module Policy = Tivaware_store.Policy
+module Alert = Tivaware_tiv.Alert
+module Selection = Tivaware_tiv.Selection
 module Scenario = Tivaware_store.Scenario
 
 let prop_seed =
@@ -237,21 +241,21 @@ let test_policies_agree_under_ti =
       let candidates = Array.init k (fun i -> (i, nodes.(i + 1))) in
       let predicted i j = Matrix.get m i j in
       let pick policy =
-        Policy.select policy ~engine:(oracle_engine m) ~client ~candidates
+        Selection.select ~label:"store" policy ~engine:(oracle_engine m) ~client ~candidates
       in
       let choices =
         [
-          pick (Policy.naive ());
-          pick (Policy.coordinate predicted);
-          pick (Policy.probe ());
-          pick (Policy.alert predicted);
+          pick (Selection.cached ());
+          pick (Selection.coordinate predicted);
+          pick (Selection.probe ());
+          pick (Selection.alert predicted);
         ]
       in
       match choices with
       | Some a :: rest ->
           List.for_all
             (function
-              | Some c -> c.Policy.device = a.Policy.device && c.Policy.node = a.Policy.node
+              | Some c -> c.Selection.device = a.Selection.device && c.Selection.node = a.Selection.node
               | None -> false)
             rest
       | _ -> false)
@@ -290,9 +294,9 @@ let test_alert_skips_flagged =
       let engine = Backend.engine backend in
       let candidates = Array.init k (fun i -> (i, i + 1)) in
       match
-        Policy.select (Policy.alert predicted) ~engine ~client:0 ~candidates
+        Selection.select ~label:"store" (Selection.alert predicted) ~engine ~client:0 ~candidates
       with
-      | Some c -> (not flagged.(c.Policy.device)) && c.Policy.skipped_flagged >= 1
+      | Some c -> (not flagged.(c.Selection.device)) && c.Selection.skipped_flagged >= 1
       | None -> false)
 
 let test_alert_all_flagged_picks_best_measured () =
@@ -303,11 +307,138 @@ let test_alert_all_flagged_picks_best_measured () =
   let predicted i j = if min i j = 0 then delays.(max i j) *. 0.1 else nan in
   let engine = Backend.engine backend in
   let candidates = [| (0, 1); (1, 2); (2, 3) |] in
-  match Policy.select (Policy.alert predicted) ~engine ~client:0 ~candidates with
+  match Selection.select ~label:"store" (Selection.alert predicted) ~engine ~client:0 ~candidates with
   | Some c ->
-      checki "falls back to the best measured flagged replica" 1 c.Policy.device;
-      checki "every candidate was flagged" 3 c.Policy.skipped_flagged
+      checki "falls back to the best measured flagged replica" 1 c.Selection.device;
+      checki "every candidate was flagged" 3 c.Selection.skipped_flagged
   | None -> Alcotest.fail "expected a fallback choice"
+
+(* [rank] and [select] are one policy seen two ways.  Twin engines
+   (same config, same seed) replay identical probe outcomes for
+   identical call sequences, so [select] on one twin is checked against
+   [rank] on the other.  Candidates repeat nodes (measurement ties),
+   predictions are coarse (ties) or missing (nan), and the lossy twin
+   loses, retries and churns. *)
+
+let lossy_config seed =
+  {
+    Engine.fault = { Fault.default with Fault.loss = 0.3; retries = 1 };
+    profile = None;
+    churn = Some { Churn.fraction = 0.3; mean_up = 20.; mean_down = 10.; seed = seed + 1 };
+    dynamics = None;
+    budget = None;
+    cache_ttl = None;
+    cache_capacity = None;
+    charge_time = true;
+    seed;
+  }
+
+let first_strict_argmin estimates candidates =
+  let best = ref None in
+  Array.iteri
+    (fun k (device, node) ->
+      let e = estimates.(k) in
+      if not (Float.is_nan e) then
+        match !best with
+        | Some (_, _, be) when be <= e -> ()
+        | _ -> best := Some (device, node, e))
+    candidates;
+  !best
+
+let test_rank_select_agree =
+  qcheck ~count:100 ~name:"select agrees with rank (alert: first clean in predicted order)"
+    QCheck2.Gen.(triple (int_range 0 9999) (int_range 0 8) bool)
+    (fun (salt, k, lossy) ->
+      let m = Lazy.force ti_matrix in
+      let n = Matrix.size m in
+      let r = Rng.create ((prop_seed * 7_919) + salt) in
+      let client = Rng.int r n in
+      let candidates = Array.init k (fun device -> (device, Rng.int r n)) in
+      let pred =
+        Array.init n (fun _ ->
+            if Rng.int r 4 = 0 then nan else float_of_int (10 * (1 + Rng.int r 4)))
+      in
+      let predicted _ j = pred.(j) in
+      let twin () =
+        if lossy then Engine.of_matrix ~config:(lossy_config (1 + salt)) m
+        else Engine.of_matrix m
+      in
+      let requests e = (Engine.stats e).Probe_stats.requests in
+      let label = "store" in
+      let agrees make =
+        let a = twin () and b = twin () in
+        let pa = make () and pb = make () in
+        (* Two rounds: the second sees whatever the first cached. *)
+        List.for_all
+          (fun () ->
+            let a0 = requests a and b0 = requests b in
+            let got = Selection.select ~label pa ~engine:a ~client ~candidates in
+            let rank = Selection.rank ~label pb b in
+            let want =
+              first_strict_argmin
+                (Array.map (fun (_, node) -> rank client node) candidates)
+                candidates
+            in
+            let probes = requests a - a0 in
+            probes = requests b - b0
+            &&
+            match (got, want) with
+            | None, None -> true
+            | Some c, Some (device, node, e) ->
+                c.Selection.device = device && c.Selection.node = node
+                && c.Selection.estimate = e && c.Selection.probes = probes
+                && c.Selection.skipped_flagged = 0
+            | _ -> false)
+          [ (); () ]
+      in
+      let alert_first_clean () =
+        let a = twin () and b = twin () in
+        let a0 = requests a in
+        let got =
+          Selection.select ~label (Selection.alert predicted) ~engine:a ~client
+            ~candidates
+        in
+        let probes = requests a - a0 in
+        let order =
+          List.stable_sort
+            (fun x y ->
+              match (Float.is_nan pred.(snd candidates.(x)), Float.is_nan pred.(snd candidates.(y))) with
+              | true, true -> 0
+              | true, false -> 1
+              | false, true -> -1
+              | false, false -> compare pred.(snd candidates.(x)) pred.(snd candidates.(y)))
+            (List.init k Fun.id)
+        in
+        let rec walk walked flagged = function
+          | [] -> `No_clean (walked, flagged)
+          | idx :: rest -> (
+              let device, node = candidates.(idx) in
+              match
+                Alert.alert_pair ~label ~engine:b ~predicted
+                  ~threshold:Selection.default_threshold client node
+              with
+              | `Clean d -> `Clean ((device, node, d), walked + 1, flagged)
+              | `Flagged _ -> walk (walked + 1) (flagged + 1) rest
+              | `Unmeasurable -> walk (walked + 1) flagged rest)
+        in
+        match (walk 0 0 order, got) with
+        | `Clean ((device, node, d), walked, flagged), Some c ->
+            c.Selection.device = device && c.Selection.node = node
+            && c.Selection.estimate = d && c.Selection.probes = walked
+            && probes = walked && c.Selection.skipped_flagged = flagged
+        | `Clean _, None -> false
+        | `No_clean (walked, flagged), c -> (
+            probes = walked
+            &&
+            match c with
+            | None -> flagged = 0
+            | Some c -> c.Selection.probes = walked && c.Selection.skipped_flagged = flagged)
+      in
+      agrees Selection.cached
+      && agrees (fun () -> Selection.random ~seed:salt)
+      && agrees (fun () -> Selection.coordinate predicted)
+      && agrees Selection.probe
+      && alert_first_clean ())
 
 (* --- validation --- *)
 
@@ -355,8 +486,8 @@ let test_validation () =
           { Ring.node = 0; zone = 0; weight = 1. };
           { Ring.node = 1; zone = 1; weight = 1. };
         |]);
-  expect_invalid "threshold" "Store.Policy.alert: threshold" (fun () ->
-      Policy.alert ~threshold:0. (fun _ _ -> 1.))
+  expect_invalid "threshold" "Selection.alert: threshold" (fun () ->
+      Selection.alert ~threshold:0. (fun _ _ -> 1.))
 
 (* --- scenario determinism --- *)
 
@@ -396,7 +527,7 @@ let run_scenario seed =
     }
   in
   let sc =
-    Scenario.create ~config ~policy:(Policy.naive ()) ~backend ~engine ()
+    Scenario.create ~config ~policy:(Selection.cached ()) ~backend ~engine ()
   in
   Scenario.run sc
 
@@ -432,6 +563,7 @@ let () =
           test_alert_skips_flagged;
           Alcotest.test_case "alert all-flagged fallback" `Quick
             test_alert_all_flagged_picks_best_measured;
+          test_rank_select_agree;
         ] );
       ( "validation",
         [ Alcotest.test_case "invalid params name the field" `Quick test_validation ] );

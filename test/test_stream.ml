@@ -37,7 +37,7 @@ module Arbiter = Tivaware_measure.Arbiter
 module Probe_stats = Tivaware_measure.Probe_stats
 module Obs = Tivaware_obs
 module Multicast = Tivaware_overlay.Multicast
-module Select = Tivaware_stream.Select
+module Selection = Tivaware_tiv.Selection
 module Swarm = Tivaware_stream.Swarm
 
 let prop_seed =
@@ -88,7 +88,7 @@ let test_no_churn_full_delivery () =
   let engine = make_engine ~seed:(100 + prop_seed) () in
   let sw =
     Swarm.create ~config:small_config
-      ~select:(Select.coordinate true_delay)
+      ~select:(Selection.coordinate true_delay)
       ~backend:(Lazy.force backend) ~engine ()
   in
   let r = Swarm.run sw in
@@ -135,7 +135,7 @@ let churny_run () =
   let sw =
     Swarm.create
       ~config:{ small_config with Swarm.seed = 16 + prop_seed }
-      ~select:(Select.alert true_delay)
+      ~select:(Selection.alert true_delay)
       ~backend:(Lazy.force backend) ~engine ()
   in
   (Swarm.run sw, engine)
@@ -205,8 +205,8 @@ let run_policy ?churn ?(config = small_config) select =
 let test_locality_ordering () =
   (* Churn-free: the trees are a pure function of the policy, so the
      edge comparison is exact, not statistical. *)
-  let naive = run_policy (Select.naive ~seed:(16 + prop_seed)) in
-  let alert = run_policy (Select.alert true_delay) in
+  let naive = run_policy (Selection.random ~seed:(16 + prop_seed)) in
+  let alert = run_policy (Selection.alert true_delay) in
   checkb "alert tree edges shorter than naive's" true
     (alert.Swarm.tree_metrics.Multicast.mean_edge_ms
     < naive.Swarm.tree_metrics.Multicast.mean_edge_ms);
@@ -216,8 +216,8 @@ let test_locality_ordering () =
      random edges overrun where the alert tree's verified short edges
      fit. *)
   let tight = { small_config with Swarm.deadline_ms = 120. } in
-  let naive_t = run_policy ~config:tight (Select.naive ~seed:(16 + prop_seed)) in
-  let alert_t = run_policy ~config:tight (Select.alert true_delay) in
+  let naive_t = run_policy ~config:tight (Selection.random ~seed:(16 + prop_seed)) in
+  let alert_t = run_policy ~config:tight (Selection.alert true_delay) in
   checkb
     (Printf.sprintf
        "alert misses fewer tight deadlines (%d) than naive (%d)"
@@ -228,8 +228,8 @@ let test_locality_ordering () =
      skirmish can flip a sub-1% difference — so the guard is one-sided
      with slack: alert must never lose badly. *)
   let churn = stream_churn (2 + prop_seed) in
-  let naive_c = run_policy ~churn (Select.naive ~seed:(16 + prop_seed)) in
-  let alert_c = run_policy ~churn (Select.alert true_delay) in
+  let naive_c = run_policy ~churn (Selection.random ~seed:(16 + prop_seed)) in
+  let alert_c = run_policy ~churn (Selection.alert true_delay) in
   checkb
     (Printf.sprintf "alert miss rate (%.4f) within slack of naive's (%.4f)"
        alert_c.Swarm.miss_rate naive_c.Swarm.miss_rate)
@@ -259,20 +259,20 @@ let test_validate_config () =
   (match
      Swarm.create
        ~config:{ Swarm.default_config with Swarm.members = n + 1 }
-       ~select:(Select.naive ~seed:1)
+       ~select:(Selection.random ~seed:1)
        ~backend:(Lazy.force backend)
        ~engine:(make_engine ~seed:3 ())
        ()
    with
   | _ -> Alcotest.fail "members > delay-space nodes must be rejected"
   | exception Invalid_argument _ -> ());
-  match Select.alert ~threshold:0. true_delay with
+  match Selection.alert ~threshold:0. true_delay with
   | _ -> Alcotest.fail "non-positive alert threshold must be rejected"
   | exception Invalid_argument msg ->
     Alcotest.(check bool)
       (Printf.sprintf "message %S names its caller" msg)
       true
-      (String.starts_with ~prefix:"Stream.Select.alert: threshold" msg)
+      (String.starts_with ~prefix:"Selection.alert: threshold" msg)
 
 (* ------------------------------------------------------------------ *)
 (* Arbiter carve: a starved repair plane is denied, and counted        *)
@@ -288,7 +288,7 @@ let test_arbiter_starves_repair () =
   let engine = make_engine ~churn:(stream_churn (3 + prop_seed)) ~seed:4 () in
   let sw =
     Swarm.create ~arbiter ~config:small_config
-      ~select:(Select.naive ~seed:16)
+      ~select:(Selection.random ~seed:16)
       ~backend:(Lazy.force backend) ~engine ()
   in
   let r = Swarm.run sw in
