@@ -96,13 +96,29 @@ let preset_arg =
         ~doc:"Data-set preset: $(b,ds2), $(b,meridian), $(b,p2psim) or \
               $(b,planetlab).")
 
+(* Bad caller input raises [Invalid_argument] naming the field; report
+   it as a usage error instead of an uncaught exception. *)
+let or_usage_error f =
+  try f ()
+  with Invalid_argument msg ->
+    prerr_endline ("tivlab: " ^ msg);
+    exit 2
+
+(* A malformed matrix file is a usage error naming the file. *)
+let load_matrix path =
+  try Io.load path
+  with Failure msg ->
+    prerr_endline (Printf.sprintf "tivlab: %s: %s" path msg);
+    exit 2
+
 (* Returns the matrix plus lazy cluster labels ([-1] = noise) for
    topology-derived fault profiles: ground truth when generating,
    DS2-style clustering when loading a measured matrix. *)
 let load_or_generate matrix_file size seed =
+  or_usage_error @@ fun () ->
   match matrix_file with
   | Some path ->
-    let m = Io.load path in
+    let m = load_matrix path in
     (m, lazy (Clustering.cluster m).Clustering.label)
   | None ->
     let data = Datasets.generate ~size ~seed Datasets.Ds2 in
@@ -326,14 +342,6 @@ let make_engine_config ?(labels = lazy [||]) opts ~seed =
   in
   config
 
-(* Bad caller input raises [Invalid_argument] naming the field; report
-   it as a usage error instead of an uncaught exception. *)
-let or_usage_error f =
-  try f ()
-  with Invalid_argument msg ->
-    prerr_endline ("tivlab: " ^ msg);
-    exit 2
-
 let make_engine m ?labels opts ~seed =
   let config = make_engine_config ?labels opts ~seed in
   or_usage_error (fun () -> Engine.of_matrix ~config m)
@@ -396,18 +404,14 @@ let memo_arg =
    it. *)
 let make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed =
   let memo = if memo <= 0 then None else Some memo in
+  or_usage_error @@ fun () ->
   match kind with
   | `Dense ->
     let m, labels = load_or_generate matrix_file nodes seed in
     (Backend.dense m, labels)
   | `Lazy ->
     let source, _ = load_or_generate matrix_file model_size seed in
-    let model =
-      try Synthesizer.analyze source
-      with Invalid_argument msg ->
-        prerr_endline ("tivlab: " ^ msg);
-        exit 2
-    in
+    let model = Synthesizer.analyze source in
     let backend = Backend.lazy_synth ?memo ~seed ~size:nodes model in
     let labels = lazy (Option.get (Backend.labels backend)) in
     (backend, labels)
@@ -447,7 +451,7 @@ let print_backend_summary backend engine =
 
 let gen_cmd =
   let run preset size seed output =
-    let data = Datasets.generate ~size ~seed preset in
+    let data = or_usage_error (fun () -> Datasets.generate ~size ~seed preset) in
     Io.save data.Generator.matrix output;
     Printf.printf "wrote %s (%s, %d nodes, %d edges)\n" output
       (Datasets.name ~size preset) size
@@ -636,7 +640,7 @@ let import_cmd =
 let repair_cmd =
   let run input output min_degree clamp fill =
     let module Repair = Tivaware_delay_space.Repair in
-    let m = Io.load input in
+    let m = load_matrix input in
     Printf.printf "loaded %d nodes, %d missing entries\n" (Matrix.size m)
       (Repair.missing_count m);
     let m, mapping = Repair.drop_low_degree m ~min_degree in
@@ -720,7 +724,7 @@ let alert_cmd =
 let synthesize_cmd =
   let run input output size seed jitter =
     let module Synthesizer = Tivaware_topology.Synthesizer in
-    let source = Io.load input in
+    let source = load_matrix input in
     let model = Synthesizer.analyze source in
     Printf.printf "model: %d source nodes, cluster shares [%s], %.1f%% missing\n"
       (Synthesizer.source_size model)
@@ -826,10 +830,8 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
     { Chord.Stabilizer.default_config with Chord.Stabilizer.interval; fingers_per_round }
   in
   let stab =
-    try Chord.Stabilizer.create ~config ?arbiter ~store overlay engine
-    with Invalid_argument msg ->
-      prerr_endline ("tivlab: " ^ msg);
-      exit 2
+    or_usage_error (fun () ->
+        Chord.Stabilizer.create ~config ?arbiter ~store overlay engine)
   in
   let sim = Sim.create () in
   Chord.Stabilizer.schedule stab sim;
@@ -1435,10 +1437,8 @@ let store_cmd =
         seed = seed + 17;
       }
     in
-    (try Store_scenario.validate_config "tivlab store" config
-     with Invalid_argument msg ->
-       prerr_endline ("tivlab: " ^ msg);
-       exit 2);
+    or_usage_error (fun () ->
+        Store_scenario.validate_config "tivlab store" config);
     let engine = make_backend_engine backend ~labels meas ~seed in
     let embed, maint_probes =
       Selectors.maintenance_embedding
@@ -1454,10 +1454,8 @@ let store_cmd =
     in
     let arbiter = carve (Backend.size backend) in
     let sc =
-      try Store_scenario.create ?arbiter ~config ~policy:pol ~backend ~engine ()
-      with Invalid_argument msg ->
-        prerr_endline ("tivlab: " ^ msg);
-        exit 2
+      or_usage_error (fun () ->
+          Store_scenario.create ?arbiter ~config ~policy:pol ~backend ~engine ())
     in
     let ring = Store_scenario.ring sc in
     let r = Store_scenario.run sc in
@@ -1609,10 +1607,8 @@ let stream_cmd =
         seed = seed + 23;
       }
     in
-    (try Stream_swarm.validate_config "tivlab stream" config
-     with Invalid_argument msg ->
-       prerr_endline ("tivlab: " ^ msg);
-       exit 2);
+    or_usage_error (fun () ->
+        Stream_swarm.validate_config "tivlab stream" config);
     let engine = make_backend_engine backend ~labels meas ~seed in
     let embed, maint_probes =
       Selectors.maintenance_embedding
@@ -1627,10 +1623,8 @@ let stream_cmd =
     in
     let arbiter = carve (Backend.size backend) in
     let sw =
-      try Stream_swarm.create ?arbiter ~config ~select ~backend ~engine ()
-      with Invalid_argument msg ->
-        prerr_endline ("tivlab: " ^ msg);
-        exit 2
+      or_usage_error (fun () ->
+          Stream_swarm.create ?arbiter ~config ~select ~backend ~engine ())
     in
     let r = Stream_swarm.run sw in
     Printf.printf

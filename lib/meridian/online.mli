@@ -22,9 +22,15 @@
     the ground-truth RTT, and with faults configured it costs what the
     measurement plane charges.
 
-    The recursion, acceptance window, termination rule and answer are
-    identical to {!Query.closest} — property tests assert this — so the
-    module adds {e timing}, not different semantics. *)
+    The module adds {e timing}, not different semantics: it drives
+    {!Query}'s walk ({!Query.arrive}, {!Query.probe}, {!Query.step},
+    {!Query.finish}), so the recursion, acceptance window, termination
+    rule, hop decision (ring-member order, delay ties included), answer
+    and registry accounting are {!Query.closest}'s by construction.
+    Every eligible member, visited ones included, still gets its
+    request and report.  The qcheck property "online matches offline
+    query" ([test/test_meridian.ml]) checks the identity on generated
+    overlays with tied and continuous delays. *)
 
 type outcome = {
   query : Query.outcome;  (** the logical result (same as offline) *)

@@ -16,48 +16,6 @@ type outcome = {
 type fallback =
   current:int -> target:int -> measured:float -> Overlay.member list
 
-type probe_state = {
-  engine : Engine.t;
-  target : int;
-  probe_cache : (int, float) Hashtbl.t;
-  mutable probes : int;
-  mutable best : int;
-  mutable best_delay : float;
-}
-
-let make_probe_state engine ~target =
-  {
-    engine;
-    target;
-    probe_cache = Hashtbl.create 64;
-    probes = 0;
-    best = -1;
-    best_delay = infinity;
-  }
-
-let probe_cached st node = Hashtbl.mem st.probe_cache node
-let probe_count st = st.probes
-let best_seen st = (st.best, st.best_delay)
-
-(* One online probe: node measures its delay to the target through the
-   measurement plane.  Cached per query; [nan] marks a pair that is
-   unmeasurable — or whose probe was lost, denied or timed out, in
-   which case the node stays unusable for the rest of this query. *)
-let probe_timed st node =
-  match Hashtbl.find_opt st.probe_cache node with
-  | Some d -> (d, 0.)
-  | None ->
-    let d, cost = Engine.rtt_timed ~label:"meridian" st.engine node st.target in
-    st.probes <- st.probes + 1;
-    Hashtbl.replace st.probe_cache node d;
-    if (not (Float.is_nan d)) && d < st.best_delay then begin
-      st.best <- node;
-      st.best_delay <- d
-    end;
-    (d, cost)
-
-let probe st node = fst (probe_timed st node)
-
 let hop_edges = [| 0.; 1.; 2.; 3.; 4.; 6.; 8.; 12.; 16. |]
 let probe_count_edges = [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200. |]
 
@@ -85,12 +43,102 @@ let record_query engine outcome =
   end;
   outcome
 
+
+(* ------------------------------------------------------------------ *)
+(* The walk core: one query's state and its one hop rule.  Every driver
+   — the synchronous {!closest} and {!closest_multi}, and the
+   event-driven {!Online.closest} — sequences [arrive], [probe] and the
+   hop decision; only when the measurements happen differs. *)
+
+(* What a walk measures: the delay to one target, or the max-norm delay
+   to a target set (one probe per (node, target) pair; a node's own
+   entry in the set is skipped). *)
+type goal = Target of int | Max_norm of int list
+
+type walk = {
+  overlay : Overlay.t;
+  engine : Engine.t;
+  goal : goal;
+  termination : termination;
+  cache : (int, float) Hashtbl.t;
+  visited : (int, unit) Hashtbl.t;
+  mutable probes : int;
+  mutable best : int;
+  mutable best_delay : float;
+  mutable current : int;
+  mutable delay : float;
+  mutable window : Overlay.member list;
+  mutable path : int list;
+  mutable hops : int;
+  mutable restarts : int;
+}
+
+let make ~termination overlay engine ~start goal =
+  {
+    overlay;
+    engine;
+    goal;
+    termination;
+    cache = Hashtbl.create 64;
+    visited = Hashtbl.create 16;
+    probes = 0;
+    best = start;
+    best_delay = nan;
+    current = start;
+    delay = nan;
+    window = [];
+    path = [];
+    hops = 0;
+    restarts = 0;
+  }
+
+let walk ?(termination = Threshold) overlay engine ~start ~target =
+  make ~termination overlay engine ~start (Target target)
+
+(* Max-norm of [node]'s delays to the target set ([nan] if any is
+   missing); the node's own entry in the set is skipped. *)
+let max_norm delay node targets =
+  List.fold_left
+    (fun acc t ->
+      if node = t then acc
+      else begin
+        let d = delay node t in
+        if Float.is_nan d || Float.is_nan acc then nan else Float.max acc d
+      end)
+    0. targets
+
+(* One online measurement from a node through the measurement plane,
+   cached for the rest of the query; [nan] marks a pair that is
+   unmeasurable — or whose probe was lost, denied or timed out, in which
+   case the node stays unusable for the rest of this query.  The cost
+   (ms charged on the issuing path) is 0 for a cached value. *)
+let probe w node =
+  match Hashtbl.find_opt w.cache node with
+  | Some d -> (d, 0.)
+  | None ->
+    let ((d, _) as r) =
+      match w.goal with
+      | Target t ->
+        w.probes <- w.probes + 1;
+        Engine.rtt_timed ~label:"meridian" w.engine node t
+      | Max_norm targets ->
+        let rtt a b =
+          w.probes <- w.probes + 1;
+          Engine.rtt ~label:"meridian" w.engine a b
+        in
+        (max_norm rtt node targets, 0.)
+    in
+    Hashtbl.replace w.cache node d;
+    r
+
+(* Ring members of the current node whose delay lies within the
+   acceptance window [[(1-beta) d, (1+beta) d]].  Ring *entries* are
+   filtered so a dual-placed member qualifies when either its measured
+   or its predicted delay falls in the window; member ids are then
+   deduplicated. *)
 let eligible_members overlay current d =
   let beta = (Overlay.config overlay).Ring.beta in
   let lo = (1. -. beta) *. d and hi = (1. +. beta) *. d in
-  (* Filter ring *entries* so a dual-placed member qualifies when either
-     its measured or its predicted delay falls in the window, then
-     deduplicate member ids. *)
   let seen = Hashtbl.create 32 in
   List.filter
     (fun m ->
@@ -103,14 +151,34 @@ let eligible_members overlay current d =
       end)
     (Overlay.all_entries overlay current)
 
-(* Best (member, delay-to-target) among a member list, probing each. *)
-let best_probed st members ~exclude =
+let arrive w node =
+  Hashtbl.replace w.visited node ();
+  w.path <- node :: w.path;
+  let ((d, _) as r) = probe w node in
+  (* The start's measurement seeds the answer, a failed one included. *)
+  if w.hops = 0 then w.best_delay <- d;
+  w.current <- node;
+  w.delay <- d;
+  w.window <- (if Float.is_nan d then [] else eligible_members w.overlay node d);
+  r
+
+let window w = w.window
+
+(* The hop rule's fold: members' measurements in ring-member order.
+   Visited members are skipped (best-seen already holds their delays);
+   best-seen moves on a strict improvement; unmeasurable members are
+   skipped; the first strict minimum is the candidate. *)
+let best_member w members =
   List.fold_left
     (fun acc m ->
       let id = m.Overlay.id in
-      if Hashtbl.mem exclude id then acc
+      if Hashtbl.mem w.visited id then acc
       else begin
-        let d = probe st id in
+        let d, _ = probe w id in
+        if d < w.best_delay then begin
+          w.best <- id;
+          w.best_delay <- d
+        end;
         if Float.is_nan d then acc
         else begin
           match acc with
@@ -120,182 +188,85 @@ let best_probed st members ~exclude =
       end)
     None members
 
-let accepts termination ~beta ~d ~candidate_delay =
-  match termination with
-  | Threshold -> candidate_delay <= beta *. d
-  | Any_improvement -> candidate_delay < d
+(* The forwarding rule: whether a candidate justifies leaving the
+   current node. *)
+let accepts w cd =
+  match w.termination with
+  | Threshold -> cd <= (Overlay.config w.overlay).Ring.beta *. w.delay
+  | Any_improvement -> cd < w.delay
+
+let accept w = function Some (_, cd) as c when accepts w cd -> c | _ -> None
+
+let hop ?restart w =
+  let candidate = best_member w w.window in
+  let next =
+    match (accept w candidate, restart) with
+    | None, Some f -> (
+      (* About to stop: the restart hook gets one chance to widen the
+         probed set (TIV-aware query restart). *)
+      match f ~current:w.current ~measured:w.delay with
+      | [] -> None
+      | extra ->
+        w.restarts <- w.restarts + 1;
+        let widened = best_member w extra in
+        accept w
+          (match (candidate, widened) with
+          | None, c | c, None -> c
+          | Some (_, cd), Some (_, wd) -> if wd < cd then widened else candidate))
+    | next, _ -> next
+  in
+  match next with
+  | Some (id, _) ->
+    w.hops <- w.hops + 1;
+    Some id
+  | None -> None
+
+let step w = hop w
+
+let finish w =
+  record_query w.engine
+    {
+      chosen = w.best;
+      chosen_delay = w.best_delay;
+      probes = w.probes;
+      hops = w.hops;
+      restarts = w.restarts;
+      path = List.rev w.path;
+    }
+
+(* The synchronous driver: every measurement resolves instantly.  When
+   the start node cannot measure the target (missing pair, lost probe,
+   outage or budget denial) the query dies at the first hop with
+   [chosen_delay = nan]; callers detect it and fall back. *)
+let run ?restart w =
+  let d0, _ = arrive w w.current in
+  if not (Float.is_nan d0) then begin
+    let rec loop () =
+      match hop ?restart w with
+      | Some next ->
+        ignore (arrive w next);
+        loop ()
+      | None -> ()
+    in
+    loop ()
+  end;
+  finish w
 
 let closest ?(termination = Threshold) ?fallback overlay engine ~start
     ~target =
   if not (Overlay.is_meridian overlay start) then
     invalid_arg "Query.closest: start is not a Meridian node";
-  let beta = (Overlay.config overlay).Ring.beta in
-  let st = make_probe_state engine ~target in
-  st.best <- start;
-  let d0 = probe st start in
-  if Float.is_nan d0 then
-    (* The start node could not measure the target (missing pair, lost
-       probe, outage or budget denial): the query dies at the first
-       hop.  Callers detect the [nan] delay and fall back. *)
-    record_query engine
-      {
-        chosen = start;
-        chosen_delay = nan;
-        probes = st.probes;
-        hops = 0;
-        restarts = 0;
-        path = [ start ];
-      }
-  else begin
-  let visited = Hashtbl.create 16 in
-  let restarts = ref 0 in
-  let rec loop current d path hops =
-    Hashtbl.replace visited current ();
-    let members = eligible_members overlay current d in
-    let continue_to candidate =
-      match candidate with
-      | None -> None
-      | Some (id, cd) ->
-        if accepts termination ~beta ~d ~candidate_delay:cd then Some (id, cd)
-        else None
-    in
-    let candidate = best_probed st members ~exclude:visited in
-    let next =
-      match continue_to candidate with
-      | Some _ as n -> n
-      | None -> (
-        (* About to stop: give the fallback hook one chance to widen the
-           probed set (TIV-aware query restart). *)
-        match fallback with
-        | None -> None
-        | Some f ->
-          let extra = f ~current ~target ~measured:d in
-          if extra = [] then None
-          else begin
-            incr restarts;
-            let widened = best_probed st extra ~exclude:visited in
-            let merged =
-              match (candidate, widened) with
-              | None, w -> w
-              | c, None -> c
-              | Some (_, cd), Some (_, wd) -> if wd < cd then widened else candidate
-            in
-            continue_to merged
-          end)
-    in
-    match next with
-    | Some (id, cd) -> loop id cd (id :: path) (hops + 1)
-    | None -> (path, hops)
+  let restart =
+    Option.map (fun f ~current ~measured -> f ~current ~target ~measured) fallback
   in
-  let path, hops = loop start d0 [ start ] 0 in
-  record_query engine
-    {
-      chosen = st.best;
-      chosen_delay = st.best_delay;
-      probes = st.probes;
-      hops;
-      restarts = !restarts;
-      path = List.rev path;
-    }
-  end
-
-(* Max-norm delay of [node] to the target set; [nan] if any measurement
-   is missing. *)
-let max_norm backend node targets =
-  List.fold_left
-    (fun acc t ->
-      if node = t then acc
-      else begin
-        let d = Backend.query backend node t in
-        if Float.is_nan d || Float.is_nan acc then nan else Float.max acc d
-      end)
-    0. targets
+  run ?restart (walk ~termination overlay engine ~start ~target)
 
 let closest_multi ?(termination = Threshold) overlay engine ~start
     ~targets =
   if targets = [] then invalid_arg "Query.closest_multi: no targets";
   if not (Overlay.is_meridian overlay start) then
     invalid_arg "Query.closest_multi: start is not a Meridian node";
-  let beta = (Overlay.config overlay).Ring.beta in
-  let probes = ref 0 in
-  let cache = Hashtbl.create 64 in
-  (* One "probe" per (node, target) measurement, cached as in the
-     single-target query; each goes through the measurement plane. *)
-  let measure node =
-    match Hashtbl.find_opt cache node with
-    | Some d -> d
-    | None ->
-      let d =
-        List.fold_left
-          (fun acc t ->
-            if node = t then acc
-            else begin
-              incr probes;
-              let d = Engine.rtt ~label:"meridian" engine node t in
-              if Float.is_nan d || Float.is_nan acc then nan
-              else Float.max acc d
-            end)
-          0. targets
-      in
-      Hashtbl.replace cache node d;
-      d
-  in
-  let d0 = measure start in
-  if Float.is_nan d0 then
-    record_query engine
-      {
-        chosen = start;
-        chosen_delay = nan;
-        probes = !probes;
-        hops = 0;
-        restarts = 0;
-        path = [ start ];
-      }
-  else begin
-  let best = ref start and best_delay = ref d0 in
-  let consider node d =
-    if (not (Float.is_nan d)) && d < !best_delay then begin
-      best := node;
-      best_delay := d
-    end
-  in
-  let visited = Hashtbl.create 16 in
-  let rec loop current d path hops =
-    Hashtbl.replace visited current ();
-    let members = eligible_members overlay current d in
-    let candidate =
-      List.fold_left
-        (fun acc m ->
-          let id = m.Overlay.id in
-          if Hashtbl.mem visited id then acc
-          else begin
-            let md = measure id in
-            consider id md;
-            if Float.is_nan md then acc
-            else begin
-              match acc with
-              | Some (_, bd) when bd <= md -> acc
-              | _ -> Some (id, md)
-            end
-          end)
-        None members
-    in
-    match candidate with
-    | Some (id, cd) when accepts termination ~beta ~d ~candidate_delay:cd ->
-      loop id cd (id :: path) (hops + 1)
-    | _ -> (path, hops)
-  in
-  let path, hops = loop start d0 [ start ] 0 in
-  record_query engine
-    {
-      chosen = !best;
-      chosen_delay = !best_delay;
-      probes = !probes;
-      hops;
-      restarts = 0;
-      path = List.rev path;
-    }
-  end
+  run (make ~termination overlay engine ~start (Max_norm targets))
 
 let optimal_multi overlay backend ~targets =
   if targets = [] then invalid_arg "Query.optimal_multi: no targets";
@@ -303,7 +274,7 @@ let optimal_multi overlay backend ~targets =
     (fun acc node ->
       if List.mem node targets then acc
       else begin
-        let d = max_norm backend node targets in
+        let d = max_norm (Backend.query backend) node targets in
         if Float.is_nan d then acc
         else begin
           match acc with
@@ -313,17 +284,7 @@ let optimal_multi overlay backend ~targets =
       end)
     None (Overlay.meridian_nodes overlay)
 
+(* Delays are non-negative, so the max-norm over one target is the
+   delay itself. *)
 let optimal overlay backend ~target =
-  Array.fold_left
-    (fun acc node ->
-      if node = target then acc
-      else begin
-        let d = Backend.query backend node target in
-        if Float.is_nan d then acc
-        else begin
-          match acc with
-          | Some (_, bd) when bd <= d -> acc
-          | _ -> Some (node, d)
-        end
-      end)
-    None (Overlay.meridian_nodes overlay)
+  optimal_multi overlay backend ~targets:[ target ]

@@ -4,7 +4,8 @@
     to a target.  The current node [M] measures its delay [d] to the
     target, asks every ring member whose delay to [M] lies within
     [[(1-β)d, (1+β)d]] to probe the target, and forwards the query to
-    the member reporting the smallest delay.  With [Threshold]
+    the member reporting the smallest delay (the first in ring-member
+    order on a tie).  With [Threshold]
     termination the query stops when no member improves by at least the
     factor [β]; with [Any_improvement] it continues while any strict
     improvement exists (the idealized "no termination condition" mode
@@ -16,7 +17,11 @@
     (node, target) measurement within a query is counted once (values
     are cached, as a real implementation would within one query).  The answer returned
     to the client is the best node observed among all probed
-    participants, as in the paper's Figure 12 narrative. *)
+    participants, as in the paper's Figure 12 narrative.
+
+    One walk core implements the recursion; {!closest},
+    {!closest_multi} and {!Online.closest} differ only in what a
+    measurement is and when it happens. *)
 
 type termination =
   | Threshold  (** stop unless the best member is within [beta * d] *)
@@ -88,40 +93,47 @@ val optimal_multi :
   (int * float) option
 (** Brute-force best max-norm participant. *)
 
-(** {2 Protocol building blocks}
+(** {2 Event-driven driver}
 
-    Shared with {!Online}, which replays the same protocol over the
-    event simulator.  Not intended for general use. *)
+    One query's walk, for drivers that decide {e when} each measurement
+    happens ({!Online} schedules them on the simulator).  The hop rule,
+    the acceptance window, the answer and the registry accounting are
+    the walk's own, so every driver returns the same outcome for the
+    same measurements.  Not intended for general use. *)
 
-type probe_state
+type walk
 
-val make_probe_state : Tivaware_measure.Engine.t -> target:int -> probe_state
+val walk :
+  ?termination:termination ->
+  Overlay.t ->
+  Tivaware_measure.Engine.t ->
+  start:int ->
+  target:int ->
+  walk
+(** A fresh single-target walk from [start] (not validated). *)
 
-val probe : probe_state -> int -> float
-(** One online probe from a node to the target: counted once per query,
-    cached, tracks the best node seen.  [nan] = unmeasurable. *)
+val arrive : walk -> int -> float * float
+(** [arrive w node]: the query reaches [node], which becomes current
+    and visited and measures its delay to the target.  Returns
+    [(delay, cost)] as {!probe}; [delay = nan] ends the walk. *)
 
-val probe_timed : probe_state -> int -> float * float
-(** As {!probe}, plus the measurement cost in ms charged on the issuing
-    path ({!Tivaware_measure.Engine.rtt_timed}); 0 when the query-local
-    cache already holds the value. *)
+val window : walk -> Overlay.member list
+(** Ring members of the current node inside the acceptance window
+    [[(1-beta) d, (1+beta) d]], in ring-member order. *)
 
-val probe_cached : probe_state -> int -> bool
-(** Whether a probe result is already cached (a cached probe costs no
-    simulated time). *)
+val probe : walk -> int -> float * float
+(** [(delay, cost)] of one node's measurement, through the engine on
+    first use ({!Tivaware_measure.Engine.rtt_timed}) and from the
+    query-local cache after that ([cost = 0]).  [nan] = unmeasurable. *)
 
-val probe_count : probe_state -> int
-val best_seen : probe_state -> int * float
+val step : walk -> int option
+(** The hop decision over the current window: fold the members'
+    measurements in ring-member order, moving the best-seen answer on a
+    strict improvement, skipping visited and unmeasurable members, and
+    forward to the first strict minimum when the termination rule
+    accepts it.  Probes any window member not yet measured. *)
 
-val eligible_members : Overlay.t -> int -> float -> Overlay.member list
-(** Ring members of a node whose delay lies within the acceptance
-    window [[(1-beta) d, (1+beta) d]]. *)
-
-val accepts : termination -> beta:float -> d:float -> candidate_delay:float -> bool
-(** The forwarding rule: whether a candidate at [candidate_delay] from
-    the target justifies continuing from a node at distance [d]. *)
-
-val hop_edges : float array
-(** Bucket edges of the [meridian.query_hops] histogram (shared with
-    the event-driven {!Online} driver so both record into the same
-    series). *)
+val finish : walk -> outcome
+(** The outcome so far, recorded on the engine registry
+    ([meridian.query_hops], [meridian.query_probes], or
+    [meridian.query_failures] when [chosen_delay = nan]). *)

@@ -1,10 +1,11 @@
 module Matrix = Tivaware_delay_space.Matrix
 module Engine = Tivaware_measure.Engine
 
-let ratio_matrix ~measured ~predicted =
-  Matrix.map
-    (fun i j d -> if d < 1e-9 then nan else predicted i j /. d)
-    measured
+let ratio ~predicted i j measured =
+  if Float.is_nan measured || measured < 1e-9 then nan
+  else predicted i j /. measured
+
+let ratio_matrix ~measured ~predicted = Matrix.map (ratio ~predicted) measured
 
 (* Measurement-plane ratio matrix: the measured delay of every known
    edge is re-probed through the engine, so lost probes leave the edge
@@ -12,9 +13,7 @@ let ratio_matrix ~measured ~predicted =
 let ratio_matrix_engine ~engine ~predicted =
   let truth = Engine.matrix_exn engine in
   Matrix.map
-    (fun i j _ ->
-      let d = Engine.rtt ~label:"alert" engine i j in
-      if Float.is_nan d || d < 1e-9 then nan else predicted i j /. d)
+    (fun i j _ -> ratio ~predicted i j (Engine.rtt ~label:"alert" engine i j))
     truth
 
 let ratio_severity_pairs ~ratios ~severity =
@@ -39,9 +38,5 @@ let is_alert ~ratios ~threshold i j =
 let alert_pair ?(label = "alert") ~engine ~predicted ~threshold i j =
   let d = Engine.rtt ~label engine i j in
   if Float.is_nan d then `Unmeasurable
-  else if d < 1e-9 then `Clean d
-  else
-    let p = predicted i j in
-    if Float.is_nan p then `Clean d
-    else if p /. d <= threshold then `Flagged d
-    else `Clean d
+  else if ratio ~predicted i j d <= threshold then `Flagged d
+  else `Clean d

@@ -10,6 +10,12 @@
     is therefore a cheap indicator: a small ratio flags a likely-severe
     edge.  The mechanism does not predict severity — it raises alerts. *)
 
+val ratio : predicted:(int -> int -> float) -> int -> int -> float -> float
+(** [ratio ~predicted i j measured] is [predicted i j /. measured], or
+    [nan] when the measurement is missing or below 1e-9 ms (no division
+    blowup); [predicted] is only consulted for a usable measurement.
+    The one prediction-ratio rule behind every alert. *)
+
 val ratio_matrix :
   measured:Tivaware_delay_space.Matrix.t ->
   predicted:(int -> int -> float) ->

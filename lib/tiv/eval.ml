@@ -124,8 +124,7 @@ let evaluate_sampled ~engine ~predicted ~pairs ~legs ~worst_fraction
         done;
         let severity = !sum /. float_of_int legs in
         let ratio =
-          let d = Engine.rtt ~label:"alert" engine i j in
-          if Float.is_nan d || d < 1e-9 then nan else predicted i j /. d
+          Alert.ratio ~predicted i j (Engine.rtt ~label:"alert" engine i j)
         in
         samples := (severity, ratio) :: !samples;
         incr sampled

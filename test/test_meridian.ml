@@ -439,22 +439,51 @@ let test_multi_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_multi_single_target_agrees () =
-  (* With one target, the multi query solves the same problem as the
-     single-target query; their chosen delays must agree closely. *)
-  let m = euclidean_matrix 62 60 in
-  let overlay, nodes = build_overlay 63 m 30 in
-  let target =
-    Array.to_list (Rng.permutation (Rng.create 64) 60)
-    |> List.find (fun i -> not (Overlay.is_meridian overlay i))
+(* Generated worlds for the driver-agreement properties: a random
+   (TIV-rich) 40-node delay matrix with a 20-node overlay.  Delays lie
+   on a 10 ms grid — ties are common, as in rounded measured data — or
+   in a continuous range. *)
+let random_world ~grid seed =
+  let rng = Rng.create seed in
+  let m =
+    Matrix.init 40 (fun _ _ ->
+        if grid then 10. *. float_of_int (1 + Rng.int rng 30)
+        else Rng.uniform rng 1. 300.)
   in
-  let single = Query.closest overlay (oracle m) ~start:nodes.(0) ~target in
-  let multi =
-    Query.closest_multi overlay (oracle m) ~start:nodes.(0) ~targets:[ target ]
+  let overlay, nodes = build_overlay (seed + 1) m 20 in
+  let outsiders =
+    List.filter (fun i -> not (Overlay.is_meridian overlay i)) (List.init 40 Fun.id)
   in
-  Alcotest.(check int) "same answer" single.Query.chosen multi.Query.chosen;
-  Alcotest.(check (float 1e-9)) "same delay" single.Query.chosen_delay
-    multi.Query.chosen_delay
+  (m, overlay, nodes, outsiders)
+
+let same_outcome a b =
+  a.Query.chosen = b.Query.chosen
+  && Float.equal a.Query.chosen_delay b.Query.chosen_delay
+  && a.Query.probes = b.Query.probes
+  && a.Query.hops = b.Query.hops
+  && a.Query.path = b.Query.path
+
+let prop_multi_single_target_agrees =
+  (* With one target outside the overlay, the multi query solves the
+     same problem as the single-target query, probe for probe — also
+     through twin lossy engines, whose fault draws must line up. *)
+  qcheck ~count:30 "single target agrees"
+    QCheck2.Gen.(triple (int_range 0 100_000) bool bool)
+    (fun (seed, grid, lossy) ->
+      let m, overlay, nodes, outsiders = random_world ~grid seed in
+      let engine () =
+        let fault = { Tivaware_measure.Fault.default with loss = (if lossy then 0.2 else 0.) } in
+        Engine.of_matrix ~config:{ Engine.default_config with fault; seed } m
+      in
+      List.for_all
+        (fun target ->
+          let start = nodes.(target mod Array.length nodes) in
+          let single = Query.closest overlay (engine ()) ~start ~target in
+          let multi =
+            Query.closest_multi overlay (engine ()) ~start ~targets:[ target ]
+          in
+          same_outcome single multi)
+        outsiders)
 
 let test_multi_leader_quality () =
   (* On a metric space with generous settings the elected leader's
@@ -515,24 +544,26 @@ let online_setup seed =
   in
   (m, overlay, nodes, client, target)
 
-let test_online_matches_offline () =
-  (* The online replay must reach the same answer with the same number
-     of probes and hops as the instantaneous query. *)
-  for seed = 100 to 109 do
-    let m, overlay, nodes, client, target = online_setup seed in
-    let start = nodes.(0) in
-    if Matrix.known m client start && Matrix.known m start target then begin
-      let offline = Query.closest overlay (oracle m) ~start ~target in
-      let sim = Sim.create () in
-      let online = Online.closest sim overlay (oracle m) ~client ~start ~target in
-      Alcotest.(check int) "same chosen node" offline.Query.chosen
-        online.Online.query.Query.chosen;
-      Alcotest.(check int) "same hops" offline.Query.hops
-        online.Online.query.Query.hops;
-      Alcotest.(check int) "same probes" offline.Query.probes
-        online.Online.query.Query.probes
-    end
-  done
+let prop_online_matches_offline =
+  (* The online replay is the same walk on a different clock: on oracle
+     engines it reaches the same answer through the same path with the
+     same probes as the instantaneous query, delay ties included. *)
+  qcheck ~count:40 "matches offline query"
+    QCheck2.Gen.(triple (int_range 0 100_000) bool bool)
+    (fun (seed, grid, any) ->
+      let termination = if any then Query.Any_improvement else Query.Threshold in
+      let m, overlay, nodes, outsiders = random_world ~grid seed in
+      let client = List.hd outsiders in
+      List.for_all
+        (fun target ->
+          let start = nodes.(target mod Array.length nodes) in
+          let offline = Query.closest ~termination overlay (oracle m) ~start ~target in
+          let online =
+            Online.closest ~termination (Sim.create ()) overlay (oracle m) ~client
+              ~start ~target
+          in
+          same_outcome offline online.Online.query)
+        outsiders)
 
 let test_online_latency_positive () =
   let m, overlay, nodes, client, target = online_setup 120 in
@@ -743,13 +774,13 @@ let () =
       ( "multi",
         [
           Alcotest.test_case "validation" `Quick test_multi_validation;
-          Alcotest.test_case "single target agrees" `Quick test_multi_single_target_agrees;
+          prop_multi_single_target_agrees;
           Alcotest.test_case "leader quality" `Quick test_multi_leader_quality;
           Alcotest.test_case "probe accounting" `Quick test_multi_probe_accounting;
         ] );
       ( "online",
         [
-          Alcotest.test_case "matches offline query" `Quick test_online_matches_offline;
+          prop_online_matches_offline;
           Alcotest.test_case "latency positive" `Quick test_online_latency_positive;
           Alcotest.test_case "clock accumulates" `Quick test_online_clock_accumulates;
           Alcotest.test_case "validation" `Quick test_online_validation;
