@@ -764,10 +764,9 @@ let synthesize_cmd =
    returned function builds the arbiter once the node count is known.
    A share of 0 or 1, or no --probe-budget, means no arbitration. *)
 let arbiter_carve meas ~flag ~share ~bg ~fg =
-  if Float.is_nan share || share < 0. || share > 1. then begin
-    prerr_endline (Printf.sprintf "tivlab: --%s must be in [0, 1] (got %g)" flag share);
-    exit 2
-  end;
+  or_usage_error (fun () ->
+      if Float.is_nan share || share < 0. || share > 1. then
+        invalid_arg (Printf.sprintf "--%s must be in [0, 1] (got %g)" flag share));
   fun n ->
     if meas.probe_budget > 0 && share > 0. && share < 1. then begin
       let total = float_of_int (meas.probe_budget * n) in
@@ -793,14 +792,9 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
     ~interval ~keys ~zipf_s ~duration ~replicas ~carve ~fingers_per_round =
   let module Chord = Tivaware_dht.Chord in
   let module Id_space = Tivaware_dht.Id_space in
-  if keys < 1 then begin
-    prerr_endline "tivlab: --keys must be >= 1";
-    exit 2
-  end;
-  if not (duration > 0.) then begin
-    prerr_endline "tivlab: --duration must be positive";
-    exit 2
-  end;
+  or_usage_error (fun () ->
+      if keys < 1 then invalid_arg "--keys must be >= 1";
+      if not (duration > 0.) then invalid_arg "--duration must be positive");
   let engine = make_backend_engine backend ~labels meas ~seed in
   let n = Backend.size backend in
   let overlay =
@@ -847,7 +841,6 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
   let lrng = Rng.create (seed + 13) in
   let latencies = ref [] and hops = ref 0 in
   let issued = ref 0 and skipped = ref 0 in
-  let correct = ref 0 and wrong = ref 0 in
   for i = 0 to lookups - 1 do
     let at = duration *. float_of_int (i + 1) /. float_of_int (lookups + 1) in
     Sim.schedule_at sim at (fun () ->
@@ -862,13 +855,10 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
           (* A lookup is correct when it terminates at a node that is
              actually up (ground truth, not belief) and holds the key. *)
           if
-            ground_up l.Chord.owner
-            && Chord.Store.holds store ~key ~node:l.Chord.owner
-          then incr correct
-          else begin
-            incr wrong;
-            Obs.Counter.add wrong_counter 1.
-          end
+            not
+              (ground_up l.Chord.owner
+              && Chord.Store.holds store ~key ~node:l.Chord.owner)
+          then Obs.Counter.incr wrong_counter
         end)
   done;
   Sim.run sim ~until:duration;
@@ -890,13 +880,15 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
   let hops_mean =
     if !issued = 0 then 0. else float_of_int !hops /. float_of_int !issued
   in
+  let wrong = Obs.Counter.count wrong_counter in
   let pct =
-    if !issued = 0 then 0. else 100. *. float_of_int !correct /. float_of_int !issued
+    if !issued = 0 then 0.
+    else 100. *. float_of_int (!issued - wrong) /. float_of_int !issued
   in
   Printf.printf
     "%d lookups (%d skipped, source down): correct=%.1f%% wrong=%d hops \
      mean=%.2f latency median=%.1f p90=%.1f ms\n"
-    !issued !skipped pct !wrong hops_mean median p90;
+    !issued !skipped pct wrong hops_mean median p90;
   print_probe_summary engine;
   set_gauge engine "dht.lookups" (float_of_int !issued);
   set_gauge engine "dht.lookup_correct_pct" pct;
@@ -915,6 +907,9 @@ let dht_cmd =
       arbiter_carve meas ~flag:"stabilize-share" ~share:stab_share
         ~bg:"chord_stabilize" ~fg:"dht"
     in
+    or_usage_error (fun () ->
+        if lookups < 1 then
+          invalid_arg (Printf.sprintf "--lookups must be >= 1 (got %d)" lookups));
     let backend, labels =
       make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
     in

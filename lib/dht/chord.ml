@@ -464,12 +464,6 @@ module Stabilizer = struct
     store : Store.t option;
     position : int array;  (* node -> rank in [chord.sorted] *)
     next_finger : int array;  (* per-node fix-fingers cursor *)
-    mutable rounds : int;
-    mutable checked : int;
-    mutable rerouted : int;
-    mutable marked_dead : int;
-    mutable revived : int;
-    mutable denied : int;
     mutable dry : bool;
     (* set when the arbiter refuses a token mid-round: nothing refills
        while the clock stands still, so the rest of the round's probes
@@ -478,8 +472,9 @@ module Stabilizer = struct
     (* did the current round change any ring state — successor,
        predecessor, list, finger, or failure belief?  Key placement
        depends on all of them, so this is the re-homing trigger. *)
-    (* pre-resolved instruments: chord.* driver series plus the
-       repair.* family under this stabilizer's plane label *)
+    (* pre-resolved instruments, the only tally ([totals] reads them):
+       chord.* series plus the repair.* family under this
+       stabilizer's plane label *)
     c_rounds : Obs.Counter.t;
     c_migrated : Obs.Counter.t;
     c_checked : Obs.Counter.t;
@@ -516,12 +511,6 @@ module Stabilizer = struct
       store;
       position;
       next_finger = Array.make n 0;
-      rounds = 0;
-      checked = 0;
-      rerouted = 0;
-      marked_dead = 0;
-      revived = 0;
-      denied = 0;
       dry = false;
       changed = false;
       c_rounds = counter "chord.stabilize_rounds";
@@ -537,13 +526,14 @@ module Stabilizer = struct
   let store t = t.store
 
   let totals t =
+    let n = Obs.Counter.count in
     {
-      rounds = t.rounds;
-      checked = t.checked;
-      rerouted = t.rerouted;
-      marked_dead = t.marked_dead;
-      revived = t.revived;
-      denied = t.denied;
+      rounds = n t.c_rounds;
+      checked = n t.c_checked;
+      rerouted = n t.c_rerouted;
+      marked_dead = n t.c_marked;
+      revived = n t.c_revived;
+      denied = n t.c_denied;
     }
 
   let self_up t i =
@@ -568,29 +558,25 @@ module Stabilizer = struct
     if not admitted then begin
       if not t.dry then begin
         t.dry <- true;
-        t.denied <- t.denied + 1;
-        Obs.Counter.add t.c_denied 1.
+        Obs.Counter.incr t.c_denied
       end;
       `Skipped
     end
     else begin
-      t.checked <- t.checked + 1;
-      Obs.Counter.add t.c_checked 1.;
+      Obs.Counter.incr t.c_checked;
       match Engine.probe ~label:t.config.label t.engine u v with
       | Engine.Rtt d | Engine.Cached d ->
         if t.chord.dead.(v) then begin
           t.chord.dead.(v) <- false;
           t.changed <- true;
-          t.revived <- t.revived + 1;
-          Obs.Counter.add t.c_revived 1.
+          Obs.Counter.incr t.c_revived
         end;
         `Alive d
       | Engine.Down | Engine.Lost ->
         if not t.chord.dead.(v) then begin
           t.chord.dead.(v) <- true;
           t.changed <- true;
-          t.marked_dead <- t.marked_dead + 1;
-          Obs.Counter.add t.c_marked 1.
+          Obs.Counter.incr t.c_marked
         end;
         `Dead
       | Engine.Unmeasured | Engine.Denied -> `Unknown
@@ -648,8 +634,7 @@ module Stabilizer = struct
       let n = Array.length chord.ids in
       t.dry <- false;
       t.changed <- false;
-      t.rounds <- t.rounds + 1;
-      Obs.Counter.add t.c_rounds 1.;
+      Obs.Counter.incr t.c_rounds;
       (* 1. check-predecessor: a silent predecessor is forgotten so a
          later notify can fill the slot. *)
       let p = chord.predecessors.(u) in
@@ -695,8 +680,7 @@ module Stabilizer = struct
         if chord.successors.(u) <> s then begin
           chord.successors.(u) <- s;
           t.changed <- true;
-          t.rerouted <- t.rerouted + 1;
-          Obs.Counter.add t.c_rerouted 1.
+          Obs.Counter.incr t.c_rerouted
         end;
         (* Successor-list refresh rides on the stabilize exchange (no
            extra probe): our list becomes s followed by s's list. *)

@@ -192,16 +192,17 @@ module Stabilizer : sig
       [label = "chord-stabilize"], [plane = "chord_stabilize"]. *)
 
   type totals = {
-    rounds : int;
-    checked : int;  (** stabilization probes issued *)
-    rerouted : int;
-    marked_dead : int;
-    revived : int;
+    rounds : int;  (** [chord.stabilize_rounds] *)
+    checked : int;  (** [repair.checked{plane}]: stabilization probes issued *)
+    rerouted : int;  (** [repair.rerouted{plane}] *)
+    marked_dead : int;  (** [repair.marked_dead{plane}] *)
+    revived : int;  (** [repair.revived{plane}] *)
     denied : int;
-        (** rounds curtailed by an arbiter refusal: the first refused
-            token counts here and suppresses the round's remaining
-            probes (the carve cannot refill while the clock stands
-            still, so retrying within the round is pointless) *)
+        (** [repair.denied{plane}]: rounds curtailed by an arbiter
+            refusal: the first refused token counts here and suppresses
+            the round's remaining probes (the carve cannot refill while
+            the clock stands still, so retrying within the round is
+            pointless) *)
   }
 
   type t
@@ -227,6 +228,10 @@ module Stabilizer : sig
   val config : t -> config
   val store : t -> Store.t option
   val totals : t -> totals
+  (** A view of the engine's registry: each field reads the series
+      named beside it, [plane] being [config.plane].  Those series are
+      engine-wide, so the view assumes one stabilizer per engine and
+      no other writer of its [plane]. *)
 
   val round : t -> int -> unit
   (** One stabilization round of one node, skipped entirely (not even

@@ -431,7 +431,7 @@ let rtt_timed ?label t i j =
    [register_plane] but never probed stay out of [per_label]. *)
 let stats t =
   let i = t.inst in
-  let n c = int_of_float (Obs.Counter.value c) in
+  let n = Obs.Counter.count in
   let per_label =
     Hashtbl.fold
       (fun plane (sent, _) acc -> if n sent > 0 then (plane, n sent) :: acc else acc)

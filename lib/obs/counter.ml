@@ -9,3 +9,4 @@ let add t d =
   t.v <- t.v +. d
 
 let value t = t.v
+let count t = int_of_float t.v

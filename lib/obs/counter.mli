@@ -17,3 +17,7 @@ val add : t -> float -> unit
     negative or non-finite delta — counters only go up. *)
 
 val value : t -> float
+
+val count : t -> int
+(** {!value} truncated to an int: the reading of an event counter that
+    only {!incr} (or integral {!add}s) moved. *)

@@ -221,30 +221,40 @@ let evaluate t engine =
   in
   let delay = Oracle.query (Engine.oracle engine) in
   let n = Array.length t.parent in
-  (* Root-to-node tree delay and depth by memoized ascent. *)
+  (* Root-to-node tree delay and depth by memoized ascent.  Repair can
+     leave a member below an ancestor that left the tree, or on a parent
+     cycle; such a member has no path to the root (depth -1). *)
   let tree_delay = Array.make n nan in
   let depth = Array.make n (-1) in
+  let ascending = Array.make n false in
   tree_delay.(t.root) <- 0.;
   depth.(t.root) <- 0;
   let rec resolve node =
+    let p = t.parent.(node) in
     if depth.(node) >= 0 then (tree_delay.(node), depth.(node))
+    else if p < 0 || ascending.(node) then (nan, -1)
     else begin
-      let p = t.parent.(node) in
+      ascending.(node) <- true;
       let pd, pdepth = resolve p in
-      let edge = delay node p in
-      (* A missing edge contributes zero to the path. *)
-      if Float.is_nan edge then on_missing ();
-      let d = pd +. (if Float.is_nan edge then 0. else edge) in
-      tree_delay.(node) <- d;
-      depth.(node) <- pdepth + 1;
-      (d, pdepth + 1)
+      ascending.(node) <- false;
+      if pdepth < 0 then (nan, -1)
+      else begin
+        let edge = delay node p in
+        (* A missing edge contributes zero to the path. *)
+        if Float.is_nan edge then on_missing ();
+        let d = pd +. (if Float.is_nan edge then 0. else edge) in
+        tree_delay.(node) <- d;
+        depth.(node) <- pdepth + 1;
+        (d, pdepth + 1)
+      end
     end
   in
   let edges = ref [] and stretches = ref [] and max_depth = ref 0 in
   List.iter
     (fun node ->
-      if node <> t.root then begin
-        let _, d = resolve node in
+      let _, d = resolve node in
+      if d < 0 then on_missing ()
+      else if node <> t.root then begin
         if d > !max_depth then max_depth := d;
         let edge = delay node t.parent.(node) in
         if not (Float.is_nan edge) then edges := edge :: !edges;

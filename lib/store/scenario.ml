@@ -57,6 +57,8 @@ let validate_config ctx c =
   if Float.is_nan c.failure_penalty_ms || c.failure_penalty_ms < 0. then
     fail "%s: failure_penalty_ms must be >= 0 (got %g)" ctx c.failure_penalty_ms
 
+(* The run's only tally of its outcomes: [run] reads its result from
+   these. *)
 type instruments = {
   c_reads : Obs.Counter.t;
   c_failures : Obs.Counter.t;
@@ -88,10 +90,6 @@ type t = {
   serving : int array;  (* parts * replicas, device ids; repair-maintained *)
   inst : instruments;
   mutable passes : int;
-  mutable total_checked : int;
-  mutable total_rehomed : int;
-  mutable total_restored : int;
-  mutable total_denied : int;
 }
 
 let make_instruments obs =
@@ -161,10 +159,6 @@ let create ?arbiter ~config ~policy ~backend ~engine () =
     serving;
     inst = make_instruments (Engine.obs engine);
     passes = 0;
-    total_checked = 0;
-    total_rehomed = 0;
-    total_restored = 0;
-    total_denied = 0;
   }
 
 let ring t = t.ring
@@ -216,10 +210,9 @@ let read t ~client ~obj =
   in
   let finish ?device latency handoff =
     Obs.Counter.incr t.inst.c_reads;
+    if handoff then Obs.Counter.incr t.inst.c_handoff;
     (match device with
-    | Some _ ->
-        Obs.Histogram.observe t.inst.h_read_ms latency;
-        if handoff then Obs.Counter.incr t.inst.c_handoff
+    | Some _ -> Obs.Histogram.observe t.inst.h_read_ms latency
     | None -> Obs.Counter.incr t.inst.c_failures);
     { obj; part; client; device; latency_ms = latency; probes = !probes;
       attempts = !attempts; handoff }
@@ -372,10 +365,6 @@ let repair_pass t =
       end)
     (Ring.devices t.ring);
   t.passes <- t.passes + 1;
-  t.total_checked <- t.total_checked + !checked;
-  t.total_rehomed <- t.total_rehomed + !rehomed;
-  t.total_restored <- t.total_restored + !restored;
-  t.total_denied <- t.total_denied + !denied;
   {
     pass = t.passes;
     time = now;
@@ -414,9 +403,7 @@ let run ?trace ?repair_trace t =
         let out = repair_pass t in
         Option.iter (fun f -> f out) repair_trace;
         true);
-  let issued = ref 0 and completed = ref 0 and failed = ref 0 and skipped = ref 0 in
-  let handoffs = ref 0 and dead = ref 0 and probes = ref 0 in
-  let lat = ref [] in
+  let probes = ref 0 and lat = ref [] in
   for i = 0 to c.reads - 1 do
     let at = c.duration *. float_of_int (i + 1) /. float_of_int (c.reads + 1) in
     Sim.schedule_at sim at (fun () ->
@@ -425,40 +412,32 @@ let run ?trace ?repair_trace t =
           match Engine.churn t.engine with Some ch -> Churn.is_up ch client | None -> true
         in
         let obj = Zipf.sample t.zipf t.obj_rng in
-        if not client_up then begin
-          incr skipped;
-          Obs.Counter.incr t.inst.c_skipped
-        end
+        if not client_up then Obs.Counter.incr t.inst.c_skipped
         else begin
-          incr issued;
           let out = read t ~client ~obj in
           Option.iter (fun f -> f out) trace;
           probes := !probes + out.probes;
-          dead := !dead + (out.attempts - if out.device = None then 0 else 1);
-          if out.handoff then incr handoffs;
-          match out.device with
-          | Some _ ->
-              incr completed;
-              lat := out.latency_ms :: !lat
-          | None -> incr failed
+          if out.device <> None then lat := out.latency_ms :: !lat
         end)
   done;
   Sim.run sim ~until:c.duration;
+  let n = Obs.Counter.count and i = t.inst in
+  let issued = n i.c_reads and failed = n i.c_failures in
   {
-    issued = !issued;
-    completed = !completed;
-    failed = !failed;
-    skipped = !skipped;
-    handoffs = !handoffs;
-    dead_attempts = !dead;
+    issued;
+    completed = issued - failed;
+    failed;
+    skipped = n i.c_skipped;
+    handoffs = n i.c_handoff;
+    dead_attempts = n i.c_dead;
     policy_probes = !probes;
     latencies = Array.of_list (List.rev !lat);
     repair =
       {
         passes = t.passes;
-        total_checked = t.total_checked;
-        total_rehomed = t.total_rehomed;
-        total_restored = t.total_restored;
-        total_denied = t.total_denied;
+        total_checked = n i.c_checked;
+        total_rehomed = n i.c_rehomed;
+        total_restored = n i.c_restored;
+        total_denied = n i.c_denied;
       };
   }

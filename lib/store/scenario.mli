@@ -110,23 +110,27 @@ val repair_pass : t -> pass_outcome
 
 type repair_totals = {
   passes : int;
-  total_checked : int;
-  total_rehomed : int;
-  total_restored : int;
-  total_denied : int;
+  total_checked : int;  (** [repair.checked{plane=store}] *)
+  total_rehomed : int;  (** [repair.rehomed{plane=store}] *)
+  total_restored : int;  (** [repair.restored{plane=store}] *)
+  total_denied : int;  (** [repair.denied{plane=store}] *)
 }
 
 type result = {
-  issued : int;
-  completed : int;
-  failed : int;
-  skipped : int;  (** reads whose client was down *)
-  handoffs : int;
-  dead_attempts : int;
-  policy_probes : int;
+  issued : int;  (** [store.reads] *)
+  completed : int;  (** [store.reads] - [store.read_failures] *)
+  failed : int;  (** [store.read_failures] *)
+  skipped : int;  (** [store.skipped]: reads whose client was down *)
+  handoffs : int;  (** [store.handoff_reads]: reads that walked the handoff order *)
+  dead_attempts : int;  (** [store.dead_attempts] *)
+  policy_probes : int;  (** selection probes, summed over the run's reads *)
   latencies : float array;  (** completed reads, in event order *)
   repair : repair_totals;
 }
+(** A view of the engine's registry: each counted field reads the
+    series named beside it once, after the run.  Those series are
+    engine-wide, so the view assumes one scenario per engine, and a
+    {!read} or {!repair_pass} called outside {!run} counts too. *)
 
 val run :
   ?trace:(read_outcome -> unit) ->

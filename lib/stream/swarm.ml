@@ -53,6 +53,8 @@ let validate_config ctx c =
   if not (Float.is_finite c.duration) || c.duration <= 0. then
     fail "%s: duration must be positive (got %g)" ctx c.duration
 
+(* The run's only tally of its outcomes: [run] reads its result from
+   these. *)
 type instruments = {
   c_emitted : Obs.Counter.t;
   c_delivered : Obs.Counter.t;
@@ -109,24 +111,8 @@ type t = {
   repair_rng : Rng.t;
   repair_predict : int -> int -> float;
   inst : instruments;
-  (* run tallies (the obs counters mirror these) *)
-  mutable deliveries : int;
-  mutable duplicates : int;
-  mutable lost_down : int;
-  mutable transfer_failures : int;
-  mutable pull_exchanges : int;
-  mutable pull_failures : int;
-  mutable pull_requests : int;
-  mutable pull_hits : int;
-  mutable on_time : int;
-  mutable missed : int;
-  mutable down_at_deadline : int;
-  mutable stretches : float list;
+  mutable stretches : float list;  (* exact samples; the histogram is bucketed *)
   mutable repair_passes : int;
-  mutable repair_denied : int;
-  mutable repair_detached : int;
-  mutable repair_reattached : int;
-  mutable repair_rejoined : int;
 }
 
 let source t = t.nodes.(t.src_idx)
@@ -212,23 +198,8 @@ let create ?arbiter ~config ~select ~backend ~engine () =
     repair_rng = Rng.create ((config.seed * 0x9e37) + 0xb7);
     repair_predict = Selection.rank ~label:"stream_repair" select engine;
     inst = make_instruments (Engine.obs engine);
-    deliveries = 0;
-    duplicates = 0;
-    lost_down = 0;
-    transfer_failures = 0;
-    pull_exchanges = 0;
-    pull_failures = 0;
-    pull_requests = 0;
-    pull_hits = 0;
-    on_time = 0;
-    missed = 0;
-    down_at_deadline = 0;
     stretches = [];
     repair_passes = 0;
-    repair_denied = 0;
-    repair_detached = 0;
-    repair_reattached = 0;
-    repair_rejoined = 0;
   }
 
 type repair_totals = {
@@ -272,10 +243,8 @@ let rec forward t sim midx k now =
   List.iter
     (fun child ->
       let d = link t node child in
-      if Float.is_nan d then begin
-        t.transfer_failures <- t.transfer_failures + 1;
+      if Float.is_nan d then
         Obs.Counter.incr t.inst.c_transfer_failures
-      end
       else
         let cidx = Hashtbl.find t.idx_of child in
         Sim.schedule_at sim (now +. (d /. 1000.)) (fun () ->
@@ -283,17 +252,12 @@ let rec forward t sim midx k now =
     (Multicast.children t.tree node)
 
 and deliver t sim cidx k now =
-  if not (up t.engine t.nodes.(cidx)) then begin
-    t.lost_down <- t.lost_down + 1;
+  if not (up t.engine t.nodes.(cidx)) then
     Obs.Counter.incr t.inst.c_lost_down
-  end
-  else if has t cidx k then begin
-    t.duplicates <- t.duplicates + 1;
+  else if has t cidx k then
     Obs.Counter.incr t.inst.c_duplicates
-  end
   else begin
     t.recv.(cidx).(k) <- now;
-    t.deliveries <- t.deliveries + 1;
     Obs.Counter.incr t.inst.c_delivered;
     forward t sim cidx k now
   end
@@ -319,27 +283,20 @@ let pull_pass t sim now =
               if not (has t midx k) then missing := k :: !missing
             done;
             if !missing <> [] then begin
-              t.pull_exchanges <- t.pull_exchanges + 1;
               Obs.Counter.incr t.inst.c_pull_exchanges;
               let rtt = Engine.rtt ~label:"stream" t.engine node p in
-              if Float.is_nan rtt then begin
-                t.pull_failures <- t.pull_failures + 1;
+              if Float.is_nan rtt then
                 Obs.Counter.incr t.inst.c_pull_failures
-              end
               else
                 let pidx = Hashtbl.find t.idx_of p in
                 List.iter
                   (fun k ->
-                    t.pull_requests <- t.pull_requests + 1;
                     Obs.Counter.incr t.inst.c_pull_requests;
                     if has t pidx k && t.recv.(pidx).(k) <= now then begin
-                      t.pull_hits <- t.pull_hits + 1;
                       Obs.Counter.incr t.inst.c_pull_hits;
                       let d = link t p node in
-                      if Float.is_nan d then begin
-                        t.transfer_failures <- t.transfer_failures + 1;
+                      if Float.is_nan d then
                         Obs.Counter.incr t.inst.c_transfer_failures
-                      end
                       else
                         Sim.schedule_at sim
                           (now +. ((rtt +. d) /. 1000.))
@@ -355,31 +312,23 @@ let repair_pass t now =
     | Some a -> Arbiter.admit a ~now "stream_repair"
     | None -> true
   in
-  if not admitted then begin
-    t.repair_denied <- t.repair_denied + 1;
+  if not admitted then
     Obs.Counter.incr t.inst.c_repair_denied
-  end
   else begin
-    let r =
-      Multicast.repair ~label:"stream_repair" ~predict:t.repair_predict
-        t.tree t.repair_rng t.engine
-    in
-    t.repair_passes <- t.repair_passes + 1;
-    t.repair_detached <- t.repair_detached + r.Multicast.detached;
-    t.repair_reattached <- t.repair_reattached + r.Multicast.reattached;
-    t.repair_rejoined <- t.repair_rejoined + r.Multicast.rejoined
+    ignore
+      (Multicast.repair ~label:"stream_repair" ~predict:t.repair_predict
+         t.tree t.repair_rng t.engine
+        : Multicast.repair);
+    t.repair_passes <- t.repair_passes + 1
   end
 
 let deadline_check t emit_time k now =
   Array.iteri
     (fun midx node ->
       if midx <> t.src_idx then begin
-        if not (up t.engine node) then begin
-          t.down_at_deadline <- t.down_at_deadline + 1;
+        if not (up t.engine node) then
           Obs.Counter.incr t.inst.c_down_at_deadline
-        end
         else if has t midx k && t.recv.(midx).(k) <= now then begin
-          t.on_time <- t.on_time + 1;
           Obs.Counter.incr t.inst.c_on_time;
           let receive_ms = (t.recv.(midx).(k) -. emit_time) *. 1000. in
           Obs.Histogram.observe t.inst.h_receive_ms receive_ms;
@@ -393,14 +342,11 @@ let deadline_check t emit_time k now =
             (* No measurable direct path to judge stretch against: the
                delivery counts, the stretch sample is recorded as
                dropped instead of silently narrowing the percentiles. *)
-            t.stretches <- t.stretches;
             Obs.Counter.incr t.inst.c_stretch_dropped
           end
         end
-        else begin
-          t.missed <- t.missed + 1;
+        else
           Obs.Counter.incr t.inst.c_missed
-        end
       end)
     t.nodes
 
@@ -440,35 +386,48 @@ let run t =
           true
         end);
   Sim.run sim;
-  let judged = t.on_time + t.missed in
+  let n = Obs.Counter.count and i = t.inst in
+  (* [Multicast.repair] writes its counts to the engine's
+     [repair.*{plane=multicast}] series.  Read them only once a pass
+     has registered them, so a run without repair exports no new
+     zero series. *)
+  let multicast name =
+    if t.repair_passes = 0 then 0
+    else
+      n (Obs.Registry.counter (Engine.obs t.engine)
+           ~labels:[ ("plane", "multicast") ] name)
+  in
+  let on_time = n i.c_on_time and missed = n i.c_missed in
+  let deliveries = n i.c_delivered and duplicates = n i.c_duplicates in
+  let pull_exchanges = n i.c_pull_exchanges in
+  let judged = on_time + missed in
   {
     members = c.members;
     joined = List.length (Multicast.members t.tree);
     chunks = t.chunks;
-    on_time = t.on_time;
-    missed = t.missed;
-    down_at_deadline = t.down_at_deadline;
+    on_time;
+    missed;
+    down_at_deadline = n i.c_down_at_deadline;
     miss_rate =
-      (if judged = 0 then 0. else float_of_int t.missed /. float_of_int judged);
-    deliveries = t.deliveries;
-    duplicates = t.duplicates;
-    transfer_failures = t.transfer_failures;
-    lost_down = t.lost_down;
-    pull_exchanges = t.pull_exchanges;
-    pull_failures = t.pull_failures;
-    pull_requests = t.pull_requests;
-    pull_hits = t.pull_hits;
+      (if judged = 0 then 0. else float_of_int missed /. float_of_int judged);
+    deliveries;
+    duplicates;
+    transfer_failures = n i.c_transfer_failures;
+    lost_down = n i.c_lost_down;
+    pull_exchanges;
+    pull_failures = n i.c_pull_failures;
+    pull_requests = n i.c_pull_requests;
+    pull_hits = n i.c_pull_hits;
     overhead_ratio =
-      float_of_int (t.duplicates + t.pull_exchanges)
-      /. float_of_int (max 1 t.deliveries);
+      float_of_int (duplicates + pull_exchanges) /. float_of_int (max 1 deliveries);
     stretches = Array.of_list (List.rev t.stretches);
     repair =
       {
         passes = t.repair_passes;
-        denied = t.repair_denied;
-        detached = t.repair_detached;
-        reattached = t.repair_reattached;
-        rejoined = t.repair_rejoined;
+        denied = n i.c_repair_denied;
+        detached = multicast "repair.detached";
+        reattached = multicast "repair.reattached";
+        rejoined = multicast "repair.rejoined";
       };
     tree_metrics = Multicast.evaluate t.tree t.engine;
   }

@@ -64,28 +64,30 @@ val tree : t -> Tivaware_overlay.Multicast.t
 
 type repair_totals = {
   passes : int;  (** repair passes that ran *)
-  denied : int;  (** passes refused by the arbiter carve *)
-  detached : int;
-  reattached : int;
-  rejoined : int;
+  denied : int;  (** [stream.repair_denied]: passes refused by the arbiter carve *)
+  detached : int;  (** [repair.detached{plane=multicast}] *)
+  reattached : int;  (** [repair.reattached{plane=multicast}] *)
+  rejoined : int;  (** [repair.rejoined{plane=multicast}] *)
 }
 
 type result = {
   members : int;  (** swarm size (source included) *)
   joined : int;  (** tree members when the run ended *)
   chunks : int;  (** chunks emitted *)
-  on_time : int;  (** (member, chunk) deliveries inside the deadline *)
-  missed : int;  (** (member, chunk) pairs past deadline at a live member *)
-  down_at_deadline : int;  (** pairs not judged: member down at deadline *)
+  on_time : int;  (** [stream.on_time]: (member, chunk) deliveries inside the deadline *)
+  missed : int;  (** [stream.missed]: pairs past deadline at a live member *)
+  down_at_deadline : int;
+      (** [stream.down_at_deadline]: pairs not judged, member down at deadline *)
   miss_rate : float;  (** missed / (on_time + missed) *)
-  deliveries : int;  (** push + pull chunk deliveries accepted *)
-  duplicates : int;  (** deliveries of already-held chunks *)
-  transfer_failures : int;  (** forwards dropped on an unmeasurable link *)
-  lost_down : int;  (** deliveries that found the receiver down *)
-  pull_exchanges : int;  (** have-map control rounds issued *)
-  pull_failures : int;  (** control rounds whose probe failed *)
-  pull_requests : int;  (** chunks asked for across all exchanges *)
-  pull_hits : int;  (** requested chunks the parent could serve *)
+  deliveries : int;  (** [stream.deliveries]: push + pull chunk deliveries accepted *)
+  duplicates : int;  (** [stream.duplicates]: deliveries of already-held chunks *)
+  transfer_failures : int;
+      (** [stream.transfer_failures]: forwards dropped on an unmeasurable link *)
+  lost_down : int;  (** [stream.lost_down]: deliveries that found the receiver down *)
+  pull_exchanges : int;  (** [stream.pull_exchanges]: have-map control rounds issued *)
+  pull_failures : int;  (** [stream.pull_failures]: control rounds whose probe failed *)
+  pull_requests : int;  (** [stream.pull_requests]: chunks asked for across all exchanges *)
+  pull_hits : int;  (** [stream.pull_hits]: requested chunks the parent could serve *)
   overhead_ratio : float;
       (** (duplicates + pull control rounds) per accepted delivery *)
   stretches : float array;
@@ -96,6 +98,10 @@ type result = {
       (** final tree judged by {!Tivaware_overlay.Multicast.evaluate}
           (ground truth, nan-audited) *)
 }
+(** A view of the engine's registry: each counted field reads the
+    series named beside it once, after the run.  Those series are
+    engine-wide, so the view assumes one swarm per engine and no other
+    {!Tivaware_overlay.Multicast.repair} on it. *)
 
 val run : t -> result
 (** Plays the whole broadcast: chunk emissions over [duration],

@@ -24,6 +24,9 @@
      order), and a choice's [probes] equals the engine calls it made.
    - Validation: bad workload parameters raise [Invalid_argument]
      naming the offending field.
+   - Accounting: store reads and stream deadlines are counted once,
+     in the engine's registry, and the result views keep the
+     scenarios' identities.
 
    Reads TIVAWARE_PROP_SEED so the CI matrix (seeds 13-15) re-runs
    everything under distinct seeds. *)
@@ -42,6 +45,8 @@ module Ring = Tivaware_store.Ring
 module Alert = Tivaware_tiv.Alert
 module Selection = Tivaware_tiv.Selection
 module Scenario = Tivaware_store.Scenario
+module Swarm = Tivaware_stream.Swarm
+module Obs = Tivaware_obs
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -51,8 +56,8 @@ let prop_seed =
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let qcheck ~count ~name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qcheck ?print ~count ~name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ?print ~count ~name gen prop)
 
 (* Zone-balanced ring configurations: [zones >= replicas] and every
    zone carries the same weight multiset, the regime in which both the
@@ -493,16 +498,16 @@ let test_validation () =
 
 let scenario_matrix = lazy (Euclidean.uniform_box (Rng.create 6991) ~n:60 ~dim:3 ~side_ms:250.)
 
-let run_scenario seed =
-  let m = Lazy.force scenario_matrix in
-  let backend = Backend.dense m in
+(* A 60-node world under loss, dynamics and churn. *)
+let scenario_world ?(fraction = 0.25) seed =
+  let backend = Backend.dense (Lazy.force scenario_matrix) in
   let engine =
     Backend.engine
       ~config:
         {
           Engine.fault = { Fault.default with Fault.loss = 0.05 };
           profile = None;
-          churn = Some { Churn.fraction = 0.25; mean_up = 50.; mean_down = 15.; seed = seed + 3 };
+          churn = Some { Churn.fraction; mean_up = 50.; mean_down = 15.; seed = seed + 3 };
           dynamics = Some Dynamics.default;
           budget = None;
           cache_ttl = None;
@@ -512,6 +517,10 @@ let run_scenario seed =
         }
       backend
   in
+  (backend, engine)
+
+let run_scenario ?trace ?fraction ?(tweak = Fun.id) seed =
+  let backend, engine = scenario_world ?fraction seed in
   let config =
     {
       Scenario.default_config with
@@ -527,20 +536,75 @@ let run_scenario seed =
     }
   in
   let sc =
-    Scenario.create ~config ~policy:(Selection.cached ()) ~backend ~engine ()
+    Scenario.create ~config:(tweak config) ~policy:(Selection.cached ()) ~backend ~engine ()
   in
-  Scenario.run sc
+  (Scenario.run ?trace sc, Engine.obs engine)
 
 let test_scenario_deterministic () =
-  let a = run_scenario (1000 + prop_seed) in
-  let b = run_scenario (1000 + prop_seed) in
+  let a, _ = run_scenario (1000 + prop_seed) in
+  let b, _ = run_scenario (1000 + prop_seed) in
   checkb "identical results" true (a = b);
-  checki "issued + skipped = reads" 120 (a.Scenario.issued + a.Scenario.skipped);
-  checki "completed + failed = issued" a.Scenario.issued
-    (a.Scenario.completed + a.Scenario.failed);
-  checki "one latency per completed read" a.Scenario.completed
-    (Array.length a.Scenario.latencies);
   checkb "repair passes ran" true (a.Scenario.repair.Scenario.passes >= 8)
+
+(* --- every scenario outcome is counted once --- *)
+
+(* A counter's value, or a histogram's number of observations. *)
+let count reg name =
+  match List.assoc_opt name (Obs.Registry.metrics reg) with
+  | Some (Obs.Registry.Counter c) -> Obs.Counter.count c
+  | Some (Obs.Registry.Histogram h) -> Obs.Histogram.count h
+  | _ -> -1
+
+let expect_all checks =
+  List.for_all
+    (fun (what, want, got) ->
+      want = got || QCheck2.Test.fail_reportf "%s: expected %d, got %d" what want got)
+    checks
+
+(* The registry series against a fold over the traced read outcomes.
+   One to three devices under full churn lose every replica of some
+   partitions, so reads fail after walking the handoff order. *)
+let store_accounted (devices, fraction, repair_interval, seed) =
+  let tweak c = { c with Scenario.devices; replicas = min 3 devices; repair_interval } in
+  let outcomes = ref [] in
+  let r, reg = run_scenario ~trace:(fun o -> outcomes := o :: !outcomes) ~fraction ~tweak seed in
+  let open Scenario in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 !outcomes in
+  let served o = Bool.to_int (o.device <> None) in
+  expect_all
+    [
+      ("store.read_failures", sum (fun o -> 1 - served o), count reg "store.read_failures");
+      ("store.handoff_reads", sum (fun o -> Bool.to_int o.handoff), count reg "store.handoff_reads");
+      ("store.dead_attempts", sum (fun o -> o.attempts - served o), count reg "store.dead_attempts");
+      ("policy_probes", sum (fun o -> o.probes), r.policy_probes);
+      ("reads = issued + skipped", 120, r.issued + r.skipped);
+      ("issued = completed + failed", r.issued, r.completed + r.failed);
+      ("|latencies| = completed", r.completed, Array.length r.latencies);
+      ("count(store.read_ms) = completed", r.completed, count reg "store.read_ms");
+    ]
+
+let stream_accounted (members, fraction, repair_interval, seed) =
+  let backend, engine = scenario_world ~fraction seed in
+  let config = { Swarm.default_config with Swarm.members; duration = 20.; repair_interval; seed } in
+  let r = Swarm.run (Swarm.create ~config ~select:(Selection.random ~seed) ~backend ~engine ()) in
+  let reg = Engine.obs engine in
+  let open Swarm in
+  expect_all
+    [
+      ("deadline outcomes", r.chunks * (members - 1), r.on_time + r.missed + r.down_at_deadline);
+      ( "|stretches| + stretch_dropped", r.on_time,
+        Array.length r.stretches + count reg "stream.stretch_dropped" );
+      ("count(stream.receive_ms)", r.on_time, count reg "stream.receive_ms");
+    ]
+
+let test_outcomes_counted_once =
+  qcheck ~count:24 ~name:"every outcome counted once"
+    ~print:QCheck2.Print.(pair bool (quad int float float int))
+    QCheck2.Gen.(
+      pair bool (quad (int_range 1 6) (oneofl [ 0.25; 1. ]) (oneofl [ 0.; 10. ]) (int_bound 999)))
+    (fun (store, (k, fraction, repair, seed)) ->
+      if store then store_accounted (k, fraction, repair, seed)
+      else stream_accounted (k + 1, fraction, repair, seed))
 
 let () =
   Alcotest.run "store_properties"
@@ -571,5 +635,6 @@ let () =
         [
           Alcotest.test_case "seeded run is deterministic" `Quick
             test_scenario_deterministic;
+          test_outcomes_counted_once;
         ] );
     ]

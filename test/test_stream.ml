@@ -12,9 +12,8 @@
      gate checks end to end through `tivlab stream --metrics-out`.
    - Policy probes ride the engine like any other measurement: the
      alert policy's verification probes are accounted under the
-     ["stream"] label, repair re-grafting under ["stream_repair"],
-     and the stream.* observability counters agree with the result
-     record.
+     ["stream"] label, repair re-grafting under ["stream_repair"];
+     test_store_properties checks the stream.* counters' identities.
    - The locality spectrum orders as the paper says it should: the
      alert tree's edges are shorter than the naive tree's, and under
      churn the naive swarm misses at least as many deadlines.
@@ -143,19 +142,8 @@ let churny_run () =
 let test_deterministic_replay () =
   let a, _ = churny_run () in
   let b, _ = churny_run () in
-  checki "on_time replays" a.Swarm.on_time b.Swarm.on_time;
-  checki "missed replays" a.Swarm.missed b.Swarm.missed;
-  checki "down_at_deadline replays" a.Swarm.down_at_deadline
-    b.Swarm.down_at_deadline;
-  checki "deliveries replay" a.Swarm.deliveries b.Swarm.deliveries;
-  checki "duplicates replay" a.Swarm.duplicates b.Swarm.duplicates;
-  checki "pull traffic replays" a.Swarm.pull_requests b.Swarm.pull_requests;
-  checki "repair passes replay" a.Swarm.repair.Swarm.passes
-    b.Swarm.repair.Swarm.passes;
-  checki "repair re-grafts replay" a.Swarm.repair.Swarm.reattached
-    b.Swarm.repair.Swarm.reattached;
-  Alcotest.(check (array (float 0.)))
-    "every stretch sample replays" a.Swarm.stretches b.Swarm.stretches
+  (* [compare], not [=], so nan tree metrics compare equal. *)
+  checkb "identical result record" true (compare a b = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Probe accounting and the stream.* observability series              *)
@@ -170,21 +158,8 @@ let test_probe_accounting () =
     (r.Swarm.repair.Swarm.detached + r.Swarm.repair.Swarm.rejoined > 0);
   checkb "repair probes charged under the stream_repair label" true
     (Probe_stats.label_count stats "stream_repair" > 0);
-  let reg = Engine.obs engine in
-  let counter name = int_of_float (Obs.Counter.value (Obs.Registry.counter reg name)) in
   checki "stream.chunks_emitted = chunks" r.Swarm.chunks
-    (counter "stream.chunks_emitted");
-  checki "stream.deliveries agrees" r.Swarm.deliveries
-    (counter "stream.deliveries");
-  checki "stream.missed agrees" r.Swarm.missed (counter "stream.missed");
-  checki "stream.on_time agrees" r.Swarm.on_time (counter "stream.on_time");
-  checki "receive-latency histogram saw every on-time delivery"
-    r.Swarm.on_time
-    (Obs.Histogram.count
-       (Obs.Registry.histogram reg
-          ~edges:
-            [| 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. |]
-          "stream.receive_ms"))
+    (Obs.Counter.count (Obs.Registry.counter (Engine.obs engine) "stream.chunks_emitted"))
 
 (* ------------------------------------------------------------------ *)
 (* Locality ordering: alert < naive on edges; naive misses more        *)
@@ -297,11 +272,7 @@ let test_arbiter_starves_repair () =
     (r.Swarm.repair.Swarm.denied > 0);
   checki "the arbiter agrees with the result record"
     r.Swarm.repair.Swarm.denied
-    (Arbiter.denied arbiter "stream_repair");
-  checki "denials are observable" r.Swarm.repair.Swarm.denied
-    (int_of_float
-       (Obs.Counter.value
-          (Obs.Registry.counter (Engine.obs engine) "stream.repair_denied")))
+    (Arbiter.denied arbiter "stream_repair")
 
 let () =
   Alcotest.run "stream"
