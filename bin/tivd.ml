@@ -11,46 +11,12 @@
    to stdout only. *)
 
 open Cmdliner
-module Rng = Tivaware_util.Rng
-module Io = Tivaware_delay_space.Io
-module Datasets = Tivaware_topology.Datasets
-module Generator = Tivaware_topology.Generator
-module Synthesizer = Tivaware_topology.Synthesizer
-module Backend = Tivaware_backend.Delay_backend
-module Engine = Tivaware_measure.Engine
-module Fault = Tivaware_measure.Fault
 module Obs = Tivaware_obs
 module Workload = Tivaware_service.Workload
 module Shard = Tivaware_service.Shard
 module Driver = Tivaware_service.Driver
 
-let make_backend_factory kind ~matrix_file ~nodes ~model_size ~memo ~seed =
-  let memo = if memo <= 0 then None else Some memo in
-  let load_or_generate size =
-    match matrix_file with
-    | Some path -> Io.load path
-    | None -> (Datasets.generate ~size ~seed Datasets.Ds2).Generator.matrix
-  in
-  match kind with
-  | `Dense ->
-    (* The matrix is immutable, so shard factories may share it; each
-       shard still gets its own backend value (obs attach points). *)
-    let m = load_or_generate nodes in
-    fun () -> Backend.dense m
-  | `Lazy ->
-    let model = Synthesizer.analyze (load_or_generate model_size) in
-    fun () -> Backend.lazy_synth ?memo ~seed ~size:nodes model
-
-let make_engine_config ~loss ~jitter ~retries ~cache_ttl ~cache_capacity
-    ~charge_time ~seed =
-  {
-    Engine.default_config with
-    Engine.fault = { Fault.default with Fault.loss; jitter; retries };
-    cache_ttl = (if cache_ttl <= 0. then None else Some cache_ttl);
-    cache_capacity = (if cache_capacity <= 0 then None else Some cache_capacity);
-    charge_time;
-    seed;
-  }
+let prog = "tivd"
 
 let kind_counter obs name kind =
   Obs.Counter.value
@@ -62,6 +28,11 @@ let kind_latency obs kind =
   Obs.Registry.histogram obs
     ~labels:[ ("kind", Workload.kind_label kind) ]
     ~edges:Shard.latency_edges "service.latency_ms"
+
+(* A statistic of a query kind that served nothing is undefined: print
+   "-", as the --report JSON writes null. *)
+let number decimals v =
+  if Float.is_nan v then "-" else Printf.sprintf "%.*f" decimals v
 
 let print_summary result wall =
   let obs = result.Driver.obs in
@@ -81,31 +52,29 @@ let print_summary result wall =
       let f = kind_counter obs "service.failures" kind in
       let h = kind_latency obs kind in
       Format.printf
-        "  %-10s %6.0f queries, %.0f failures, latency p50=%.1f p99=%.1f ms@."
+        "  %-10s %6.0f queries, %.0f failures, latency p50=%s p99=%s ms@."
         (Workload.kind_label kind) q f
-        (Obs.Histogram.quantile h 0.5)
-        (Obs.Histogram.quantile h 0.99))
+        (number 1 (Obs.Histogram.quantile h 0.5))
+        (number 1 (Obs.Histogram.quantile h 0.99)))
     Workload.kinds;
   let switches = Obs.Counter.value (Obs.Registry.counter obs "service.switches") in
   let hops =
     Obs.Registry.histogram obs ~edges:Shard.hops_edges "service.hops"
   in
-  Format.printf "  dht hops mean=%.2f, refresh switches=%.0f, clock=%.1f s@."
-    (Obs.Histogram.mean hops) switches result.Driver.clock
+  Format.printf "  dht hops mean=%s, refresh switches=%.0f, clock=%.1f s@."
+    (number 2 (Obs.Histogram.mean hops))
+    switches result.Driver.clock
 
-let run domains queries rate mix backend_kind matrix_file nodes model_size memo
-    seed meridian candidate_budget beta loss jitter retries cache_ttl
-    cache_capacity charge_time sequential report =
+let run domains queries rate mix world meridian candidate_budget beta meas
+    sequential report =
   try
+    let seed = world.Harness.seed in
+    let make_backend = Harness.backend_factory ~prog world in
     let spec =
       {
         Shard.seed;
-        engine_config =
-          make_engine_config ~loss ~jitter ~retries ~cache_ttl ~cache_capacity
-            ~charge_time ~seed;
-        make_backend =
-          make_backend_factory backend_kind ~matrix_file ~nodes ~model_size
-            ~memo ~seed;
+        engine_config = Harness.engine_config meas ~seed;
+        make_backend = (fun () -> fst (make_backend ()));
         meridian_count = meridian;
         candidate_budget =
           (if candidate_budget <= 0 then None else Some candidate_budget);
@@ -122,15 +91,11 @@ let run domains queries rate mix backend_kind matrix_file nodes model_size memo
     in
     let wall = Unix.gettimeofday () -. t0 in
     print_summary result wall;
-    Option.iter
-      (fun path ->
-        Obs.Summary.write ~clock:result.Driver.clock result.Driver.obs path;
-        Format.printf "summary written to %s@." path)
-      report;
+    Harness.write_summary
+      ~announce:(Printf.sprintf "summary written to %s")
+      ~clock:result.Driver.clock result.Driver.obs report;
     0
-  with Invalid_argument msg | Sys_error msg ->
-    prerr_endline ("tivd: " ^ msg);
-    2
+  with Invalid_argument msg | Sys_error msg -> Harness.usage_error ~prog msg
 
 (* ---------------------------------------------------------------- *)
 (* Arguments                                                         *)
@@ -178,15 +143,6 @@ let mix_arg =
     & info [ "mix" ] ~docv:"C:D:M"
         ~doc:"Relative weights of closest:dht:multicast queries.")
 
-let backend_kind_arg =
-  Arg.(
-    value
-    & opt (enum [ ("dense", `Dense); ("lazy", `Lazy) ]) `Dense
-    & info [ "backend" ] ~docv:"KIND"
-        ~doc:"Delay-plane backend: $(b,dense) materializes the matrix, \
-              $(b,lazy) synthesizes queried pairs on demand from a DS2 \
-              model.")
-
 let matrix_arg =
   Arg.(
     value
@@ -199,21 +155,6 @@ let nodes_arg =
   Arg.(
     value & opt int 400
     & info [ "nodes" ] ~docv:"N" ~doc:"Delay-space node count.")
-
-let model_size_arg =
-  Arg.(
-    value & opt int 400
-    & info [ "model-size" ] ~docv:"N"
-        ~doc:"Dense source size the lazy backend's model is measured from.")
-
-let memo_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "memo" ] ~docv:"N"
-        ~doc:"LRU memo bound for the lazy backend (0 = no memo).")
-
-let seed_arg =
-  Arg.(value & opt int 2007 & info [ "seed" ] ~docv:"N" ~doc:"Master seed.")
 
 let meridian_arg =
   Arg.(
@@ -232,40 +173,6 @@ let beta_arg =
   Arg.(
     value & opt float 0.5
     & info [ "beta" ] ~docv:"F" ~doc:"Meridian acceptance threshold.")
-
-let loss_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "loss" ] ~docv:"P" ~doc:"Injected probe loss probability.")
-
-let jitter_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "jitter" ] ~docv:"F"
-        ~doc:"Multiplicative probe jitter in [1-F, 1+F].")
-
-let retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "retries" ] ~docv:"N" ~doc:"Probe retries after a loss.")
-
-let cache_ttl_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "cache-ttl" ] ~docv:"S"
-        ~doc:"Measurement cache TTL in seconds (0 = no cache).")
-
-let cache_capacity_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "cache-capacity" ] ~docv:"N"
-        ~doc:"LRU bound on cache entries (0 = unbounded).")
-
-let charge_time_arg =
-  Arg.(
-    value & flag
-    & info [ "charge-time" ]
-        ~doc:"Advance the engine clock by each probe's measurement cost.")
 
 let sequential_arg =
   Arg.(
@@ -286,10 +193,9 @@ let cmd =
   let term =
     Term.(
       const run $ domains_arg $ queries_arg $ rate_arg $ mix_arg
-      $ backend_kind_arg $ matrix_arg $ nodes_arg $ model_size_arg $ memo_arg
-      $ seed_arg $ meridian_arg $ candidate_budget_arg $ beta_arg $ loss_arg
-      $ jitter_arg $ retries_arg $ cache_ttl_arg $ cache_capacity_arg
-      $ charge_time_arg $ sequential_arg $ report_arg)
+      $ Harness.world_term ~matrix:matrix_arg ~nodes:nodes_arg
+      $ meridian_arg $ candidate_budget_arg $ beta_arg $ Harness.meas_term
+      $ sequential_arg $ report_arg)
   in
   Cmd.v
     (Cmd.info "tivd" ~version:"%%VERSION%%"

@@ -29,7 +29,6 @@ module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
 module Severity = Tivaware_tiv.Severity
 module Triangle = Tivaware_tiv.Triangle
-module Alert = Tivaware_tiv.Alert
 module Eval = Tivaware_tiv.Eval
 module System = Tivaware_vivaldi.System
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
@@ -39,13 +38,8 @@ module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
 module Penalty = Tivaware_core.Penalty
 module Engine = Tivaware_measure.Engine
-module Fault = Tivaware_measure.Fault
-module Profile = Tivaware_measure.Profile
 module Churn = Tivaware_measure.Churn
-module Dynamics = Tivaware_measure.Dynamics
-module Budget = Tivaware_measure.Budget
 module Arbiter = Tivaware_measure.Arbiter
-module Probe_stats = Tivaware_measure.Probe_stats
 module Sim = Tivaware_eventsim.Sim
 module Zipf = Tivaware_util.Zipf
 module Obs = Tivaware_obs
@@ -59,11 +53,11 @@ module Store_scenario = Tivaware_store.Scenario
 module Selection = Tivaware_tiv.Selection
 module Stream_swarm = Tivaware_stream.Swarm
 
+let prog = "tivlab"
+let or_usage_error f = Harness.or_usage_error ~prog f
+
 (* ---------------------------------------------------------------- *)
 (* Shared arguments                                                  *)
-
-let seed_arg =
-  Arg.(value & opt int 2007 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
 let size_arg =
   Arg.(
@@ -84,6 +78,10 @@ let matrix_arg =
         ~doc:"Delay matrix file (tivaware text format). When absent, a \
               DS2-like space is generated from $(b,--size)/$(b,--seed).")
 
+(* The world of a backend subcommand (dht, multicast, embed, closest,
+   tiv-scan, store, stream). *)
+let world_term = Harness.world_term ~matrix:matrix_arg ~nodes:size_arg
+
 let preset_arg =
   let presets =
     [ ("ds2", Datasets.Ds2); ("meridian", Datasets.Meridian);
@@ -96,49 +94,8 @@ let preset_arg =
         ~doc:"Data-set preset: $(b,ds2), $(b,meridian), $(b,p2psim) or \
               $(b,planetlab).")
 
-(* Bad caller input raises [Invalid_argument] naming the field; report
-   it as a usage error instead of an uncaught exception. *)
-let or_usage_error f =
-  try f ()
-  with Invalid_argument msg ->
-    prerr_endline ("tivlab: " ^ msg);
-    exit 2
-
-(* A malformed matrix file is a usage error naming the file. *)
-let load_matrix path =
-  try Io.load path
-  with Failure msg ->
-    prerr_endline (Printf.sprintf "tivlab: %s: %s" path msg);
-    exit 2
-
-(* Returns the matrix plus lazy cluster labels ([-1] = noise) for
-   topology-derived fault profiles: ground truth when generating,
-   DS2-style clustering when loading a measured matrix. *)
-let load_or_generate matrix_file size seed =
-  or_usage_error @@ fun () ->
-  match matrix_file with
-  | Some path ->
-    let m = load_matrix path in
-    (m, lazy (Clustering.cluster m).Clustering.label)
-  | None ->
-    let data = Datasets.generate ~size ~seed Datasets.Ds2 in
-    (data.Generator.matrix, lazy data.Generator.cluster_of)
-
 (* ---------------------------------------------------------------- *)
-(* Measurement-plane arguments (vivaldi / meridian / alert)          *)
-
-let loss_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "loss" ] ~docv:"P"
-        ~doc:"Probe loss probability injected by the measurement plane.")
-
-let meas_jitter_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "jitter" ] ~docv:"F"
-        ~doc:"Multiplicative probe jitter: measured RTT is scaled by a \
-              uniform factor in [1-F, 1+F].")
+(* Measurement-plane arguments beyond the ones tivd shares           *)
 
 let probe_budget_arg =
   Arg.(
@@ -146,20 +103,6 @@ let probe_budget_arg =
     & info [ "probe-budget" ] ~docv:"N"
         ~doc:"Per-node probe budget: token bucket of capacity N refilled \
               at N tokens per logical second (0 = unlimited).")
-
-let cache_ttl_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "cache-ttl" ] ~docv:"SECONDS"
-        ~doc:"RTT cache TTL in logical seconds — the IDMS-style delay \
-              service mode (0 = on-demand, no cache).")
-
-let cache_capacity_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "cache-capacity" ] ~docv:"N"
-        ~doc:"LRU entry bound for the RTT cache (0 = unbounded; \
-              requires $(b,--cache-ttl)).")
 
 let retry_policy_arg =
   let policies =
@@ -173,20 +116,6 @@ let retry_policy_arg =
               (exponential, 100 ms base, factor 2, 10% delay jitter) or \
               $(b,adaptive) (backoff with the retry budget sized per \
               node from its estimated loss rate).")
-
-let retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Maximum retransmissions per probe request.")
-
-let charge_time_arg =
-  Arg.(
-    value & flag
-    & info [ "charge-time" ]
-        ~doc:"Advance the measurement-plane clock by what each probe \
-              costs (RTTs, timeouts, backoff), instead of one logical \
-              second per round only.")
 
 let profile_arg =
   let profiles = [ ("uniform", `Uniform); ("topo", `Topo); ("random", `Random) ] in
@@ -234,34 +163,13 @@ let metrics_out_arg =
         ~doc:"Write the run's observability summary (probe, cache, repair \
               and alert metrics plus the trace ring) to FILE as JSON.")
 
-type meas_opts = {
-  loss : float;
-  jitter : float;
-  probe_budget : int;
-  cache_ttl : float;
-  cache_capacity : int;
-  retry_policy : [ `Fixed | `Backoff | `Adaptive ];
-  retries : int;
-  charge_time : bool;
-  profile : [ `Uniform | `Topo | `Random ];
-  churn : bool;
-  churn_fraction : float;
-  dynamics : [ `None | `Diurnal | `Routeflap ];
-  metrics_out : string option;
-}
-
 let meas_term =
-  let make loss jitter probe_budget cache_ttl cache_capacity retry_policy
-      retries charge_time profile churn churn_fraction dynamics metrics_out =
+  let make (shared : Harness.meas) probe_budget retry_policy profile churn
+      churn_fraction dynamics metrics_out =
     {
-      loss;
-      jitter;
+      shared with
       probe_budget;
-      cache_ttl;
-      cache_capacity;
       retry_policy;
-      retries;
-      charge_time;
       profile;
       churn;
       churn_fraction;
@@ -270,188 +178,16 @@ let meas_term =
     }
   in
   Term.(
-    const make $ loss_arg $ meas_jitter_arg $ probe_budget_arg $ cache_ttl_arg
-    $ cache_capacity_arg $ retry_policy_arg $ retries_arg $ charge_time_arg
+    const make $ Harness.meas_term $ probe_budget_arg $ retry_policy_arg
     $ profile_arg $ churn_arg $ churn_fraction_arg $ dynamics_arg
     $ metrics_out_arg)
-
-let cli_backoff = { Fault.default_backoff with Fault.delay_jitter = 0.1 }
-
-let make_engine_config ?(labels = lazy [||]) opts ~seed =
-  let policy =
-    match opts.retry_policy with
-    | `Fixed -> Fault.Fixed
-    | `Backoff -> Fault.Backoff cli_backoff
-    | `Adaptive -> Fault.adaptive ~backoff:cli_backoff ()
-  in
-  let profile =
-    match opts.profile with
-    | `Uniform -> None (* fault config drives the injector, as before *)
-    | `Topo ->
-      Some
-        (Profile.topology ~loss:opts.loss ~jitter:opts.jitter
-           ~cluster_of:(Lazy.force labels) ())
-    | `Random ->
-      Some (Profile.random ~loss:opts.loss ~jitter:opts.jitter ~seed ())
-  in
-  let churn =
-    if opts.churn then
-      Some { Churn.default with Churn.fraction = opts.churn_fraction; seed }
-    else None
-  in
-  let dynamics =
-    match opts.dynamics with
-    | `None -> None
-    | `Diurnal ->
-      Some
-        { Dynamics.default with Dynamics.diurnal = Some Dynamics.default_diurnal; seed }
-    | `Routeflap ->
-      Some
-        {
-          Dynamics.default with
-          Dynamics.route_flap = Some Dynamics.default_route_flap;
-          seed;
-        }
-  in
-  let config =
-    {
-      Engine.fault =
-        {
-          Fault.default with
-          Fault.loss = opts.loss;
-          jitter = opts.jitter;
-          retries = opts.retries;
-          policy;
-        };
-      profile;
-      churn;
-      dynamics;
-      budget =
-        (if opts.probe_budget <= 0 then None
-         else
-           Some
-             (Budget.per_node
-                ~capacity:(float_of_int opts.probe_budget)
-                ~rate:(float_of_int opts.probe_budget)));
-      cache_ttl = (if opts.cache_ttl <= 0. then None else Some opts.cache_ttl);
-      cache_capacity =
-        (if opts.cache_capacity <= 0 then None else Some opts.cache_capacity);
-      charge_time = opts.charge_time;
-      seed;
-    }
-  in
-  config
-
-let make_engine m ?labels opts ~seed =
-  let config = make_engine_config ?labels opts ~seed in
-  or_usage_error (fun () -> Engine.of_matrix ~config m)
-
-let make_backend_engine backend ?labels opts ~seed =
-  let config = make_engine_config ?labels opts ~seed in
-  or_usage_error (fun () ->
-      let engine = Backend.engine ~config backend in
-      Backend.attach_obs backend (Engine.obs engine);
-      engine)
-
-let print_probe_summary engine =
-  Format.printf "probes: %a@." Probe_stats.pp (Engine.stats engine)
-
-(* Dump the engine's metric registry — probe/cache/repair/alert series
-   plus whatever driver-level gauges the subcommand added — as JSON. *)
-let write_metrics meas engine =
-  match meas.metrics_out with
-  | None -> ()
-  | Some path ->
-    Obs.Summary.write ~clock:(Engine.now engine) (Engine.obs engine) path;
-    Printf.printf "metrics: wrote %s\n" path
-
-let set_gauge engine name v =
-  Obs.Gauge.set (Obs.Registry.gauge (Engine.obs engine) name) v
-
-(* ---------------------------------------------------------------- *)
-(* Delay-backend arguments (embed / closest / tiv-scan)              *)
-
-let backend_kind_arg =
-  let kinds = [ ("dense", `Dense); ("lazy", `Lazy) ] in
-  Arg.(
-    value & opt (enum kinds) `Dense
-    & info [ "backend" ] ~docv:"KIND"
-        ~doc:"Delay-plane backend: $(b,dense) materializes the full \
-              matrix (the historical model); $(b,lazy) synthesizes each \
-              queried pair on demand from a DS2 model, so memory stays \
-              independent of the pair count.")
-
-let model_size_arg =
-  Arg.(
-    value & opt int 400
-    & info [ "model-size" ] ~docv:"N"
-        ~doc:"Size of the dense source space the lazy backend's DS2 model \
-              is measured from (with $(b,--backend lazy) and no \
-              $(b,--matrix)).")
-
-let memo_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "memo" ] ~docv:"N"
-        ~doc:"Bound the lazy backend's LRU memo of materialized pairs to N \
-              entries (0 = no memo; every query re-derives its pair, \
-              still deterministic).")
-
-(* Build the ground-truth backend for a backend subcommand.  Dense: the
-   usual load-or-generate matrix at the requested node count.  Lazy: a
-   DS2 model measured from a small dense source (--matrix or a
-   --model-size generated space), then a lazy space of --nodes over
-   it. *)
-let make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed =
-  let memo = if memo <= 0 then None else Some memo in
-  or_usage_error @@ fun () ->
-  match kind with
-  | `Dense ->
-    let m, labels = load_or_generate matrix_file nodes seed in
-    (Backend.dense m, labels)
-  | `Lazy ->
-    let source, _ = load_or_generate matrix_file model_size seed in
-    let model = Synthesizer.analyze source in
-    let backend = Backend.lazy_synth ?memo ~seed ~size:nodes model in
-    let labels = lazy (Option.get (Backend.labels backend)) in
-    (backend, labels)
-
-(* Resident set size from the kernel's accounting, for the flat-RSS
-   claim backend runs print. *)
-let rss_mb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> nan
-  | ic ->
-    let rec scan () =
-      match input_line ic with
-      | exception End_of_file -> nan
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmRSS:" then
-          try
-            Scanf.sscanf
-              (String.sub line 6 (String.length line - 6))
-              " %d kB"
-              (fun kb -> float_of_int kb /. 1024.)
-          with Scanf.Scan_failure _ | Failure _ -> nan
-        else scan ()
-    in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
-
-let print_backend_summary backend engine =
-  let rss = rss_mb () in
-  if not (Float.is_nan rss) then
-    Printf.printf "memory: rss=%.1f MB, materialized pairs=%d (%s backend, %d nodes)\n"
-      rss
-      (Backend.materialized backend)
-      (Backend.kind_name backend) (Backend.size backend);
-  set_gauge engine "backend.rss_mb" (if Float.is_nan rss then 0. else rss)
 
 (* ---------------------------------------------------------------- *)
 (* gen                                                               *)
 
 let gen_cmd =
   let run preset size seed output =
-    let data = or_usage_error (fun () -> Datasets.generate ~size ~seed preset) in
+    let data = Harness.generate ~prog ~preset ~size ~seed () in
     Io.save data.Generator.matrix output;
     Printf.printf "wrote %s (%s, %d nodes, %d edges)\n" output
       (Datasets.name ~size preset) size
@@ -464,14 +200,14 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a synthetic Internet delay space.")
-    Term.(const run $ preset_arg $ size_arg $ seed_arg $ output)
+    Term.(const run $ preset_arg $ size_arg $ Harness.seed_arg $ output)
 
 (* ---------------------------------------------------------------- *)
 (* survey                                                            *)
 
 let survey_cmd =
   let run matrix_file size seed =
-    let m, _ = load_or_generate matrix_file size seed in
+    let m, _ = Harness.load_or_generate ~prog matrix_file ~size ~seed in
     Format.printf "%a@." Properties.pp (Properties.analyze m);
     let census = Triangle.census m in
     Printf.printf "triangles: %d/%d violate (%.1f%%), worst ratio %.2f\n"
@@ -484,17 +220,18 @@ let survey_cmd =
   in
   Cmd.v
     (Cmd.info "survey" ~doc:"TIV analysis of a delay space.")
-    Term.(const run $ matrix_arg $ size_arg $ seed_arg)
+    Term.(const run $ matrix_arg $ size_arg $ Harness.seed_arg)
 
 (* ---------------------------------------------------------------- *)
 (* vivaldi                                                           *)
 
 let vivaldi_cmd =
   let run matrix_file size seed rounds dim dynamic candidates meas =
-    let m, labels = load_or_generate matrix_file size seed in
+    or_usage_error (fun () -> Harness.at_least "dim" 1 dim);
+    let m, labels = Harness.load_or_generate ~prog matrix_file ~size ~seed in
     let config = { System.default_config with System.dim } in
     let rng = Rng.create seed in
-    let engine = make_engine m ~labels meas ~seed in
+    let engine = Harness.matrix_engine ~prog m ~labels meas ~seed in
     let system = Selectors.embed_vivaldi_engine ~config ~rounds rng engine in
     if dynamic > 0 then
       Dynamic_neighbors.run system
@@ -511,17 +248,18 @@ let vivaldi_cmd =
     Printf.printf "neighbor selection: %s (failures %d)\n"
       (Penalty.summarize result.Experiment.penalties)
       result.Experiment.failures;
-    if meas.charge_time then
+    if meas.Harness.charge_time then
       Printf.printf "virtual time: %.1f s (measurement-aware)\n"
         (Engine.now engine);
-    print_probe_summary engine;
-    set_gauge engine "vivaldi.embed_error.median_abs_ms" err.Error.median_abs;
-    set_gauge engine "vivaldi.embed_error.p90_abs_ms" err.Error.p90_abs;
-    set_gauge engine "vivaldi.embed_error.median_rel" err.Error.median_rel;
-    set_gauge engine "vivaldi.embed_error.p90_rel" err.Error.p90_rel;
-    set_gauge engine "vivaldi.selection_failures"
-      (float_of_int result.Experiment.failures);
-    write_metrics meas engine
+    Harness.report meas engine
+      ~gauges:
+        [
+          ("vivaldi.embed_error.median_abs_ms", err.Error.median_abs);
+          ("vivaldi.embed_error.p90_abs_ms", err.Error.p90_abs);
+          ("vivaldi.embed_error.median_rel", err.Error.median_rel);
+          ("vivaldi.embed_error.p90_rel", err.Error.p90_rel);
+          ("vivaldi.selection_failures", float_of_int result.Experiment.failures);
+        ]
   in
   let rounds =
     Arg.(value & opt int 200 & info [ "rounds" ] ~docv:"N" ~doc:"Embedding rounds.")
@@ -541,7 +279,7 @@ let vivaldi_cmd =
   Cmd.v
     (Cmd.info "vivaldi" ~doc:"Vivaldi embedding and neighbor selection.")
     Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ rounds $ dim $ dynamic
+      const run $ matrix_arg $ size_arg $ Harness.seed_arg $ rounds $ dim $ dynamic
       $ candidates $ meas_term)
 
 (* ---------------------------------------------------------------- *)
@@ -549,10 +287,10 @@ let vivaldi_cmd =
 
 let meridian_cmd =
   let run matrix_file size seed count beta tiv_aware no_termination meas =
-    let m, labels = load_or_generate matrix_file size seed in
+    let m, labels = Harness.load_or_generate ~prog matrix_file ~size ~seed in
     let cfg = { Ring.default_config with Ring.beta } in
     let rng = Rng.create seed in
-    let engine = make_engine m ~labels meas ~seed in
+    let engine = Harness.matrix_engine ~prog m ~labels meas ~seed in
     let termination =
       if no_termination then Some Tivaware_meridian.Query.Any_improvement else None
     in
@@ -577,15 +315,14 @@ let meridian_cmd =
       result.Experiment.probes result.Experiment.queries
       result.Experiment.hops_mean result.Experiment.restarts
       result.Experiment.base.Experiment.failures;
-    print_probe_summary engine;
-    set_gauge engine "meridian.queries"
-      (float_of_int result.Experiment.queries);
-    set_gauge engine "meridian.hops_mean" result.Experiment.hops_mean;
-    set_gauge engine "meridian.restarts"
-      (float_of_int result.Experiment.restarts);
-    set_gauge engine "meridian.failures"
-      (float_of_int result.Experiment.base.Experiment.failures);
-    write_metrics meas engine
+    Harness.report meas engine
+      ~gauges:
+        [
+          ("meridian.queries", float_of_int result.Experiment.queries);
+          ("meridian.hops_mean", result.Experiment.hops_mean);
+          ("meridian.restarts", float_of_int result.Experiment.restarts);
+          ("meridian.failures", float_of_int result.Experiment.base.Experiment.failures);
+        ]
   in
   let count =
     Arg.(value & opt int 200 & info [ "count" ] ~docv:"N" ~doc:"Meridian node count.")
@@ -602,7 +339,7 @@ let meridian_cmd =
   Cmd.v
     (Cmd.info "meridian" ~doc:"Meridian neighbor-selection experiment.")
     Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ count $ beta $ tiv_aware
+      const run $ matrix_arg $ size_arg $ Harness.seed_arg $ count $ beta $ tiv_aware
       $ no_termination $ meas_term)
 
 (* ---------------------------------------------------------------- *)
@@ -640,7 +377,7 @@ let import_cmd =
 let repair_cmd =
   let run input output min_degree clamp fill =
     let module Repair = Tivaware_delay_space.Repair in
-    let m = load_matrix input in
+    let m = Harness.load_matrix ~prog input in
     Printf.printf "loaded %d nodes, %d missing entries\n" (Matrix.size m)
       (Repair.missing_count m);
     let m, mapping = Repair.drop_low_degree m ~min_degree in
@@ -685,15 +422,17 @@ let repair_cmd =
     (Cmd.info "repair" ~doc:"Clean a measured delay matrix.")
     Term.(const run $ input $ output $ min_degree $ clamp $ fill)
 
+
 (* ---------------------------------------------------------------- *)
 (* alert                                                             *)
 
 let alert_cmd =
   let run matrix_file size seed worst meas =
-    let m, labels = load_or_generate matrix_file size seed in
+    or_usage_error (fun () -> Harness.in_unit "worst" worst);
+    let m, labels = Harness.load_or_generate ~prog matrix_file ~size ~seed in
     let severity = Severity.all m in
     let system = Selectors.embed_vivaldi (Rng.create seed) m in
-    let engine = make_engine m ~labels meas ~seed in
+    let engine = Harness.matrix_engine ~prog m ~labels meas ~seed in
     let points =
       Eval.evaluate_engine ~engine
         ~predicted:(fun i j -> System.predicted system i j)
@@ -706,8 +445,7 @@ let alert_cmd =
         Printf.printf "%10.1f %8d %10.3f %8.3f\n" p.Eval.threshold p.Eval.alerts
           p.Eval.accuracy p.Eval.recall)
       points;
-    print_probe_summary engine;
-    write_metrics meas engine
+    Harness.report meas engine
   in
   let worst =
     Arg.(
@@ -716,16 +454,14 @@ let alert_cmd =
   in
   Cmd.v
     (Cmd.info "alert" ~doc:"Evaluate the TIV alert mechanism.")
-    Term.(const run $ matrix_arg $ size_arg $ seed_arg $ worst $ meas_term)
+    Term.(const run $ matrix_arg $ size_arg $ Harness.seed_arg $ worst $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* synthesize                                                        *)
 
 let synthesize_cmd =
   let run input output size seed jitter =
-    let module Synthesizer = Tivaware_topology.Synthesizer in
-    let source = load_matrix input in
-    let model = Synthesizer.analyze source in
+    let model = Harness.load_model ~prog input in
     Printf.printf "model: %d source nodes, cluster shares [%s], %.1f%% missing\n"
       (Synthesizer.source_size model)
       (String.concat "; "
@@ -752,30 +488,57 @@ let synthesize_cmd =
   Cmd.v
     (Cmd.info "synthesize"
        ~doc:"Scale a measured delay space to any size (DS2-style synthesis).")
-    Term.(const run $ input $ output $ size $ seed_arg $ jitter)
+    Term.(const run $ input $ output $ size $ Harness.seed_arg $ jitter)
 
 (* ---------------------------------------------------------------- *)
-(* Scenario helpers shared by dht --stabilize, store and stream      *)
+(* One scenario path: dht --stabilize, store and stream              *)
 
-(* Strict arbiter carve of the system-wide probe allowance: weight
-   [share] of it is a hard admission bucket for the background plane
-   [bg], the rest belongs to the foreground plane [fg].  The share is
-   checked here, so stage the carve before building any world; the
-   returned function builds the arbiter once the node count is known.
-   A share of 0 or 1, or no --probe-budget, means no arbitration. *)
-let arbiter_carve meas ~flag ~share ~bg ~fg =
+(* What a scenario runs on: the world and its engine, the selection
+   policy built over the maintenance embedding, the arbiter carve, and
+   the maintenance plane's probe count (read after the run). *)
+type 'p scenario = {
+  backend : Backend.t;
+  engine : Engine.t;
+  policy : 'p;
+  arbiter : Arbiter.t option;
+  maintenance_probes : unit -> int;
+}
+
+(* Check the arbiter share and [validate] the scenario config before
+   any world is built; then build the world and its engine, the
+   maintenance embedding (its own engine, seeded [seed + 1]; a policy
+   that never asks for coordinates never builds it) and [policy] over
+   it, and the strict arbiter carve.  [run] runs the scenario, prints
+   its report lines and returns its gauges for the report step.
+
+   The carve gives weight [share] of the system-wide probe allowance
+   to a hard admission bucket for the background plane [bg]; the rest
+   belongs to the foreground plane [fg].  A share of 0 or 1, or no
+   --probe-budget, means no arbitration. *)
+let run_scenario world meas ~share:(flag, share) ~planes:(bg, fg) ~validate
+    ~policy run =
   or_usage_error (fun () ->
-      if Float.is_nan share || share < 0. || share > 1. then
-        invalid_arg (Printf.sprintf "--%s must be in [0, 1] (got %g)" flag share));
-  fun n ->
-    if meas.probe_budget > 0 && share > 0. && share < 1. then begin
-      let total = float_of_int (meas.probe_budget * n) in
+      Harness.in_unit flag share;
+      validate ());
+  let backend, labels, engine = Harness.build ~prog world meas in
+  let embed, maintenance_probes =
+    Selectors.maintenance_embedding
+      ~config:(Harness.engine_config ~labels meas ~seed:(world.Harness.seed + 1))
+      backend
+  in
+  let policy = policy embed in
+  let arbiter =
+    if meas.Harness.probe_budget > 0 && share > 0. && share < 1. then begin
+      let total = float_of_int (meas.Harness.probe_budget * Backend.size backend) in
       Some
         (Arbiter.create
            (Arbiter.config ~capacity:total ~rate:total
               ~shares:[ (bg, share); (fg, 1. -. share) ]))
     end
     else None
+  in
+  Harness.report meas engine
+    ~gauges:(run { backend; engine; policy; arbiter; maintenance_probes })
 
 (* ---------------------------------------------------------------- *)
 (* dht                                                               *)
@@ -788,15 +551,12 @@ let arbiter_carve meas ~flag ~share ~bg ~fg =
    --probe-budget plus --stabilize-share the maintenance plane is
    additionally admission-controlled by a strict arbiter carve.  The
    whole run is a deterministic function of (seed, interval, budget). *)
-let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
-    ~interval ~keys ~zipf_s ~duration ~replicas ~carve ~fingers_per_round =
+let run_dht_stabilize ~seed ~candidates ~lookups ~interval ~keys ~zipf_s
+    ~duration ~replicas ~fingers_per_round s =
   let module Chord = Tivaware_dht.Chord in
   let module Id_space = Tivaware_dht.Id_space in
-  or_usage_error (fun () ->
-      if keys < 1 then invalid_arg "--keys must be >= 1";
-      if not (duration > 0.) then invalid_arg "--duration must be positive");
-  let engine = make_backend_engine backend ~labels meas ~seed in
-  let n = Backend.size backend in
+  let engine = s.engine in
+  let n = Backend.size s.backend in
   let overlay =
     Chord.build ~candidates ~predict:(Engine.rtt ~label:"dht" engine) n
   in
@@ -819,13 +579,12 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
   (* Only the stabilizer asks the arbiter for admission, so its carve
      is a hard ceiling on background spend while the engine-level
      budget still caps the aggregate. *)
-  let arbiter = carve n in
   let config =
     { Chord.Stabilizer.default_config with Chord.Stabilizer.interval; fingers_per_round }
   in
   let stab =
     or_usage_error (fun () ->
-        Chord.Stabilizer.create ~config ?arbiter ~store overlay engine)
+        Chord.Stabilizer.create ~config ?arbiter:s.arbiter ~store overlay engine)
   in
   let sim = Sim.create () in
   Chord.Stabilizer.schedule stab sim;
@@ -889,85 +648,88 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
     "%d lookups (%d skipped, source down): correct=%.1f%% wrong=%d hops \
      mean=%.2f latency median=%.1f p90=%.1f ms\n"
     !issued !skipped pct wrong hops_mean median p90;
-  print_probe_summary engine;
-  set_gauge engine "dht.lookups" (float_of_int !issued);
-  set_gauge engine "dht.lookup_correct_pct" pct;
-  set_gauge engine "dht.hops_mean" hops_mean;
-  set_gauge engine "dht.latency_median_ms" median;
-  set_gauge engine "dht.latency_p90_ms" p90;
-  write_metrics meas engine
+  [
+    ("dht.lookups", float_of_int !issued);
+    ("dht.lookup_correct_pct", pct);
+    ("dht.hops_mean", hops_mean);
+    ("dht.latency_median_ms", median);
+    ("dht.latency_p90_ms", p90);
+  ]
 
 let dht_cmd =
-  let run matrix_file nodes seed kind model_size memo lookups candidates
-      pns stabilize_ms stab_keys zipf_s duration replicas stab_share
-      fingers_per_round meas =
+  let run world lookups candidates pns stabilize_ms keys zipf_s duration
+      replicas stab_share fingers_per_round meas =
     let module Chord = Tivaware_dht.Chord in
     let module Id_space = Tivaware_dht.Id_space in
-    let carve =
-      arbiter_carve meas ~flag:"stabilize-share" ~share:stab_share
-        ~bg:"chord_stabilize" ~fg:"dht"
-    in
-    or_usage_error (fun () ->
-        if lookups < 1 then
-          invalid_arg (Printf.sprintf "--lookups must be >= 1 (got %d)" lookups));
-    let backend, labels =
-      make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
-    in
+    let validate () = Harness.at_least "lookups" 1 lookups in
     if stabilize_ms > 0. then
       (* The stabilization scenario always probes through the
          measurement plane (PNS = engine); --pns is ignored here. *)
-      run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
-        ~interval:(stabilize_ms /. 1000.) ~keys:stab_keys ~zipf_s ~duration
-        ~replicas ~carve ~fingers_per_round
-    else
-    let n = Backend.size backend in
-    let rng = Rng.create seed in
-    let engine = make_backend_engine backend ~labels meas ~seed in
-    let vivaldi () =
-      (* Coordinate embeddings need the materialized space. *)
-      Selectors.embed_vivaldi (Rng.create (seed + 1)) (Backend.densify backend)
-    in
-    let predict =
-      match pns with
-      | `None -> None
-      | `Oracle -> Some (Backend.query backend)
-      | `Engine ->
-        (* PNS probes pay the measurement plane (--loss, --retry-policy,
-           --cache-capacity, ...). *)
-        Some (Engine.rtt ~label:"dht" engine)
-      | `Vivaldi -> Some (Selectors.vivaldi_predict (vivaldi ()))
-      | `Tiv_aware ->
-        let system = vivaldi () in
-        Dynamic_neighbors.run system
-          { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
-        Some (Selectors.vivaldi_predict system)
-    in
-    let overlay = Chord.build ~candidates ?predict n in
-    let latencies = ref [] and hops = ref 0 in
-    for _ = 1 to lookups do
-      let l =
-        Chord.lookup overlay backend
-          ~source:(Rng.int rng n)
-          ~key:(Rng.int rng Id_space.modulus)
+      run_scenario world meas
+        ~share:("stabilize-share", stab_share)
+        ~planes:("chord_stabilize", "dht")
+        ~validate:(fun () ->
+          validate ();
+          if keys < 1 then invalid_arg "--keys must be >= 1";
+          if not (duration > 0.) then invalid_arg "--duration must be positive")
+        ~policy:ignore
+        (run_dht_stabilize ~seed:world.Harness.seed ~candidates ~lookups
+           ~interval:(stabilize_ms /. 1000.) ~keys ~zipf_s ~duration ~replicas
+           ~fingers_per_round)
+    else begin
+      or_usage_error (fun () ->
+          Harness.in_unit "stabilize-share" stab_share;
+          validate ());
+      let backend, _, engine = Harness.build ~prog world meas in
+      let seed = world.Harness.seed in
+      let n = Backend.size backend in
+      let rng = Rng.create seed in
+      let vivaldi () =
+        (* Coordinate embeddings need the materialized space. *)
+        Selectors.embed_vivaldi (Rng.create (seed + 1)) (Backend.densify backend)
       in
-      latencies := l.Chord.latency :: !latencies;
-      hops := !hops + l.Chord.hops
-    done;
-    let lat = Array.of_list !latencies in
-    Printf.printf
-      "%d lookups: hops mean=%.2f, latency median=%.1f p90=%.1f mean=%.1f ms\n"
-      lookups
-      (float_of_int !hops /. float_of_int lookups)
-      (Stats.median lat)
-      (Stats.percentile lat 90.)
-      (Stats.mean lat);
-    (* Only engine PNS probes; the other sources leave nothing to report. *)
-    if pns = `Engine then print_probe_summary engine;
-    set_gauge engine "dht.lookups" (float_of_int lookups);
-    set_gauge engine "dht.hops_mean" (float_of_int !hops /. float_of_int lookups);
-    set_gauge engine "dht.latency_median_ms" (Stats.median lat);
-    set_gauge engine "dht.latency_p90_ms" (Stats.percentile lat 90.);
-    write_metrics meas engine
+      let predict =
+        match pns with
+        | `None -> None
+        | `Oracle -> Some (Backend.query backend)
+        | `Engine ->
+          (* PNS probes pay the measurement plane (--loss, --retry-policy,
+             --cache-capacity, ...). *)
+          Some (Engine.rtt ~label:"dht" engine)
+        | `Vivaldi -> Some (Selectors.vivaldi_predict (vivaldi ()))
+        | `Tiv_aware ->
+          let system = vivaldi () in
+          Dynamic_neighbors.run system
+            { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
+          Some (Selectors.vivaldi_predict system)
+      in
+      let overlay = Chord.build ~candidates ?predict n in
+      let latencies = ref [] and hops = ref 0 in
+      for _ = 1 to lookups do
+        let l =
+          Chord.lookup overlay backend
+            ~source:(Rng.int rng n)
+            ~key:(Rng.int rng Id_space.modulus)
+        in
+        latencies := l.Chord.latency :: !latencies;
+        hops := !hops + l.Chord.hops
+      done;
+      let lat = Array.of_list !latencies in
+      let hops_mean = float_of_int !hops /. float_of_int lookups in
+      Printf.printf
+        "%d lookups: hops mean=%.2f, latency median=%.1f p90=%.1f mean=%.1f ms\n"
+        lookups hops_mean (Stats.median lat) (Stats.percentile lat 90.)
+        (Stats.mean lat);
+      (* Only engine PNS probes; the other sources leave nothing to report. *)
+      Harness.report meas engine ~probes:(pns = `Engine)
+        ~gauges:
+          [
+            ("dht.lookups", float_of_int lookups);
+            ("dht.hops_mean", hops_mean);
+            ("dht.latency_median_ms", Stats.median lat);
+            ("dht.latency_p90_ms", Stats.percentile lat 90.);
+          ]
+    end
   in
   let lookups =
     Arg.(value & opt int 1000 & info [ "lookups" ] ~docv:"N" ~doc:"Lookup count.")
@@ -1039,25 +801,20 @@ let dht_cmd =
   Cmd.v
     (Cmd.info "dht" ~doc:"Chord-like DHT lookups with proximity neighbor selection.")
     Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ model_size_arg $ memo_arg $ lookups $ candidates $ pns
-      $ stabilize $ stab_keys $ zipf_s $ duration $ replicas $ stab_share
+      const run $ world_term $ lookups $ candidates $ pns $ stabilize
+      $ stab_keys $ zipf_s $ duration $ replicas $ stab_share
       $ fingers_per_round $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* multicast                                                         *)
 
 let multicast_cmd =
-  let run matrix_file nodes seed kind model_size memo max_degree refreshes
-      tiv_aware measured meas =
-    let module Multicast = Tivaware_overlay.Multicast in
-    let backend, labels =
-      make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
-    in
+  let run world max_degree refreshes tiv_aware measured meas =
+    let backend, _, engine = Harness.build ~prog world meas in
+    let seed = world.Harness.seed in
     let rng = Rng.create seed in
     let join_order = Rng.permutation rng (Backend.size backend) in
     let config = { Multicast.default_config with Multicast.max_degree } in
-    let engine = make_backend_engine backend ~labels meas ~seed in
     (* --measured: joins and refreshes probe candidate edges through the
        measurement plane instead of trusting coordinates. *)
     let predict =
@@ -1090,13 +847,15 @@ let multicast_cmd =
       metrics.Multicast.median_stretch metrics.Multicast.p90_stretch
       metrics.Multicast.max_depth metrics.Multicast.max_fanout switches;
     (* Coordinate-driven trees issue no probes; only --measured reports them. *)
-    if measured then print_probe_summary engine;
-    set_gauge engine "multicast.members" (float_of_int metrics.Multicast.members);
-    set_gauge engine "multicast.mean_edge_ms" metrics.Multicast.mean_edge_ms;
-    set_gauge engine "multicast.stretch_p50" metrics.Multicast.median_stretch;
-    set_gauge engine "multicast.stretch_p90" metrics.Multicast.p90_stretch;
-    set_gauge engine "multicast.refresh_switches" (float_of_int switches);
-    write_metrics meas engine
+    Harness.report meas engine ~probes:measured
+      ~gauges:
+        [
+          ("multicast.members", float_of_int metrics.Multicast.members);
+          ("multicast.mean_edge_ms", metrics.Multicast.mean_edge_ms);
+          ("multicast.stretch_p50", metrics.Multicast.median_stretch);
+          ("multicast.stretch_p90", metrics.Multicast.p90_stretch);
+          ("multicast.refresh_switches", float_of_int switches);
+        ]
   in
   let max_degree =
     Arg.(value & opt int 6 & info [ "max-degree" ] ~docv:"N" ~doc:"Children cap.")
@@ -1118,22 +877,21 @@ let multicast_cmd =
   Cmd.v
     (Cmd.info "multicast" ~doc:"Build and score an overlay multicast tree.")
     Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ model_size_arg $ memo_arg $ max_degree $ refreshes
-      $ tiv_aware $ measured $ meas_term)
+      const run $ world_term $ max_degree $ refreshes $ tiv_aware $ measured
+      $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* embed                                                             *)
 
 let embed_cmd =
-  let run matrix_file nodes seed kind model_size memo rounds dim sample
-      meas =
-    let backend, labels =
-      make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
-    in
-    let engine = make_backend_engine backend ~labels meas ~seed in
+  let run world rounds dim sample meas =
+    or_usage_error (fun () ->
+        Harness.at_least "dim" 1 dim;
+        Harness.at_least "sample" 1 sample);
+    let backend, _, engine = Harness.build ~prog world meas in
+    let nodes = Backend.size backend in
     let config = { System.default_config with System.dim } in
-    let rng = Rng.create seed in
+    let rng = Rng.create world.Harness.seed in
     let system = System.create_with_engine ~config rng engine in
     System.run system ~rounds;
     let rel = System.sampled_relative_errors system rng ~pairs:sample in
@@ -1142,15 +900,16 @@ let embed_cmd =
        median=%.3f p90=%.3f (%d/%d pairs measured)\n"
       (Backend.kind_name backend) nodes rounds (Stats.median rel)
       (Stats.percentile rel 90.) (Array.length rel) sample;
-    if meas.charge_time then
+    if meas.Harness.charge_time then
       Printf.printf "virtual time: %.1f s (measurement-aware)\n"
         (Engine.now engine);
-    print_probe_summary engine;
-    print_backend_summary backend engine;
-    set_gauge engine "embed.rel_error_median" (Stats.median rel);
-    set_gauge engine "embed.rel_error_p90" (Stats.percentile rel 90.);
-    set_gauge engine "embed.nodes" (float_of_int nodes);
-    write_metrics meas engine
+    Harness.report meas engine ~backend
+      ~gauges:
+        [
+          ("embed.rel_error_median", Stats.median rel);
+          ("embed.rel_error_p90", Stats.percentile rel 90.);
+          ("embed.nodes", float_of_int nodes);
+        ]
   in
   let rounds =
     Arg.(value & opt int 20 & info [ "rounds" ] ~docv:"N" ~doc:"Embedding rounds.")
@@ -1169,23 +928,21 @@ let embed_cmd =
     (Cmd.info "embed"
        ~doc:"Vivaldi embedding over a delay backend ($(b,--backend lazy) \
              scales to 100k+ nodes with flat memory).")
-    Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ model_size_arg $ memo_arg $ rounds $ dim $ sample
-      $ meas_term)
+    Term.(const run $ world_term $ rounds $ dim $ sample $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* closest                                                           *)
 
 let closest_cmd =
-  let run matrix_file nodes seed kind model_size memo count
-      candidate_budget beta queries meas =
-    let backend, labels =
-      make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
-    in
-    let engine = make_backend_engine backend ~labels meas ~seed in
+  let run world count candidate_budget beta queries meas =
+    or_usage_error (fun () ->
+        Harness.at_least "count" 1 count;
+        Harness.at_least "candidate-budget" 1 candidate_budget;
+        Harness.at_least "queries" 1 queries);
+    let backend, _, engine = Harness.build ~prog world meas in
+    let nodes = Backend.size backend in
     let cfg = { Ring.default_config with Ring.beta } in
-    let rng = Rng.create seed in
+    let rng = Rng.create world.Harness.seed in
     let count = min count nodes in
     let meridian_nodes = Rng.sample_indices rng ~n:nodes ~k:count in
     let overlay =
@@ -1220,12 +977,13 @@ let closest_cmd =
       (Stats.median s) (Stats.percentile s 90.)
       (float_of_int !hops /. float_of_int (max 1 (queries - !failures)))
       !failures;
-    print_probe_summary engine;
-    print_backend_summary backend engine;
-    set_gauge engine "closest.stretch_median" (Stats.median s);
-    set_gauge engine "closest.stretch_p90" (Stats.percentile s 90.);
-    set_gauge engine "closest.failures" (float_of_int !failures);
-    write_metrics meas engine
+    Harness.report meas engine ~backend
+      ~gauges:
+        [
+          ("closest.stretch_median", Stats.median s);
+          ("closest.stretch_p90", Stats.percentile s 90.);
+          ("closest.failures", float_of_int !failures);
+        ]
   in
   let count =
     Arg.(
@@ -1252,21 +1010,19 @@ let closest_cmd =
     (Cmd.info "closest"
        ~doc:"Meridian closest-node search over a delay backend.")
     Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ model_size_arg $ memo_arg $ count $ candidate_budget
-      $ beta $ queries $ meas_term)
+      const run $ world_term $ count $ candidate_budget $ beta $ queries
+      $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* tiv-scan                                                          *)
 
 let tiv_scan_cmd =
-  let run matrix_file nodes seed kind model_size memo rounds pairs legs
-      worst meas =
-    let backend, labels =
-      make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
-    in
-    let engine = make_backend_engine backend ~labels meas ~seed in
-    let rng = Rng.create seed in
+  let run world rounds pairs legs worst meas =
+    or_usage_error (fun () ->
+        Harness.at_least "pairs" 1 pairs;
+        Harness.at_least "legs" 1 legs);
+    let backend, _, engine = Harness.build ~prog world meas in
+    let rng = Rng.create world.Harness.seed in
     let system = System.create_with_engine rng engine in
     System.run system ~rounds;
     let points =
@@ -1278,7 +1034,8 @@ let tiv_scan_cmd =
     Printf.printf
       "tiv-scan (%s backend, %d nodes): %d sampled pairs, %d legs each, \
        worst fraction %.0f%%\n"
-      (Backend.kind_name backend) nodes pairs legs (100. *. worst);
+      (Backend.kind_name backend) (Backend.size backend) pairs legs
+      (100. *. worst);
     Printf.printf "%10s %8s %10s %8s\n" "threshold" "alerts" "accuracy"
       "recall";
     List.iter
@@ -1286,9 +1043,7 @@ let tiv_scan_cmd =
         Printf.printf "%10.1f %8d %10.3f %8.3f\n" p.Eval.threshold
           p.Eval.alerts p.Eval.accuracy p.Eval.recall)
       points;
-    print_probe_summary engine;
-    print_backend_summary backend engine;
-    write_metrics meas engine
+    Harness.report meas engine ~backend
   in
   let rounds =
     Arg.(
@@ -1316,13 +1071,8 @@ let tiv_scan_cmd =
   Cmd.v
     (Cmd.info "tiv-scan"
        ~doc:"Sampled TIV alert evaluation over a delay backend.")
-    Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ model_size_arg $ memo_arg $ rounds $ pairs $ legs $ worst
-      $ meas_term)
+    Term.(const run $ world_term $ rounds $ pairs $ legs $ worst $ meas_term)
 
-(* ---------------------------------------------------------------- *)
-(* metrics-diff                                                      *)
 
 let metrics_diff_cmd =
   let run tol all a_path b_path =
@@ -1403,20 +1153,13 @@ let metrics_diff_cmd =
              when they differ beyond the tolerance.")
     Term.(const run $ tol $ all $ a_path $ b_path)
 
+
 (* ---------------------------------------------------------------- *)
 (* store: replica placement + read-path policy comparison            *)
 
 let store_cmd =
-  let run matrix_file nodes seed kind model_size memo (policy_name, policy)
-      devices zones part_power replicas objects zipf_s reads duration repair_ms
-      repair_share penalty meas =
-    let carve =
-      arbiter_carve meas ~flag:"repair-share" ~share:repair_share
-        ~bg:"store_repair" ~fg:"store"
-    in
-    let backend, labels =
-      make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
-    in
+  let run world (policy_name, policy) devices zones part_power replicas objects
+      zipf_s reads duration repair_ms repair_share penalty meas =
     let config =
       {
         Store_scenario.devices;
@@ -1429,35 +1172,31 @@ let store_cmd =
         duration;
         repair_interval = repair_ms /. 1000.;
         failure_penalty_ms = penalty;
-        seed = seed + 17;
+        seed = world.Harness.seed + 17;
       }
     in
-    or_usage_error (fun () ->
-        Store_scenario.validate_config "tivlab store" config);
-    let engine = make_backend_engine backend ~labels meas ~seed in
-    let embed, maint_probes =
-      Selectors.maintenance_embedding
-        ~config:(make_engine_config ~labels meas ~seed:(seed + 1))
-        backend
-    in
-    let pol =
-      match policy with
-      | `Naive -> Selection.cached ()
-      | `Vivaldi -> Selection.coordinate (embed ())
-      | `Meridian -> Selection.probe ()
-      | `Alert -> Selection.alert (embed ())
-    in
-    let arbiter = carve (Backend.size backend) in
+    run_scenario world meas
+      ~share:("repair-share", repair_share)
+      ~planes:("store_repair", "store")
+      ~validate:(fun () -> Store_scenario.validate_config "tivlab store" config)
+      ~policy:(fun embed ->
+        match policy with
+        | `Naive -> Selection.cached ()
+        | `Vivaldi -> Selection.coordinate (embed ())
+        | `Meridian -> Selection.probe ()
+        | `Alert -> Selection.alert (embed ()))
+    @@ fun s ->
     let sc =
       or_usage_error (fun () ->
-          Store_scenario.create ?arbiter ~config ~policy:pol ~backend ~engine ())
+          Store_scenario.create ?arbiter:s.arbiter ~config ~policy:s.policy
+            ~backend:s.backend ~engine:s.engine ())
     in
     let ring = Store_scenario.ring sc in
     let r = Store_scenario.run sc in
     Printf.printf
       "store: policy=%s backend=%s devices=%d zones=%d parts=%d replicas=%d \
        objects=%d zipf=%.2f\n"
-      policy_name (Backend.kind_name backend) devices zones
+      policy_name (Backend.kind_name s.backend) devices zones
       (Store_ring.parts ring) replicas objects zipf_s;
     Printf.printf
       "store: reads issued=%d completed=%d failed=%d skipped=%d handoffs=%d \
@@ -1469,7 +1208,7 @@ let store_cmd =
     let mean = if lat = [||] then 0. else Stats.mean lat in
     let p50 = if lat = [||] then 0. else Stats.median lat in
     let p99 = if lat = [||] then 0. else Stats.percentile lat 99. in
-    let maint_probes = maint_probes () in
+    let maint_probes = s.maintenance_probes () in
     Printf.printf
       "store: latency mean=%.1f p50=%.1f p99=%.1f ms  policy probes=%d  \
        maintenance probes=%d\n"
@@ -1479,13 +1218,13 @@ let store_cmd =
       rep.Store_scenario.passes rep.Store_scenario.total_checked
       rep.Store_scenario.total_rehomed rep.Store_scenario.total_restored
       rep.Store_scenario.total_denied;
-    print_probe_summary engine;
-    set_gauge engine "store.read_mean_ms" mean;
-    set_gauge engine "store.read_p50_ms" p50;
-    set_gauge engine "store.read_p99_ms" p99;
-    set_gauge engine "store.policy_probes" (float_of_int r.Store_scenario.policy_probes);
-    set_gauge engine "store.maintenance_probes" (float_of_int maint_probes);
-    write_metrics meas engine
+    [
+      ("store.read_mean_ms", mean);
+      ("store.read_p50_ms", p50);
+      ("store.read_p99_ms", p99);
+      ("store.policy_probes", float_of_int r.Store_scenario.policy_probes);
+      ("store.maintenance_probes", float_of_int maint_probes);
+    ]
   in
   let policy =
     let policies =
@@ -1570,25 +1309,17 @@ let store_cmd =
        ~doc:"Object-store reads over a consistent-hashing ring: compare \
              replica-selection policies under churn and dynamics.")
     Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ model_size_arg $ memo_arg $ policy $ devices $ zones
-      $ part_power $ replicas $ objects $ zipf_s $ reads $ duration
-      $ repair_ms $ repair_share $ penalty $ meas_term)
+      const run $ world_term $ policy $ devices $ zones $ part_power
+      $ replicas $ objects $ zipf_s $ reads $ duration $ repair_ms
+      $ repair_share $ penalty $ meas_term)
 
 (* ---------------------------------------------------------------- *)
 (* stream: P2P live streaming with pluggable neighbor selection      *)
 
 let stream_cmd =
-  let run matrix_file nodes seed kind model_size memo (policy_name, policy)
-      members chunk_ms deadline_ms buffer pull_ms repair_ms repair_share degree
-      duration meas =
-    let carve =
-      arbiter_carve meas ~flag:"repair-share" ~share:repair_share
-        ~bg:"stream_repair" ~fg:"stream"
-    in
-    let backend, labels =
-      make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed
-    in
+  let run world (policy_name, policy) members chunk_ms deadline_ms buffer
+      pull_ms repair_ms repair_share degree duration meas =
+    let seed = world.Harness.seed in
     let config =
       {
         Stream_swarm.members;
@@ -1602,30 +1333,26 @@ let stream_cmd =
         seed = seed + 23;
       }
     in
-    or_usage_error (fun () ->
-        Stream_swarm.validate_config "tivlab stream" config);
-    let engine = make_backend_engine backend ~labels meas ~seed in
-    let embed, maint_probes =
-      Selectors.maintenance_embedding
-        ~config:(make_engine_config ~labels meas ~seed:(seed + 1))
-        backend
-    in
-    let select =
-      match policy with
-      | `Naive -> Selection.random ~seed:(seed + 23)
-      | `Vivaldi -> Selection.coordinate (embed ())
-      | `Alert -> Selection.alert (embed ())
-    in
-    let arbiter = carve (Backend.size backend) in
+    run_scenario world meas
+      ~share:("repair-share", repair_share)
+      ~planes:("stream_repair", "stream")
+      ~validate:(fun () -> Stream_swarm.validate_config "tivlab stream" config)
+      ~policy:(fun embed ->
+        match policy with
+        | `Naive -> Selection.random ~seed:(seed + 23)
+        | `Vivaldi -> Selection.coordinate (embed ())
+        | `Alert -> Selection.alert (embed ()))
+    @@ fun s ->
     let sw =
       or_usage_error (fun () ->
-          Stream_swarm.create ?arbiter ~config ~select ~backend ~engine ())
+          Stream_swarm.create ?arbiter:s.arbiter ~config ~select:s.policy
+            ~backend:s.backend ~engine:s.engine ())
     in
     let r = Stream_swarm.run sw in
     Printf.printf
       "stream: policy=%s backend=%s members=%d source=%d chunks=%d \
        chunk=%.0fms deadline=%.0fms degree=%d\n"
-      policy_name (Backend.kind_name backend) members
+      policy_name (Backend.kind_name s.backend) members
       (Stream_swarm.source sw) r.Stream_swarm.chunks chunk_ms deadline_ms degree;
     Printf.printf
       "stream: deadlines on_time=%d missed=%d down=%d miss_rate=%.4f\n"
@@ -1659,15 +1386,15 @@ let stream_cmd =
        depth=%d fanout=%d\n"
       r.Stream_swarm.joined members tm.Multicast.mean_edge_ms
       tm.Multicast.median_stretch tm.Multicast.max_depth tm.Multicast.max_fanout;
-    let maint_probes = maint_probes () in
+    let maint_probes = s.maintenance_probes () in
     Printf.printf "stream: maintenance probes=%d\n" maint_probes;
-    print_probe_summary engine;
-    set_gauge engine "stream.miss_rate" r.Stream_swarm.miss_rate;
-    set_gauge engine "stream.overhead_ratio" r.Stream_swarm.overhead_ratio;
-    set_gauge engine "stream.stretch_p50" s50;
-    set_gauge engine "stream.stretch_p90" s90;
-    set_gauge engine "stream.maintenance_probes" (float_of_int maint_probes);
-    write_metrics meas engine
+    [
+      ("stream.miss_rate", r.Stream_swarm.miss_rate);
+      ("stream.overhead_ratio", r.Stream_swarm.overhead_ratio);
+      ("stream.stretch_p50", s50);
+      ("stream.stretch_p90", s90);
+      ("stream.maintenance_probes", float_of_int maint_probes);
+    ]
   in
   let policy =
     let policies = [ ("naive", `Naive); ("vivaldi", `Vivaldi); ("alert", `Alert) ] in
@@ -1747,10 +1474,9 @@ let stream_cmd =
              with playback deadlines, comparing locality-unaware, \
              coordinate-based and TIV-alert-aware neighbor selection.")
     Term.(
-      const run $ matrix_arg $ size_arg $ seed_arg $ backend_kind_arg
-      $ model_size_arg $ memo_arg $ policy $ members $ chunk_ms
-      $ deadline_ms $ buffer $ pull_ms $ repair_ms $ repair_share $ degree
-      $ duration $ meas_term)
+      const run $ world_term $ policy $ members $ chunk_ms $ deadline_ms
+      $ buffer $ pull_ms $ repair_ms $ repair_share $ degree $ duration
+      $ meas_term)
 
 let () =
   let info =
