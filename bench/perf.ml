@@ -17,6 +17,8 @@ module Datasets = Tivaware_topology.Datasets
 module Engine = Tivaware_measure.Engine
 module Fault = Tivaware_measure.Fault
 module Budget = Tivaware_measure.Budget
+module Churn = Tivaware_measure.Churn
+module Oracle = Tivaware_measure.Oracle
 
 (* Probe-engine kernels: the per-lookup cost the measurement plane adds
    over a raw Matrix.get.  Collected separately into BENCH_measure.json. *)
@@ -77,6 +79,15 @@ let measure_tests m =
       m
   in
   let budget = Budget.create (Budget.per_node ~capacity:1e12 ~rate:1.) ~n:200 in
+  (* The churn clock at the store-churn shape: 1,600 nodes, 20% of them
+     churning, advanced 20 ms (one read's share of simulated time) per
+     run.  A scan of every node per advance costs microseconds here. *)
+  let churn_engine =
+    Engine.create
+      ~config:{ Engine.default_config with Engine.churn = Some Churn.default }
+      (Oracle.of_fn ~size:1600 (fun i j -> if i = j then 0. else 50.))
+  in
+  let churn_clock = ref 0. in
   let rng = Rng.create 7 in
   [
     Test.make ~name:"measure/probe-oracle"
@@ -98,6 +109,10 @@ let measure_tests m =
     Test.make ~name:"measure/budget-check"
       (Staged.stage (fun () ->
            ignore (Budget.try_take budget ~now:0. (Rng.int rng 200))));
+    Test.make ~name:"measure/churn-advance"
+      (Staged.stage (fun () ->
+           churn_clock := !churn_clock +. 0.02;
+           Engine.advance_to churn_engine !churn_clock));
     Test.make ~name:"measure/matrix-get-baseline"
       (Staged.stage (fun () ->
            ignore (Matrix.get m (Rng.int rng 200) (Rng.int rng 200))));

@@ -671,7 +671,9 @@ let dht_cmd =
         ~validate:(fun () ->
           validate ();
           if keys < 1 then invalid_arg "--keys must be >= 1";
-          if not (duration > 0.) then invalid_arg "--duration must be positive")
+          if not (Float.is_finite duration) || duration <= 0. then
+            invalid_arg
+              (Printf.sprintf "--duration must be positive (got %g)" duration))
         ~policy:ignore
         (run_dht_stabilize ~seed:world.Harness.seed ~candidates ~lookups
            ~interval:(stabilize_ms /. 1000.) ~keys ~zipf_s ~duration ~replicas

@@ -45,13 +45,10 @@ let step t =
     true
 
 let run ?until t =
-  let continue () =
-    match (Pqueue.peek t.queue, until) with
-    | None, _ -> false
-    | Some _, None -> true
-    | Some (time, _), Some limit -> time <= limit
-  in
-  while continue () do
+  (* No limit runs everything, events at [infinity] included; a [nan]
+     limit admits no event. *)
+  let limit = Option.value until ~default:infinity in
+  while (not (Pqueue.is_empty t.queue)) && Pqueue.min_prio t.queue <= limit do
     ignore (step t)
   done;
   match until with

@@ -1,4 +1,5 @@
 module Rng = Tivaware_util.Rng
+module Pqueue = Tivaware_util.Pqueue
 
 type config = {
   fraction : float;
@@ -24,8 +25,10 @@ let validate_config ctx c =
 
 (* A churning node's whole lifetime schedule flows from its own
    generator, so state at time T is a pure function of (seed, node, T)
-   no matter how the clock was advanced to T. *)
+   no matter how the clock was advanced to T — or in which order due
+   nodes are stepped. *)
 type node_state = {
+  id : int;
   rng : Rng.t;
   mutable up : bool;
   mutable next : float;  (* absolute time of the next toggle *)
@@ -34,6 +37,8 @@ type node_state = {
 type t = {
   config : config;
   nodes : node_state option array;
+  due : node_state Pqueue.t;  (* every churning node, keyed by [next] *)
+  mutable dirty : node_state list;  (* toggled since the last flush *)
   mutable time : float;
   mutable transitions : int;
 }
@@ -45,10 +50,21 @@ let create ?(config = default) ~n () =
     if Rng.float rng 1. < config.fraction then
       (* Every node starts up; the first failure arrives after one
          exponential up-lifetime. *)
-      Some { rng; up = true; next = Rng.exponential rng ~rate:(1. /. config.mean_up) }
+      Some
+        {
+          id = i;
+          rng;
+          up = true;
+          next = Rng.exponential rng ~rate:(1. /. config.mean_up);
+        }
     else None
   in
-  { config; nodes = Array.init n node_of; time = 0.; transitions = 0 }
+  let nodes = Array.init n node_of in
+  let churning = List.filter_map Fun.id (Array.to_list nodes) in
+  let due = Pqueue.create () in
+  List.iter (fun st -> Pqueue.push due st.next st) churning;
+  (* The first flush mirrors every churning node's initial (up) state. *)
+  { config; nodes; due; dirty = churning; time = 0.; transitions = 0 }
 
 let config t = t.config
 
@@ -63,11 +79,19 @@ let step_node t st time =
     st.next <- st.next +. Rng.exponential st.rng ~rate:(1. /. mean)
   done
 
+(* Only the nodes whose next toggle is due are touched; each is stepped
+   through every toggle up to [time] (a long jump may flip it many
+   times) and goes back on the heap at its new [next]. *)
 let advance_to t time =
   if time > t.time then begin
-    Array.iter
-      (function None -> () | Some st -> step_node t st time)
-      t.nodes;
+    while (not (Pqueue.is_empty t.due)) && Pqueue.min_prio t.due <= time do
+      match Pqueue.pop t.due with
+      | None -> ()
+      | Some (_, st) ->
+        step_node t st time;
+        Pqueue.push t.due st.next st;
+        t.dirty <- st :: t.dirty
+    done;
     t.time <- time
   end
 
@@ -81,15 +105,12 @@ let is_up t i =
   | Some st -> st.up
 
 (* The fault injector's node-outage set is the ground truth probes are
-   checked against; churn keeps it in sync with the schedule. *)
-let sync t fault =
-  Array.iteri
-    (fun i st ->
-      match st with
-      | None -> ()
-      | Some st -> Fault.set_down fault i (not st.up))
-    t.nodes
+   checked against; only nodes that toggled since the last flush can
+   disagree with it. *)
+let flush t fault =
+  List.iter (fun st -> Fault.set_down fault st.id (not st.up)) t.dirty;
+  t.dirty <- []
 
 let drive t fault ~time =
   advance_to t time;
-  sync t fault
+  flush t fault

@@ -12,7 +12,12 @@
     schedule into a {!Fault} injector's node-outage set
     ({!Fault.set_down}), which the {!Engine} consults on every request —
     so a node in its down window never answers probes, and rejoins
-    exactly when its down lifetime expires. *)
+    exactly when its down lifetime expires.
+
+    Churning nodes wait on a heap keyed by their next toggle, so moving
+    the clock costs O(due toggles × log churning nodes), not O(nodes),
+    and only the nodes that toggled are written back into the
+    injector. *)
 
 type config = {
   fraction : float;  (** share of nodes subject to churn, in [0, 1] *)
@@ -40,10 +45,6 @@ val config : t -> config
 val churning : t -> int -> bool
 (** Whether the node belongs to the churning subset. *)
 
-val advance_to : t -> float -> unit
-(** Advance the schedule clock (monotonic; earlier times are
-    ignored). *)
-
 val now : t -> float
 
 val is_up : t -> int -> bool
@@ -53,10 +54,10 @@ val is_up : t -> int -> bool
 val transitions : t -> int
 (** Total up/down toggles processed so far. *)
 
-val sync : t -> Fault.t -> unit
-(** Mirror the current up/down state of every churning node into the
-    injector's outage set. *)
-
 val drive : t -> Fault.t -> time:float -> unit
-(** [advance_to] followed by {!sync} — the hook the {!Engine} calls on
-    every clock movement. *)
+(** The one way to move the schedule: advance its clock to [time]
+    (monotonic; earlier times only flush), then mirror into the
+    injector's outage set the state of every churning node that toggled
+    since the last [drive] — all churning nodes on the first call, so
+    [drive c fault ~time:0.] on a fresh model installs its initial
+    state.  The {!Engine} calls it on every clock movement. *)

@@ -189,7 +189,7 @@ let create ?(config = default_config) oracle =
   (* Churn owns the up/down state of its churning nodes from time 0 on
      (everyone starts up); non-churning nodes keep whatever the
      config.outage draw decided. *)
-  Option.iter (fun c -> Churn.sync c fault) churn;
+  Option.iter (fun c -> Churn.drive c fault ~time:0.) churn;
   let obs = Obs.Registry.create () in
   {
     config;

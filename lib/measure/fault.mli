@@ -85,7 +85,10 @@ val node_down : t -> int -> bool
 
 val set_down : t -> int -> bool -> unit
 (** Scenario hook: force a node in or out of outage ({!Churn} drives
-    this from its schedule). *)
+    this from its schedule).  {!Churn.drive} writes a churning node
+    only when it toggles, so setting one by hand lasts until that
+    node's next toggle; drive a node from churn or by hand, not
+    both. *)
 
 val link_down : t -> int -> int -> bool
 (** Whether the directed link is in outage for the injector's

@@ -67,6 +67,8 @@ let pop q =
 
 let peek q = if q.size = 0 then None else Some (q.data.(0).prio, q.data.(0).value)
 
+let min_prio q = if q.size = 0 then infinity else q.data.(0).prio
+
 let clear q =
   q.data <- [||];
   q.size <- 0;

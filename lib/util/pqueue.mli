@@ -19,4 +19,8 @@ val pop : 'a t -> (float * 'a) option
 
 val peek : 'a t -> (float * 'a) option
 
+val min_prio : 'a t -> float
+(** The minimum priority, [infinity] when the queue is empty; unlike
+    {!peek} it allocates nothing. *)
+
 val clear : 'a t -> unit

@@ -183,9 +183,10 @@ let profile () =
       let churn =
         Churn.create ~config:{ Churn.default with Churn.seed = 47 } ~n ()
       in
+      let fault = Fault.create (Rng.create 0) ~n in
       Array.iter
         (fun t ->
-          Churn.advance_to churn t;
+          Churn.drive churn fault ~time:t;
           let up = ref 0 in
           let bits = Buffer.create n in
           for i = 0 to n - 1 do

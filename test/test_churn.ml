@@ -50,11 +50,12 @@ let test_schedule_path_independent () =
   let config = { Churn.default with Churn.fraction = 0.5; seed = 5 } in
   let jump = Churn.create ~config ~n () in
   let steps = Churn.create ~config ~n () in
-  Churn.advance_to jump 300.;
+  let fault = Fault.create (Rng.create 0) ~n in
+  Churn.drive jump fault ~time:300.;
   let t = ref 0. in
   while !t < 300. do
     t := !t +. 0.7;
-    Churn.advance_to steps (Float.min !t 300.)
+    Churn.drive steps fault ~time:(Float.min !t 300.)
   done;
   Alcotest.(check int)
     "same transition count" (Churn.transitions jump)
@@ -68,12 +69,13 @@ let test_schedule_path_independent () =
 let test_churning_subset () =
   let config = { Churn.default with Churn.fraction = 0.4; seed = 9 } in
   let c = Churn.create ~config ~n () in
+  let fault = Fault.create (Rng.create 0) ~n in
   let churning = ref 0 in
   for i = 0 to n - 1 do
     if Churn.churning c i then incr churning
     else begin
       (* Non-churning nodes never leave the up state. *)
-      Churn.advance_to c 1000.;
+      Churn.drive c fault ~time:1000.;
       Alcotest.(check bool)
         (Printf.sprintf "stable node %d stays up" i)
         true (Churn.is_up c i)

@@ -12,6 +12,7 @@ module Fault = Tivaware_measure.Fault
 module Arbiter = Tivaware_measure.Arbiter
 module Engine = Tivaware_measure.Engine
 module Probe_stats = Tivaware_measure.Probe_stats
+module Churn = Tivaware_measure.Churn
 module System = Tivaware_vivaldi.System
 module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
@@ -637,6 +638,168 @@ let test_config_validation_messages () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Churn clock                                                         *)
+
+(* Reference churn clock: every advance steps every churning node, and
+   every sync writes every churning node into the injector.  The heap
+   clock must agree with it after any monotone sequence of drives. *)
+module Scan_churn = struct
+  type node = { rng : Rng.t; mutable up : bool; mutable next : float }
+
+  type t = {
+    config : Churn.config;
+    nodes : node option array;
+    mutable time : float;
+    mutable transitions : int;
+  }
+
+  let create (config : Churn.config) ~n =
+    let node_of i =
+      let rng = Rng.create ((config.Churn.seed * 2_000_029) + i) in
+      if Rng.float rng 1. < config.Churn.fraction then
+        Some
+          {
+            rng;
+            up = true;
+            next = Rng.exponential rng ~rate:(1. /. config.Churn.mean_up);
+          }
+      else None
+    in
+    { config; nodes = Array.init n node_of; time = 0.; transitions = 0 }
+
+  let advance_to t time =
+    if time > t.time then begin
+      Array.iter
+        (function
+          | None -> ()
+          | Some st ->
+            while st.next <= time do
+              st.up <- not st.up;
+              t.transitions <- t.transitions + 1;
+              let mean =
+                if st.up then t.config.Churn.mean_up else t.config.Churn.mean_down
+              in
+              st.next <- st.next +. Rng.exponential st.rng ~rate:(1. /. mean)
+            done)
+        t.nodes;
+      t.time <- time
+    end
+
+  let sync t fault =
+    Array.iteri
+      (fun i -> Option.iter (fun st -> Fault.set_down fault i (not st.up)))
+      t.nodes
+end
+
+let prop_seed =
+  match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
+  | Some s -> ( try int_of_string (String.trim s) with _ -> 0)
+  | None -> 0
+
+type churn_case = {
+  n : int;
+  churn : Churn.config;
+  outage : float;
+  fault_seed : int;
+  times : float list;  (* monotone drive times after the initial 0 *)
+}
+
+let print_churn_case c =
+  Printf.sprintf
+    "n=%d fraction=%g mean_up=%g mean_down=%g seed=%d outage=%g fault_seed=%d \
+     times=[%s]"
+    c.n c.churn.Churn.fraction c.churn.Churn.mean_up c.churn.Churn.mean_down
+    c.churn.Churn.seed c.outage c.fault_seed
+    (String.concat "; " (List.map (Printf.sprintf "%h") c.times))
+
+let gen_churn_case =
+  let open QCheck2.Gen in
+  let log_uniform lo hi =
+    map (fun u -> exp (log lo +. (u *. (log hi -. log lo)))) (float_range 0. 1.)
+  in
+  let* n = int_range 1 200 in
+  let* fraction =
+    frequency [ (1, pure 0.); (1, pure 1.); (4, float_range 0. 1.) ]
+  in
+  let* mean_up = log_uniform 0.01 100. in
+  let* mean_down = log_uniform 0.01 100. in
+  let* seed = int_range 0 1_000_000 in
+  let* outage = frequency [ (1, pure 0.); (1, float_range 0. 0.5) ] in
+  let* fault_seed = int_range 0 1_000_000 in
+  let lifetime = Float.max mean_up mean_down in
+  let step =
+    frequency
+      [
+        (3, pure 0.);
+        (3, log_uniform 1e-9 1e-3);
+        (4, map (fun u -> u *. lifetime) (float_range 0. 3.));
+        (1, map (fun k -> k *. lifetime) (float_range 100. 150.));
+      ]
+  in
+  let* steps = list_size (int_range 1 12) step in
+  let times =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (t, acc) dt -> (t +. dt, (t +. dt) :: acc))
+            (0., []) steps))
+  in
+  pure
+    {
+      n;
+      churn = { Churn.fraction; mean_up; mean_down; seed };
+      outage;
+      fault_seed;
+      times;
+    }
+
+let heap_clock_matches_scan c =
+  let fault_config = { Fault.default with Fault.outage = c.outage } in
+  let fault () =
+    Fault.create ~config:fault_config (Rng.create c.fault_seed) ~n:c.n
+  in
+  let drawn = fault () and heap_fault = fault () and scan_fault = fault () in
+  let heap = Churn.create ~config:c.churn ~n:c.n () in
+  let scan = Scan_churn.create c.churn ~n:c.n in
+  let check time =
+    Churn.drive heap heap_fault ~time;
+    Scan_churn.advance_to scan time;
+    Scan_churn.sync scan scan_fault;
+    if Churn.transitions heap <> scan.Scan_churn.transitions then
+      QCheck2.Test.fail_reportf "t=%h: transitions %d, scan %d" time
+        (Churn.transitions heap) scan.Scan_churn.transitions;
+    for i = 0 to c.n - 1 do
+      let churning, up =
+        match scan.Scan_churn.nodes.(i) with
+        | Some st -> (true, st.Scan_churn.up)
+        | None -> (false, true)
+      in
+      if Churn.churning heap i <> churning || Churn.is_up heap i <> up then
+        QCheck2.Test.fail_reportf "t=%h node %d: up=%b, scan up=%b" time i
+          (Churn.is_up heap i) up;
+      let expect = if churning then not up else Fault.node_down drawn i in
+      if
+        Fault.node_down heap_fault i <> expect
+        || Fault.node_down scan_fault i <> expect
+      then
+        QCheck2.Test.fail_reportf
+          "t=%h node %d: node_down=%b, scan %b, expected %b" time i
+          (Fault.node_down heap_fault i)
+          (Fault.node_down scan_fault i)
+          expect
+    done
+  in
+  (* Time 0 is the engine's initial drive: it mirrors the fresh state. *)
+  List.iter check (0. :: c.times);
+  true
+
+let test_churn_heap_matches_scan =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| prop_seed |])
+    (QCheck2.Test.make ~count:80 ~name:"heap churn clock = scan clock"
+       ~print:print_churn_case gen_churn_case heap_clock_matches_scan)
+
 let () =
   Alcotest.run "measure"
     [
@@ -692,6 +855,7 @@ let () =
           Alcotest.test_case "attempt_into out-param reuse" `Quick
             test_fault_attempt_into_reuse;
         ] );
+      ("churn", [ test_churn_heap_matches_scan ]);
       ( "accounting",
         [
           Alcotest.test_case "per-label counters" `Quick test_label_accounting;
