@@ -38,10 +38,8 @@ module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
 module Penalty = Tivaware_core.Penalty
 module Engine = Tivaware_measure.Engine
-module Churn = Tivaware_measure.Churn
 module Arbiter = Tivaware_measure.Arbiter
 module Sim = Tivaware_eventsim.Sim
-module Zipf = Tivaware_util.Zipf
 module Obs = Tivaware_obs
 module Backend = Tivaware_backend.Delay_backend
 module Synthesizer = Tivaware_topology.Synthesizer
@@ -52,6 +50,7 @@ module Store_ring = Tivaware_store.Ring
 module Store_scenario = Tivaware_store.Scenario
 module Selection = Tivaware_tiv.Selection
 module Stream_swarm = Tivaware_stream.Swarm
+module Dht_scenario = Tivaware_dht.Scenario
 
 let prog = "tivlab"
 let or_usage_error f = Harness.or_usage_error ~prog f
@@ -543,145 +542,83 @@ let run_scenario world meas ~share:(flag, share) ~planes:(bg, fg) ~validate
 (* ---------------------------------------------------------------- *)
 (* dht                                                               *)
 
-(* Continuous-stabilization scenario (--stabilize MS): a Zipf key
-   workload replayed over simulated time while the ring runs Chord's
-   periodic stabilize/notify/fix-fingers protocol.  Both planes pay
-   their probes through one engine — foreground lookups under the
-   [dht] label, maintenance under [chord_stabilize] — and with
-   --probe-budget plus --stabilize-share the maintenance plane is
-   additionally admission-controlled by a strict arbiter carve.  The
-   whole run is a deterministic function of (seed, interval, budget). *)
-let run_dht_stabilize ~seed ~candidates ~lookups ~interval ~keys ~zipf_s
-    ~duration ~replicas ~fingers_per_round s =
-  let module Chord = Tivaware_dht.Chord in
-  let module Id_space = Tivaware_dht.Id_space in
-  let engine = s.engine in
-  let n = Backend.size s.backend in
-  let overlay =
-    Chord.build ~candidates ~predict:(Engine.rtt ~label:"dht" engine) n
-  in
-  (* Distinct key ids, deterministic in the seed. *)
-  let krng = Rng.create (seed + 11) in
-  let seen = Hashtbl.create (2 * keys) in
-  let key_ids =
-    Array.init keys (fun _ ->
-        let rec draw () =
-          let k = Rng.int krng Id_space.modulus in
-          if Hashtbl.mem seen k then draw ()
-          else begin
-            Hashtbl.replace seen k ();
-            k
-          end
-        in
-        draw ())
-  in
-  let store = Chord.Store.create ~replicas overlay ~keys:key_ids in
-  (* Only the stabilizer asks the arbiter for admission, so its carve
-     is a hard ceiling on background spend while the engine-level
-     budget still caps the aggregate. *)
-  let config =
-    { Chord.Stabilizer.default_config with Chord.Stabilizer.interval; fingers_per_round }
-  in
-  let stab =
-    or_usage_error (fun () ->
-        Chord.Stabilizer.create ~config ?arbiter:s.arbiter ~store overlay engine)
-  in
-  let sim = Sim.create () in
-  Chord.Stabilizer.schedule stab sim;
-  let zipf = Zipf.create ~n:keys ~s:zipf_s in
-  let wrong_counter =
-    Obs.Registry.counter (Engine.obs engine) "chord.lookup_wrong_owner"
-  in
-  let ground_up node =
-    match Engine.churn engine with None -> true | Some c -> Churn.is_up c node
-  in
-  (* Lookup hops are charged as probes on the dht plane. *)
-  let probed = Backend.of_fn ~size:n (Engine.rtt ~label:"dht" engine) in
-  let lrng = Rng.create (seed + 13) in
-  let latencies = ref [] and hops = ref 0 in
-  let issued = ref 0 and skipped = ref 0 in
-  for i = 0 to lookups - 1 do
-    let at = duration *. float_of_int (i + 1) /. float_of_int (lookups + 1) in
-    Sim.schedule_at sim at (fun () ->
-        let source = Rng.int lrng n in
-        let key = key_ids.(Zipf.sample zipf lrng) in
-        if not (ground_up source) then incr skipped
-        else begin
-          incr issued;
-          let l = Chord.lookup overlay probed ~source ~key in
-          latencies := l.Chord.latency :: !latencies;
-          hops := !hops + l.Chord.hops;
-          (* A lookup is correct when it terminates at a node that is
-             actually up (ground truth, not belief) and holds the key. *)
-          if
-            not
-              (ground_up l.Chord.owner
-              && Chord.Store.holds store ~key ~node:l.Chord.owner)
-          then Obs.Counter.incr wrong_counter
-        end)
-  done;
-  Sim.run sim ~until:duration;
-  let t = Chord.Stabilizer.totals stab in
-  Printf.printf
-    "stabilize: interval=%gs fingers/round=%d candidates=%d keys=%d zipf=%.2f \
-     replicas=%d duration=%gs\n"
-    interval fingers_per_round candidates keys zipf_s replicas duration;
-  Printf.printf
-    "stabilize: rounds=%d probes=%d rerouted=%d marked_dead=%d revived=%d denied=%d\n"
-    t.Chord.Stabilizer.rounds t.Chord.Stabilizer.checked
-    t.Chord.Stabilizer.rerouted t.Chord.Stabilizer.marked_dead
-    t.Chord.Stabilizer.revived t.Chord.Stabilizer.denied;
-  Printf.printf "keys: migrated=%d copies over %d rehomes\n"
-    (Chord.Store.migrated store) (Chord.Store.rehomes store);
-  let lat = Array.of_list !latencies in
-  let median = if lat = [||] then 0. else Stats.median lat in
-  let p90 = if lat = [||] then 0. else Stats.percentile lat 90. in
-  let hops_mean =
-    if !issued = 0 then 0. else float_of_int !hops /. float_of_int !issued
-  in
-  let wrong = Obs.Counter.count wrong_counter in
-  let pct =
-    if !issued = 0 then 0.
-    else 100. *. float_of_int (!issued - wrong) /. float_of_int !issued
-  in
-  Printf.printf
-    "%d lookups (%d skipped, source down): correct=%.1f%% wrong=%d hops \
-     mean=%.2f latency median=%.1f p90=%.1f ms\n"
-    !issued !skipped pct wrong hops_mean median p90;
-  [
-    ("dht.lookups", float_of_int !issued);
-    ("dht.lookup_correct_pct", pct);
-    ("dht.hops_mean", hops_mean);
-    ("dht.latency_median_ms", median);
-    ("dht.latency_p90_ms", p90);
-  ]
-
 let dht_cmd =
   let run world lookups candidates pns stabilize_ms keys zipf_s duration
       replicas stab_share fingers_per_round meas =
     let module Chord = Tivaware_dht.Chord in
     let module Id_space = Tivaware_dht.Id_space in
-    let validate () = Harness.at_least "lookups" 1 lookups in
-    if stabilize_ms > 0. then
-      (* The stabilization scenario always probes through the
-         measurement plane (PNS = engine); --pns is ignored here. *)
+    if stabilize_ms > 0. then begin
+      (* Continuous stabilization: Dht.Scenario replays the key workload
+         over simulated time while every node runs Chord's periodic
+         stabilize/notify/fix-fingers rounds.  It always probes through
+         the measurement plane (PNS = engine); --pns is ignored here. *)
+      let interval = stabilize_ms /. 1000. in
+      let config =
+        {
+          Dht_scenario.keys;
+          zipf_s;
+          lookups;
+          duration;
+          interval;
+          fingers_per_round;
+          replicas;
+          candidates;
+          seed = world.Harness.seed;
+        }
+      in
       run_scenario world meas
         ~share:("stabilize-share", stab_share)
         ~planes:("chord_stabilize", "dht")
         ~validate:(fun () ->
-          validate ();
-          if keys < 1 then invalid_arg "--keys must be >= 1";
-          if not (Float.is_finite duration) || duration <= 0. then
-            invalid_arg
-              (Printf.sprintf "--duration must be positive (got %g)" duration))
+          Dht_scenario.validate_config ~nodes:world.Harness.nodes "tivlab dht" config)
         ~policy:ignore
-        (run_dht_stabilize ~seed:world.Harness.seed ~candidates ~lookups
-           ~interval:(stabilize_ms /. 1000.) ~keys ~zipf_s ~duration ~replicas
-           ~fingers_per_round)
+      @@ fun s ->
+      let sc =
+        or_usage_error (fun () ->
+            Dht_scenario.create ?arbiter:s.arbiter ~config ~backend:s.backend
+              ~engine:s.engine ())
+      in
+      let { Dht_scenario.issued; skipped; wrong; hops; latencies; totals; migrated;
+            rehomes } =
+        Dht_scenario.run sc
+      in
+      let { Chord.Stabilizer.rounds; checked; rerouted; marked_dead; revived; denied } =
+        totals
+      in
+      Printf.printf
+        "stabilize: interval=%gs fingers/round=%d candidates=%d keys=%d zipf=%.2f \
+         replicas=%d duration=%gs\n"
+        interval fingers_per_round candidates keys zipf_s replicas duration;
+      Printf.printf
+        "stabilize: rounds=%d probes=%d rerouted=%d marked_dead=%d revived=%d denied=%d\n"
+        rounds checked rerouted marked_dead revived denied;
+      Printf.printf "keys: migrated=%d copies over %d rehomes\n" migrated rehomes;
+      let median = if latencies = [||] then 0. else Stats.median latencies in
+      let p90 = if latencies = [||] then 0. else Stats.percentile latencies 90. in
+      let hops_mean =
+        if issued = 0 then 0. else float_of_int hops /. float_of_int issued
+      in
+      let pct =
+        if issued = 0 then 0.
+        else 100. *. float_of_int (issued - wrong) /. float_of_int issued
+      in
+      Printf.printf
+        "%d lookups (%d skipped, source down): correct=%.1f%% wrong=%d hops \
+         mean=%.2f latency median=%.1f p90=%.1f ms\n"
+        issued skipped pct wrong hops_mean median p90;
+      [
+        ("dht.lookups", float_of_int issued);
+        ("dht.lookup_correct_pct", pct);
+        ("dht.hops_mean", hops_mean);
+        ("dht.latency_median_ms", median);
+        ("dht.latency_p90_ms", p90);
+      ]
+    end
     else begin
       or_usage_error (fun () ->
           Harness.in_unit "stabilize-share" stab_share;
-          validate ());
+          Harness.at_least "lookups" 1 lookups;
+          Sim.check_work "tivlab dht" [ ("lookups", float_of_int lookups) ]);
       let backend, _, engine = Harness.build ~prog world meas in
       let seed = world.Harness.seed in
       let n = Backend.size backend in
@@ -733,11 +670,16 @@ let dht_cmd =
           ]
     end
   in
+  let dht_default = Dht_scenario.default_config in
   let lookups =
-    Arg.(value & opt int 1000 & info [ "lookups" ] ~docv:"N" ~doc:"Lookup count.")
+    Arg.(
+      value & opt int dht_default.lookups
+      & info [ "lookups" ] ~docv:"N" ~doc:"Lookup count.")
   in
   let candidates =
-    Arg.(value & opt int 8 & info [ "candidates" ] ~docv:"N" ~doc:"PNS arc candidates.")
+    Arg.(
+      value & opt int dht_default.candidates
+      & info [ "candidates" ] ~docv:"N" ~doc:"PNS arc candidates.")
   in
   let pns =
     let sources =
@@ -762,26 +704,26 @@ let dht_cmd =
   in
   let stab_keys =
     Arg.(
-      value & opt int 512
+      value & opt int dht_default.keys
       & info [ "keys" ] ~docv:"N"
           ~doc:"Keyspace size for the stabilization scenario.")
   in
   let zipf_s =
     Arg.(
-      value & opt float 0.9
+      value & opt float dht_default.zipf_s
       & info [ "zipf" ] ~docv:"S"
           ~doc:"Zipf exponent of the key popularity distribution \
                 (0 = uniform).")
   in
   let duration =
     Arg.(
-      value & opt float 120.
+      value & opt float dht_default.duration
       & info [ "duration" ] ~docv:"SEC"
           ~doc:"Simulated seconds the stabilization scenario runs for.")
   in
   let replicas =
     Arg.(
-      value & opt int 2
+      value & opt int dht_default.replicas
       & info [ "replicas" ] ~docv:"R"
           ~doc:"Replica copies per key beyond the primary.")
   in
@@ -796,7 +738,7 @@ let dht_cmd =
   in
   let fingers_per_round =
     Arg.(
-      value & opt int 1
+      value & opt int dht_default.fingers_per_round
       & info [ "fingers-per-round" ] ~docv:"K"
           ~doc:"Finger-table slots each stabilization round refreshes.")
   in

@@ -739,9 +739,8 @@ module Stabilizer = struct
      interval * (u+1) / n, then every interval — the stagger spreads
      maintenance over the period instead of bursting all n rounds on
      one timestamp, and is deterministic in (n, interval). *)
-  let schedule ?(slave_clock = true) t sim =
-    if slave_clock then
-      Sim.on_advance sim (fun time -> Engine.advance_to t.engine time);
+  let schedule t sim =
+    Sim.on_advance sim (fun time -> Engine.advance_to t.engine time);
     let n = Array.length t.chord.ids in
     let interval = t.config.interval in
     for u = 0 to n - 1 do

@@ -248,13 +248,12 @@ module Stabilizer : sig
   (** {!round} for every node in index order — the direct-driven
       (simulator-free) way to run stabilization in tests. *)
 
-  val schedule : ?slave_clock:bool -> t -> Tivaware_eventsim.Sim.t -> unit
+  val schedule : t -> Tivaware_eventsim.Sim.t -> unit
   (** Schedule every node's rounds as recurring simulator events: node
       [u] of [n] first fires at [interval * (u+1) / n], then every
       [interval] — a deterministic stagger that spreads maintenance
       over the period instead of bursting all rounds on one timestamp.
-      Unless [slave_clock] is [false], the engine clock is slaved to
-      the simulator ([Engine.advance_to] on every advance, simulator
-      time in engine seconds) so churn and token refill move with
-      simulated time. *)
+      The engine clock is slaved to the simulator ([Engine.advance_to]
+      on every advance, simulator time in engine seconds) so churn and
+      token refill move with simulated time. *)
 end

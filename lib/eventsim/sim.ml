@@ -58,3 +58,17 @@ let run ?until t =
 let reset t =
   Pqueue.clear t.queue;
   t.clock <- 0.
+
+let work_cap = 1e7
+
+let check_work ctx terms =
+  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. terms in
+  if not (total <= work_cap) then
+    let field, _ =
+      List.fold_left
+        (fun (f, m) (f', w) -> if w > m || Float.is_nan w then (f', w) else (f, m))
+        ("", neg_infinity) terms
+    in
+    invalid_arg
+      (Printf.sprintf "%s: %s too large: the run would schedule %.3g events (cap %g)"
+         ctx field total work_cap)

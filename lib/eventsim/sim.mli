@@ -53,3 +53,17 @@ val step : t -> bool
 
 val reset : t -> unit
 (** Clears the queue and rewinds the clock to 0. *)
+
+(** {2 Bounded runs} *)
+
+val work_cap : float
+(** [1e7]: the most events and probes one scenario run may schedule.
+    Scenario configs whose worst-case work exceeds it are rejected
+    before anything is built, so every accepted run terminates in
+    bounded time and memory. *)
+
+val check_work : string -> (string * float) list -> unit
+(** [check_work ctx terms] sums the upper bounds [terms], each paired
+    with the config field that drives it, and raises [Invalid_argument]
+    naming the field of the largest term when the sum exceeds
+    {!work_cap} (or is [nan]). *)

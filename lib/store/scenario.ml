@@ -55,7 +55,11 @@ let validate_config ctx c =
   if not (Float.is_finite c.duration) || c.duration <= 0. then
     fail "%s: duration must be positive (got %g)" ctx c.duration;
   if Float.is_nan c.failure_penalty_ms || c.failure_penalty_ms < 0. then
-    fail "%s: failure_penalty_ms must be >= 0 (got %g)" ctx c.failure_penalty_ms
+    fail "%s: failure_penalty_ms must be >= 0 (got %g)" ctx c.failure_penalty_ms;
+  (* Each read is one event; each repair pass probes every device. *)
+  let passes = if c.repair_interval > 0. then c.duration /. c.repair_interval else 0. in
+  Sim.check_work ctx
+    [ ("reads", float_of_int c.reads); ("duration", passes *. float_of_int c.devices) ]
 
 (* The run's only tally of its outcomes: [run] reads its result from
    these. *)

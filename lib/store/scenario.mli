@@ -41,7 +41,9 @@ val validate_config : string -> config -> unit
     or [objects] non-positive, [replicas] non-positive or exceeding
     [devices], [zones] non-positive, [part_power] outside [0, 20],
     [zipf_s] negative or non-finite, [reads] negative, [duration]
-    non-positive, [failure_penalty_ms] negative. *)
+    non-positive, [failure_penalty_ms] negative; and [reads] or
+    [duration] when reads plus repair passes times devices exceed
+    {!Tivaware_eventsim.Sim.work_cap}. *)
 
 type t
 

@@ -51,7 +51,18 @@ let validate_config ctx c =
   if c.max_degree < 1 then
     fail "%s: max_degree must be >= 1 (got %d)" ctx c.max_degree;
   if not (Float.is_finite c.duration) || c.duration <= 0. then
-    fail "%s: duration must be positive (got %g)" ctx c.duration
+    fail "%s: duration must be positive (got %g)" ctx c.duration;
+  (* Every member is judged (and holds a receive slot) per chunk and
+     pulls once per round; repair passes run until the last deadline. *)
+  let members = float_of_int c.members and deadline = c.deadline_ms /. 1000. in
+  let span = c.duration +. deadline in
+  let passes = if c.repair_interval > 0. then span /. c.repair_interval else 0. in
+  Sim.check_work ctx
+    [
+      ("duration", c.duration *. 1000. /. c.chunk_ms *. members);
+      ( (if deadline > c.duration then "deadline_ms" else "duration"),
+        (span /. c.pull_interval *. members) +. passes );
+    ]
 
 (* The run's only tally of its outcomes: [run] reads its result from
    these. *)

@@ -37,7 +37,9 @@ val default_config : config
 
 val validate_config : string -> config -> unit
 (** Raises [Invalid_argument] with a [ctx]-prefixed message naming the
-    offending field. *)
+    offending field, including a config whose chunks times members plus
+    pull rounds times members plus repair passes exceed
+    {!Tivaware_eventsim.Sim.work_cap}. *)
 
 type t
 

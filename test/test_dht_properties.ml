@@ -37,6 +37,7 @@ module Sim = Tivaware_eventsim.Sim
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Backend = Tivaware_backend.Delay_backend
+module Scenario = Tivaware_dht.Scenario
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -60,7 +61,7 @@ let matrix = lazy (Euclidean.uniform_box (Rng.create 4007) ~n ~dim:3 ~side_ms:30
 let burst_churn seed =
   { Churn.fraction = 0.5; mean_up = 60.; mean_down = 120.; seed }
 
-let engine ?churn ~seed () =
+let engine ?churn ?(matrix = Lazy.force matrix) ~seed () =
   Engine.of_matrix
     ~config:
       {
@@ -74,7 +75,7 @@ let engine ?churn ~seed () =
         charge_time = false;
         seed;
       }
-    (Lazy.force matrix)
+    matrix
 
 (* Engine-PNS ring: finger candidates are compared by probing. *)
 let chord_of ?successor_list e =
@@ -364,6 +365,51 @@ let test_scheduled_determinism () =
   checkb "the run did work" true (t1.Chord.Stabilizer.rounds > 0)
 
 (* ------------------------------------------------------------------ *)
+(* The lookup scenario over generated bounded configs                  *)
+
+let gen_scenario =
+  QCheck2.Gen.(
+    let* nodes = int_range 8 40 in
+    let* churn = bool in
+    let* interval = oneof [ pure 0.; float_range 0.5 5. ] in
+    let* keys = int_range 1 64 in
+    let* lookups = int_range 1 60 in
+    let* duration = float_range 1. 30. in
+    let* seed = int_range 0 9999 in
+    pure
+      ( nodes,
+        churn,
+        { Scenario.default_config with Scenario.keys; lookups; duration; interval; seed }
+      ))
+
+let scenario_run (nodes, churn, config) =
+  let seed = (prop_seed * 43) + config.Scenario.seed in
+  let matrix = Euclidean.uniform_box (Rng.create seed) ~n:nodes ~dim:3 ~side_ms:300. in
+  let churn = if churn then Some (burst_churn seed) else None in
+  let e = engine ?churn ~matrix ~seed () in
+  let sc = Scenario.create ~config ~backend:(Backend.dense matrix) ~engine:e () in
+  let r = Scenario.run sc in
+  (r, Engine.now e)
+
+(* With or without a stabilizer the engine clock follows the simulator
+   to [duration], so churn keeps moving in the off arm. *)
+let prop_scenario ((_, _, config) as case) =
+  let (r, clock) as run = scenario_run case in
+  let issued = r.Scenario.issued in
+  let off = config.Scenario.interval <= 0. in
+  clock = config.Scenario.duration
+  && issued + r.Scenario.skipped = config.Scenario.lookups
+  && 0 <= r.Scenario.wrong
+  && r.Scenario.wrong <= issued
+  && Array.length r.Scenario.latencies = issued
+  && ((not off)
+     || r.Scenario.totals
+        = { Chord.Stabilizer.rounds = 0; checked = 0; rerouted = 0; marked_dead = 0;
+            revived = 0; denied = 0 }
+        && r.Scenario.migrated = 0)
+  && scenario_run case = run
+
+(* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
 let raises_invalid f =
@@ -439,6 +485,11 @@ let () =
         [
           Alcotest.test_case "scheduled run is reproducible" `Quick
             test_scheduled_determinism;
+        ] );
+      ( "scenario",
+        [
+          qcheck ~count:20 ~name:"lookup accounting, clock, off arm inert, replay"
+            gen_scenario prop_scenario;
         ] );
       ( "validation",
         [ Alcotest.test_case "config and store guards" `Quick test_validation ] );
