@@ -16,31 +16,44 @@ type t = {
   config : config;
   root : int;
   parent : int array;  (* -1 = root or not joined *)
-  joined : bool array;
-  degree : int array;  (* children count *)
+  kids : int list array;  (* ascending: kids.(p) = {c | parent.(c) = p} *)
   wants : bool array;
   (* group membership intent: everyone from the join order; a detached
      node with [wants] set rejoins when repair finds it up again *)
 }
 
+(* The root never takes a parent, and every other member has one. *)
+let joined t node = node = t.root || t.parent.(node) >= 0
+let degree t node = List.length t.kids.(node)
+
+(* The only writers of [parent] and [kids]: [detach] frees the node's
+   slot at its parent at once, and [attach] moves the node under [p],
+   keeping [p]'s children in ascending order. *)
+let detach t node =
+  let p = t.parent.(node) in
+  if p >= 0 then begin
+    t.kids.(p) <- List.filter (( <> ) node) t.kids.(p);
+    t.parent.(node) <- -1
+  end
+
+let attach t node p =
+  detach t node;
+  let rec insert = function
+    | c :: rest when c < node -> c :: insert rest
+    | rest -> node :: rest
+  in
+  t.kids.(p) <- insert t.kids.(p);
+  t.parent.(node) <- p
+
 let root t = t.root
 
 let parent t node =
-  if t.joined.(node) && node <> t.root then Some t.parent.(node) else None
+  let p = t.parent.(node) in
+  if p >= 0 then Some p else None
 
-let members t =
-  let out = ref [] in
-  Array.iteri (fun node j -> if j then out := node :: !out) t.joined;
-  List.rev !out
+let members t = List.filter (joined t) (List.init (Array.length t.parent) Fun.id)
 
-let children_count t node = t.degree.(node)
-
-let children t node =
-  let out = ref [] in
-  Array.iteri
-    (fun c p -> if p = node && t.joined.(c) && c <> t.root then out := c :: !out)
-    t.parent;
-  List.rev !out
+let children t node = t.kids.(node)
 
 (* Edge existence against the engine's ground truth, whatever backs
    it: a matrix pair is known iff its oracle query is non-nan, so this
@@ -59,8 +72,8 @@ let best_attachment t ~known ~predict node candidates =
   List.fold_left
     (fun acc cand ->
       if
-        cand <> node && t.joined.(cand)
-        && t.degree.(cand) < t.config.max_degree
+        cand <> node && joined t cand
+        && degree t cand < t.config.max_degree
         && known node cand
       then begin
         let p = predict node cand in
@@ -89,22 +102,18 @@ let build ?(config = default_config) ?(label = "multicast") ?predict engine
       config;
       root = join_order.(0);
       parent = Array.make n (-1);
-      joined = Array.make n false;
-      degree = Array.make n 0;
+      kids = Array.make n [];
       wants = Array.make n false;
     }
   in
   Array.iter (fun node -> t.wants.(node) <- true) join_order;
-  t.joined.(t.root) <- true;
   let member_list = ref [ t.root ] in
   Array.iteri
     (fun idx node ->
-      if idx > 0 then begin
+      if idx > 0 && not (joined t node) then begin
         match best_attachment t ~known ~predict node !member_list with
         | Some (chosen, _) ->
-          t.parent.(node) <- chosen;
-          t.joined.(node) <- true;
-          t.degree.(chosen) <- t.degree.(chosen) + 1;
+          attach t node chosen;
           member_list := node :: !member_list
         | None -> ()
       end)
@@ -154,7 +163,7 @@ let refresh ?(label = "multicast") ?predict t rng engine =
   let via candidate p = root_delay.(candidate) +. p in
   Array.iter
     (fun node ->
-      if node <> t.root && t.joined.(node) then begin
+      if node <> t.root then begin
         let current = t.parent.(node) in
         let current_cost = via current (predict node current) in
         (* Sample refresh candidates from the membership; optimize the
@@ -164,33 +173,12 @@ let refresh ?(label = "multicast") ?predict t rng engine =
           List.init t.config.refresh_sample (fun _ -> Rng.choice rng all_members)
         in
         let eligible =
-          List.filter (fun c -> not (in_subtree t node c)) sample
+          List.filter (fun c -> c <> current && not (in_subtree t node c)) sample
         in
-        let best =
-          List.fold_left
-            (fun acc cand ->
-              if
-                cand <> node && cand <> current && t.joined.(cand)
-                && t.degree.(cand) < t.config.max_degree
-                && known node cand
-              then begin
-                let p = predict node cand in
-                if Float.is_nan p || Float.is_nan root_delay.(cand) then acc
-                else begin
-                  let cost = via cand p in
-                  match acc with
-                  | Some (_, bc) when bc <= cost -> acc
-                  | _ -> Some (cand, cost)
-                end
-              end
-              else acc)
-            None eligible
-        in
-        match best with
+        let cost node cand = via cand (predict node cand) in
+        match best_attachment t ~known ~predict:cost node eligible with
         | Some (better, cost) when Float.is_nan current_cost || cost < current_cost ->
-          t.degree.(current) <- t.degree.(current) - 1;
-          t.parent.(node) <- better;
-          t.degree.(better) <- t.degree.(better) + 1;
+          attach t node better;
           incr switches
         | _ -> ()
       end)
@@ -206,11 +194,34 @@ type metrics = {
   max_fanout : int;
 }
 
+(* The one tree walk: every node's depth below the root by memoised
+   ascent, -1 for non-members and for members on a parent cycle or
+   below a non-member.  [visit node p] runs once per member that
+   reaches the root, after it has run for [p]. *)
+let depths ?(visit = fun _ _ -> ()) t =
+  let n = Array.length t.parent in
+  let depth = Array.make n (-1) and seen = Array.make n false in
+  depth.(t.root) <- 0;
+  seen.(t.root) <- true;
+  let rec resolve node =
+    if not seen.(node) then begin
+      seen.(node) <- true;
+      let p = t.parent.(node) in
+      if p >= 0 && resolve p >= 0 then begin
+        visit node p;
+        depth.(node) <- depth.(p) + 1
+      end
+    end;
+    depth.(node)
+  in
+  for node = 0 to n - 1 do ignore (resolve node) done;
+  depth
+
 (* Evaluation against the engine's ground truth, with the nan audit:
    every silent fallback (missing tree edge, unmeasurable direct root
-   delay) increments [multicast.evaluate_failures] instead of
-   disappearing into the percentiles — the multicast counterpart of
-   [meridian.query_failures]. *)
+   delay, no path to the root) increments [multicast.evaluate_failures]
+   instead of disappearing into the percentiles — the multicast
+   counterpart of [meridian.query_failures]. *)
 let evaluate t engine =
   let reg = Engine.obs engine in
   let failures = Obs.Registry.counter reg "multicast.evaluate_failures" in
@@ -220,39 +231,21 @@ let evaluate t engine =
     Obs.Counter.incr failures
   in
   let delay = Oracle.query (Engine.oracle engine) in
-  let n = Array.length t.parent in
-  (* Root-to-node tree delay and depth by memoized ascent.  Repair can
-     leave a member below an ancestor that left the tree, or on a parent
-     cycle; such a member has no path to the root (depth -1). *)
-  let tree_delay = Array.make n nan in
-  let depth = Array.make n (-1) in
-  let ascending = Array.make n false in
+  let tree_delay = Array.make (Array.length t.parent) nan in
   tree_delay.(t.root) <- 0.;
-  depth.(t.root) <- 0;
-  let rec resolve node =
-    let p = t.parent.(node) in
-    if depth.(node) >= 0 then (tree_delay.(node), depth.(node))
-    else if p < 0 || ascending.(node) then (nan, -1)
-    else begin
-      ascending.(node) <- true;
-      let pd, pdepth = resolve p in
-      ascending.(node) <- false;
-      if pdepth < 0 then (nan, -1)
-      else begin
+  let depth =
+    depths t ~visit:(fun node p ->
         let edge = delay node p in
         (* A missing edge contributes zero to the path. *)
         if Float.is_nan edge then on_missing ();
-        let d = pd +. (if Float.is_nan edge then 0. else edge) in
-        tree_delay.(node) <- d;
-        depth.(node) <- pdepth + 1;
-        (d, pdepth + 1)
-      end
-    end
+        tree_delay.(node) <-
+          (tree_delay.(p) +. if Float.is_nan edge then 0. else edge))
   in
+  let members = members t in
   let edges = ref [] and stretches = ref [] and max_depth = ref 0 in
   List.iter
     (fun node ->
-      let _, d = resolve node in
+      let d = depth.(node) in
       if d < 0 then on_missing ()
       else if node <> t.root then begin
         if d > !max_depth then max_depth := d;
@@ -266,20 +259,40 @@ let evaluate t engine =
              the stretch percentiles. *)
           on_missing ()
       end)
-    (members t);
+    members;
   if !missing > 0 then
     Obs.Registry.trace_event reg ~time:(Engine.now engine) ~label:"multicast"
       (Printf.sprintf "evaluate dropped %d unmeasurable edges" !missing);
   let edges = Array.of_list !edges and stretches = Array.of_list !stretches in
   {
-    members = List.length (members t);
+    members = List.length members;
     mean_edge_ms = Stats.mean edges;
     median_stretch = (if Array.length stretches = 0 then 0. else Stats.median stretches);
     p90_stretch =
       (if Array.length stretches = 0 then 0. else Stats.percentile stretches 90.);
     max_depth = !max_depth;
-    max_fanout = Array.fold_left max 0 t.degree;
+    max_fanout = Array.fold_left (fun acc k -> max acc (List.length k)) 0 t.kids;
   }
+
+type violation = Children of int | Degree of int | Unreachable of int
+
+let check t =
+  let n = Array.length t.parent in
+  let named = Array.make n [] in
+  for c = n - 1 downto 0 do
+    let p = t.parent.(c) in
+    if p >= 0 then named.(p) <- c :: named.(p)
+  done;
+  let depth = lazy (depths t) in
+  List.find_map
+    (fun (violation, holds) ->
+      Option.map violation (List.find_opt (fun node -> not (holds node)) (List.init n Fun.id)))
+    [
+      ((fun node -> Children node), fun node -> t.kids.(node) = named.(node));
+      ((fun node -> Degree node), fun node -> degree t node <= t.config.max_degree);
+      ( (fun node -> Unreachable node),
+        fun node -> (not (joined t node)) || (Lazy.force depth).(node) >= 0 );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Churn-aware tree repair                                             *)
@@ -289,14 +302,6 @@ type repair = {
   reattached : int;
   rejoined : int;
 }
-
-let recompute_degrees t =
-  Array.fill t.degree 0 (Array.length t.degree) 0;
-  Array.iteri
-    (fun node p ->
-      if t.joined.(node) && node <> t.root && p >= 0 then
-        t.degree.(p) <- t.degree.(p) + 1)
-    t.parent
 
 (* One repair pass; liveness defaults to the engine's churn view (no
    churn = everyone up), and the pass's counts land in the engine's
@@ -313,74 +318,55 @@ let repair ?(label = "multicast-repair") ?predict ?up t rng engine =
   let known = known_of_engine engine in
   let predict = predictor ~label ?predict engine in
   let detached = ref 0 and reattached = ref 0 and rejoined = ref 0 in
-  (* 1. Down members leave the tree; their children become orphans
-     (still joined, parent no longer a member). *)
+  (* 1. Down members leave the tree and free their parents' slots; their
+     children become orphans (still joined, parent no longer a member). *)
   List.iter
     (fun node ->
       if node <> t.root && not (up node) then begin
-        t.joined.(node) <- false;
-        t.parent.(node) <- -1;
+        detach t node;
         incr detached
       end)
     (members t);
-  (* Detached members no longer occupy their parents' degree slots —
-     without this, a root whose children all died in one burst keeps a
-     phantom full degree and cannot adopt the orphans, breaking the
-     "root is always a candidate" guarantee below. *)
-  recompute_degrees t;
+  (* Attachment candidates: the root while it is up, plus a sample of
+     live members; every candidate is up. *)
+  let candidates () =
+    let pool = Array.of_list (List.filter up (members t)) in
+    let sample =
+      if Array.length pool = 0 then []
+      else List.init t.config.refresh_sample (fun _ -> Rng.choice rng pool)
+    in
+    if up t.root then t.root :: sample else sample
+  in
   (* 2. Orphans re-attach: a member whose parent is gone (or down) asks
      the predictor — real probes, when driven by an engine — for the
      best live member with spare degree.  Deterministic ascending order
      keeps repair reproducible under a fixed seed. *)
-  let live_members () =
-    List.filter (fun c -> up c) (members t)
-  in
   List.iter
     (fun node ->
-      if node <> t.root && t.joined.(node) then begin
-        let p = t.parent.(node) in
-        let orphaned = p < 0 || (not t.joined.(p)) || not (up p) in
-        if orphaned then begin
-          let pool = Array.of_list (live_members ()) in
-          let sample =
-            if Array.length pool = 0 then []
-            else
-              List.init t.config.refresh_sample (fun _ -> Rng.choice rng pool)
-          in
-          let eligible =
-            List.filter (fun c -> not (in_subtree t node c)) (t.root :: sample)
-          in
-          match best_attachment t ~known ~predict node eligible with
-          | Some (chosen, _) when up chosen ->
-            t.parent.(node) <- chosen;
-            t.degree.(chosen) <- t.degree.(chosen) + 1;
-            incr reattached
-          | _ ->
-            (* No live attachment point this pass: the node leaves the
-               tree and rejoins later like any revived member. *)
-            t.joined.(node) <- false;
-            t.parent.(node) <- -1
-        end
+      let p = t.parent.(node) in
+      if p >= 0 && not (joined t p && up p) then begin
+        let eligible =
+          List.filter (fun c -> not (in_subtree t node c)) (candidates ())
+        in
+        match best_attachment t ~known ~predict node eligible with
+        | Some (chosen, _) ->
+          attach t node chosen;
+          incr reattached
+        | None ->
+          (* No live attachment point this pass: the node leaves the
+             tree and rejoins later like any revived member. *)
+          detach t node
       end)
     (members t);
-  recompute_degrees t;
   (* 3. Revived members rejoin the group they still want. *)
   Array.iteri
     (fun node wants ->
-      if wants && (not t.joined.(node)) && up node && node <> t.root then begin
-        let pool = Array.of_list (live_members ()) in
-        let sample =
-          if Array.length pool = 0 then []
-          else List.init t.config.refresh_sample (fun _ -> Rng.choice rng pool)
-        in
-        match best_attachment t ~known ~predict node (t.root :: sample) with
-        | Some (chosen, _) when up chosen ->
-          t.parent.(node) <- chosen;
-          t.joined.(node) <- true;
-          t.degree.(chosen) <- t.degree.(chosen) + 1;
+      if wants && (not (joined t node)) && up node then
+        match best_attachment t ~known ~predict node (candidates ()) with
+        | Some (chosen, _) ->
+          attach t node chosen;
           incr rejoined
-        | _ -> ()
-      end)
+        | None -> ())
     t.wants;
   let result =
     { detached = !detached; reattached = !reattached; rejoined = !rejoined }

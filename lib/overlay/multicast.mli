@@ -32,12 +32,10 @@ val parent : t -> int -> int option
 val members : t -> int list
 (** Joined nodes, root included. *)
 
-val children_count : t -> int -> int
-
 val children : t -> int -> int list
 (** Current children of a member, in ascending node order — the set a
-    chunk-forwarding overlay pushes to.  Empty for leaves, for the
-    un-joined, and for nodes whose children all left. *)
+    chunk-forwarding overlay pushes to.  Empty for leaves and for
+    nodes that never joined. *)
 
 val build :
   ?config:config ->
@@ -54,7 +52,8 @@ val build :
     own business).  Edge existence is "the engine's ground truth is not
     [nan]" — matrix-backed and lazy backend engines both work.  Nodes
     with no measurable candidate are left out (reported by
-    {!members}).  Raises [Invalid_argument] on an empty [join_order]. *)
+    {!members}); a node's later repeats in [join_order] are ignored.
+    Raises [Invalid_argument] on an empty [join_order]. *)
 
 val refresh :
   ?label:string ->
@@ -91,20 +90,20 @@ val repair :
   repair
 (** One repair pass against a liveness oracle [up] (default: the
     engine's churn model; no churn = everyone up): down members are
-    detached (their children orphaned), every orphan re-attaches to the
-    best live member with spare degree among a sampled candidate set
-    (the root is always a candidate, so the tree cannot fragment while
-    the root is up), and revived members that still want the group
-    rejoin the same way.  Orphans with no live attachment point leave
-    the tree and rejoin on a later pass.  Degrees are recomputed from
-    the repaired parent relation.  The root never detaches; while it is
-    down, repair keeps the surviving members attached among themselves
-    and re-hangs them once it returns.  Predictions probe through the
-    engine under [label] (default ["multicast-repair"]); [predict]
-    overrides them — the hook policy-driven overlays (e.g.
-    {!Tivaware_stream}) use to re-graft orphans by coordinate rank or
-    TIV-alert-verified rank.  The pass's counts are added to the
-    engine registry's [repair.*{plane=multicast}] counters. *)
+    detached (their parents' slots freed, their children orphaned),
+    every orphan re-attaches to the best live member with spare degree
+    among a sampled candidate set (the root is always a candidate while
+    it is up, so the tree cannot fragment then), and revived members
+    that still want the group rejoin the same way.  Orphans with no
+    live attachment point leave the tree and rejoin on a later pass.
+    The root never detaches; while it is down, repair keeps the
+    surviving members attached among themselves and re-hangs them once
+    it returns.  Predictions probe through the engine under [label]
+    (default ["multicast-repair"]); [predict] overrides them — the hook
+    policy-driven overlays (e.g. {!Tivaware_stream}) use to re-graft
+    orphans by coordinate rank or TIV-alert-verified rank.  The pass's
+    counts are added to the engine registry's
+    [repair.*{plane=multicast}] counters. *)
 
 type metrics = {
   members : int;
@@ -124,3 +123,16 @@ val evaluate : t -> Tivaware_measure.Engine.t -> metrics
     engine registry's [multicast.evaluate_failures] counter, and a
     trace event summarizes the drop count, mirroring
     [meridian.query_failures]. *)
+
+type violation =
+  | Children of int  (** the node's children are not those naming it parent *)
+  | Degree of int  (** the node has more than [max_degree] children *)
+  | Unreachable of int  (** the member's parent chain misses the root *)
+
+val check : t -> violation option
+(** The first violated clause: every node is checked for [Children],
+    then [Degree], then every member for [Unreachable] (a parent cycle
+    or a non-member ancestor).  [None] after {!build} and {!refresh}.
+    {!repair} can leave [Unreachable] (known defect): an orphan that
+    leaves strands the members below it, and a rejoin may pick a node
+    in its own old subtree. *)

@@ -23,42 +23,14 @@ let build_oracle ?config seed n =
   let e = Engine.of_matrix m in
   (e, Multicast.build ?config ~predict:(oracle m) e ~join_order:order)
 
-(* Walk to the root; returns depth or None on a cycle/corruption. *)
-let depth_of t node =
-  let rec ascend cur steps =
-    if steps < 0 then None
-    else if cur = Multicast.root t then Some 0
-    else begin
-      match Multicast.parent t cur with
-      | None -> None
-      | Some p -> Option.map (fun d -> d + 1) (ascend p (steps - 1))
-    end
-  in
-  ascend node 10_000
+let show_violation = function
+  | Multicast.Children node -> Printf.sprintf "Children %d" node
+  | Multicast.Degree node -> Printf.sprintf "Degree %d" node
+  | Multicast.Unreachable node -> Printf.sprintf "Unreachable %d" node
 
-let check_tree_invariants t n =
-  let members = Multicast.members t in
-  (* Every member reaches the root without cycles. *)
-  List.iter
-    (fun node ->
-      match depth_of t node with
-      | Some _ -> ()
-      | None -> Alcotest.failf "node %d cannot reach the root" node)
-    members;
-  (* Degree counters match actual children. *)
-  let actual = Array.make n 0 in
-  List.iter
-    (fun node ->
-      match Multicast.parent t node with
-      | Some p -> actual.(p) <- actual.(p) + 1
-      | None -> ())
-    members;
-  List.iter
-    (fun node ->
-      Alcotest.(check int)
-        (Printf.sprintf "degree counter of %d" node)
-        actual.(node) (Multicast.children_count t node))
-    members
+let check_whole t =
+  Alcotest.(check (option string)) "tree invariant" None
+    (Option.map show_violation (Multicast.check t))
 
 let test_build_everyone_joins () =
   let _, t = build_oracle 1 60 in
@@ -67,7 +39,7 @@ let test_build_everyone_joins () =
 
 let test_build_invariants () =
   let _, t = build_oracle 2 80 in
-  check_tree_invariants t 80
+  check_whole t
 
 let test_degree_cap_respected () =
   let config = { Multicast.default_config with Multicast.max_degree = 2 } in
@@ -77,11 +49,9 @@ let test_degree_cap_respected () =
     Multicast.build ~config ~predict:(oracle m) (Engine.of_matrix m)
       ~join_order:order
   in
-  List.iter
-    (fun node ->
-      Alcotest.(check bool) "degree cap" true (Multicast.children_count t node <= 2))
-    (Multicast.members t);
-  check_tree_invariants t 50
+  Alcotest.(check bool) "degree cap" true
+    (List.for_all (fun p -> List.length (Multicast.children t p) <= 2) (Multicast.members t));
+  check_whole t
 
 let test_root_properties () =
   let m = euclidean_matrix 5 20 in
@@ -151,7 +121,7 @@ let test_refresh_keeps_invariants () =
   for _ = 1 to 5 do
     ignore (Multicast.refresh ~predict:(oracle m) t rng e)
   done;
-  check_tree_invariants t 100
+  check_whole t
 
 let test_refresh_improves_bad_tree () =
   (* Build the tree with an adversarial predictor (farthest member),
@@ -174,7 +144,7 @@ let test_refresh_improves_bad_tree () =
   Alcotest.(check bool)
     (Printf.sprintf "stretch improved (%.2f -> %.2f)" before after)
     true (after < before);
-  check_tree_invariants t 120
+  check_whole t
 
 let test_empty_join_order () =
   Alcotest.check_raises "empty join order names the field"
@@ -222,21 +192,48 @@ let test_engine_build_refresh_equivalence () =
     (st.Tivaware_measure.Probe_stats.requests > 0);
   Alcotest.(check (float 0.)) "clock untouched" 0. (Engine.now engine)
 
-let prop_build_invariants_random =
-  qcheck "random worlds keep tree invariants"
-    QCheck2.Gen.(int_range 0 10_000)
-    (fun seed ->
-      let n = 30 + (seed mod 20) in
+(* Build, refresh and repair over generated worlds, degree caps and
+   down sets (the root among them).  Build and refresh leave a whole
+   tree; repair keeps the child index and degree caps, but can strand
+   members: an orphan that leaves the tree takes the members already
+   re-attached below it, and a rejoin may hang a node inside its own
+   old subtree.  That reachability defect is the one violation allowed
+   after a repair. *)
+let prop_tree_invariant =
+  let open QCheck2.Gen in
+  let repair = triple (int_range 0 60) bool int (* percent down, root down, seed *) in
+  qcheck ~count:100 "random worlds keep tree invariants"
+    (tup5 (int_range 0 10_000) (int_range 20 60) (int_range 2 6) (int_range 0 3)
+       (list_size (int_range 1 3) repair))
+    (fun (seed, n, max_degree, refreshes, repairs) ->
       let m = euclidean_matrix seed n in
+      let e = Engine.of_matrix m in
+      let config = { Multicast.default_config with Multicast.max_degree } in
       let order = Rng.permutation (Rng.create (seed + 1)) n in
-      let t =
-    Multicast.build ~predict:(oracle m) (Engine.of_matrix m) ~join_order:order
-  in
-      let ok = ref true in
-      List.iter
-        (fun node -> if depth_of t node = None then ok := false)
-        (Multicast.members t);
-      !ok)
+      let t = Multicast.build ~config ~predict:(oracle m) e ~join_order:order in
+      let rng = Rng.create (seed + 2) in
+      let nodes = List.init n Fun.id in
+      let named p = List.filter (fun c -> Multicast.parent t c = Some p) nodes in
+      let indexed () = List.for_all (fun p -> Multicast.children t p = named p) nodes in
+      let whole () = Multicast.check t = None && indexed () in
+      whole ()
+      && List.for_all
+           (fun _ -> ignore (Multicast.refresh ~predict:(oracle m) t rng e); whole ())
+           (List.init refreshes Fun.id)
+      && List.for_all
+           (fun (pct, root_down, rseed) ->
+             let r = Rng.create rseed in
+             let down =
+               Array.init n (fun node ->
+                   if node = Multicast.root t then root_down else Rng.int r 100 < pct)
+             in
+             ignore
+               (Multicast.repair ~predict:(oracle m) ~up:(fun i -> not down.(i)) t rng e);
+             (match Multicast.check t with
+             | None | Some (Multicast.Unreachable _) -> true
+             | Some _ -> false)
+             && indexed ())
+           repairs)
 
 let () =
   Alcotest.run "overlay"
@@ -255,6 +252,6 @@ let () =
           Alcotest.test_case "refresh improves bad tree" `Quick test_refresh_improves_bad_tree;
           Alcotest.test_case "engine = oracle build/refresh" `Quick
             test_engine_build_refresh_equivalence;
-          prop_build_invariants_random;
+          prop_tree_invariant;
         ] );
     ]

@@ -274,6 +274,32 @@ let test_arbiter_starves_repair () =
     r.Swarm.repair.Swarm.denied
     (Arbiter.denied arbiter "stream_repair")
 
+(* ------------------------------------------------------------------ *)
+(* Known failure: full churn strands members below the root            *)
+
+(* `tivlab stream --size 60 --members 4 --churn --churn-fraction 1
+   --duration 20 --seed 2` ends on a parent cycle cut off from the
+   source: an orphan left the tree with a member below it, then rejoined
+   under that member.  Flips to [None] once repair detaches whole
+   subtrees and a rejoin excludes the node's old subtree. *)
+let test_full_churn_strands_members () =
+  let config seed = engine_config ~churn:{ Churn.default with Churn.fraction = 1.; seed } seed in
+  let backend =
+    Backend.dense (Datasets.generate ~size:60 ~seed:2 Datasets.Ds2).Generator.matrix
+  in
+  let embed, _ = Tivaware_core.Selectors.maintenance_embedding ~config:(config 3) backend in
+  let sw =
+    Swarm.create
+      ~config:{ Swarm.default_config with Swarm.members = 4; duration = 20.; seed = 25 }
+      ~select:(Selection.alert (embed ())) ~backend
+      ~engine:(Backend.engine ~config:(config 2) backend) ()
+  in
+  ignore (Swarm.run sw);
+  checkb "a member cannot reach the source" true
+    (match Multicast.check (Swarm.tree sw) with
+    | Some (Multicast.Unreachable _) -> true
+    | _ -> false)
+
 let () =
   Alcotest.run "stream"
     [
@@ -287,6 +313,8 @@ let () =
             test_probe_accounting;
           Alcotest.test_case "locality ordering holds" `Quick
             test_locality_ordering;
+          Alcotest.test_case "full churn strands members (known failure)" `Quick
+            test_full_churn_strands_members;
         ] );
       ( "config",
         [
