@@ -19,9 +19,11 @@ module Fault = Tivaware_measure.Fault
 module Budget = Tivaware_measure.Budget
 module Churn = Tivaware_measure.Churn
 module Oracle = Tivaware_measure.Oracle
+module Multicast = Tivaware_overlay.Multicast
 
 (* Probe-engine kernels: the per-lookup cost the measurement plane adds
-   over a raw Matrix.get.  Collected separately into BENCH_measure.json. *)
+   over a raw Matrix.get, plus the multicast refresh pass that issues
+   most of tivd's probes.  Collected separately into BENCH_measure.json. *)
 let measure_tests m =
   let oracle_engine = Engine.of_matrix m in
   let faulty_engine =
@@ -88,6 +90,27 @@ let measure_tests m =
       (Oracle.of_fn ~size:1600 (fun i j -> if i = j then 0. else 50.))
   in
   let churn_clock = ref 0. in
+  (* One multicast refresh pass over a 100-node DS2 tree, on an engine
+     with tivd-cached's probe cache (TTL 30 s, 4,096 entries); the
+     clock moves one query gap at 200 queries/s per pass. *)
+  let refresh_world =
+    (Datasets.generate ~size:100 ~seed:11 Datasets.Ds2).Generator.matrix
+  in
+  let refresh_engine =
+    Engine.of_matrix
+      ~config:
+        {
+          Engine.default_config with
+          Engine.cache_ttl = Some 30.;
+          cache_capacity = Some 4096;
+        }
+      refresh_world
+  in
+  let tree =
+    Multicast.build ~predict:(Matrix.get refresh_world) refresh_engine
+      ~join_order:(Rng.permutation (Rng.create 12) 100)
+  in
+  let refresh_clock = ref 0. and refresh_rng = Rng.create 13 in
   let rng = Rng.create 7 in
   [
     Test.make ~name:"measure/probe-oracle"
@@ -113,6 +136,11 @@ let measure_tests m =
       (Staged.stage (fun () ->
            churn_clock := !churn_clock +. 0.02;
            Engine.advance_to churn_engine !churn_clock));
+    Test.make ~name:"measure/multicast-refresh"
+      (Staged.stage (fun () ->
+           refresh_clock := !refresh_clock +. 0.005;
+           Engine.advance_to refresh_engine !refresh_clock;
+           ignore (Multicast.refresh tree refresh_rng refresh_engine)));
     Test.make ~name:"measure/matrix-get-baseline"
       (Staged.stage (fun () ->
            ignore (Matrix.get m (Rng.int rng 200) (Rng.int rng 200))));
@@ -180,7 +208,10 @@ let write_measure_json estimates =
             ])
         measure
     in
-    let doc = Json.Obj [ ("kernels", Json.List kernels) ] in
+    (* The host's core count, for reading the timings; perf_check
+       compares kernels only. *)
+    let cores = float_of_int (Domain.recommended_domain_count ()) in
+    let doc = Json.Obj [ ("cores", Json.number cores); ("kernels", Json.List kernels) ] in
     let oc = open_out "BENCH_measure.json" in
     output_string oc (Json.to_string doc);
     output_string oc "\n";

@@ -8,7 +8,9 @@
    first normalized by it — a uniformly 2x-slower CI runner then cancels
    out and only *relative* regressions of the measurement plane remain.
    A kernel present in the baseline but missing from the fresh run is a
-   failure too (a silently dropped benchmark is not a speedup). *)
+   failure too (a silently dropped benchmark is not a speedup).  Only
+   the "kernels" array is read; other fields, such as the host's
+   "cores", are ignored. *)
 
 module Json = Tivaware_obs.Json
 

@@ -131,69 +131,6 @@ let in_subtree t node candidate =
   in
   ascend candidate (Array.length t.parent)
 
-(* Predicted delay from every member to the root along the current tree
-   edges: the quantity a member advertises to prospective children. *)
-let predicted_root_delays t ~predict =
-  let n = Array.length t.parent in
-  let out = Array.make n nan in
-  out.(t.root) <- 0.;
-  let rec resolve node =
-    if not (Float.is_nan out.(node)) then out.(node)
-    else begin
-      let p = t.parent.(node) in
-      let d = resolve p +. predict node p in
-      out.(node) <- d;
-      d
-    end
-  in
-  List.iter (fun node -> ignore (resolve node)) (members t);
-  out
-
-let refresh ?(label = "multicast") ?predict t rng engine =
-  let known = known_of_engine engine in
-  let predict = predictor ~label ?predict engine in
-  let all_members = Array.of_list (members t) in
-  let order = Array.copy all_members in
-  Rng.shuffle rng order;
-  let switches = ref 0 in
-  (* Root delays are recomputed once per pass; switches within the pass
-     use slightly stale values, as a real periodically-advertised
-     protocol would. *)
-  let root_delay = predicted_root_delays t ~predict in
-  let via candidate p = root_delay.(candidate) +. p in
-  Array.iter
-    (fun node ->
-      if node <> t.root then begin
-        let current = t.parent.(node) in
-        let current_cost = via current (predict node current) in
-        (* Sample refresh candidates from the membership; optimize the
-           predicted end-to-end delay from the root, not just the parent
-           edge, so refreshes cannot degenerate into long chains. *)
-        let sample =
-          List.init t.config.refresh_sample (fun _ -> Rng.choice rng all_members)
-        in
-        let eligible =
-          List.filter (fun c -> c <> current && not (in_subtree t node c)) sample
-        in
-        let cost node cand = via cand (predict node cand) in
-        match best_attachment t ~known ~predict:cost node eligible with
-        | Some (better, cost) when Float.is_nan current_cost || cost < current_cost ->
-          attach t node better;
-          incr switches
-        | _ -> ()
-      end)
-    order;
-  !switches
-
-type metrics = {
-  members : int;
-  mean_edge_ms : float;
-  median_stretch : float;
-  p90_stretch : float;
-  max_depth : int;
-  max_fanout : int;
-}
-
 (* The one tree walk: every node's depth below the root by memoised
    ascent, -1 for non-members and for members on a parent cycle or
    below a non-member.  [visit node p] runs once per member that
@@ -216,6 +153,63 @@ let depths ?(visit = fun _ _ -> ()) t =
   in
   for node = 0 to n - 1 do ignore (resolve node) done;
   depth
+
+(* Predicted delay from every member to the root along the current tree
+   edges, [nan] for a member that does not reach the root: the quantity
+   a member advertises to prospective children. *)
+let predicted_root_delays t ~predict =
+  let out = Array.make (Array.length t.parent) nan in
+  out.(t.root) <- 0.;
+  ignore (depths t ~visit:(fun node p -> out.(node) <- out.(p) +. predict node p));
+  out
+
+let refresh ?(label = "multicast") ?predict t rng engine =
+  let known = known_of_engine engine in
+  let predict = predictor ~label ?predict engine in
+  let all_members = Array.of_list (members t) in
+  let order = Array.copy all_members in
+  Rng.shuffle rng order;
+  let switches = ref 0 in
+  (* Root delays are recomputed once per pass; switches within the pass
+     use slightly stale values, as a real periodically-advertised
+     protocol would. *)
+  let root_delay = predicted_root_delays t ~predict in
+  let cost node cand = root_delay.(cand) +. predict node cand in
+  Array.iter
+    (fun node ->
+      if node <> t.root then begin
+        let current = t.parent.(node) in
+        (* [node]'s parent moves only when [node] is processed, so its
+           root delay is its current cost.  A candidate adds an edge
+           >= 0 to its own: one at or above that cost cannot win and is
+           not probed.  An unreachable [node] takes any reachable one. *)
+        let current_cost = root_delay.(node) in
+        let bound = if Float.is_nan current_cost then infinity else current_cost in
+        let sample =
+          List.init t.config.refresh_sample (fun _ -> Rng.choice rng all_members)
+        in
+        let eligible =
+          List.filter
+            (fun c -> root_delay.(c) < bound && c <> current && not (in_subtree t node c))
+            sample
+        in
+        match best_attachment t ~known ~predict:cost node eligible with
+        | Some (better, cost) when cost < bound ->
+          attach t node better;
+          incr switches
+        | _ -> ()
+      end)
+    order;
+  !switches
+
+type metrics = {
+  members : int;
+  mean_edge_ms : float;
+  median_stretch : float;
+  p90_stretch : float;
+  max_depth : int;
+  max_fanout : int;
+}
 
 (* Evaluation against the engine's ground truth, with the nan audit:
    every silent fallback (missing tree edge, unmeasurable direct root

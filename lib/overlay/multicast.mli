@@ -68,9 +68,13 @@ val refresh :
     the predicted edge to it) and has spare degree.  Descendants are
     excluded to keep the tree acyclic.  Optimizing end-to-end delay
     rather than the parent edge alone prevents refresh from collapsing
-    the tree into long low-latency chains.  Same label, ground-truth
-    and [predict] conventions as {!build}.  Returns the number of
-    parent switches. *)
+    the tree into long low-latency chains.  Root delays are predicted
+    once per pass, and a candidate advertising at least the member's
+    own is not probed: assuming [predict] returns [>= 0] or [nan], it
+    cannot win.  A member cut off from the root takes the best
+    reachable candidate it samples, re-grafting its subtree.  Same
+    label, ground-truth and [predict] conventions as {!build}.  Returns
+    the number of switches. *)
 
 (** {2 Churn-aware tree repair} *)
 
@@ -99,10 +103,11 @@ val repair :
     The root never detaches; while it is down, repair keeps the
     surviving members attached among themselves and re-hangs them once
     it returns.  Predictions probe through the engine under [label]
-    (default ["multicast-repair"]); [predict] overrides them — the hook
-    policy-driven overlays (e.g. {!Tivaware_stream}) use to re-graft
-    orphans by coordinate rank or TIV-alert-verified rank.  The pass's
-    counts are added to the engine registry's
+    (default ["multicast-repair"]); [predict] overrides them (the
+    policy hook {!Tivaware_stream} uses).  Unlike {!refresh}, a
+    re-graft probes every eligible candidate: it minimises the raw
+    edge, and under TIVs nothing bounds an edge from below unprobed.
+    The pass's counts are added to the engine registry's
     [repair.*{plane=multicast}] counters. *)
 
 type metrics = {
@@ -132,7 +137,7 @@ type violation =
 val check : t -> violation option
 (** The first violated clause: every node is checked for [Children],
     then [Degree], then every member for [Unreachable] (a parent cycle
-    or a non-member ancestor).  [None] after {!build} and {!refresh}.
-    {!repair} can leave [Unreachable] (known defect): an orphan that
-    leaves strands the members below it, and a rejoin may pick a node
-    in its own old subtree. *)
+    or a non-member ancestor).  [None] after {!build}, and after a
+    {!refresh} of a tree that held [None].  {!repair} can leave
+    [Unreachable] (known defect): an orphan that leaves strands the
+    members below it, and a rejoin may pick a node in its old subtree. *)

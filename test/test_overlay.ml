@@ -111,18 +111,6 @@ let test_evaluate_fields () =
   Alcotest.(check bool) "fanout within cap" true
     (metrics.Multicast.max_fanout <= Multicast.default_config.Multicast.max_degree)
 
-let test_refresh_keeps_invariants () =
-  let data = Datasets.generate ~size:100 ~seed:10 Datasets.Ds2 in
-  let m = data.Generator.matrix in
-  let order = Rng.permutation (Rng.create 11) 100 in
-  let e = Engine.of_matrix m in
-  let t = Multicast.build ~predict:(oracle m) e ~join_order:order in
-  let rng = Rng.create 12 in
-  for _ = 1 to 5 do
-    ignore (Multicast.refresh ~predict:(oracle m) t rng e)
-  done;
-  check_whole t
-
 let test_refresh_improves_bad_tree () =
   (* Build the tree with an adversarial predictor (farthest member),
      then refresh with the oracle: stretch must improve. *)
@@ -198,7 +186,8 @@ let test_engine_build_refresh_equivalence () =
    members: an orphan that leaves the tree takes the members already
    re-attached below it, and a rejoin may hang a node inside its own
    old subtree.  That reachability defect is the one violation allowed
-   after a repair. *)
+   after a repair, and after the refresh pass that follows each repair
+   (it must return on a stranded tree). *)
 let prop_tree_invariant =
   let open QCheck2.Gen in
   let repair = triple (int_range 0 60) bool int (* percent down, root down, seed *) in
@@ -227,13 +216,98 @@ let prop_tree_invariant =
                Array.init n (fun node ->
                    if node = Multicast.root t then root_down else Rng.int r 100 < pct)
              in
+             let allowed () =
+               (match Multicast.check t with
+               | None | Some (Multicast.Unreachable _) -> true
+               | Some _ -> false)
+               && indexed ()
+             in
              ignore
                (Multicast.repair ~predict:(oracle m) ~up:(fun i -> not down.(i)) t rng e);
-             (match Multicast.check t with
-             | None | Some (Multicast.Unreachable _) -> true
-             | Some _ -> false)
-             && indexed ())
+             allowed ()
+             && (ignore (Multicast.refresh ~predict:(oracle m) t rng e);
+                 allowed ()))
            repairs)
+
+(* The refresh rule before the root-delay bound, replayed on plain
+   parent and degree arrays: the pass probes the member's parent edge
+   and every eligible sampled candidate with a [known] edge, and
+   switches to the first cheapest candidate when it beats that cost.
+   Same draws from [rng] as [Multicast.refresh]: one shuffle of the
+   ascending members, then [sample] choices per non-root member. *)
+let reference_refresh ~max_degree ~sample ~known ~predict ~root parent degree rng =
+  let n = Array.length parent in
+  let members =
+    Array.of_list (List.filter (fun v -> v = root || parent.(v) >= 0) (List.init n Fun.id))
+  in
+  let order = Array.copy members in
+  Rng.shuffle rng order;
+  let root_delay = Array.make n nan in
+  root_delay.(root) <- 0.;
+  let rec resolve v =
+    if Float.is_nan root_delay.(v) then
+      root_delay.(v) <- resolve parent.(v) +. predict v parent.(v);
+    root_delay.(v)
+  in
+  Array.iter (fun v -> ignore (resolve v)) members;
+  let rec below v c = c = v || (c <> root && below v parent.(c)) in
+  let cost v c = root_delay.(c) +. predict v c in
+  let pick v best c =
+    if c = parent.(v) || below v c || degree.(c) >= max_degree || not (known v c) then best
+    else
+      match (best, cost v c) with
+      | Some (_, b), cost when b <= cost -> best
+      | _, cost -> if Float.is_nan cost then best else Some (c, cost)
+  in
+  Array.fold_left
+    (fun switches v ->
+      if v = root then switches
+      else
+        let current = parent.(v) in
+        let current_cost = cost v current in
+        match List.fold_left (pick v) None (List.init sample (fun _ -> Rng.choice rng members)) with
+        | Some (c, cost) when cost < current_cost ->
+          degree.(current) <- degree.(current) - 1;
+          degree.(c) <- degree.(c) + 1;
+          parent.(v) <- c;
+          switches + 1
+        | _ -> switches)
+    0 order
+
+(* The root-delay bound drops only candidates that cannot win: on TIV
+   worlds with missing edges, pruned refresh makes the reference's
+   switches pass for pass, and never predicts more often. *)
+let prop_bound_keeps_choices =
+  let open QCheck2.Gen in
+  qcheck ~count:100 "refresh bound changes no choice"
+    (tup5 (int_range 0 10_000) (int_range 20 60) (int_range 2 6) (int_range 1 16)
+       (int_range 1 3))
+    (fun (seed, n, max_degree, refresh_sample, passes) ->
+      let m = (Datasets.generate ~size:n ~seed Datasets.Ds2).Generator.matrix in
+      let e = Engine.of_matrix m in
+      let config = { Multicast.max_degree; refresh_sample } in
+      let order = Rng.permutation (Rng.create (seed + 1)) n in
+      let t = Multicast.build ~config ~predict:(oracle m) e ~join_order:order in
+      let known a b = not (Float.is_nan (oracle m a b)) in
+      let counted calls a b = incr calls; oracle m a b in
+      let pruned_calls = ref 0 and reference_calls = ref 0 in
+      let parents () =
+        Array.init n (fun v -> Option.value (Multicast.parent t v) ~default:(-1))
+      in
+      let parent = parents () in
+      let degree = Array.init n (fun v -> List.length (Multicast.children t v)) in
+      let pruned_rng = Rng.create (seed + 2) and reference_rng = Rng.create (seed + 2) in
+      List.for_all
+        (fun _ ->
+          let pruned = Multicast.refresh ~predict:(counted pruned_calls) t pruned_rng e in
+          let reference =
+            reference_refresh ~max_degree ~sample:refresh_sample ~known
+              ~predict:(counted reference_calls) ~root:(Multicast.root t) parent degree
+              reference_rng
+          in
+          pruned = reference && parents () = parent && Multicast.check t = None
+          && !pruned_calls <= !reference_calls)
+        (List.init passes Fun.id))
 
 let () =
   Alcotest.run "overlay"
@@ -248,10 +322,10 @@ let () =
           Alcotest.test_case "unjoinable nodes" `Quick test_unjoinable_nodes_left_out;
           Alcotest.test_case "oracle attaches nearest" `Quick test_oracle_attaches_nearest;
           Alcotest.test_case "evaluate fields" `Quick test_evaluate_fields;
-          Alcotest.test_case "refresh keeps invariants" `Quick test_refresh_keeps_invariants;
           Alcotest.test_case "refresh improves bad tree" `Quick test_refresh_improves_bad_tree;
           Alcotest.test_case "engine = oracle build/refresh" `Quick
             test_engine_build_refresh_equivalence;
           prop_tree_invariant;
+          prop_bound_keeps_choices;
         ] );
     ]

@@ -281,24 +281,33 @@ let test_arbiter_starves_repair () =
    --duration 20 --seed 2` ends on a parent cycle cut off from the
    source: an orphan left the tree with a member below it, then rejoined
    under that member.  Flips to [None] once repair detaches whole
-   subtrees and a rejoin excludes the node's old subtree. *)
+   subtrees and a rejoin excludes the node's old subtree.  A refresh
+   pass on the stranded tree returns (the root-delay walk stops at the
+   cycle) and may re-graft the cut-off members; under ground-truth
+   predictions this one does. *)
 let test_full_churn_strands_members () =
   let config seed = engine_config ~churn:{ Churn.default with Churn.fraction = 1.; seed } seed in
   let backend =
     Backend.dense (Datasets.generate ~size:60 ~seed:2 Datasets.Ds2).Generator.matrix
   in
   let embed, _ = Tivaware_core.Selectors.maintenance_embedding ~config:(config 3) backend in
+  let engine = Backend.engine ~config:(config 2) backend in
   let sw =
     Swarm.create
       ~config:{ Swarm.default_config with Swarm.members = 4; duration = 20.; seed = 25 }
-      ~select:(Selection.alert (embed ())) ~backend
-      ~engine:(Backend.engine ~config:(config 2) backend) ()
+      ~select:(Selection.alert (embed ())) ~backend ~engine ()
   in
   ignore (Swarm.run sw);
+  let tree = Swarm.tree sw in
   checkb "a member cannot reach the source" true
-    (match Multicast.check (Swarm.tree sw) with
+    (match Multicast.check tree with
     | Some (Multicast.Unreachable _) -> true
-    | _ -> false)
+    | _ -> false);
+  ignore (Multicast.refresh ~predict:(Backend.query backend) tree (Rng.create 26) engine);
+  checkb "refresh returns and keeps the index and caps" true
+    (match Multicast.check tree with
+    | None | Some (Multicast.Unreachable _) -> true
+    | Some _ -> false)
 
 let () =
   Alcotest.run "stream"
