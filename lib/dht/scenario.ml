@@ -30,7 +30,9 @@ let default_config =
     seed = 7;
   }
 
-let validate_config ~nodes ctx c =
+(* [clock] is what the engine replays of churn and route flaps over
+   the run (0 before an engine exists). *)
+let validate ~clock ~nodes ctx c =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   if c.keys < 1 then fail "%s: keys must be >= 1 (got %d)" ctx c.keys;
   if Float.is_nan c.zipf_s || c.zipf_s < 0. then
@@ -50,7 +52,10 @@ let validate_config ~nodes ctx c =
       ("keys", float_of_int c.keys);
       ("lookups", float_of_int c.lookups);
       ("duration", rounds *. float_of_int nodes);
+      ("duration", clock);
     ]
+
+let validate_config ~nodes ctx c = validate ~clock:0. ~nodes ctx c
 
 type t = {
   config : config;
@@ -63,7 +68,9 @@ type t = {
 
 let create ?arbiter ~config ~backend ~engine () =
   let n = Backend.size backend and c = config in
-  validate_config ~nodes:n "Dht.Scenario" c;
+  validate
+    ~clock:(Engine.clock_work engine ~links:(n * (n - 1)) ~until:c.duration)
+    ~nodes:n "Dht.Scenario" c;
   let chord =
     Chord.build ~candidates:c.candidates ~predict:(Engine.rtt ~label:"dht" engine) n
   in

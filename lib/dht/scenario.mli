@@ -47,7 +47,10 @@ val create :
     distinct keys (seeded [seed + 11]), places them, creates the
     stabilizer (unless [interval <= 0]) and registers the
     [chord.lookup_wrong_owner] counter.  The engine must measure
-    [backend]. *)
+    [backend].  Raises [Invalid_argument] as {!validate_config} does,
+    counting also the churn and route-flap transitions the engine
+    replays up to [duration] ({!Tivaware_measure.Engine.clock_work}
+    over every link), which are named [duration]. *)
 
 type result = {
   issued : int;  (** lookups whose source was up *)

@@ -65,6 +65,14 @@ type t = {
   cache : Cache.t option;
   obs : Obs.Registry.t;
   inst : instruments;
+  (* Whether attempt outcomes feed the injector's loss estimate: only
+     the [Adaptive] policy reads it ([Fault.retry_budget]), so the
+     other policies skip the per-link table write. *)
+  learn_loss : bool;
+  (* The last plane label seen and its counters: callers pass one
+     label constant per plane, so a physically equal label skips the
+     string hash. *)
+  mutable last_plane : (string * (Obs.Counter.t * Obs.Counter.t)) option;
   (* Hot-path scratch: slot 0 the last probe's value, slot 1 its
      accumulated cost.  A float array, not mutable record fields,
      because float-array stores are unboxed without flambda; probes
@@ -123,15 +131,22 @@ let make_instruments obs =
   }
 
 let plane_counters t plane =
-  match Hashtbl.find t.inst.i_per_plane plane with
-  | pair -> pair
-  | exception Not_found ->
-    let labels = [ ("plane", plane) ] in
+  match t.last_plane with
+  | Some (last, pair) when last == plane -> pair
+  | _ ->
     let pair =
-      ( Obs.Registry.counter t.obs ~labels "measure.probes.sent",
-        Obs.Registry.counter t.obs ~labels "measure.probe_ms" )
+      match Hashtbl.find t.inst.i_per_plane plane with
+      | pair -> pair
+      | exception Not_found ->
+        let labels = [ ("plane", plane) ] in
+        let pair =
+          ( Obs.Registry.counter t.obs ~labels "measure.probes.sent",
+            Obs.Registry.counter t.obs ~labels "measure.probe_ms" )
+        in
+        Hashtbl.replace t.inst.i_per_plane plane pair;
+        pair
     in
-    Hashtbl.replace t.inst.i_per_plane plane pair;
+    t.last_plane <- Some (plane, pair);
     pair
 
 let validate_config (config : config) =
@@ -204,6 +219,11 @@ let create ?(config = default_config) oracle =
         config.cache_ttl;
     obs;
     inst = make_instruments obs;
+    learn_loss =
+      (match config.fault.Fault.policy with
+      | Fault.Adaptive _ -> true
+      | Fault.Fixed | Fault.Backoff _ -> false);
+    last_plane = None;
     scratch = Array.make 2 nan;
     clock = 0.;
   }
@@ -240,6 +260,23 @@ let advance_to t time =
     sync_churn t
   end
 
+let clock_work t ~links ~until =
+  let churn =
+    match t.config.churn with
+    | Some c ->
+      c.Churn.fraction *. float_of_int (size t) *. 2.
+      /. (c.Churn.mean_up +. c.Churn.mean_down)
+      *. until
+    | None -> 0.
+  in
+  let flaps =
+    match Option.bind t.config.dynamics (fun d -> d.Dynamics.route_flap) with
+    | Some rf when rf.Dynamics.rate > 0. && rf.Dynamics.max_extra > 0. ->
+      float_of_int links *. rf.Dynamics.rate *. until
+    | _ -> 0.
+  in
+  churn +. flaps
+
 type outcome =
   | Rtt of float
   | Cached of float
@@ -266,6 +303,9 @@ let code_denied = 2
 let code_down = 3
 let code_lost = 4
 let code_unmeasured = 5
+
+(* The engine's only writer of the loss estimate. *)
+let record_outcome t i j ~lost = if t.learn_loss then Fault.record_outcome t.fault i j ~lost
 
 (* One probe after the cache has missed: budget, then the attempt
    loop.  Every wire attempt is charged and counted, including the
@@ -302,7 +342,7 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
     | Some plane -> Obs.Counter.incr (fst (plane_counters t plane)));
     if endpoint_down then begin
       Obs.Counter.incr inst.i_lost;
-      Fault.record_outcome t.fault i j ~lost:true;
+      record_outcome t i j ~lost:true;
       s.(1) <- s.(1) +. timeout;
       if k < retries then
         probe_attempt t label i j ~endpoint_down ~retries ~timeout (k + 1)
@@ -317,13 +357,13 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
         Obs.Counter.incr inst.i_unmeasured;
         (* Indistinguishable from loss at the prober: it waits the
            timeout and its loss estimate takes the hit. *)
-        Fault.record_outcome t.fault i j ~lost:true;
+        record_outcome t i j ~lost:true;
         s.(1) <- s.(1) +. timeout;
         code_unmeasured
       end
       else if Fault.attempt_into t.fault i j ~rtt:true_rtt ~into:s then begin
         let sample = s.(0) in
-        Fault.record_outcome t.fault i j ~lost:false;
+        record_outcome t i j ~lost:false;
         s.(1) <- s.(1) +. sample;
         Obs.Histogram.observe inst.i_rtt_ms sample;
         (match t.cache with
@@ -335,7 +375,7 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
       end
       else begin
         Obs.Counter.incr inst.i_lost;
-        Fault.record_outcome t.fault i j ~lost:true;
+        record_outcome t i j ~lost:true;
         s.(1) <- s.(1) +. timeout;
         if k < retries then
           probe_attempt t label i j ~endpoint_down ~retries ~timeout (k + 1)

@@ -116,6 +116,15 @@ val advance_to : t -> float -> unit
 (** Monotonic absolute set: earlier times are ignored.  Used to slave
     the engine clock to an event simulator. *)
 
+val clock_work : t -> links:int -> until:float -> float
+(** The expected number of transitions the engine replays while its
+    clock moves from 0 to [until]: churn toggles (each churning node
+    flips twice per [mean_up + mean_down] on average) plus route
+    changes on [links] directed links (a link replays its route flaps
+    when probed, so [links] bounds the links a run can probe).  0
+    without churn or route flaps.  Scenarios add it to the work they
+    bound before a run. *)
+
 (** {2 Probing} *)
 
 type outcome =

@@ -51,7 +51,9 @@ type t = {
   profile : Profile.t;
   n : int;
   rng : Rng.t;
-  down : (int, unit) Hashtbl.t;
+  (* Node outage flags, one byte per node ('\001' = down): read on
+     every probe, so a byte load rather than a hash lookup. *)
+  down : Bytes.t;
   (* Directed-link state, keyed by [i * n + j].  Hashtables, not n^2
      arrays: only probed links ever materialize.  Each cell is a
      2-slot float array — [|ewma; attempt count|] — mutated in place,
@@ -121,12 +123,10 @@ let create ?(config = default) ?profile rng ~n =
      without link outages stays probe-for-probe identical to the global
      model). *)
   let link_salt = Int64.to_int (Rng.int64 (Rng.copy rng)) land 0x3FFFFFFF in
-  let down = Hashtbl.create 16 in
+  let down = Bytes.make n '\000' in
   let k = int_of_float (config.outage *. float_of_int n) in
   if k > 0 then
-    Array.iter
-      (fun i -> Hashtbl.replace down i ())
-      (Rng.sample_indices rng ~n ~k);
+    Array.iter (fun i -> Bytes.set down i '\001') (Rng.sample_indices rng ~n ~k);
   {
     config;
     profile;
@@ -141,10 +141,13 @@ let create ?(config = default) ?profile rng ~n =
 
 let config t = t.config
 let profile t = t.profile
-let node_down t i = Hashtbl.mem t.down i
+let node_down t i = Bytes.get t.down i <> '\000'
 
 let set_down t i down =
-  if down then Hashtbl.replace t.down i () else Hashtbl.remove t.down i
+  if i < 0 || i >= t.n then
+    invalid_arg
+      (Printf.sprintf "Fault.set_down: node %d outside 0..%d" i (t.n - 1));
+  Bytes.set t.down i (if down then '\001' else '\000')
 
 let link t i j = Profile.link t.profile i j
 

@@ -82,13 +82,16 @@ val link : t -> int -> int -> Profile.link
 (** The profile parameters of the directed link [i -> j]. *)
 
 val node_down : t -> int -> bool
+(** Whether node [i] is in outage.  [i] must be in [0 .. n-1]; an
+    index outside raises [Invalid_argument]. *)
 
 val set_down : t -> int -> bool -> unit
 (** Scenario hook: force a node in or out of outage ({!Churn} drives
     this from its schedule).  {!Churn.drive} writes a churning node
     only when it toggles, so setting one by hand lasts until that
     node's next toggle; drive a node from churn or by hand, not
-    both. *)
+    both.  Raises [Invalid_argument], naming the node, when it is
+    outside [0 .. n-1]. *)
 
 val link_down : t -> int -> int -> bool
 (** Whether the directed link is in outage for the injector's
@@ -119,7 +122,13 @@ val record_outcome : t -> int -> int -> lost:bool -> unit
 (** Feed one wire-attempt outcome observed by source node [i] probing
     [j] into the loss-rate estimators (a prober cannot distinguish loss
     from a peer outage, so both count as lost).  Updates both the
-    directed link's EWMA and the source node's aggregate EWMA. *)
+    directed link's EWMA and the source node's aggregate EWMA; an
+    out-of-range [i] or [j] is ignored.  The estimate's only reader is
+    {!retry_budget}, and only under [Adaptive], so the {!Engine} feeds
+    outcomes only to an [Adaptive] injector: under [Fixed] and
+    [Backoff] the estimate stays 0.  Each directed link first observed
+    adds one table entry, so the state grows with the number of
+    distinct links probed. *)
 
 val estimated_loss : t -> int -> int -> float
 (** The directed link's current loss-rate estimate in [0, 1] (0 before

@@ -39,7 +39,9 @@ let default_config =
     seed = 7;
   }
 
-let validate_config ctx c =
+(* [clock] is what the engine replays of churn and route flaps over
+   the run (0 before an engine exists). *)
+let validate ~clock ctx c =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   if c.devices < 1 then fail "%s: devices must be >= 1 (got %d)" ctx c.devices;
   if c.zones < 1 then fail "%s: zones must be >= 1 (got %d)" ctx c.zones;
@@ -59,7 +61,13 @@ let validate_config ctx c =
   (* Each read is one event; each repair pass probes every device. *)
   let passes = if c.repair_interval > 0. then c.duration /. c.repair_interval else 0. in
   Sim.check_work ctx
-    [ ("reads", float_of_int c.reads); ("duration", passes *. float_of_int c.devices) ]
+    [
+      ("reads", float_of_int c.reads);
+      ("duration", passes *. float_of_int c.devices);
+      ("duration", clock);
+    ]
+
+let validate_config ctx c = validate ~clock:0. ctx c
 
 (* The run's only tally of its outcomes: [run] reads its result from
    these. *)
@@ -114,8 +122,12 @@ let make_instruments obs =
 let weights = [| 1.; 1.; 2.; 2.; 4. |]
 
 let create ?arbiter ~config ~policy ~backend ~engine () =
-  validate_config "Store.Scenario" config;
   let n = Backend.size backend in
+  (* Reads and repairs probe from any node to a device. *)
+  let links = n * config.devices in
+  validate
+    ~clock:(Engine.clock_work engine ~links ~until:config.duration)
+    "Store.Scenario" config;
   if config.devices > n then
     invalid_arg
       (Printf.sprintf "Store.Scenario: devices (%d) exceeds delay-space nodes (%d)"

@@ -64,7 +64,11 @@ val create :
     ["store_repair"] probe planes
     ({!Tivaware_measure.Engine.register_plane}).  The engine must be
     over [backend] (ground truth reads it); [arbiter] gates the repair
-    plane's probes under the ["store_repair"] share. *)
+    plane's probes under the ["store_repair"] share.  Raises
+    [Invalid_argument] as {!validate_config} does, counting also the
+    churn and route-flap transitions the engine replays up to
+    [duration] ({!Tivaware_measure.Engine.clock_work} over every link
+    to a device), which are named [duration]. *)
 
 val ring : t -> Ring.t
 val config : t -> config

@@ -35,7 +35,9 @@ let default_config =
     seed = 7;
   }
 
-let validate_config ctx c =
+(* [clock] is what the engine replays of churn and route flaps over
+   the run (0 before an engine exists). *)
+let validate ~clock ctx c =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   if c.members < 2 then fail "%s: members must be >= 2 (got %d)" ctx c.members;
   if not (Float.is_finite c.chunk_ms) || c.chunk_ms <= 0. then
@@ -62,7 +64,10 @@ let validate_config ctx c =
       ("duration", c.duration *. 1000. /. c.chunk_ms *. members);
       ( (if deadline > c.duration then "deadline_ms" else "duration"),
         (span /. c.pull_interval *. members) +. passes );
+      ("duration", clock);
     ]
+
+let validate_config ctx c = validate ~clock:0. ctx c
 
 (* The run's only tally of its outcomes: [run] reads its result from
    these. *)
@@ -145,8 +150,15 @@ let link t i j =
     | None -> base
 
 let create ?arbiter ~config ~select ~backend ~engine () =
-  validate_config "Stream.Swarm" config;
   let n = Backend.size backend in
+  (* Members probe only each other; the engine clock runs until the
+     last chunk's deadline. *)
+  let links = config.members * (config.members - 1) in
+  validate
+    ~clock:
+      (Engine.clock_work engine ~links
+         ~until:(config.duration +. (config.deadline_ms /. 1000.)))
+    "Stream.Swarm" config;
   if config.members > n then
     invalid_arg
       (Printf.sprintf "Stream.Swarm: members (%d) exceeds delay-space nodes (%d)"

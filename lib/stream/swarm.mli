@@ -57,7 +57,10 @@ val create :
     through the policy's ranking (attachment probes on the ["stream"]
     plane), and registers the [stream.*] observability series.
     Raises [Invalid_argument] on an invalid config or when [members]
-    exceeds the delay space. *)
+    exceeds the delay space; the work bound also counts the churn and
+    route-flap transitions the engine replays up to the last deadline
+    ({!Tivaware_measure.Engine.clock_work} over the member links),
+    named [duration]. *)
 
 val source : t -> int
 (** Node id of the chunk source (the tree root). *)

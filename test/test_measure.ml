@@ -446,6 +446,44 @@ let test_outage () =
   Alcotest.(check bool) "back up" true (not (Float.is_nan (Engine.rtt e 1 4)));
   checki "down requests counted" 2 (Engine.stats e).Probe_stats.down
 
+(* Only the adaptive policy reads the loss estimate, so only an
+   adaptive engine feeds it: a 50%-loss link probed through a fixed or
+   backoff engine leaves the estimate at 0. *)
+let test_loss_estimate_only_adaptive () =
+  let m = euclidean_matrix 21 8 in
+  let estimate policy =
+    let e =
+      engine ~fault:{ Fault.default with Fault.loss = 0.5; retries = 1; policy } m
+    in
+    for _ = 1 to 200 do
+      ignore (Engine.rtt e 2 5)
+    done;
+    Fault.estimated_loss (Engine.fault e) 2 5
+  in
+  checkf "fixed keeps no estimate" 0. (estimate Fault.Fixed);
+  checkf "backoff keeps no estimate" 0.
+    (estimate (Fault.Backoff Fault.default_backoff));
+  Alcotest.(check bool) "adaptive learns the loss" true
+    (estimate (Fault.adaptive ()) > 0.3)
+
+let test_set_down_range () =
+  let f = Fault.create (Rng.create 3) ~n:8 in
+  for i = 0 to 7 do
+    Alcotest.(check bool) "starts up" false (Fault.node_down f i)
+  done;
+  Fault.set_down f 7 true;
+  Fault.set_down f 0 true;
+  Alcotest.(check (list int)) "down round-trips" [ 0; 7 ]
+    (List.filter (Fault.node_down f) (List.init 8 Fun.id));
+  Fault.set_down f 7 false;
+  Alcotest.(check bool) "up again" false (Fault.node_down f 7);
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Fault.set_down: node 8 outside 0..7") (fun () ->
+      Fault.set_down f 8 true);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Fault.set_down: node -1 outside 0..7") (fun () ->
+      Fault.set_down f (-1) false)
+
 (* ------------------------------------------------------------------ *)
 (* Per-label accounting                                                *)
 
@@ -850,6 +888,9 @@ let () =
             test_loss_retry_accounting;
           Alcotest.test_case "retries recover" `Quick test_retry_recovers;
           Alcotest.test_case "outages" `Quick test_outage;
+          Alcotest.test_case "loss estimate only under adaptive" `Quick
+            test_loss_estimate_only_adaptive;
+          Alcotest.test_case "set_down range" `Quick test_set_down_range;
           Alcotest.test_case "attempt_into = attempt draw for draw" `Quick
             test_fault_attempt_into_equivalence;
           Alcotest.test_case "attempt_into out-param reuse" `Quick
