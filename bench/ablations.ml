@@ -7,6 +7,7 @@ module Stats = Tivaware_util.Stats
 module Matrix = Tivaware_delay_space.Matrix
 module Backend = Tivaware_backend.Delay_backend
 module Engine = Tivaware_measure.Engine
+module Churn = Tivaware_measure.Churn
 module Alert = Tivaware_tiv.Alert
 module Eval = Tivaware_tiv.Eval
 module System = Tivaware_vivaldi.System
@@ -366,22 +367,29 @@ let abl_stability ctx =
   let sim = Tivaware_eventsim.Sim.create () in
   let stats = Tivaware_vivaldi.Protocol.run sim async ~duration in
   let async_err = Stats.median (System.absolute_errors async) in
-  (* Event-driven with churn: nodes fail and rejoin with fresh state. *)
-  let churned = System.create (Context.rng ctx 312) m in
+  (* Event-driven under the engine's churn, every node churning: nodes
+     fail and rejoin with fresh state. *)
+  let e =
+    Engine.of_matrix
+      ~config:
+        { Engine.default_config with churn = Some { Churn.default with fraction = 1. } }
+      m
+  in
+  let churned = System.create_with_engine (Context.rng ctx 312) e in
   let sim2 = Tivaware_eventsim.Sim.create () in
   let cstats =
-    Tivaware_vivaldi.Protocol.run_with_churn sim2 churned ~duration:(2. *. duration)
+    Tivaware_vivaldi.Protocol.run sim2 churned ~duration:(2. *. duration)
   in
   let churn_err = Stats.median (System.absolute_errors churned) in
   Printf.printf
     "synchronous:  abs err p50=%.1f ms after %d rounds\n\
      event-driven: abs err p50=%.1f ms after %.0f s (%d probes, %d applied)\n\
-     with churn:   abs err p50=%.1f ms (%d failures, %d rejoins, %d probes lost)\n"
+     with churn:   abs err p50=%.1f ms (%d up/down transitions, %d probes lost)\n"
     sync_err ctx.Context.vivaldi_rounds async_err duration
     stats.Tivaware_vivaldi.Protocol.probes_sent
     stats.Tivaware_vivaldi.Protocol.probes_completed
-    churn_err cstats.Tivaware_vivaldi.Protocol.failures
-    cstats.Tivaware_vivaldi.Protocol.rejoins
+    churn_err
+    (Churn.transitions (Option.get (Engine.churn e)))
     cstats.Tivaware_vivaldi.Protocol.probes_lost
 
 let register () =

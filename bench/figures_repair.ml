@@ -125,7 +125,6 @@ let repair_arm ctx ~on =
   let n = Matrix.size m in
   let churn = { Churn.default with Churn.seed = ctx.Context.seed + 71 } in
   let e = engine_for ctx ~churn ~loss:0. ~jitter:0. () in
-  let c = Option.get (Engine.churn e) in
   let nodes =
     Rng.sample_indices (Context.rng ctx 73) ~n ~k:(Context.meridian_count_ideal ctx)
   in
@@ -153,7 +152,7 @@ let repair_arm ctx ~on =
       let seen = Hashtbl.create 64 in
       Array.iter
         (fun host ->
-          if Churn.is_up c host then
+          if Engine.up e host then
             List.iter
               (fun mb ->
                 if is_meridian mb.Overlay.id then
@@ -171,7 +170,7 @@ let repair_arm ctx ~on =
       let target = Rng.int pick n in
       if
         (not (is_meridian target))
-        && Churn.is_up c target
+        && Engine.up e target
         && not (Matrix.is_missing m start target)
       then begin
         incr q_total;
@@ -183,14 +182,14 @@ let repair_arm ctx ~on =
     let lookups = ref 0 in
     while !lookups < 60 do
       let source = Rng.int lk n in
-      if Churn.is_up c source then begin
+      if Engine.up e source then begin
         incr lookups;
         incr l_total;
         let key =
           Id_space.add (Id_space.of_node (Rng.int lk n)) (Rng.int lk 1_000_000)
         in
         let o = Chord.lookup chord (Backend.dense m) ~source ~key in
-        if Churn.is_up c o.Chord.owner then incr l_ok
+        if Engine.up e o.Chord.owner then incr l_ok
       end
     done
   done;

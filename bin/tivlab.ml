@@ -55,6 +55,10 @@ module Dht_scenario = Tivaware_dht.Scenario
 let prog = "tivlab"
 let or_usage_error f = Harness.or_usage_error ~prog f
 
+(* A percentile of a sample that may be empty (every operation failed,
+   nothing measured): 0 rather than an exception. *)
+let percentile xs p = if xs = [||] then 0. else Stats.percentile xs p
+
 (* ---------------------------------------------------------------- *)
 (* Shared arguments                                                  *)
 
@@ -593,8 +597,8 @@ let dht_cmd =
         "stabilize: rounds=%d probes=%d rerouted=%d marked_dead=%d revived=%d denied=%d\n"
         rounds checked rerouted marked_dead revived denied;
       Printf.printf "keys: migrated=%d copies over %d rehomes\n" migrated rehomes;
-      let median = if latencies = [||] then 0. else Stats.median latencies in
-      let p90 = if latencies = [||] then 0. else Stats.percentile latencies 90. in
+      let median = percentile latencies 50. in
+      let p90 = percentile latencies 90. in
       let hops_mean =
         if issued = 0 then 0. else float_of_int hops /. float_of_int issued
       in
@@ -839,19 +843,21 @@ let embed_cmd =
     let system = System.create_with_engine ~config rng engine in
     System.run system ~rounds;
     let rel = System.sampled_relative_errors system rng ~pairs:sample in
+    let median = percentile rel 50. in
+    let p90 = percentile rel 90. in
     Printf.printf
       "embedding (%s backend, %d nodes, %d rounds): sampled relative error \
        median=%.3f p90=%.3f (%d/%d pairs measured)\n"
-      (Backend.kind_name backend) nodes rounds (Stats.median rel)
-      (Stats.percentile rel 90.) (Array.length rel) sample;
+      (Backend.kind_name backend) nodes rounds median p90 (Array.length rel)
+      sample;
     if meas.Harness.charge_time then
       Printf.printf "virtual time: %.1f s (measurement-aware)\n"
         (Engine.now engine);
     Harness.report meas engine ~backend
       ~gauges:
         [
-          ("embed.rel_error_median", Stats.median rel);
-          ("embed.rel_error_p90", Stats.percentile rel 90.);
+          ("embed.rel_error_median", median);
+          ("embed.rel_error_p90", p90);
           ("embed.nodes", float_of_int nodes);
         ]
   in
@@ -914,18 +920,20 @@ let closest_cmd =
       end
     done;
     let s = Array.of_list !stretches in
+    let median = percentile s 50. in
+    let p90 = percentile s 90. in
     Printf.printf
       "closest (%s backend, %d nodes, %d meridian, budget %d): %d queries, \
        stretch median=%.2f p90=%.2f, hops/query=%.2f, failures=%d\n"
       (Backend.kind_name backend) nodes count candidate_budget queries
-      (Stats.median s) (Stats.percentile s 90.)
+      median p90
       (float_of_int !hops /. float_of_int (max 1 (queries - !failures)))
       !failures;
     Harness.report meas engine ~backend
       ~gauges:
         [
-          ("closest.stretch_median", Stats.median s);
-          ("closest.stretch_p90", Stats.percentile s 90.);
+          ("closest.stretch_median", median);
+          ("closest.stretch_p90", p90);
           ("closest.failures", float_of_int !failures);
         ]
   in
@@ -1149,9 +1157,9 @@ let store_cmd =
       r.Store_scenario.skipped r.Store_scenario.handoffs
       r.Store_scenario.dead_attempts;
     let lat = r.Store_scenario.latencies in
-    let mean = if lat = [||] then 0. else Stats.mean lat in
-    let p50 = if lat = [||] then 0. else Stats.median lat in
-    let p99 = if lat = [||] then 0. else Stats.percentile lat 99. in
+    let mean = Stats.mean lat in
+    let p50 = percentile lat 50. in
+    let p99 = percentile lat 99. in
     let maint_probes = s.maintenance_probes () in
     Printf.printf
       "store: latency mean=%.1f p50=%.1f p99=%.1f ms  policy probes=%d  \
@@ -1185,49 +1193,54 @@ let store_cmd =
                 $(b,alert) TIV-alert-aware verification (walk candidates in \
                 predicted order, skip flagged likely-TIV edges).")
   in
+  let d = Store_scenario.default_config in
   let devices =
     Arg.(
-      value & opt int 24
+      value & opt int d.Store_scenario.devices
       & info [ "devices" ] ~docv:"N"
           ~doc:"Storage devices sampled from the delay space's nodes.")
   in
   let zones =
     Arg.(
-      value & opt int 4
+      value & opt int d.Store_scenario.zones
       & info [ "zones" ] ~docv:"N" ~doc:"Failure zones (assigned round-robin).")
   in
   let part_power =
     Arg.(
-      value & opt int 6
+      value & opt int d.Store_scenario.part_power
       & info [ "part-power" ] ~docv:"P"
           ~doc:"2^P partitions on the consistent-hashing ring.")
   in
   let replicas =
-    Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"R" ~doc:"Replicas per partition.")
+    Arg.(
+      value & opt int d.Store_scenario.replicas
+      & info [ "replicas" ] ~docv:"R" ~doc:"Replicas per partition.")
   in
   let objects =
-    Arg.(value & opt int 256 & info [ "objects" ] ~docv:"N" ~doc:"Distinct objects.")
+    Arg.(
+      value & opt int d.Store_scenario.objects
+      & info [ "objects" ] ~docv:"N" ~doc:"Distinct objects.")
   in
   let zipf_s =
     Arg.(
-      value & opt float 0.9
+      value & opt float d.Store_scenario.zipf_s
       & info [ "zipf" ] ~docv:"S"
           ~doc:"Zipf exponent of object popularity (0 = uniform).")
   in
   let reads =
     Arg.(
-      value & opt int 600
+      value & opt int d.Store_scenario.reads
       & info [ "reads" ] ~docv:"N"
           ~doc:"Client GETs spread evenly over $(b,--duration).")
   in
   let duration =
     Arg.(
-      value & opt float 120.
+      value & opt float d.Store_scenario.duration
       & info [ "duration" ] ~docv:"SEC" ~doc:"Simulated seconds the workload runs for.")
   in
   let repair_ms =
     Arg.(
-      value & opt float 10000.
+      value & opt float (d.Store_scenario.repair_interval *. 1000.)
       & info [ "repair" ] ~docv:"MS"
           ~doc:"Repair-plane interval in milliseconds of simulated time: \
                 probe device liveness and re-home partitions off \
@@ -1243,7 +1256,7 @@ let store_cmd =
   in
   let penalty =
     Arg.(
-      value & opt float 3000.
+      value & opt float d.Store_scenario.failure_penalty_ms
       & info [ "penalty" ] ~docv:"MS"
           ~doc:"Latency charged per attempt on a dead replica (the client's \
                 timeout) before it retries elsewhere.")
@@ -1313,8 +1326,8 @@ let stream_cmd =
       r.Stream_swarm.pull_requests r.Stream_swarm.pull_hits
       r.Stream_swarm.overhead_ratio;
     let st = r.Stream_swarm.stretches in
-    let s50 = if st = [||] then 0. else Stats.median st in
-    let s90 = if st = [||] then 0. else Stats.percentile st 90. in
+    let s50 = percentile st 50. in
+    let s90 = percentile st 90. in
     Printf.printf "stream: delivery stretch p50=%.2f p90=%.2f (n=%d)\n" s50 s90
       (Array.length st);
     let rep = r.Stream_swarm.repair in

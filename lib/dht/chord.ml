@@ -270,17 +270,11 @@ type heal = {
    walked past.  All probes are charged under [label]. *)
 let heal_engine ?(label = "dht-repair") t engine =
   let module Engine = Tivaware_measure.Engine in
-  let module Churn = Tivaware_measure.Churn in
-  let self_up i =
-    match Engine.churn engine with
-    | None -> true
-    | Some c -> Churn.is_up c i
-  in
   let checked = ref 0 and rerouted = ref 0 in
   let marked = ref 0 and revived = ref 0 in
   Array.iteri
     (fun node _ ->
-      if self_up node then begin
+      if Engine.up engine node then begin
         let chosen = ref None in
         Array.iter
           (fun c ->
@@ -425,7 +419,6 @@ end
 
 module Stabilizer = struct
   module Engine = Tivaware_measure.Engine
-  module Churn = Tivaware_measure.Churn
   module Arbiter = Tivaware_measure.Arbiter
   module Obs = Tivaware_obs
   module Sim = Tivaware_eventsim.Sim
@@ -536,11 +529,6 @@ module Stabilizer = struct
       denied = n t.c_denied;
     }
 
-  let self_up t i =
-    match Engine.churn t.engine with
-    | None -> true
-    | Some c -> Churn.is_up c i
-
   (* One arbitrated liveness/RTT probe with the heal-pass belief rules:
      an answer revives, conclusive silence accuses, an unmeasurable
      link or a budget refusal says nothing.  [`Skipped] means the
@@ -629,7 +617,7 @@ module Stabilizer = struct
      riding on the stabilize exchange, notify, fix-fingers, and key
      re-homing when anything moved. *)
   let round t u =
-    if self_up t u then begin
+    if Engine.up t.engine u then begin
       let chord = t.chord in
       let n = Array.length chord.ids in
       t.dry <- false;

@@ -1,6 +1,5 @@
 module Rng = Tivaware_util.Rng
 module Engine = Tivaware_measure.Engine
-module Churn = Tivaware_measure.Churn
 module Backend = Tivaware_backend.Delay_backend
 module Sim = Tivaware_eventsim.Sim
 module Obs = Tivaware_obs
@@ -122,9 +121,6 @@ let run t =
   | Some stab -> Chord.Stabilizer.schedule stab sim
   | None -> Sim.on_advance sim (Engine.advance_to engine));
   let zipf = Tivaware_util.Zipf.create ~n:c.keys ~s:c.zipf_s in
-  let up node =
-    match Engine.churn engine with None -> true | Some ch -> Churn.is_up ch node
-  in
   let n = Chord.size t.chord in
   (* Lookup hops are charged as probes on the dht plane. *)
   let probed = Backend.of_fn ~size:n (Engine.rtt ~label:"dht" engine) in
@@ -135,7 +131,7 @@ let run t =
     Sim.schedule_at sim at (fun () ->
         let source = Rng.int rng n in
         let key = Chord.Store.key t.store (Tivaware_util.Zipf.sample zipf rng) in
-        if not (up source) then incr skipped
+        if not (Engine.up engine source) then incr skipped
         else begin
           incr issued;
           let l = Chord.lookup t.chord probed ~source ~key in
@@ -143,7 +139,10 @@ let run t =
           hops := !hops + l.Chord.hops;
           (* Correct = ends at a node that is actually up (ground truth,
              not belief) and holds the key. *)
-          if not (up l.Chord.owner && Chord.Store.holds t.store ~key ~node:l.Chord.owner)
+          if
+            not
+              (Engine.up engine l.Chord.owner
+              && Chord.Store.holds t.store ~key ~node:l.Chord.owner)
           then Obs.Counter.incr t.wrong
         end)
   done;

@@ -236,6 +236,7 @@ let size t = Oracle.size t.oracle
 let matrix_exn t = Oracle.matrix_exn t.oracle
 let fault t = t.fault
 let churn t = t.churn
+let up t i = match t.churn with None -> true | Some c -> Churn.is_up c i
 let dynamics t = t.dynamics
 let obs t = t.obs
 
@@ -315,7 +316,7 @@ let record_outcome t i j ~lost = if t.learn_loss then Fault.record_outcome t.fau
    unanswered attempts, and backoff delays between retries.  A
    top-level recursive function, not a local closure, so the loop
    captures nothing. *)
-let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
+let rec probe_attempt t label i j lk ~endpoint_down ~retries ~timeout k =
   let inst = t.inst in
   let s = t.scratch in
   if k > 0 then begin
@@ -345,7 +346,7 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
       record_outcome t i j ~lost:true;
       s.(1) <- s.(1) +. timeout;
       if k < retries then
-        probe_attempt t label i j ~endpoint_down ~retries ~timeout (k + 1)
+        probe_attempt t label i j lk ~endpoint_down ~retries ~timeout (k + 1)
       else begin
         Obs.Counter.incr inst.i_down;
         code_down
@@ -361,7 +362,7 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
         s.(1) <- s.(1) +. timeout;
         code_unmeasured
       end
-      else if Fault.attempt_into t.fault i j ~rtt:true_rtt ~into:s then begin
+      else if Fault.attempt_into t.fault lk ~rtt:true_rtt ~into:s then begin
         let sample = s.(0) in
         record_outcome t i j ~lost:false;
         s.(1) <- s.(1) +. sample;
@@ -378,7 +379,7 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
         record_outcome t i j ~lost:true;
         s.(1) <- s.(1) +. timeout;
         if k < retries then
-          probe_attempt t label i j ~endpoint_down ~retries ~timeout (k + 1)
+          probe_attempt t label i j lk ~endpoint_down ~retries ~timeout (k + 1)
         else begin
           Obs.Counter.incr inst.i_failed;
           code_lost
@@ -400,15 +401,16 @@ let probe_uncached_code t label i j =
     code_denied
   end
   else begin
-    let endpoint_down =
-      Fault.node_down t.fault i || Fault.node_down t.fault j
-      || Fault.link_down t.fault i j
-    in
+    (* The link is looked up once per request (the clock does not move
+       between its attempts), and never when an endpoint is down. *)
+    let node_down = Fault.node_down t.fault i || Fault.node_down t.fault j in
+    let lk = if node_down then Profile.clean else Fault.link t.fault i j in
+    let endpoint_down = node_down || Fault.link_down t.fault i j lk in
     (* The retry budget is sized once per request, from the issuer's
        estimate of this link's loss as it stood before this request. *)
     let retries = Fault.retry_budget t.fault i j in
     let timeout = (Fault.config t.fault).Fault.timeout in
-    probe_attempt t label i j ~endpoint_down ~retries ~timeout 0
+    probe_attempt t label i j lk ~endpoint_down ~retries ~timeout 0
   end
 
 let probe_code t label i j =

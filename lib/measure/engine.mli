@@ -94,12 +94,19 @@ val matrix_exn : t -> Tivaware_delay_space.Matrix.t
     code); raises [Invalid_argument] otherwise. *)
 
 val fault : t -> Fault.t
-(** The live fault injector (scenario hooks: {!Fault.set_down}). *)
+(** The live fault injector. *)
 
 val churn : t -> Churn.t option
 (** The live churn model, when the config enables one.  Its schedule is
     driven by this engine's clock; churning nodes' up/down state
     overrides the static [fault.outage] draw. *)
+
+val up : t -> int -> bool
+(** Whether node [i] is up in the churn schedule at the engine's
+    current time: the one liveness read every protocol and scenario
+    layer uses.  Always [true] without churn, and for nodes outside
+    the churning subset (a static [fault.outage] is a property of the
+    wire, seen only as probes coming back [Down]). *)
 
 val dynamics : t -> Dynamics.t option
 (** The live dynamics model, when the config enables one.  Its clock is

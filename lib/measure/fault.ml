@@ -154,8 +154,8 @@ let link t i j = Profile.link t.profile i j
 (* Whether the directed link is in outage for the injector's lifetime.
    The draw is deterministic in (salt, i, j) and memoized, so it does
    not depend on probe order and never consumes the main stream. *)
-let link_down t i j =
-  let p = (link t i j).Profile.outage in
+let link_down t i j lk =
+  let p = lk.Profile.outage in
   if p <= 0. then false
   else if p >= 1. then true
   else begin
@@ -172,11 +172,11 @@ let link_down t i j =
 type attempt = Delivered of float | Dropped
 
 (* The non-allocating attempt used by the probe hot path: the sample
-   lands in [into.(0)] instead of a [Delivered] block.  Draw order
-   (loss, then jitter) matches [attempt] exactly — both are the same
-   stream. *)
-let attempt_into t i j ~rtt ~into =
-  let lk = link t i j in
+   lands in [into.(0)] instead of a [Delivered] block, and the link's
+   parameters come from the caller's one lookup per request.  Draw
+   order (loss, then jitter) matches [attempt] exactly — both are the
+   same stream. *)
+let attempt_into t lk ~rtt ~into =
   if lk.Profile.loss > 0. && Rng.bernoulli t.rng lk.Profile.loss then false
   else begin
     let rtt = rtt +. lk.Profile.extra_delay in
@@ -191,7 +191,7 @@ let attempt_into t i j ~rtt ~into =
 
 let attempt t i j ~rtt =
   let buf = [| nan |] in
-  if attempt_into t i j ~rtt ~into:buf then Delivered buf.(0) else Dropped
+  if attempt_into t (link t i j) ~rtt ~into:buf then Delivered buf.(0) else Dropped
 
 let link_key t i j = (i * t.n) + j
 

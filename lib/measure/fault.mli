@@ -86,15 +86,16 @@ val node_down : t -> int -> bool
     index outside raises [Invalid_argument]. *)
 
 val set_down : t -> int -> bool -> unit
-(** Scenario hook: force a node in or out of outage ({!Churn} drives
-    this from its schedule).  {!Churn.drive} writes a churning node
-    only when it toggles, so setting one by hand lasts until that
-    node's next toggle; drive a node from churn or by hand, not
-    both.  Raises [Invalid_argument], naming the node, when it is
+(** Force a node in or out of outage.  The churn schedule's hook:
+    {!Churn.drive} is its one caller in the library, so the engine's
+    churn is the only writer of node up/down (tests set it by hand).
+    {!Churn.drive} writes a churning node only when it toggles, so
+    setting one by hand lasts until that node's next toggle.  Raises [Invalid_argument], naming the node, when it is
     outside [0 .. n-1]. *)
 
-val link_down : t -> int -> int -> bool
-(** Whether the directed link is in outage for the injector's
+val link_down : t -> int -> int -> Profile.link -> bool
+(** [link_down t i j lk]: whether the directed link [i -> j], whose
+    parameters [lk] are [link t i j], is in outage for the injector's
     lifetime.  Fractional {!Profile.link.outage} rates are resolved by
     a memoized draw that is deterministic in [(seed, i, j)] and never
     consumes the main fault stream. *)
@@ -109,12 +110,15 @@ val attempt : t -> int -> int -> rtt:float -> attempt
     stay aligned across profiles with equal parameters; the link's
     [extra_delay] is added to the RTT before jitter. *)
 
-val attempt_into : t -> int -> int -> rtt:float -> into:float array -> bool
-(** Non-allocating {!attempt} for the probe hot path: [true] means
-    delivered, with the sample stored in [into.(0)] (unboxed —
-    [into] must have length >= 1); [false] means dropped and [into] is
-    untouched.  Consumes the generator exactly as {!attempt} does, so
-    the two are interchangeable draw for draw. *)
+val attempt_into : t -> Profile.link -> rtt:float -> into:float array -> bool
+(** Non-allocating {!attempt} for the probe hot path, on a link whose
+    parameters the caller looked up once ([link t i j]; the engine
+    does so once per request, since its clock does not move between a
+    request's attempts): [true] means delivered, with the sample
+    stored in [into.(0)] (unboxed — [into] must have length >= 1);
+    [false] means dropped and [into] is untouched.  Consumes the
+    generator exactly as {!attempt} does, so the two are
+    interchangeable draw for draw. *)
 
 (** {2 Per-link loss estimation and retry budgets} *)
 

@@ -216,16 +216,10 @@ type repair = {
    [label], so repair traffic is as honest as query traffic. *)
 let repair_engine ?(label = "meridian-repair") t engine =
   let module Engine = Tivaware_measure.Engine in
-  let module Churn = Tivaware_measure.Churn in
-  let up i =
-    match Engine.churn engine with
-    | None -> true
-    | Some c -> Churn.is_up c i
-  in
   let evicted = ref 0 and reentered = ref 0 in
   Array.iteri
     (fun s node ->
-      if up node then
+      if Engine.up engine node then
         Array.iteri
           (fun r members ->
             let keep, dead =
@@ -249,7 +243,7 @@ let repair_engine ?(label = "meridian-repair") t engine =
   List.iter
     (fun ((s, id) as key) ->
       let node = t.meridian_nodes.(s) in
-      if up node && up id then begin
+      if Engine.up engine node && Engine.up engine id then begin
         let d = Engine.rtt ~label engine node id in
         if not (Float.is_nan d) then begin
           let r = Ring.ring_of t.config d - 1 in

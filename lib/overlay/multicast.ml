@@ -2,7 +2,6 @@ module Rng = Tivaware_util.Rng
 module Stats = Tivaware_util.Stats
 module Engine = Tivaware_measure.Engine
 module Oracle = Tivaware_measure.Oracle
-module Churn = Tivaware_measure.Churn
 module Obs = Tivaware_obs
 
 type config = {
@@ -297,18 +296,11 @@ type repair = {
   rejoined : int;
 }
 
-(* One repair pass; liveness defaults to the engine's churn view (no
-   churn = everyone up), and the pass's counts land in the engine's
+(* One repair pass; liveness defaults to [Engine.up] (no churn =
+   everyone up), and the pass's counts land in the engine's
    [repair.*{plane=multicast}] series. *)
 let repair ?(label = "multicast-repair") ?predict ?up t rng engine =
-  let up =
-    match up with
-    | Some up -> up
-    | None -> (
-      match Engine.churn engine with
-      | None -> fun _ -> true
-      | Some c -> Churn.is_up c)
-  in
+  let up = match up with Some up -> up | None -> Engine.up engine in
   let known = known_of_engine engine in
   let predict = predictor ~label ?predict engine in
   let detached = ref 0 and reattached = ref 0 and rejoined = ref 0 in

@@ -92,8 +92,8 @@ val repair :
   Tivaware_util.Rng.t ->
   Tivaware_measure.Engine.t ->
   repair
-(** One repair pass against a liveness oracle [up] (default: the
-    engine's churn model; no churn = everyone up): down members are
+(** One repair pass against a liveness oracle [up] (default:
+    {!Tivaware_measure.Engine.up}; no churn = everyone up): down members are
     detached (their parents' slots freed, their children orphaned),
     every orphan re-attaches to the best live member with spare degree
     among a sampled candidate set (the root is always a candidate while

@@ -1,7 +1,6 @@
 module Rng = Tivaware_util.Rng
 module Zipf = Tivaware_util.Zipf
 module Engine = Tivaware_measure.Engine
-module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
 module Profile = Tivaware_measure.Profile
 module Arbiter = Tivaware_measure.Arbiter
@@ -190,10 +189,7 @@ let device_node t id =
   | Some d -> d.Ring.node
   | None -> invalid_arg (Printf.sprintf "Store.Scenario: unknown device %d" id)
 
-let ground_up t id =
-  match Engine.churn t.engine with
-  | Some c -> Churn.is_up c (device_node t id)
-  | None -> true
+let ground_up t id = Engine.up t.engine (device_node t id)
 
 (* What the read actually experiences on the chosen link right now:
    the static true delay plus whatever extra delay the dynamics plane
@@ -424,11 +420,8 @@ let run ?trace ?repair_trace t =
     let at = c.duration *. float_of_int (i + 1) /. float_of_int (c.reads + 1) in
     Sim.schedule_at sim at (fun () ->
         let client = t.clients.(Rng.int t.wl (Array.length t.clients)) in
-        let client_up =
-          match Engine.churn t.engine with Some ch -> Churn.is_up ch client | None -> true
-        in
         let obj = Zipf.sample t.zipf t.obj_rng in
-        if not client_up then Obs.Counter.incr t.inst.c_skipped
+        if not (Engine.up t.engine client) then Obs.Counter.incr t.inst.c_skipped
         else begin
           let out = read t ~client ~obj in
           Option.iter (fun f -> f out) trace;

@@ -134,9 +134,6 @@ type t = {
 let source t = t.nodes.(t.src_idx)
 let tree t = t.tree
 
-let up engine node =
-  match Engine.churn engine with Some c -> Churn.is_up c node | None -> true
-
 (* What a chunk transfer on (i, j) costs right now: the backend's base
    delay plus whatever extra delay the dynamics plane currently imposes
    (route flaps, detours) — the same "what the wire does today" rule
@@ -275,7 +272,7 @@ let rec forward t sim midx k now =
     (Multicast.children t.tree node)
 
 and deliver t sim cidx k now =
-  if not (up t.engine t.nodes.(cidx)) then
+  if not (Engine.up t.engine t.nodes.(cidx)) then
     Obs.Counter.incr t.inst.c_lost_down
   else if has t cidx k then
     Obs.Counter.incr t.inst.c_duplicates
@@ -297,7 +294,7 @@ let pull_pass t sim now =
   let lo = max 0 (k_now - c.buffer_chunks + 1) in
   Array.iteri
     (fun midx node ->
-      if midx <> t.src_idx && up t.engine node then
+      if midx <> t.src_idx && Engine.up t.engine node then
         match Multicast.parent t.tree node with
         | None -> ()  (* detached: repair re-grafts, pull resumes after *)
         | Some p ->
@@ -349,7 +346,7 @@ let deadline_check t emit_time k now =
   Array.iteri
     (fun midx node ->
       if midx <> t.src_idx then begin
-        if not (up t.engine node) then
+        if not (Engine.up t.engine node) then
           Obs.Counter.incr t.inst.c_down_at_deadline
         else if has t midx k && t.recv.(midx).(k) <= now then begin
           Obs.Counter.incr t.inst.c_on_time;

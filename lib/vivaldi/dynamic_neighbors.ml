@@ -1,6 +1,5 @@
 module Rng = Tivaware_util.Rng
 module Engine = Tivaware_measure.Engine
-module Churn = Tivaware_measure.Churn
 module Obs = Tivaware_obs
 
 type schedule = {
@@ -78,15 +77,10 @@ let repair_neighbors ?(label = "vivaldi-repair") system =
   let n = System.size system in
   let engine = System.engine system in
   let rng = System.rng system in
-  let self_up i =
-    match Engine.churn engine with
-    | None -> true
-    | Some c -> Churn.is_up c i
-  in
   let evicted = ref 0 and resampled = ref 0 in
   for i = 0 to n - 1 do
     (* A node that is itself down runs no maintenance. *)
-    if self_up i then begin
+    if Engine.up engine i then begin
       let current = System.neighbors system i in
       let want = Array.length current in
       if want > 0 then begin

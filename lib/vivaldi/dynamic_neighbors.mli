@@ -43,8 +43,8 @@ type repair = {
 }
 
 val repair_neighbors : ?label:string -> System.t -> repair
-(** One repair pass: every node that is itself up (per the engine's
-    churn model; always, without churn) re-probes its current neighbors
+(** One repair pass: every node that is itself up
+    ({!Tivaware_measure.Engine.up}; always, without churn) re-probes its current neighbors
     through the system's engine, evicts the ones whose probe fails
     (outage, loss, budget denial — the prober cannot tell these apart),
     and samples random replacements until the set is full again,

@@ -23,6 +23,10 @@ val default_config : config
 type stats = {
   probes_sent : int;
   probes_completed : int;  (** responses applied before the deadline *)
+  probes_lost : int;
+      (** sent probes that never applied: dropped by the engine
+          ([Lost]/[Down]), or landed on an end that was down or past
+          the deadline *)
 }
 
 val run :
@@ -38,46 +42,18 @@ val run :
     the protocol.
 
     Probes go through the system's measurement-plane engine, whose
-    logical clock is kept in sync with the simulator: a probe the
-    engine drops ([Lost]/[Down]) counts as sent but never completes; a
-    budget-denied or unmeasurable probe is not sent at all. *)
+    logical clock is slaved to the simulator (every event of the run
+    first advances it to the simulator's time): a probe the engine
+    drops ([Lost]/[Down]) counts as sent and lost; a budget-denied or
+    unmeasurable probe is not sent at all.
 
-(** {2 Churn}
-
-    Deployment studies ("network coordinates in the wild") observe that
-    Vivaldi must cope with nodes failing and rejoining.  The churned
-    run gives every node an exponential up-time and down-time: while
-    down, it sends no probes and answers none (probes to it are lost);
-    on rejoin it has lost its coordinate state and restarts from a
-    fresh position ({!System.reset_node}). *)
-
-type churn = {
-  mean_uptime : float;  (** seconds; exponential (default 60) *)
-  mean_downtime : float;  (** seconds; exponential (default 10) *)
-}
-
-val default_churn : churn
-
-type churn_stats = {
-  base : stats;
-  failures : int;  (** down transitions *)
-  rejoins : int;
-  probes_lost : int;  (** probes sent to (or by) a node that went down *)
-}
-
-val run_with_churn :
-  ?config:config ->
-  ?churn:churn ->
-  Tivaware_eventsim.Sim.t ->
-  System.t ->
-  duration:float ->
-  churn_stats
-(** As {!run}, with every node cycling through up/down periods.  All
-    nodes start up.  Each transition is mirrored into the engine's
-    fault injector ({!Tivaware_measure.Fault.set_down}): probes to a
-    down peer come back [Down], and a revived node answers probes again
-    the instant it rejoins. *)
-
-val alive_fraction_hint : churn -> float
-(** Steady-state expected fraction of nodes up:
-    [mean_uptime / (mean_uptime + mean_downtime)]. *)
+    Churn is the engine's: {!Tivaware_measure.Engine.up} is the only
+    liveness read, and the engine's churn schedule the only writer of
+    node outages ("network coordinates in the wild" observe that
+    Vivaldi must cope with nodes failing and rejoining).  A node that
+    is down skips its tick; a response applies only if both ends are
+    up when it lands.  On its first tick after a tick found it down, a
+    node has lost its coordinate state and restarts from a fresh
+    position ({!System.reset_node}), so a down spell shorter than one
+    probe gap goes unseen.  Failure counts are the schedule's
+    ({!Tivaware_measure.Churn.transitions}). *)

@@ -9,6 +9,7 @@ module Oracle = Tivaware_measure.Oracle
 module Budget = Tivaware_measure.Budget
 module Cache = Tivaware_measure.Cache
 module Fault = Tivaware_measure.Fault
+module Profile = Tivaware_measure.Profile
 module Arbiter = Tivaware_measure.Arbiter
 module Engine = Tivaware_measure.Engine
 module Probe_stats = Tivaware_measure.Probe_stats
@@ -210,22 +211,30 @@ let test_cache_find_code () =
 (* [attempt_into] must consume the generator exactly as [attempt]
    does: two injectors with the same seed driven through the two entry
    points must agree drop-for-drop and sample-for-sample — that is
-   what lets the engine hot path switch freely between them. *)
+   what lets the engine hot path switch freely between them.  The
+   engine looks a link up once per request and reuses it for every
+   attempt, so [attempt_into] here reuses one lookup for a burst of
+   attempts on a heterogeneous profile, as [attempt] looks it up each
+   time. *)
 let test_fault_attempt_into_equivalence () =
   let config = { Fault.default with Fault.loss = 0.3; jitter = 0.2 } in
-  let mk seed = Fault.create ~config (Rng.create seed) ~n:16 in
+  let profile = Profile.random ~loss:0.3 ~jitter:0.2 ~seed:9 () in
+  let mk seed = Fault.create ~config ~profile (Rng.create seed) ~n:16 in
   let a = mk 42 and b = mk 42 in
   let into = [| nan |] in
   for k = 0 to 199 do
     let i = k mod 16 and j = (k * 7 + 1) mod 16 in
-    let rtt = 50. +. float_of_int k in
-    let boxed = Fault.attempt a i j ~rtt in
-    let delivered = Fault.attempt_into b i j ~rtt ~into in
-    match boxed with
-    | Fault.Delivered d ->
-        Alcotest.(check bool) "both delivered" true delivered;
-        checkf "same jittered sample" d into.(0)
-    | Fault.Dropped -> Alcotest.(check bool) "both dropped" false delivered
+    let lk = Fault.link b i j in
+    for burst = 0 to k mod 3 do
+      let rtt = 50. +. float_of_int (k + burst) in
+      let boxed = Fault.attempt a i j ~rtt in
+      let delivered = Fault.attempt_into b lk ~rtt ~into in
+      match boxed with
+      | Fault.Delivered d ->
+          Alcotest.(check bool) "both delivered" true delivered;
+          checkf "same jittered sample" d into.(0)
+      | Fault.Dropped -> Alcotest.(check bool) "both dropped" false delivered
+    done
   done
 
 let test_fault_attempt_into_reuse () =
@@ -240,7 +249,7 @@ let test_fault_attempt_into_reuse () =
   let into = [| 123.25 |] in
   let any_delivered = ref false in
   for _ = 1 to 50 do
-    if Fault.attempt_into all_lost 0 1 ~rtt:10. ~into then any_delivered := true
+    if Fault.attempt_into all_lost (Fault.link all_lost 0 1) ~rtt:10. ~into then any_delivered := true
   done;
   Alcotest.(check bool) "everything dropped" false !any_delivered;
   checkf "dropped attempts never touch the out param" 123.25 into.(0);
@@ -248,10 +257,10 @@ let test_fault_attempt_into_reuse () =
      RTT (no jitter), regardless of what the previous call left. *)
   let clean = Fault.create (Rng.create 6) ~n:4 in
   Alcotest.(check bool) "delivered" true
-    (Fault.attempt_into clean 0 1 ~rtt:17.5 ~into);
+    (Fault.attempt_into clean (Fault.link clean 0 1) ~rtt:17.5 ~into);
   checkf "sample written over the stale value" 17.5 into.(0);
   Alcotest.(check bool) "delivered again" true
-    (Fault.attempt_into clean 1 2 ~rtt:3.25 ~into);
+    (Fault.attempt_into clean (Fault.link clean 1 2) ~rtt:3.25 ~into);
   checkf "cell reused" 3.25 into.(0)
 
 (* ------------------------------------------------------------------ *)

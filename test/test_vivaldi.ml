@@ -255,36 +255,84 @@ let test_protocol_converges () =
     true
     (Stats.median rel < 0.15)
 
-let test_protocol_churn_accounting () =
-  let m = euclidean_matrix 56 25 in
-  let s = System.create (Rng.create 57) m in
-  let sim = Sim.create () in
-  let churn = { Protocol.mean_uptime = 20.; mean_downtime = 5. } in
-  let stats = Protocol.run_with_churn ~churn sim s ~duration:100. in
-  Alcotest.(check bool) "failures happened" true (stats.Protocol.failures > 0);
-  Alcotest.(check bool) "rejoins happened" true (stats.Protocol.rejoins > 0);
-  Alcotest.(check bool) "some probes lost to churn" true
-    (stats.Protocol.probes_lost > 0);
-  Alcotest.(check bool) "accounting bounded" true
-    (stats.Protocol.base.Protocol.probes_completed
-     + stats.Protocol.probes_lost
-    <= stats.Protocol.base.Protocol.probes_sent);
-  (* Expected alive fraction 20/25 = 0.8. *)
-  Alcotest.(check (float 1e-9)) "alive hint" 0.8 (Protocol.alive_fraction_hint churn)
+module Engine = Tivaware_measure.Engine
+module Fault = Tivaware_measure.Fault
+module Churn = Tivaware_measure.Churn
+
+let churn_engine ?(outage = 0.) ?(seed = 0) churn m =
+  Engine.of_matrix
+    ~config:
+      {
+        Engine.default_config with
+        fault = { Fault.default with Fault.outage };
+        churn = Some churn;
+        seed;
+      }
+    m
 
 let test_protocol_churn_still_useful () =
   (* Even with churn, coordinates of surviving nodes should be usable
      (errors bounded), demonstrating Vivaldi's self-healing. *)
   let m = euclidean_matrix 58 30 in
-  let s = System.create (Rng.create 59) m in
+  let churn = { Churn.default with Churn.fraction = 1.; mean_up = 120. } in
+  let s = System.create_with_engine (Rng.create 59) (churn_engine churn m) in
   let sim = Sim.create () in
-  let churn = { Protocol.mean_uptime = 120.; mean_downtime = 10. } in
-  ignore (Protocol.run_with_churn ~churn sim s ~duration:400.);
+  ignore (Protocol.run sim s ~duration:400.);
   let rel = System.relative_errors s in
   Alcotest.(check bool)
     (Printf.sprintf "median rel error %.3f under churn" (Stats.median rel))
     true
     (Stats.median rel < 0.35)
+
+(* The engine's churn schedule is the only writer of node outages: a
+   run under churn leaves every churning node's injector state equal
+   to its schedule, and every node the static outage draw put down is
+   still down — a second up/down model beside the engine's would
+   revive those. *)
+let prop_protocol_one_liveness_source =
+  let open QCheck2.Gen in
+  let gen =
+    let* fraction = oneof [ pure 0.; float_range 0.25 1. ] in
+    let* mean_up = float_range 1. 20. in
+    let* mean_down = float_range 0.5 20. in
+    let* churn_seed = int_range 0 10_000 in
+    let* outage = float_range 0. 0.5 in
+    let+ seed = int_range 0 10_000 in
+    ({ Churn.fraction; mean_up; mean_down; seed = churn_seed }, outage, seed)
+  in
+  let print (c, outage, seed) =
+    Printf.sprintf
+      "fraction=%g mean_up=%g mean_down=%g churn_seed=%d outage=%g seed=%d"
+      c.Churn.fraction c.Churn.mean_up c.Churn.mean_down c.Churn.seed outage seed
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:30 ~name:"one liveness source" ~print gen
+       (fun (churn, outage, seed) ->
+         let n = 40 in
+         let e = churn_engine ~outage ~seed churn (euclidean_matrix seed n) in
+         let c = Option.get (Engine.churn e) and fault = Engine.fault e in
+         let down_before = Array.init n (Fault.node_down fault) in
+         let s = System.create_with_engine (Rng.create seed) e in
+         let st = Protocol.run (Sim.create ()) s ~duration:60. in
+         let fail fmt = QCheck2.Test.fail_reportf fmt in
+         for i = 0 to n - 1 do
+           let down = Fault.node_down fault i in
+           if Churn.churning c i then begin
+             if down <> not (Engine.up e i) then
+               fail "churning node %d: injector down=%b, engine up=%b" i down
+                 (Engine.up e i)
+           end
+           else if down <> down_before.(i) then
+             fail "node %d outside the churn: down %b before the run, %b after" i
+               down_before.(i) down
+         done;
+         let { Protocol.probes_sent; probes_completed; probes_lost } = st in
+         if probes_completed + probes_lost > probes_sent then
+           fail "completed %d + lost %d > sent %d" probes_completed probes_lost
+             probes_sent;
+         if churn.Churn.fraction > 0. && Churn.transitions c = 0 then
+           fail "fraction %g but no transition" churn.Churn.fraction;
+         true))
 
 let test_protocol_reset_node () =
   let m = euclidean_matrix 60 10 in
@@ -412,8 +460,8 @@ let () =
         [
           Alcotest.test_case "probe accounting" `Quick test_protocol_probe_accounting;
           Alcotest.test_case "converges" `Quick test_protocol_converges;
-          Alcotest.test_case "churn accounting" `Quick test_protocol_churn_accounting;
           Alcotest.test_case "useful under churn" `Quick test_protocol_churn_still_useful;
+          prop_protocol_one_liveness_source;
           Alcotest.test_case "reset node" `Quick test_protocol_reset_node;
           Alcotest.test_case "resumable" `Quick test_protocol_resumable;
         ] );
