@@ -38,6 +38,7 @@ module Churn = Tivaware_measure.Churn
 module Probe_stats = Tivaware_measure.Probe_stats
 module System = Tivaware_vivaldi.System
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
+module Protocol = Tivaware_vivaldi.Protocol
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Multicast = Tivaware_overlay.Multicast
@@ -388,6 +389,51 @@ let test_engine_revival_answers () =
   | Engine.Rtt _ | Engine.Unmeasured -> ()
   | _ -> Alcotest.fail "revived victim must answer probes again"
 
+(* Protocol path: the engine's churn schedule is the one writer of
+   node outages, so after an event-driven Vivaldi run every down spell
+   that ended has been cleared from the fault injector as well as set.
+   The regression this pins: nodes used to be marked down but never
+   cleared, so any node that ever failed stayed unreachable forever.
+   The injector's down set at the end of the run is exactly the
+   population the engine reports down. *)
+let test_protocol_churn_revival_mirrored () =
+  (* Fixed seeds: the assertion counts exact protocol state at the end
+     of the run, so this test does not vary with TIVAWARE_PROP_SEED. *)
+  let e =
+    engine
+      ~churn:{ Churn.fraction = 1.; mean_up = 8.; mean_down = 0.5; seed = 71 }
+      ~seed:71 ()
+  in
+  let s = System.create_with_engine (Rng.create 71) e in
+  let sim = Sim.create () in
+  ignore (Protocol.run sim s ~duration:80.);
+  let churn = churn_of e in
+  let fault = Engine.fault e in
+  let down_now = ref 0 in
+  for i = 0 to n - 1 do
+    if not (Engine.up e i) then incr down_now;
+    checkb
+      (Printf.sprintf "node %d: injector down = engine down" i)
+      (not (Engine.up e i))
+      (Fault.node_down fault i)
+  done;
+  checkb "failures happened" true (Churn.transitions churn > 0);
+  (* Every node starts up, so toggles beyond the currently-down count
+     are down spells that ended. *)
+  checkb "rejoins happened" true (Churn.transitions churn > !down_now);
+  (* Every rejoined node answers: probe a node the injector says is up. *)
+  let up_node =
+    let v = ref None in
+    for i = n - 1 downto 1 do
+      if not (Fault.node_down fault i) then v := Some i
+    done;
+    Option.get !v
+  in
+  let peer = if up_node = 0 then 1 else 0 in
+  match Engine.probe e peer up_node with
+  | Engine.Rtt _ | Engine.Unmeasured -> ()
+  | _ -> Alcotest.fail "a node the injector says is up must answer"
+
 let () =
   Alcotest.run "repair"
     [
@@ -417,5 +463,7 @@ let () =
         [
           Alcotest.test_case "engine clears fault state" `Quick
             test_engine_revival_answers;
+          Alcotest.test_case "protocol churn mirrors both ways" `Quick
+            test_protocol_churn_revival_mirrored;
         ] );
     ]

@@ -284,6 +284,31 @@ let test_protocol_churn_still_useful () =
     true
     (Stats.median rel < 0.35)
 
+let test_protocol_churn_accounting () =
+  let m = euclidean_matrix 56 25 in
+  let churn =
+    { Churn.fraction = 1.; mean_up = 20.; mean_down = 5.; seed = 57 }
+  in
+  let e = churn_engine churn m in
+  let s = System.create_with_engine (Rng.create 57) e in
+  let sim = Sim.create () in
+  let stats = Protocol.run sim s ~duration:100. in
+  let c = Option.get (Engine.churn e) in
+  Alcotest.(check bool) "failures happened" true (Churn.transitions c > 0);
+  let down_now = ref 0 in
+  for i = 0 to Engine.size e - 1 do
+    if not (Engine.up e i) then incr down_now
+  done;
+  (* Every node starts up, so toggles beyond the currently-down count
+     are down spells that ended. *)
+  Alcotest.(check bool) "rejoins happened" true
+    (Churn.transitions c > !down_now);
+  Alcotest.(check bool) "some probes lost to churn" true
+    (stats.Protocol.probes_lost > 0);
+  Alcotest.(check bool) "accounting bounded" true
+    (stats.Protocol.probes_completed + stats.Protocol.probes_lost
+    <= stats.Protocol.probes_sent)
+
 (* The engine's churn schedule is the only writer of node outages: a
    run under churn leaves every churning node's injector state equal
    to its schedule, and every node the static outage draw put down is
@@ -460,6 +485,7 @@ let () =
         [
           Alcotest.test_case "probe accounting" `Quick test_protocol_probe_accounting;
           Alcotest.test_case "converges" `Quick test_protocol_converges;
+          Alcotest.test_case "churn accounting" `Quick test_protocol_churn_accounting;
           Alcotest.test_case "useful under churn" `Quick test_protocol_churn_still_useful;
           prop_protocol_one_liveness_source;
           Alcotest.test_case "reset node" `Quick test_protocol_reset_node;
