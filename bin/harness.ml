@@ -197,9 +197,11 @@ let engine_config ?(labels = lazy [||]) opts ~seed =
     seed;
   }
 
+(* The profile constructors check their bases, so the config is built
+   where a bad flag is a usage error. *)
 let matrix_engine ~prog m ?labels opts ~seed =
-  let config = engine_config ?labels opts ~seed in
-  or_usage_error ~prog (fun () -> Engine.of_matrix ~config m)
+  or_usage_error ~prog (fun () ->
+      Engine.of_matrix ~config:(engine_config ?labels opts ~seed) m)
 
 (* A backend world and the engine that measures it; the engine's
    registry also carries the backend's instruments. *)
@@ -207,9 +209,9 @@ let build ~prog w opts =
   let backend, labels =
     or_usage_error ~prog (fun () -> backend_factory ~prog w ())
   in
-  let config = engine_config ~labels opts ~seed:w.seed in
   let engine =
     or_usage_error ~prog (fun () ->
+        let config = engine_config ~labels opts ~seed:w.seed in
         let engine = Backend.engine ~config backend in
         Backend.attach_obs backend (Engine.obs engine);
         engine)
@@ -321,6 +323,10 @@ let rss_mb () =
            Scanf.sscanf_opt line "VmRSS: %d kB" (fun kb -> float_of_int kb /. 1024.))
     |> Option.value ~default:nan
 
+(* A statistic of an empty sample is undefined: [nan], printed "-". *)
+let number decimals v =
+  if Float.is_nan v then "-" else Printf.sprintf "%.*f" decimals v
+
 (* Dump a metric registry as JSON to the summary file, if any. *)
 let write_summary ?(announce = Printf.sprintf "metrics: wrote %s") ~clock obs =
   function
@@ -346,5 +352,7 @@ let report ?(probes = true) ?backend ?(gauges = []) opts engine =
           (Backend.kind_name backend) (Backend.size backend);
       set "backend.rss_mb" (if Float.is_nan rss then 0. else rss))
     backend;
-  List.iter (fun (name, v) -> set name v) gauges;
+  (* An undefined statistic is left out rather than exported as a
+     number. *)
+  List.iter (fun (name, v) -> if not (Float.is_nan v) then set name v) gauges;
   write_summary ~clock:(Engine.now engine) obs opts.metrics_out

@@ -29,11 +29,6 @@ let kind_latency obs kind =
     ~labels:[ ("kind", Workload.kind_label kind) ]
     ~edges:Shard.latency_edges "service.latency_ms"
 
-(* A statistic of a query kind that served nothing is undefined: print
-   "-", as the --report JSON writes null. *)
-let number decimals v =
-  if Float.is_nan v then "-" else Printf.sprintf "%.*f" decimals v
-
 let print_summary result wall =
   let obs = result.Driver.obs in
   let served =
@@ -54,15 +49,15 @@ let print_summary result wall =
       Format.printf
         "  %-10s %6.0f queries, %.0f failures, latency p50=%s p99=%s ms@."
         (Workload.kind_label kind) q f
-        (number 1 (Obs.Histogram.quantile h 0.5))
-        (number 1 (Obs.Histogram.quantile h 0.99)))
+        (Harness.number 1 (Obs.Histogram.quantile h 0.5))
+        (Harness.number 1 (Obs.Histogram.quantile h 0.99)))
     Workload.kinds;
   let switches = Obs.Counter.value (Obs.Registry.counter obs "service.switches") in
   let hops =
     Obs.Registry.histogram obs ~edges:Shard.hops_edges "service.hops"
   in
   Format.printf "  dht hops mean=%s, refresh switches=%.0f, clock=%.1f s@."
-    (number 2 (Obs.Histogram.mean hops))
+    (Harness.number 2 (Obs.Histogram.mean hops))
     switches result.Driver.clock
 
 let run domains queries rate mix world meridian candidate_budget beta meas

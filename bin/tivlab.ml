@@ -56,8 +56,9 @@ let prog = "tivlab"
 let or_usage_error f = Harness.or_usage_error ~prog f
 
 (* A percentile of a sample that may be empty (every operation failed,
-   nothing measured): 0 rather than an exception. *)
-let percentile xs p = if xs = [||] then 0. else Stats.percentile xs p
+   nothing measured) is undefined: [nan], which prints as "-"
+   ([Harness.number]) and is left out of --metrics-out. *)
+let percentile xs p = if xs = [||] then nan else Stats.percentile xs p
 
 (* ---------------------------------------------------------------- *)
 (* Shared arguments                                                  *)
@@ -608,8 +609,9 @@ let dht_cmd =
       in
       Printf.printf
         "%d lookups (%d skipped, source down): correct=%.1f%% wrong=%d hops \
-         mean=%.2f latency median=%.1f p90=%.1f ms\n"
-        issued skipped pct wrong hops_mean median p90;
+         mean=%.2f latency median=%s p90=%s ms\n"
+        issued skipped pct wrong hops_mean (Harness.number 1 median)
+        (Harness.number 1 p90);
       [
         ("dht.lookups", float_of_int issued);
         ("dht.lookup_correct_pct", pct);
@@ -847,9 +849,9 @@ let embed_cmd =
     let p90 = percentile rel 90. in
     Printf.printf
       "embedding (%s backend, %d nodes, %d rounds): sampled relative error \
-       median=%.3f p90=%.3f (%d/%d pairs measured)\n"
-      (Backend.kind_name backend) nodes rounds median p90 (Array.length rel)
-      sample;
+       median=%s p90=%s (%d/%d pairs measured)\n"
+      (Backend.kind_name backend) nodes rounds (Harness.number 3 median)
+      (Harness.number 3 p90) (Array.length rel) sample;
     if meas.Harness.charge_time then
       Printf.printf "virtual time: %.1f s (measurement-aware)\n"
         (Engine.now engine);
@@ -924,9 +926,9 @@ let closest_cmd =
     let p90 = percentile s 90. in
     Printf.printf
       "closest (%s backend, %d nodes, %d meridian, budget %d): %d queries, \
-       stretch median=%.2f p90=%.2f, hops/query=%.2f, failures=%d\n"
+       stretch median=%s p90=%s, hops/query=%.2f, failures=%d\n"
       (Backend.kind_name backend) nodes count candidate_budget queries
-      median p90
+      (Harness.number 2 median) (Harness.number 2 p90)
       (float_of_int !hops /. float_of_int (max 1 (queries - !failures)))
       !failures;
     Harness.report meas engine ~backend
@@ -1157,14 +1159,15 @@ let store_cmd =
       r.Store_scenario.skipped r.Store_scenario.handoffs
       r.Store_scenario.dead_attempts;
     let lat = r.Store_scenario.latencies in
-    let mean = Stats.mean lat in
+    let mean = if lat = [||] then nan else Stats.mean lat in
     let p50 = percentile lat 50. in
     let p99 = percentile lat 99. in
     let maint_probes = s.maintenance_probes () in
     Printf.printf
-      "store: latency mean=%.1f p50=%.1f p99=%.1f ms  policy probes=%d  \
+      "store: latency mean=%s p50=%s p99=%s ms  policy probes=%d  \
        maintenance probes=%d\n"
-      mean p50 p99 r.Store_scenario.policy_probes maint_probes;
+      (Harness.number 1 mean) (Harness.number 1 p50) (Harness.number 1 p99)
+      r.Store_scenario.policy_probes maint_probes;
     let rep = r.Store_scenario.repair in
     Printf.printf "store: repair passes=%d checked=%d rehomed=%d restored=%d denied=%d\n"
       rep.Store_scenario.passes rep.Store_scenario.total_checked
@@ -1328,8 +1331,8 @@ let stream_cmd =
     let st = r.Stream_swarm.stretches in
     let s50 = percentile st 50. in
     let s90 = percentile st 90. in
-    Printf.printf "stream: delivery stretch p50=%.2f p90=%.2f (n=%d)\n" s50 s90
-      (Array.length st);
+    Printf.printf "stream: delivery stretch p50=%s p90=%s (n=%d)\n"
+      (Harness.number 2 s50) (Harness.number 2 s90) (Array.length st);
     let rep = r.Stream_swarm.repair in
     Printf.printf
       "stream: repair passes=%d denied=%d detached=%d reattached=%d \

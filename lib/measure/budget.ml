@@ -61,7 +61,3 @@ let tokens t ~now i =
   let b = t.nodes.(i) in
   Token_bucket.refill b ~now;
   Token_bucket.tokens b
-
-let global_tokens t ~now =
-  Token_bucket.refill t.global ~now;
-  Token_bucket.tokens t.global

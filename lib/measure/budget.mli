@@ -40,5 +40,3 @@ val try_take : t -> now:float -> int -> bool
 
 val tokens : t -> now:float -> int -> float
 (** Current per-node token count after refill, for introspection. *)
-
-val global_tokens : t -> now:float -> float

@@ -39,18 +39,20 @@ let validate_config ctx c =
     in
     amp "loss_amplitude" d.loss_amplitude;
     amp "jitter_amplitude" d.jitter_amplitude;
-    if Float.is_nan d.phase then
-      invalid_arg (Printf.sprintf "%s: diurnal phase must not be NaN" ctx));
+    if not (Float.is_finite d.phase) then
+      invalid_arg
+        (Printf.sprintf "%s: diurnal phase must be finite (got %g)" ctx d.phase));
   match c.route_flap with
   | None -> ()
   | Some rf ->
-    if Float.is_nan rf.rate || rf.rate < 0. then
+    if (not (Float.is_finite rf.rate)) || rf.rate < 0. then
       invalid_arg
-        (Printf.sprintf "%s: route_flap rate must be >= 0 /s (got %g)" ctx
-           rf.rate);
-    if Float.is_nan rf.max_extra || rf.max_extra < 0. then
+        (Printf.sprintf "%s: route_flap rate must be finite and >= 0 /s (got %g)"
+           ctx rf.rate);
+    if (not (Float.is_finite rf.max_extra)) || rf.max_extra < 0. then
       invalid_arg
-        (Printf.sprintf "%s: route_flap max_extra must be >= 0 ms (got %g)" ctx
+        (Printf.sprintf
+           "%s: route_flap max_extra must be finite and >= 0 ms (got %g)" ctx
            rf.max_extra)
 
 (* A link's whole route-change schedule flows from its own generator,
@@ -91,8 +93,9 @@ let tau = 2. *. Float.pi
 let scaled d ~amp ~cap v time =
   if amp <= 0. || v <= 0. then v
   else begin
-    let f = 1. +. (amp *. sin (tau *. ((time +. d.phase) /. d.period))) in
-    Float.max 0. (Float.min cap (v *. f))
+    let x = v *. (1. +. (amp *. sin (tau *. ((time +. d.phase) /. d.period)))) in
+    (* Clamped so that even a NaN (an infinite clock) lands in range. *)
+    if x >= cap then cap else if x > 0. then x else 0.
   end
 
 let flap_state t rf i j =
@@ -111,7 +114,15 @@ let step_flap t rf st =
     st.next <- st.next +. Rng.exponential st.rng ~rate:rf.rate
   done
 
-let link t i j =
+(* The view checks nothing per link: its output is in range at every
+   time because its inputs are.  The base profile is valid by
+   construction (a [Profile.make] base checks each link as it is read
+   here), and [validate_config] has accepted the config.  Diurnal
+   scaling leaves a zero rate alone and clamps a scaled one, loss into
+   [0, 1] and jitter into [0, 0.95]; outage is untouched.  A route flap
+   only adds a detour drawn from [0, max_extra), which is
+   non-negative. *)
+let conditions t i j =
   let l = Profile.link t.base i j in
   let l =
     match t.config.diurnal with
@@ -128,8 +139,7 @@ let link t i j =
   match t.config.route_flap with
   (* Before the clock first moves no route event can have fired (event
      times are strictly positive almost surely), so skipping the state
-     machine keeps profile validation at engine creation from
-     materializing n^2 link streams. *)
+     machine keeps time-0 lookups from materializing link streams. *)
   | None -> l
   | Some rf when rf.rate <= 0. || rf.max_extra <= 0. || t.time <= 0. -> l
   | Some rf ->
@@ -139,4 +149,4 @@ let link t i j =
       { l with Profile.extra_delay = l.Profile.extra_delay +. st.extra }
     else l
 
-let profile t = Profile.make (Profile.name t.base ^ "+dynamics") (link t)
+let link t i j = if i = j then Profile.clean else conditions t i j

@@ -20,17 +20,20 @@
       {!Churn}.
 
     The {!Engine} owns the clock: it calls {!advance_to} on every clock
-    movement and installs {!profile} as the {!Fault} injector's
-    profile, so every wire attempt sees the conditions of the instant
-    it happens.  Outage is {e not} modulated (the injector memoizes
-    per-link outage draws for its lifetime); time-varying reachability
-    belongs to {!Churn}. *)
+    movement and hands the model to the {!Fault} injector, which reads
+    every wire attempt's parameters through {!link}, so every attempt
+    sees the conditions of the instant it happens.  The view checks no
+    link: a valid base profile under a valid config yields in-range
+    parameters at every time (scaled rates are clamped, detours are
+    non-negative), so wrapping costs nothing per link.  Outage is
+    {e not} modulated (the injector memoizes per-link outage draws for
+    its lifetime); time-varying reachability belongs to {!Churn}. *)
 
 type diurnal = {
   period : float;  (** cycle length in logical seconds (> 0) *)
   loss_amplitude : float;  (** relative loss swing, in [0, 1] *)
   jitter_amplitude : float;  (** relative jitter swing, in [0, 1] *)
-  phase : float;  (** cycle offset in logical seconds *)
+  phase : float;  (** cycle offset in logical seconds (finite) *)
 }
 
 val default_diurnal : diurnal
@@ -38,8 +41,8 @@ val default_diurnal : diurnal
     simulation-scaled day. *)
 
 type route_flap = {
-  rate : float;  (** mean route changes per link per second (>= 0) *)
-  max_extra : float;  (** detour re-draw bound in ms (>= 0) *)
+  rate : float;  (** mean route changes per link per second (finite, >= 0) *)
+  max_extra : float;  (** detour re-draw bound in ms (finite, >= 0) *)
 }
 
 val default_route_flap : route_flap
@@ -77,11 +80,9 @@ val advance_to : t -> float -> unit
 val now : t -> float
 
 val link : t -> int -> int -> Profile.link
-(** The link's parameters under the conditions at the current clock. *)
-
-val profile : t -> Profile.t
-(** The wrapped profile the {!Fault} injector consults — a live view:
-    lookups read the dynamics clock at call time. *)
+(** The link's parameters under the conditions at the current clock:
+    a live view the {!Fault} injector consults on every attempt.  In
+    range whenever the base profile's link is. *)
 
 val route_changes : t -> int
 (** Route-change events applied so far on probed links (lazily

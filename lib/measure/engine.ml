@@ -194,8 +194,7 @@ let create ?(config = default_config) oracle =
   let fault =
     match dynamics with
     | Some d ->
-      Fault.create ~config:config.fault ~profile:(Dynamics.profile d)
-        (Rng.create config.seed) ~n
+      Fault.create ~config:config.fault ~dynamics:d (Rng.create config.seed) ~n
     | None ->
       Fault.create ~config:config.fault ?profile:config.profile
         (Rng.create config.seed) ~n

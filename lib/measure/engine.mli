@@ -78,9 +78,10 @@ val create : ?config:config -> Oracle.t -> t
     negative/NaN rates ({!Budget.validate_config}), fault/retry
     parameters out of range ({!Fault.validate_config}), churn
     parameters out of range ({!Churn.validate_config}), dynamics
-    parameters out of range ({!Dynamics.validate_config}), or any per-link
-    profile entry out of range ({!Profile.validate}, which names the
-    offending link in the message). *)
+    parameters out of range ({!Dynamics.validate_config}).  Creation
+    costs O(n) and reads no link of the profile: profiles are valid by
+    construction ({!Profile}), and a {!Profile.make} link out of range
+    raises, naming the link, from the probe that draws it. *)
 
 val of_matrix : ?config:config -> Tivaware_delay_space.Matrix.t -> t
 (** [create] over {!Oracle.of_matrix}; same validation. *)

@@ -46,9 +46,15 @@ let loss_est_alpha = 0.1
    already split the estimate evenly. *)
 let loss_est_prior = 5.
 
+(* Where a link's parameters come from: a static profile, or the
+   dynamics model's live view over its base profile. *)
+type links =
+  | Static of Profile.t
+  | Dynamic of Dynamics.t
+
 type t = {
   config : config;
-  profile : Profile.t;
+  links : links;
   n : int;
   rng : Rng.t;
   (* Node outage flags, one byte per node ('\001' = down): read on
@@ -106,17 +112,22 @@ let validate_config ctx config =
         (Printf.sprintf "%s: target_failure must be in (0, 1) (got %g)" ctx
            target_failure)
 
-let create ?(config = default) ?profile rng ~n =
+let create ?(config = default) ?profile ?dynamics rng ~n =
   validate_config "Fault.create" config;
-  let profile =
-    match profile with
-    | Some p ->
-      Profile.validate "Fault.create" ~n p;
-      p
-    | None ->
+  (* No link is read here: profiles are valid by construction, and a
+     dynamics view over a valid base stays in range (see [Dynamics]). *)
+  let links =
+    match (profile, dynamics) with
+    | Some _, Some _ ->
+      invalid_arg
+        "Fault.create: pass a profile or a dynamics model (which wraps its \
+         own base profile), not both"
+    | None, Some d -> Dynamic d
+    | Some p, None -> Static p
+    | None, None ->
       (* Back-compat: the global config as a uniform profile.  Built
          after config validation, so its fields are already in range. *)
-      Profile.of_rates ~loss:config.loss ~jitter:config.jitter
+      Static (Profile.of_rates ~loss:config.loss ~jitter:config.jitter)
   in
   (* The per-link outage stream is salted from a copy of the generator
      so drawing it never advances the main fault stream (a profile
@@ -129,7 +140,7 @@ let create ?(config = default) ?profile rng ~n =
     Array.iter (fun i -> Bytes.set down i '\001') (Rng.sample_indices rng ~n ~k);
   {
     config;
-    profile;
+    links;
     n;
     rng;
     down;
@@ -140,7 +151,6 @@ let create ?(config = default) ?profile rng ~n =
   }
 
 let config t = t.config
-let profile t = t.profile
 let node_down t i = Bytes.get t.down i <> '\000'
 
 let set_down t i down =
@@ -149,7 +159,10 @@ let set_down t i down =
       (Printf.sprintf "Fault.set_down: node %d outside 0..%d" i (t.n - 1));
   Bytes.set t.down i (if down then '\001' else '\000')
 
-let link t i j = Profile.link t.profile i j
+let link t i j =
+  match t.links with
+  | Static p -> Profile.link p i j
+  | Dynamic d -> Dynamics.link d i j
 
 (* Whether the directed link is in outage for the injector's lifetime.
    The draw is deterministic in (salt, i, j) and memoized, so it does

@@ -63,23 +63,32 @@ val validate_config : string -> config -> unit
 
 type t
 
-val create : ?config:config -> ?profile:Profile.t -> Tivaware_util.Rng.t -> n:int -> t
+val create :
+  ?config:config ->
+  ?profile:Profile.t ->
+  ?dynamics:Dynamics.t ->
+  Tivaware_util.Rng.t ->
+  n:int ->
+  t
 (** The outage set ([floor (outage * n)] distinct nodes) is drawn
     immediately so it is fixed for the injector's lifetime.  When
     [profile] is given it supplies every link's loss/jitter/outage/
     extra-delay (the config's [loss] and [jitter] then only describe
-    the legacy global rates and are not consulted); otherwise a
-    {!Profile.uniform} profile is built from the config, reproducing
-    the global model exactly.  Raises [Invalid_argument] on an invalid
-    config ({!validate_config}) or profile ({!Profile.validate}, which
-    names the offending link). *)
+    the legacy global rates and are not consulted); [dynamics] instead
+    supplies them through {!Dynamics.link}, over the model's own base
+    profile; with neither, a {!Profile.uniform} profile is built from
+    the config, reproducing the global model exactly.  Creation costs
+    O(n) and reads no link: profiles are valid by construction
+    ({!Profile}), so an out-of-range {!Profile.make} link raises from
+    the probe that draws it.  Raises [Invalid_argument] on an invalid
+    config ({!validate_config}) or when both [profile] and [dynamics]
+    are given. *)
 
 val config : t -> config
 
-val profile : t -> Profile.t
-
 val link : t -> int -> int -> Profile.link
-(** The profile parameters of the directed link [i -> j]. *)
+(** The parameters of the directed link [i -> j] under the current
+    conditions. *)
 
 val node_down : t -> int -> bool
 (** Whether node [i] is in outage.  [i] must be in [0 .. n-1]; an

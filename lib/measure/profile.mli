@@ -12,7 +12,13 @@
     random stream, so a {!uniform} profile built from the old global
     rates reproduces the global model probe for probe under the same
     seed, and an all-zero profile never consults the generator at all
-    (bit-identical to oracle mode). *)
+    (bit-identical to oracle mode).
+
+    Profiles are valid by construction, so no consumer scans their
+    links: {!uniform}, {!topology} and {!random} check what they are
+    built from when they are created, and a {!make} function is checked
+    on each link it yields.  Building an engine over any profile costs
+    O(1) in the number of links. *)
 
 type link = {
   loss : float;  (** per-attempt loss probability in [0, 1] *)
@@ -24,7 +30,7 @@ type link = {
           whole lifetime, in [0, 1] (1 = certainly down) *)
   extra_delay : float;
       (** ms added to the true RTT before jitter (path detour /
-          bufferbloat on that link), >= 0 *)
+          bufferbloat on that link), finite and >= 0 *)
 }
 
 val clean : link
@@ -32,26 +38,29 @@ val clean : link
 
 type t
 
-val name : t -> string
-
 val link : t -> int -> int -> link
 (** Parameters of the directed link [i -> j].  Self links are always
     {!clean}. *)
 
 val uniform : ?name:string -> link -> t
 (** Every directed link carries the same parameters — the back-compat
-    constructor the engine builds from a global {!Fault.config}. *)
+    constructor the engine builds from a global {!Fault.config}.
+    Raises [Invalid_argument] naming [name] (default ["uniform"]) and
+    the field when the link is out of range. *)
 
 val of_rates : loss:float -> jitter:float -> t
 (** [uniform] over [{ clean with loss; jitter }]. *)
 
 val make : string -> (int -> int -> link) -> t
-(** Arbitrary per-link profile; [f i j] must be pure and total for all
-    [i <> j] in range (it is consulted on every wire attempt and during
-    validation). *)
+(** [make name f]: arbitrary per-link profile; [f i j] must be pure
+    and total for all [i <> j] in range.  It is consulted on every wire
+    attempt, and each link it yields is checked as it is drawn: an
+    out-of-range field raises [Invalid_argument] from that probe,
+    naming the profile, the link and the field ([Profile bad: link
+    2->3: loss must be in [0, 1] (got 1.5)]).  Nothing is checked at
+    creation, so building an engine over [make] reads no link. *)
 
 val topology :
-  ?name:string ->
   loss:float ->
   jitter:float ->
   cluster_of:int array ->
@@ -64,10 +73,10 @@ val topology :
     host model lossy access links ([3 * loss], capped); inter-cluster
     links model jittery long-haul paths ([2 * jitter], capped, half
     loss); intra-cluster links are comparatively clean ([loss / 4],
-    [jitter / 4]). *)
+    [jitter / 4]).  Raises [Invalid_argument] naming the class and the
+    field when one of the three class links is out of range. *)
 
 val random :
-  ?name:string ->
   ?outage:float ->
   loss:float ->
   jitter:float ->
@@ -78,12 +87,12 @@ val random :
     jitter uniformly from [[0, 2 * base)] (mean = base, so sweeps
     compare equal average severity against {!uniform}), and is down for
     the injector's lifetime with probability [outage] (default 0).
-    Parameters depend only on [(seed, i, j)], never on query order. *)
+    Parameters depend only on [(seed, i, j)], never on query order.
+    Raises [Invalid_argument] naming the field on a NaN or out-of-range
+    base ([loss] and [outage] in [[0, 1]], [jitter] in [[0, 1)]); the
+    draws are clamped, so every link is then in range. *)
 
 val validate_link : string -> id:string -> link -> unit
-(** Raises [Invalid_argument] naming [id] (the offending link) on
-    NaN/out-of-range loss, jitter, outage or extra delay. *)
-
-val validate : string -> n:int -> t -> unit
-(** Validates every directed link of an [n]-node profile; the error
-    message carries the offending link as ["i->j"]. *)
+(** [validate_link ctx ~id l] raises [Invalid_argument], as
+    ["ctx: link id: field ..."], on a NaN or out-of-range loss, jitter,
+    outage or extra delay: the range check every constructor applies. *)

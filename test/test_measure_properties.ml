@@ -15,6 +15,7 @@ module Profile = Tivaware_measure.Profile
 module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
 module Engine = Tivaware_measure.Engine
+module Oracle = Tivaware_measure.Oracle
 module Probe_stats = Tivaware_measure.Probe_stats
 module Sim = Tivaware_eventsim.Sim
 module Ring = Tivaware_meridian.Ring
@@ -52,6 +53,11 @@ let random_matrix ?(missing = 0.) rng ~n =
       done
     done;
   m
+
+let contains s sub =
+  let ls = String.length s and lb = String.length sub in
+  let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
+  go 0
 
 let random_pair rng n =
   let i = Rng.int rng n in
@@ -685,24 +691,28 @@ let test_per_link_estimate_converges () =
   checkb "lossy link estimated high" true (Fault.estimated_loss f 0 1 > 0.9);
   checkb "clean sibling estimated low" true (Fault.estimated_loss f 0 2 < 0.1)
 
-(* Per-link profile validation rejects out-of-range entries and names
-   the offending link in the message, field by field. *)
+(* A [Profile.make] link is checked as it is drawn: the engine builds,
+   clean links of the profile probe normally, and the first probe of
+   the bad link raises an error naming the link and the field. *)
 let test_profile_validation_names_link () =
   let g = rng 20 in
   let m = random_matrix g ~n:6 in
-  let contains s sub =
-    let ls = String.length s and lb = String.length sub in
-    let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-    go 0
-  in
-  let expect_bad ~field bad_link =
-    (* Only link 2->3 is malformed; the message must say so. *)
+  let engine ?dynamics bad_link =
+    (* Only link 2->3 is malformed. *)
     let profile =
       Profile.make "bad" (fun i j ->
           if i = 2 && j = 3 then bad_link else Profile.clean)
     in
-    let config = { Engine.default_config with Engine.profile = Some profile } in
-    match Engine.of_matrix ~config m with
+    Engine.of_matrix
+      ~config:{ Engine.default_config with Engine.profile = Some profile; dynamics }
+      m
+  in
+  let expect_bad ?dynamics ~field bad_link =
+    let e = engine ?dynamics bad_link in
+    (match Engine.probe e 0 1 with
+    | Engine.Rtt _ -> ()
+    | _ -> Alcotest.failf "clean link 0->1 of a bad %s profile not measured" field);
+    match Engine.probe e 2 3 with
     | _ -> Alcotest.failf "bad %s accepted" field
     | exception Invalid_argument msg ->
       checkb (Printf.sprintf "%s error names the link (%s)" field msg) true
@@ -720,20 +730,50 @@ let test_profile_validation_names_link () =
   expect_bad ~field:"extra_delay" { Profile.clean with Profile.extra_delay = -5. };
   expect_bad ~field:"extra_delay"
     { Profile.clean with Profile.extra_delay = Float.nan };
+  (* A dynamics view reads its base through the same check. *)
+  expect_bad
+    ~dynamics:{ Dynamics.default with Dynamics.diurnal = Some Dynamics.default_diurnal }
+    ~field:"outage" { Profile.clean with Profile.outage = 2. };
   (* Exact message shape, pinned once. *)
   Alcotest.check_raises "exact message"
     (Invalid_argument "ctx: link 2->3: loss must be in [0, 1] (got 1.5)")
     (fun () ->
       Profile.validate_link "ctx" ~id:"2->3"
         { Profile.clean with Profile.loss = 1.5 });
-  (* The stock constructors always validate, whatever the bases. *)
-  for _ = 1 to 20 do
-    let loss = Rng.uniform g 0. 0.99 and jitter = Rng.uniform g 0. 0.99 in
-    let cluster_of = Array.init 6 (fun i -> if i mod 3 = 0 then -1 else i mod 2) in
-    Profile.validate "test" ~n:6 (Profile.topology ~loss ~jitter ~cluster_of ());
-    Profile.validate "test" ~n:6
-      (Profile.random ~loss ~jitter ~outage:(Rng.uniform g 0. 1.) ~seed:(Rng.int g 1000) ())
-  done
+  Alcotest.check_raises "exact probe message"
+    (Invalid_argument "Profile bad: link 2->3: loss must be in [0, 1] (got 1.5)")
+    (fun () ->
+      ignore (Engine.probe (engine { Profile.clean with Profile.loss = 1.5 }) 2 3))
+
+(* Engine creation is O(n): with dynamics over a [Profile.make]
+   profile, building a 5,000-node engine looks up no link at all; the
+   first probe looks up one. *)
+let test_engine_creation_reads_no_link () =
+  let n = 5_000 in
+  let lookups = ref 0 in
+  let profile =
+    Profile.make "counting" (fun _ _ ->
+        incr lookups;
+        { Profile.clean with Profile.loss = 0.01 })
+  in
+  let config =
+    {
+      Engine.default_config with
+      Engine.profile = Some profile;
+      dynamics =
+        Some
+          {
+            Dynamics.diurnal = Some Dynamics.default_diurnal;
+            route_flap = Some Dynamics.default_route_flap;
+            seed = 3;
+          };
+    }
+  in
+  let oracle = Oracle.of_fn ~size:n (fun i j -> if i = j then 0. else 10.) in
+  let e = Engine.create ~config oracle in
+  checki "creation reads no link" 0 !lookups;
+  ignore (Engine.probe e 17 4_321);
+  checki "a probe reads its link once" 1 !lookups
 
 (* ------------------------------------------------------------------ *)
 (* Config validation                                                    *)
@@ -748,6 +788,9 @@ let test_config_validation () =
   let m = random_matrix g ~n:6 in
   let mk config = ignore (Engine.of_matrix ~config m) in
   let base = Engine.default_config in
+  let dynamics ?diurnal ?route_flap () =
+    { base with Engine.dynamics = Some { Dynamics.default with Dynamics.diurnal; route_flap } }
+  in
   List.iter
     (fun (name, config) ->
       checkb name true (raises_invalid (fun () -> mk config)))
@@ -786,6 +829,15 @@ let test_config_validation () =
           Engine.fault =
             { Fault.default with Fault.policy = Fault.adaptive ~target_failure:1.5 () };
         } );
+      (* Non-finite dynamics: an infinite route-flap rate never finishes
+         its schedule, an infinite detour reaches the probe counters,
+         and an infinite phase makes every diurnal factor NaN. *)
+      ( "infinite route_flap rate",
+        dynamics ~route_flap:{ Dynamics.rate = infinity; max_extra = 10. } () );
+      ( "infinite route_flap max_extra",
+        dynamics ~route_flap:{ Dynamics.rate = 0.1; max_extra = infinity } () );
+      ( "infinite diurnal phase",
+        dynamics ~diurnal:{ Dynamics.default_diurnal with Dynamics.phase = infinity } () );
     ];
   (* And a valid non-trivial config constructs fine. *)
   mk
@@ -1119,6 +1171,152 @@ let test_stats_view_matches_registry =
     (QCheck2.Test.make ~count:60 ~name:"stats view = registry"
        ~print:print_view_case gen_view_case stats_view_matches_registry)
 
+(* ------------------------------------------------------------------ *)
+(* Profiles are valid by construction                                  *)
+
+(* A stock constructor either rejects its bases, naming the field, or
+   yields in-range links everywhere; and a valid dynamics config over
+   an accepted profile keeps every link in range at every time. *)
+type constructor_case = {
+  ctor : [ `Uniform | `Topology | `Random ];
+  loss : float;
+  jitter : float;
+  outage : float;
+  extra_delay : float;
+  labels : int array;  (** topology cluster labels; its length is n *)
+  dyn : Dynamics.config;
+  times : float list;  (** increasing sample times *)
+}
+
+let gen_constructor_case =
+  let open QCheck2.Gen in
+  let rate =
+    oneof
+      [
+        float_range 0. 1.;
+        float_range (-1.) 3.;
+        oneofl [ 0.; 1.; 0.95; 0.999; -0.01; 1.01; nan; infinity ];
+      ]
+  in
+  let* ctor = oneofl [ `Uniform; `Topology; `Random ] in
+  let* loss = rate and* jitter = rate and* outage = rate in
+  let* extra_delay =
+    oneof [ float_range 0. 100.; oneofl [ -1.; nan; infinity; 0. ] ]
+  in
+  let* labels = array_size (int_range 2 9) (int_range (-1) 2) in
+  let* diurnal =
+    opt
+      (let* period = float_range 1. 500.
+       and* loss_amplitude = float_range 0. 1.
+       and* jitter_amplitude = float_range 0. 1.
+       and* phase = float_range (-1000.) 1000. in
+       return { Dynamics.period; loss_amplitude; jitter_amplitude; phase })
+  in
+  let* route_flap =
+    opt
+      (let* rate = float_range 0. 0.5 and* max_extra = float_range 0. 100. in
+       return { Dynamics.rate; max_extra })
+  in
+  let* seed = int_range 0 9_999 in
+  let+ times = list_size (int_range 1 6) (float_range 0. 2000.) in
+  {
+    ctor;
+    loss;
+    jitter;
+    outage;
+    extra_delay;
+    labels;
+    dyn = { Dynamics.diurnal; route_flap; seed };
+    times = List.sort compare times;
+  }
+
+let print_constructor_case c =
+  Printf.sprintf
+    "%s loss=%g jitter=%g outage=%g extra_delay=%g n=%d diurnal=%b \
+     route_flap=%b seed=%d times=[%s]"
+    (match c.ctor with
+    | `Uniform -> "uniform"
+    | `Topology -> "topology"
+    | `Random -> "random")
+    c.loss c.jitter c.outage c.extra_delay (Array.length c.labels)
+    (Option.is_some c.dyn.Dynamics.diurnal)
+    (Option.is_some c.dyn.Dynamics.route_flap)
+    c.dyn.Dynamics.seed
+    (String.concat ";" (List.map string_of_float c.times))
+
+let link_in_range (l : Profile.link) =
+  l.loss >= 0. && l.loss <= 1. && l.jitter >= 0. && l.jitter < 1.
+  && l.outage >= 0. && l.outage <= 1.
+  && Float.is_finite l.extra_delay && l.extra_delay >= 0.
+
+let constructors_in_range c =
+  let n = Array.length c.labels in
+  let base =
+    {
+      Profile.loss = c.loss;
+      jitter = c.jitter;
+      outage = c.outage;
+      extra_delay = c.extra_delay;
+    }
+  in
+  let build () =
+    match c.ctor with
+    | `Uniform -> Profile.uniform base
+    | `Topology ->
+      Profile.topology ~loss:c.loss ~jitter:c.jitter ~cluster_of:c.labels ()
+    | `Random ->
+      Profile.random ~loss:c.loss ~jitter:c.jitter ~outage:c.outage
+        ~seed:c.dyn.Dynamics.seed ()
+  in
+  let check_all what link =
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let l = link i j in
+        if not (link_in_range l) then
+          QCheck2.Test.fail_reportf
+            "%s: link %d->%d out of range: loss=%g jitter=%g outage=%g \
+             extra_delay=%g"
+            what i j l.Profile.loss l.Profile.jitter l.Profile.outage
+            l.Profile.extra_delay
+      done
+    done
+  in
+  (* The inputs each constructor reads: in range, they are accepted.
+     [uniform] and [random] also reject them out of range; [topology]
+     judges its derived class links instead, which may clamp. *)
+  let inputs =
+    match c.ctor with
+    | `Uniform -> base
+    | `Topology -> { Profile.clean with Profile.loss = c.loss; jitter = c.jitter }
+    | `Random -> { base with Profile.extra_delay = 0. }
+  in
+  match build () with
+  | exception Invalid_argument msg ->
+    if not (List.exists (contains msg) [ "loss"; "jitter"; "outage"; "extra_delay" ])
+    then QCheck2.Test.fail_reportf "rejection names no field: %s" msg;
+    if link_in_range inputs then
+      QCheck2.Test.fail_reportf "in-range inputs rejected: %s" msg;
+    true
+  | profile ->
+    if c.ctor <> `Topology && not (link_in_range inputs) then
+      QCheck2.Test.fail_reportf "out-of-range inputs accepted";
+    check_all "static" (Profile.link profile);
+    let d = Dynamics.create ~config:c.dyn profile in
+    check_all "dynamics at 0" (Dynamics.link d);
+    List.iter
+      (fun time ->
+        Dynamics.advance_to d time;
+        check_all (Printf.sprintf "dynamics at %g" time) (Dynamics.link d))
+      c.times;
+    true
+
+let test_constructors_in_range =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| prop_seed |])
+    (QCheck2.Test.make ~count:300
+       ~name:"constructors reject bad bases or yield in-range links"
+       ~print:print_constructor_case gen_constructor_case constructors_in_range)
+
 let () =
   Alcotest.run "measure-properties"
     [
@@ -1173,6 +1371,9 @@ let () =
             test_per_link_estimate_converges;
           Alcotest.test_case "profile validation names the link" `Quick
             test_profile_validation_names_link;
+          Alcotest.test_case "engine creation reads no link" `Quick
+            test_engine_creation_reads_no_link;
+          test_constructors_in_range;
         ] );
       ( "validation",
         [ Alcotest.test_case "config validation" `Quick test_config_validation ] );
