@@ -74,11 +74,11 @@ let () =
         incr failures;
         Printf.printf "FAIL %-32s missing from fresh run\n" name
       | Some fresh_ns ->
-        let ratio = fresh_ns /. fresh_unit /. (base_ns /. base_unit) in
-        let verdict = if ratio > 1. +. tolerance then "FAIL" else "ok  " in
+        let slowdown = fresh_ns /. fresh_unit /. (base_ns /. base_unit) in
+        let verdict = if slowdown > 1. +. tolerance then "FAIL" else "ok  " in
         if verdict = "FAIL" then incr failures;
         Printf.printf "%s %-32s %9.2f -> %9.2f ns/run  (%+.0f%%)\n" verdict
-          name base_ns fresh_ns ((ratio -. 1.) *. 100.))
+          name base_ns fresh_ns ((slowdown -. 1.) *. 100.))
     baseline;
   if !failures > 0 then
     fail "%d kernel(s) regressed beyond %.0f%%" !failures (tolerance *. 100.)

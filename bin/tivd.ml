@@ -29,6 +29,11 @@ let kind_latency obs kind =
     ~labels:[ ("kind", Workload.kind_label kind) ]
     ~edges:Shard.latency_edges "service.latency_ms"
 
+(* A quantile past the last bucket edge is only a lower bound. *)
+let latency h q =
+  let v = Harness.number 1 (Obs.Histogram.quantile h q) in
+  if Obs.Histogram.overflowed h q then ">" ^ v else v
+
 let print_summary result wall =
   let obs = result.Driver.obs in
   let served =
@@ -49,8 +54,7 @@ let print_summary result wall =
       Format.printf
         "  %-10s %6.0f queries, %.0f failures, latency p50=%s p99=%s ms@."
         (Workload.kind_label kind) q f
-        (Harness.number 1 (Obs.Histogram.quantile h 0.5))
-        (Harness.number 1 (Obs.Histogram.quantile h 0.99)))
+        (latency h 0.5) (latency h 0.99))
     Workload.kinds;
   let switches = Obs.Counter.value (Obs.Registry.counter obs "service.switches") in
   let hops =

@@ -245,15 +245,14 @@ let oracle t =
 
 let engine ?config t = Engine.create ?config (oracle t)
 
-let of_oracle o =
+let of_engine e =
+  let o = Engine.oracle e in
   match Oracle.ext o with
   | Some (Backend b) -> b
   | _ -> (
     match Oracle.matrix o with
     | Some m -> dense m
     | None -> of_fn ~size:(Oracle.size o) (fun i j -> Oracle.query o i j))
-
-let of_engine e = of_oracle (Engine.oracle e)
 
 let draw_edges = [| 0.; 1.; 3. |]
 

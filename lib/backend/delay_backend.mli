@@ -111,21 +111,19 @@ type Tivaware_measure.Oracle.ext += Backend of t
 
 val oracle : t -> Tivaware_measure.Oracle.t
 (** Dense backends return [Oracle.of_matrix] (bit-identical to the
-    historical path, [matrix_exn] included); every other kind returns a
-    function-backed oracle tagged with {!Backend} so {!of_oracle} can
+    historical path, backing matrix included); every other kind returns
+    a function-backed oracle tagged with {!Backend} so {!of_engine} can
     recover it. *)
 
 val engine : ?config:Tivaware_measure.Engine.config -> t -> Tivaware_measure.Engine.t
 (** [Engine.create] over {!oracle}. *)
 
-val of_oracle : Tivaware_measure.Oracle.t -> t
-(** Recovers the backend an oracle was built from: the {!Backend} tag
-    if present, else a dense wrap of its matrix, else an [of_fn] wrap
-    of [Oracle.query].  Always succeeds. *)
-
 val of_engine : Tivaware_measure.Engine.t -> t
-(** {!of_oracle} on the engine's oracle — how evaluation code gets
-    ground truth without [matrix_exn]. *)
+(** Recovers the backend the engine's oracle was built from: the
+    {!Backend} tag if present, else a dense wrap of its matrix, else an
+    [of_fn] wrap of [Oracle.query].  Always succeeds — how evaluation
+    code reads ground truth, and ({!matrix} of the result) the dense
+    matrix when there is one. *)
 
 (** {2 Observability} *)
 

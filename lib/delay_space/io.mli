@@ -12,9 +12,6 @@ val save : Matrix.t -> string -> unit
 val load : string -> Matrix.t
 (** Raises [Failure] with a descriptive message on malformed input. *)
 
-val to_channel : Matrix.t -> out_channel -> unit
-val of_channel : in_channel -> Matrix.t
-
 val load_square : ?symmetrize:[ `Min | `Max | `Mean ] -> string -> Matrix.t
 (** Imports the whitespace-separated full-square-matrix format used by
     published data sets (e.g. the p2psim King matrix): [n] rows of [n]

@@ -232,7 +232,6 @@ let of_matrix ?config m = create ?config (Oracle.of_matrix m)
 let config t = t.config
 let oracle t = t.oracle
 let size t = Oracle.size t.oracle
-let matrix_exn t = Oracle.matrix_exn t.oracle
 let fault t = t.fault
 let churn t = t.churn
 let up t i = match t.churn with None -> true | Some c -> Churn.is_up c i
@@ -249,12 +248,17 @@ let sync_churn t =
   | None -> ()
   | Some c -> Churn.drive c t.fault ~time:t.clock
 
+(* A nan step or time would stop the clock for good: nan compares
+   false against every later time. *)
 let advance t dt =
-  if dt < 0. then invalid_arg "Engine.advance: negative step";
+  if not (Float.is_finite dt && dt >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Engine.advance: dt must be finite and >= 0 (got %g)" dt);
   t.clock <- t.clock +. dt;
   sync_churn t
 
 let advance_to t time =
+  if Float.is_nan time then invalid_arg "Engine.advance_to: time is nan";
   if time > t.clock then begin
     t.clock <- time;
     sync_churn t

@@ -90,10 +90,6 @@ val config : t -> config
 val oracle : t -> Oracle.t
 val size : t -> int
 
-val matrix_exn : t -> Tivaware_delay_space.Matrix.t
-(** Ground-truth matrix of a matrix-backed oracle (for evaluation
-    code); raises [Invalid_argument] otherwise. *)
-
 val fault : t -> Fault.t
 (** The live fault injector. *)
 
@@ -118,11 +114,14 @@ val dynamics : t -> Dynamics.t option
 
 val now : t -> float
 val advance : t -> float -> unit
-(** Advance the clock by a (non-negative) number of seconds. *)
+(** Advance the clock by a non-negative number of seconds.  Raises
+    [Invalid_argument] naming [dt] on a negative, infinite or [nan]
+    step. *)
 
 val advance_to : t -> float -> unit
 (** Monotonic absolute set: earlier times are ignored.  Used to slave
-    the engine clock to an event simulator. *)
+    the engine clock to an event simulator.  Raises [Invalid_argument]
+    on a [nan] time. *)
 
 val clock_work : t -> links:int -> until:float -> float
 (** The expected number of transitions the engine replays while its

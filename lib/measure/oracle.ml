@@ -18,8 +18,3 @@ let size t = t.size
 let query t i j = t.lookup i j
 let matrix t = t.backing
 let ext t = t.ext
-
-let matrix_exn t =
-  match t.backing with
-  | Some m -> m
-  | None -> invalid_arg "Oracle.matrix_exn: function-backed oracle"

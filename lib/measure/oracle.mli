@@ -41,6 +41,3 @@ val matrix : t -> Tivaware_delay_space.Matrix.t option
 
 val ext : t -> ext option
 (** The extension tag attached at construction, if any. *)
-
-val matrix_exn : t -> Tivaware_delay_space.Matrix.t
-(** Raises [Invalid_argument] on a function-backed oracle. *)

@@ -1,17 +1,15 @@
-module Engine = Tivaware_measure.Engine
+module Alert = Tivaware_tiv.Alert
 
 let default_ts = 0.6
 let default_tl = 2.0
-
-let ratio engine predicted a b =
-  let d = Engine.rtt ~label:"tiv-aware" engine a b in
-  if Float.is_nan d || d < 1e-9 then nan else predicted a b /. d
 
 let placement cfg ~predicted ~engine ?(ts = default_ts)
     ?(tl = default_tl) () =
   fun node peer delay ->
     let measured_entry = (Ring.ring_of cfg delay, delay) in
-    let r = ratio engine predicted node peer in
+    let r =
+      Alert.probed_ratio ~label:"tiv-aware" ~engine ~predicted node peer
+    in
     if Float.is_nan r || (r >= ts && r <= tl) then [ measured_entry ]
     else begin
       let p = predicted node peer in
@@ -22,9 +20,10 @@ let placement cfg ~predicted ~engine ?(ts = default_ts)
 
 let fallback overlay ~predicted ~engine ?(ts = default_ts) () :
     Query.fallback =
- fun ~current ~target ~measured:d ->
-  ignore d;
-  let r = ratio engine predicted current target in
+ fun ~current ~target ~measured:_ ->
+  let r =
+    Alert.probed_ratio ~label:"tiv-aware" ~engine ~predicted current target
+  in
   if Float.is_nan r || r >= ts then []
   else begin
     (* The measured edge to the target looks TIV-inflated: re-select

@@ -15,10 +15,13 @@
     extra batch of ring members selected around the {e predicted} delay
     to the target, possibly resuming the query.
 
-    Paper thresholds: [ts = 0.6], [tl = 2.0]. *)
+    Both read the edge's prediction ratio as
+    {!Tivaware_tiv.Alert.probed_ratio} under plane label ["tiv-aware"]:
+    one probe per hook call, and a failed probe ([nan] ratio) raises no
+    alert.  The bands are this module's own; the ratio rule is the
+    alert mechanism's.
 
-val default_ts : float
-val default_tl : float
+    Paper thresholds (the defaults): [ts = 0.6], [tl = 2.0]. *)
 
 val placement :
   Ring.config ->
@@ -29,11 +32,10 @@ val placement :
   unit ->
   int -> int -> float -> (int * float) list
 (** Dual-placement hook for {!Overlay.build}'s [?placement]: the first
-    entry represents the measured delay, the second (when the edge is
-    alerted and the rings differ) the predicted delay.  The alert
-    ratio's measured delay is probed through the measurement plane
-    (label ["tiv-aware"]): a failed probe suppresses the alert and the
-    member is placed by its measured delay only. *)
+    entry represents the measured delay, the second (when the probed
+    ratio falls outside [[ts, tl]] and the rings differ) the predicted
+    delay.  A failed probe suppresses the alert and the member is
+    placed by its measured delay only. *)
 
 val fallback :
   Overlay.t ->
@@ -42,6 +44,6 @@ val fallback :
   ?ts:float ->
   unit ->
   Query.fallback
-(** Query-restart hook for {!Query.closest}'s [?fallback], probing the
-    alert ratio through the measurement plane; a failed probe means no
-    restart. *)
+(** Query-restart hook for {!Query.closest}'s [?fallback]: restarts
+    when the probed ratio of [current -> target] is below [ts]; a failed
+    probe means no restart. *)

@@ -60,9 +60,12 @@ let dropped t = t.dropped
    positive in practice and observations non-negative; the overflow
    bucket has no upper bound, so it reports the last finite edge (a
    lower bound on the true quantile). *)
-let quantile t q =
+let check_q fn q =
   if not (Float.is_finite q) || q < 0. || q > 1. then
-    invalid_arg "Histogram.quantile: q must be in [0, 1]";
+    invalid_arg (Printf.sprintf "Histogram.%s: q must be in [0, 1]" fn)
+
+let quantile t q =
+  check_q "quantile" q;
   if t.count = 0 then nan
   else begin
     let n = Array.length t.edges in
@@ -86,6 +89,14 @@ let quantile t q =
     in
     locate 0 0
   end
+
+(* [quantile] lands in the overflow bucket exactly when the finite
+   buckets hold less than the rank, or nothing at all (rank 0). *)
+let overflowed t q =
+  check_q "overflowed" q;
+  let finite = t.count - t.counts.(Array.length t.edges) in
+  t.count > 0
+  && (finite = 0 || float_of_int finite < q *. float_of_int t.count)
 let sum t = t.sum
 let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
 let edges t = Array.copy t.edges

@@ -1,9 +1,15 @@
 module Matrix = Tivaware_delay_space.Matrix
 module Engine = Tivaware_measure.Engine
+module Backend = Tivaware_backend.Delay_backend
 
 let ratio ~predicted i j measured =
   if Float.is_nan measured || measured < 1e-9 then nan
   else predicted i j /. measured
+
+let probed_ratio ~label ~engine ~predicted i j =
+  ratio ~predicted i j (Engine.rtt ~label engine i j)
+
+let shrunk ~threshold r = (not (Float.is_nan r)) && r <= threshold
 
 let ratio_matrix ~measured ~predicted = Matrix.map (ratio ~predicted) measured
 
@@ -11,10 +17,12 @@ let ratio_matrix ~measured ~predicted = Matrix.map (ratio ~predicted) measured
    edge is re-probed through the engine, so lost probes leave the edge
    unalertable and jitter perturbs the ratio. *)
 let ratio_matrix_engine ~engine ~predicted =
-  let truth = Engine.matrix_exn engine in
-  Matrix.map
-    (fun i j _ -> ratio ~predicted i j (Engine.rtt ~label:"alert" engine i j))
-    truth
+  match Backend.matrix (Backend.of_engine engine) with
+  | None -> invalid_arg "Alert.ratio_matrix_engine: engine is not matrix-backed"
+  | Some truth ->
+    Matrix.map
+      (fun i j _ -> probed_ratio ~label:"alert" ~engine ~predicted i j)
+      truth
 
 let ratio_severity_pairs ~ratios ~severity =
   let out = ref [] in
@@ -26,17 +34,14 @@ let ratio_severity_pairs ~ratios ~severity =
 let alerted ~ratios ~threshold =
   let out = ref [] in
   Matrix.iter_edges ratios (fun i j r ->
-      if r <= threshold then out := (i, j) :: !out);
+      if shrunk ~threshold r then out := (i, j) :: !out);
   Array.of_list (List.rev !out)
 
-let is_alert ~ratios ~threshold i j =
-  Matrix.known ratios i j && Matrix.get ratios i j <= threshold
-
-(* Per-pair alert check: the building block of Selection.  Unlike
-   [ratio_matrix_engine] it needs no dense matrix — one verification
-   probe per call, so it works over lazy delay backends too. *)
+(* Selection ranks by the probed delay, so this verdict applies [ratio]
+   to its probe itself: [probed_ratio] returns the ratio alone, and
+   returning both would allocate on every selection probe. *)
 let alert_pair ?(label = "alert") ~engine ~predicted ~threshold i j =
   let d = Engine.rtt ~label engine i j in
   if Float.is_nan d then `Unmeasurable
-  else if ratio ~predicted i j d <= threshold then `Flagged d
+  else if shrunk ~threshold (ratio ~predicted i j d) then `Flagged d
   else `Clean d

@@ -20,21 +20,32 @@ let point ~threshold ~alerts ~hits ~worst =
     recall = (if worst = 0 then 1. else float_of_int hits /. float_of_int worst);
   }
 
+(* Alert quality of a sample of edges: edge [k] has prediction ratio
+   [ratios.(k)] and is in the worst set iff [in_worst.(k)]; [worst] is
+   the worst set's size.  One point per threshold.  An indexed loop
+   reads the ratios unboxed. *)
+let score ~(ratios : float array) ~in_worst ~worst thresholds =
+  List.map
+    (fun threshold ->
+      let alerts = ref 0 and hits = ref 0 in
+      for k = 0 to Array.length ratios - 1 do
+        if Alert.shrunk ~threshold ratios.(k) then begin
+          incr alerts;
+          if in_worst.(k) then incr hits
+        end
+      done;
+      point ~threshold ~alerts:!alerts ~hits:!hits ~worst)
+    thresholds
+
 let evaluate ~ratios ~severity ~worst_fraction ~thresholds =
   let worst = Severity.worst_edges severity ~fraction:worst_fraction in
   let worst_set = Hashtbl.create (Array.length worst) in
   Array.iter (fun (i, j) -> Hashtbl.replace worst_set (i, j) ()) worst;
-  let worst_count = Array.length worst in
-  List.map
-    (fun threshold ->
-      let alerts = Alert.alerted ~ratios ~threshold in
-      let hits =
-        Array.fold_left
-          (fun acc e -> if Hashtbl.mem worst_set e then acc + 1 else acc)
-          0 alerts
-      in
-      point ~threshold ~alerts:(Array.length alerts) ~hits ~worst:worst_count)
-    thresholds
+  let edges = Matrix.edges ratios in
+  score
+    ~ratios:(Array.map (fun (_, _, r) -> r) edges)
+    ~in_worst:(Array.map (fun (i, j, _) -> Hashtbl.mem worst_set (i, j)) edges)
+    ~worst:(Array.length worst) thresholds
 
 let f1 p =
   if p.accuracy +. p.recall <= 0. then 0.
@@ -81,23 +92,23 @@ let evaluate_engine ~engine ~predicted ~severity ~worst_fraction ~thresholds =
    truth is estimated on a uniform pair sample, and each sampled pair's
    severity on a uniform intermediate sample.  Ranking by the estimate
    replaces ranking by the exact severity; the alert rule itself is
-   unchanged (measured ratio at or below the threshold). *)
+   unchanged (probed ratio at or below the threshold). *)
 let evaluate_sampled ~engine ~predicted ~pairs ~legs ~worst_fraction
     ~thresholds rng =
   let module Backend = Tivaware_backend.Delay_backend in
   let module Rng = Tivaware_util.Rng in
-  let module Engine = Tivaware_measure.Engine in
   if pairs < 1 then invalid_arg "Eval.evaluate_sampled: pairs must be >= 1";
   if legs < 1 then invalid_arg "Eval.evaluate_sampled: legs must be >= 1";
   let backend = Backend.of_engine engine in
   let n = Backend.size backend in
   if n < 3 then invalid_arg "Eval.evaluate_sampled: need at least 3 nodes";
   let seen = Hashtbl.create pairs in
-  let samples = ref [] and sampled = ref 0 in
+  let severities = Array.make pairs nan and ratios = Array.make pairs nan in
+  let count = ref 0 in
   (* Cap the draw loop so a space of mostly-missing edges terminates. *)
   let attempts = ref 0 in
   let max_attempts = 20 * pairs in
-  while !sampled < pairs && !attempts < max_attempts do
+  while !count < pairs && !attempts < max_attempts do
     incr attempts;
     let i = Rng.int rng n in
     let j =
@@ -122,42 +133,26 @@ let evaluate_sampled ~engine ~predicted ~pairs ~legs ~worst_fraction
             if dij > leg then sum := !sum +. (dij /. leg)
           end
         done;
-        let severity = !sum /. float_of_int legs in
-        let ratio =
-          Alert.ratio ~predicted i j (Engine.rtt ~label:"alert" engine i j)
-        in
-        samples := (severity, ratio) :: !samples;
-        incr sampled
+        severities.(!count) <- !sum /. float_of_int legs;
+        ratios.(!count) <-
+          Alert.probed_ratio ~label:"alert" ~engine ~predicted i j;
+        incr count
       end
     end
   done;
-  let samples = Array.of_list (List.rev !samples) in
-  let count = Array.length samples in
+  let count = !count in
   let order = Array.init count Fun.id in
-  Array.sort
-    (fun a b -> compare (fst samples.(b)) (fst samples.(a)))
-    order;
-  let worst_count =
+  Array.sort (fun a b -> Float.compare severities.(b) severities.(a)) order;
+  let worst =
     min count
       (int_of_float (Float.round (worst_fraction *. float_of_int count)))
   in
-  let worst = Array.make count false in
-  for r = 0 to worst_count - 1 do
-    worst.(order.(r)) <- true
+  let in_worst = Array.make count false in
+  for r = 0 to worst - 1 do
+    in_worst.(order.(r)) <- true
   done;
   let points =
-    List.map
-      (fun threshold ->
-        let alerts = ref 0 and hits = ref 0 in
-        Array.iteri
-          (fun k (_, ratio) ->
-            if (not (Float.is_nan ratio)) && ratio <= threshold then begin
-              incr alerts;
-              if worst.(k) then incr hits
-            end)
-          samples;
-        point ~threshold ~alerts:!alerts ~hits:!hits ~worst:worst_count)
-      thresholds
+    score ~ratios:(Array.sub ratios 0 count) ~in_worst ~worst thresholds
   in
   record_obs engine points;
   points

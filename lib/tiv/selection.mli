@@ -47,10 +47,6 @@ val alert : ?threshold:float -> (int -> int -> float) -> t
     {!default_threshold}).  Raises [Invalid_argument] naming
     [Selection.alert] on a non-positive or non-finite threshold. *)
 
-val flagged_penalty : float
-(** Rank multiplier applied to flagged edges by {!alert} (1000): a
-    flagged candidate ranks behind every clean one of comparable delay. *)
-
 val rank : label:string -> t -> Tivaware_measure.Engine.t -> int -> int -> float
 (** [rank ~label t engine i j]: how attractive candidate [j] is to the
     selecting node [i] — smaller is better, [nan] is unusable.  This is
@@ -58,7 +54,8 @@ val rank : label:string -> t -> Tivaware_measure.Engine.t -> int -> int -> float
     repair).  Probes carry [label].  {!cached} probes [i -> j] on a
     miss; {!probe} probes [j -> i] every call; {!alert} probes [i -> j]
     and ranks a clean pair at its measured delay [d], a flagged pair at
-    [flagged_penalty *. d], an unmeasurable pair at [nan];
+    [1000 *. d] (behind every clean one of comparable delay), an
+    unmeasurable pair at [nan];
     {!random} and {!coordinate} never touch the engine. *)
 
 type choice = {

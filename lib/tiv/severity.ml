@@ -23,10 +23,10 @@ let edge_stats_rows rows n i j =
       let leg = ri.(b) +. rj.(b) in
       (* nan legs fail the comparison, skipping missing intermediates. *)
       if dij > leg then begin
-        let ratio = dij /. leg in
-        sum := !sum +. ratio;
+        let detour = dij /. leg in
+        sum := !sum +. detour;
         incr count;
-        if ratio > !max_ratio then max_ratio := ratio
+        if detour > !max_ratio then max_ratio := detour
       end
     end
   done;

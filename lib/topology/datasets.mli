@@ -21,10 +21,8 @@ type preset = Ds2 | Meridian | P2psim | Planetlab
 
 val name : ?size:int -> preset -> string
 (** Label used in figure output: ["DS2-560-data"] style; [size] defaults
-    to {!default_size}. *)
-
-val base_name : preset -> string
-(** Bare data-set name: ["DS2"], ["Meridian"], ... *)
+    to the preset's scaled-down paper size (DS² 560, Meridian 350,
+    p2psim 245, PlanetLab 229, keeping the paper's relative sizes). *)
 
 val params : ?size:int -> preset -> Generator.params
 
@@ -33,7 +31,3 @@ val generate : ?size:int -> seed:int -> preset -> Generator.t
 
 val all : preset list
 (** [Ds2; Meridian; P2psim; Planetlab] — the Figure 2/9 ensemble. *)
-
-val default_size : preset -> int
-(** Scaled-down default node counts keeping the paper's relative sizes:
-    DS² 560, Meridian 350, p2psim 245, PlanetLab 229. *)

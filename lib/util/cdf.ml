@@ -36,8 +36,3 @@ let points ?(max_points = 50) t =
       (a.(idx), float_of_int (idx + 1) /. float_of_int n))
 
 let mean_of t = Stats.mean t.sorted
-
-let pp_series ?max_points ppf t =
-  List.iter
-    (fun (v, f) -> Format.fprintf ppf "%12.4f  %6.4f@." v f)
-    (points ?max_points t)

@@ -24,6 +24,3 @@ val points : ?max_points:int -> t -> (float * float) list
     most [max_points] (default 50) so figures stay printable. *)
 
 val mean_of : t -> float
-
-val pp_series : ?max_points:int -> Format.formatter -> t -> unit
-(** Prints the curve as aligned "value fraction" rows. *)

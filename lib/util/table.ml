@@ -4,12 +4,6 @@ let create ~header = { header; rows = [] }
 
 let add_row t row = t.rows <- row :: t.rows
 
-let default_fmt x = Printf.sprintf "%.4g" x
-
-let add_float_row t ?(fmt = default_fmt) label xs =
-  add_row t (label :: List.map fmt xs);
-  t
-
 let to_string t =
   let rows = List.rev t.rows in
   let all = t.header :: rows in

@@ -9,10 +9,6 @@ val create : header:string list -> t
 val add_row : t -> string list -> unit
 (** Rows shorter than the header are padded with empty cells. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> string -> float list -> t
-(** [add_float_row t label xs] appends a row whose first cell is [label];
-    returns [t] for chaining.  Default format is [%.4g]. *)
-
 val to_string : t -> string
 val print : t -> unit
 (** Prints to stdout followed by a newline. *)

@@ -1,21 +1,23 @@
 module Rng = Tivaware_util.Rng
 module Engine = Tivaware_measure.Engine
 module Obs = Tivaware_obs
+module Alert = Tivaware_tiv.Alert
 
 type schedule = {
   rounds_per_iteration : int;
   iterations : int;
 }
 
-let default_schedule = { rounds_per_iteration = 100; iterations = 10 }
+let refresh_label = "vivaldi-neighbors"
 
-(* Rank candidates by prediction ratio and keep the [keep] largest:
-   small ratios are shrunk edges, the likely severe-TIV ones. *)
+(* Rank candidates by probed prediction ratio and keep the [keep]
+   largest: small ratios are shrunk edges, the likely severe-TIV ones. *)
 let select_best system node candidates keep =
+  let engine = System.engine system and predicted = System.predictor system in
   let scored =
     List.filter_map
       (fun j ->
-        let r = System.prediction_ratio system node j in
+        let r = Alert.probed_ratio ~label:refresh_label ~engine ~predicted node j in
         (* Unmeasured candidates are unusable as probing neighbors. *)
         if Float.is_nan r then None else Some (j, r))
       candidates

@@ -7,7 +7,11 @@
     drops the most-shrunk half — exactly the edges the alert mechanism
     flags as likely severe-TIV edges.  Iterating this shrinks the TIV
     severity of neighbor edges (Figure 22) and improves neighbor
-    selection (Figure 23) at no extra measurement cost. *)
+    selection (Figure 23).  Each candidate's ratio is one
+    {!Tivaware_tiv.Alert.probed_ratio} through the system's engine under
+    plane label ["vivaldi-neighbors"]: a pass over [n] nodes with [want]
+    neighbors each costs up to [n × 2 × want] probes, charged, budgeted
+    and lossy like any other. *)
 
 type schedule = {
   rounds_per_iteration : int;
@@ -16,14 +20,12 @@ type schedule = {
   iterations : int;
 }
 
-val default_schedule : schedule
-(** 100 rounds per iteration, 10 iterations. *)
-
 val refresh_neighbors : System.t -> unit
 (** One refresh step for every node: sample as many new random
-    candidates as the node currently has, rank the union by prediction
-    ratio ascending, and keep the top half (largest ratios — the least
-    shrunk edges). *)
+    candidates as the node currently has, probe the prediction ratio of
+    every candidate in the union, and keep the top half (largest
+    ratios — the least shrunk edges).  A node with fewer measured
+    candidates than neighbors keeps its current set. *)
 
 val run :
   ?on_iteration:(int -> System.t -> unit) ->

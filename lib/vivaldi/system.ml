@@ -105,10 +105,6 @@ let distance t xi xj =
 
 let predicted t i j = distance t t.coords.(i) t.coords.(j)
 
-let prediction_ratio t i j =
-  let d = Backend.query t.backend i j in
-  if Float.is_nan d || d < 1e-9 then nan else predicted t i j /. d
-
 let neighbors t i = Array.copy t.neighbor_sets.(i)
 
 let set_neighbors t i ns =
@@ -225,11 +221,12 @@ let relative_errors t =
       if d > 1e-9 then out := (abs_float (predicted t i j -. d) /. d) :: !out);
   Array.of_list !out
 
-(* Sampled counterparts for backends where iterating every pair is off
-   the table (a 100k-node lazy space has 5e9 pairs). *)
-let sampled_errors t rng ~pairs =
+(* Sampled counterpart of [relative_errors] for backends where
+   iterating every pair is off the table (a 100k-node lazy space has
+   5e9 pairs). *)
+let sampled_relative_errors t rng ~pairs =
   let n = size t in
-  let abs_out = ref [] and rel_out = ref [] in
+  let out = ref [] in
   for _ = 1 to pairs do
     let i = Rng.int rng n in
     let j =
@@ -237,15 +234,8 @@ let sampled_errors t rng ~pairs =
       if p >= i then p + 1 else p
     in
     let d = Backend.query t.backend i j in
-    if not (Float.is_nan d) then begin
-      let err = abs_float (predicted t i j -. d) in
-      abs_out := err :: !abs_out;
-      if d > 1e-9 then rel_out := (err /. d) :: !rel_out
-    end
+    if d > 1e-9 then out := (abs_float (predicted t i j -. d) /. d) :: !out
   done;
-  (Array.of_list !abs_out, Array.of_list !rel_out)
-
-let sampled_absolute_errors t rng ~pairs = fst (sampled_errors t rng ~pairs)
-let sampled_relative_errors t rng ~pairs = snd (sampled_errors t rng ~pairs)
+  Array.of_list !out
 
 let predictor t = predicted t

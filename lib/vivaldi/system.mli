@@ -41,11 +41,13 @@ val create_with_engine :
   ?config:config -> Tivaware_util.Rng.t -> Tivaware_measure.Engine.t -> t
 (** As {!create}, but every observation probes through the given
     engine: loss and budget denial skip the update, jitter perturbs
-    the sample.  Ground truth for {!prediction_ratio} and the error
-    statistics is the engine's delay backend
-    ({!Tivaware_backend.Delay_backend.of_engine}), so any engine works
-    — a matrix-backed one behaves exactly as before, and a lazy
-    backend scales the system past dense-matrix sizes. *)
+    the sample.  Ground truth for the error statistics is the engine's
+    delay backend ({!Tivaware_backend.Delay_backend.of_engine}), so any
+    engine works — a matrix-backed one behaves exactly as before, and a
+    lazy backend scales the system past dense-matrix sizes.  Prediction
+    ratios are measured, not read: see
+    {!Tivaware_tiv.Alert.probed_ratio} over {!engine} and
+    {!predictor}. *)
 
 val config : t -> config
 val size : t -> int
@@ -75,9 +77,6 @@ val error_estimate : t -> int -> float
 
 val predicted : t -> int -> int -> float
 (** Euclidean distance between current coordinates. *)
-
-val prediction_ratio : t -> int -> int -> float
-(** [predicted /. measured]; [nan] when the measurement is missing. *)
 
 val neighbors : t -> int -> int array
 (** Current probing neighbor set (a copy). *)
@@ -127,21 +126,18 @@ val reset_movement : t -> unit
 val absolute_errors : t -> float array
 (** |predicted - measured| over all present edges at the current
     state.  Dense systems only (it iterates the full matrix); raises
-    [Invalid_argument] otherwise — see {!sampled_absolute_errors}. *)
+    [Invalid_argument] otherwise — see {!sampled_relative_errors}. *)
 
 val relative_errors : t -> float array
 (** |predicted - measured| / measured over all present edges.  Dense
     systems only, as {!absolute_errors}. *)
 
-val sampled_absolute_errors :
-  t -> Tivaware_util.Rng.t -> pairs:int -> float array
-(** |predicted - measured| over [pairs] uniformly sampled off-diagonal
-    pairs (missing measurements skipped) — the estimator that works on
-    any backend, including lazy spaces too large to enumerate. *)
-
 val sampled_relative_errors :
   t -> Tivaware_util.Rng.t -> pairs:int -> float array
-(** As {!sampled_absolute_errors}, relative to the measured delay. *)
+(** |predicted - measured| / measured over [pairs] uniformly sampled
+    off-diagonal pairs (missing and sub-1e-9 ms measurements skipped) —
+    the estimator that works on any backend, including lazy spaces too
+    large to enumerate. *)
 
 val predictor : t -> int -> int -> float
 (** {!predicted} partially applied — the shape selection policies and

@@ -45,7 +45,10 @@ let test_embedding_shrinks_severe_edges () =
   let system = Lazy.force vivaldi in
   let shrunk = ref [] and healthy = ref [] in
   Matrix.iter_edges m (fun i j _ ->
-      let r = System.prediction_ratio system i j in
+      let r =
+        Alert.probed_ratio ~label:"test" ~engine:(System.engine system)
+          ~predicted:(System.predictor system) i j
+      in
       if not (Float.is_nan r) then begin
         let s = Matrix.get sev i j in
         if r < 0.5 then shrunk := s :: !shrunk else healthy := s :: !healthy

@@ -80,6 +80,27 @@ let test_histogram_special_values () =
   Alcotest.(check (float 1e-9)) "sum skips non-finite" 1.5 (Histogram.sum h);
   Alcotest.(check (float 1e-9)) "mean over binned count" 0.75 (Histogram.mean h)
 
+(* A quantile whose rank lies past the last edge is only that edge as
+   a lower bound; [overflowed] says which quantiles those are. *)
+let test_histogram_overflowed () =
+  let h = Histogram.create ~edges:[| 1.; 2. |] in
+  Alcotest.(check bool) "empty never overflows" false (Histogram.overflowed h 0.5);
+  Histogram.observe h 3.;
+  Alcotest.(check bool) "all mass past the edges, even at q = 0" true
+    (Histogram.overflowed h 0.);
+  Histogram.observe h 0.5;
+  Histogram.observe h 3.;
+  Histogram.observe h 3.;
+  Alcotest.(check bool) "rank inside the finite buckets" false
+    (Histogram.overflowed h 0.25);
+  Alcotest.(check (float 1e-9)) "interpolated quantile" 1. (Histogram.quantile h 0.25);
+  Alcotest.(check bool) "rank past the finite buckets" true
+    (Histogram.overflowed h 0.5);
+  Alcotest.(check (float 1e-9)) "overflow reports the last edge" 2.
+    (Histogram.quantile h 0.5);
+  Alcotest.(check bool) "q outside [0, 1] rejected" true
+    (raises_invalid (fun () -> Histogram.overflowed h 1.5))
+
 (* ---------------------------------------------------------------- *)
 (* Trace ring                                                        *)
 
@@ -319,6 +340,8 @@ let () =
           Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
           Alcotest.test_case "histogram special values" `Quick
             test_histogram_special_values;
+          Alcotest.test_case "histogram overflowed quantiles" `Quick
+            test_histogram_overflowed;
           Alcotest.test_case "trace ring" `Quick test_trace_ring;
         ] );
       ( "registry",

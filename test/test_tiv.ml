@@ -292,8 +292,11 @@ let test_alert_thresholding () =
   let alerted = Alert.alerted ~ratios ~threshold:0.5 in
   Alcotest.(check int) "only CA alerted" 1 (Array.length alerted);
   Alcotest.(check (pair int int)) "CA" (0, 2) alerted.(0);
-  Alcotest.(check bool) "is_alert CA" true (Alert.is_alert ~ratios ~threshold:0.5 0 2);
-  Alcotest.(check bool) "is_alert AB" false (Alert.is_alert ~ratios ~threshold:0.5 0 1)
+  Alcotest.(check bool) "CA shrunk" true
+    (Alert.shrunk ~threshold:0.5 (Matrix.get ratios 0 2));
+  Alcotest.(check bool) "AB not shrunk" false
+    (Alert.shrunk ~threshold:0.5 (Matrix.get ratios 0 1));
+  Alcotest.(check bool) "nan never shrunk" false (Alert.shrunk ~threshold:0.5 nan)
 
 let test_alert_pairs () =
   let m = paper_triangle () in

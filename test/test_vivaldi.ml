@@ -9,6 +9,7 @@ module Euclidean = Tivaware_topology.Euclidean
 module System = Tivaware_vivaldi.System
 module Trace = Tivaware_vivaldi.Trace
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
+module Alert = Tivaware_tiv.Alert
 
 let checkf_loose eps = Alcotest.check (Alcotest.float eps)
 
@@ -119,15 +120,20 @@ let test_rounds_elapsed () =
   System.run s ~rounds:7;
   Alcotest.(check int) "rounds counted" 7 (System.rounds_elapsed s)
 
-let test_prediction_ratio () =
+(* A system's prediction ratio, probed through its own engine. *)
+let probed_ratio s i j =
+  Alert.probed_ratio ~label:"test" ~engine:(System.engine s)
+    ~predicted:(System.predictor s) i j
+
+let test_system_ratio () =
   let m = Matrix.create 3 in
   Matrix.set m 0 1 10.;
   let config = { System.default_config with System.neighbors_per_node = 1 } in
   let s = System.create ~config (Rng.create 20) m in
-  let r = System.prediction_ratio s 0 1 in
+  let r = probed_ratio s 0 1 in
   checkf_loose 1e-9 "ratio = predicted/measured" (System.predicted s 0 1 /. 10.) r;
   Alcotest.(check bool) "missing edge ratio is nan" true
-    (Float.is_nan (System.prediction_ratio s 0 2))
+    (Float.is_nan (probed_ratio s 0 2))
 
 (* ------------------------------------------------------------------ *)
 (* Height vectors                                                      *)
@@ -258,6 +264,7 @@ let test_protocol_converges () =
 module Engine = Tivaware_measure.Engine
 module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
+module Probe_stats = Tivaware_measure.Probe_stats
 
 let churn_engine ?(outage = 0.) ?(seed = 0) churn m =
   Engine.of_matrix
@@ -409,7 +416,7 @@ let test_refresh_drops_shrunk () =
   let ratios =
     Array.to_list (System.neighbors s 5)
     |> List.filter_map (fun j ->
-           let r = System.prediction_ratio s 5 j in
+           let r = probed_ratio s 5 j in
            if Float.is_nan r then None else Some r)
   in
   let sorted = List.sort compare ratios in
@@ -417,6 +424,44 @@ let test_refresh_drops_shrunk () =
   | least :: _ ->
     Alcotest.(check bool) "kept neighbors not badly shrunk" true (least > 0.2)
   | [] -> Alcotest.fail "no measurable neighbors")
+
+(* The refresh ranks candidates by probes it pays for: on an oracle
+   engine one pass probes every pool member once under
+   "vivaldi-neighbors", and under total loss it learns nothing, so no
+   neighbor set moves. *)
+let test_refresh_probes_through_engine () =
+  let n = 100 and want = 8 in
+  let m = euclidean_matrix 41 n in
+  let config = { System.default_config with System.neighbors_per_node = want } in
+  let s = System.create ~config (Rng.create 42) m in
+  System.run s ~rounds:20;
+  let engine = System.engine s in
+  let count () =
+    Probe_stats.label_count (Engine.stats engine) "vivaldi-neighbors"
+  in
+  Alcotest.(check int) "no refresh probes before a refresh" 0 (count ());
+  Dynamic_neighbors.refresh_neighbors s;
+  Alcotest.(check int) "one probe per pool member" (n * 2 * want) (count ());
+  let lossy =
+    Engine.of_matrix
+      ~config:
+        {
+          Engine.default_config with
+          fault = { Fault.default with Fault.loss = 0.999999 };
+        }
+      m
+  in
+  let s = System.create_with_engine ~config (Rng.create 43) lossy in
+  let before = Array.init n (System.neighbors s) in
+  Dynamic_neighbors.refresh_neighbors s;
+  Array.iteri
+    (fun i ns ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "node %d keeps its neighbors" i)
+        ns (System.neighbors s i))
+    before;
+  Alcotest.(check int) "lost probes still counted" (n * 2 * want)
+    (Probe_stats.label_count (Engine.stats lossy) "vivaldi-neighbors")
 
 let test_run_schedule () =
   let m = tiv_matrix 33 50 in
@@ -465,7 +510,7 @@ let () =
           Alcotest.test_case "neighbor_edges dedupe" `Quick test_neighbor_edges_dedupe;
           Alcotest.test_case "movement tracking" `Quick test_movement_tracking;
           Alcotest.test_case "rounds elapsed" `Quick test_rounds_elapsed;
-          Alcotest.test_case "prediction ratio" `Quick test_prediction_ratio;
+          Alcotest.test_case "prediction ratio" `Quick test_system_ratio;
         ] );
       ( "height",
         [
@@ -495,6 +540,8 @@ let () =
         [
           Alcotest.test_case "refresh preserves count" `Quick test_refresh_preserves_count;
           Alcotest.test_case "refresh drops shrunk edges" `Quick test_refresh_drops_shrunk;
+          Alcotest.test_case "refresh probes through the engine" `Quick
+            test_refresh_probes_through_engine;
           Alcotest.test_case "run schedule" `Quick test_run_schedule;
           Alcotest.test_case "reduces neighbor severity" `Quick
             test_dynamic_reduces_neighbor_severity;
