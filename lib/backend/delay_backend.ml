@@ -27,7 +27,6 @@ type lazy_state = {
 type kind =
   | Dense of Matrix.t
   | Lazy of lazy_state
-  | Sparse of { base : t option; edges : (int * int, float) Hashtbl.t }
   | Fn of (int -> int -> float)
 
 and t = {
@@ -44,7 +43,6 @@ let kind_name t =
   match t.kind with
   | Dense _ -> "dense"
   | Lazy _ -> "lazy"
-  | Sparse _ -> "sparse"
   | Fn _ -> "fn"
 
 let dense m = { size = Matrix.size m; kind = Dense m; inst = None }
@@ -89,14 +87,6 @@ let lazy_synth ?(jitter = 0.05) ?memo ~seed ~size model =
     inst = None;
   }
 
-let sparse ?base ~size () =
-  (match base with
-  | Some b when b.size <> size ->
-    invalid_arg "Delay_backend.sparse: base size mismatch"
-  | _ -> ());
-  if size < 1 then invalid_arg "Delay_backend.sparse: size must be >= 1";
-  { size; kind = Sparse { base; edges = Hashtbl.create 64 }; inst = None }
-
 let of_fn ~size f =
   if size < 1 then invalid_arg "Delay_backend.of_fn: size must be >= 1";
   { size; kind = Fn f; inst = None }
@@ -106,7 +96,6 @@ let materialized t =
   | Dense m -> Matrix.size m * (Matrix.size m - 1) / 2
   | Lazy { memo = Some c; _ } -> Cache.length c
   | Lazy { memo = None; _ } -> 0
-  | Sparse { edges; _ } -> Hashtbl.length edges
   | Fn _ -> 0
 
 let draw_lazy ls i j =
@@ -114,7 +103,7 @@ let draw_lazy ls i j =
   Synthesizer.draw_delay ~jitter:ls.jitter rng ls.model
     ~a:ls.bucket_of.(i) ~b:ls.bucket_of.(j)
 
-(* Free lookups (dense, sparse, fn) count as zero-draw queries. *)
+(* Free lookups (dense, fn) count as zero-draw queries. *)
 let observe_free_query t =
   match t.inst with
   | None -> ()
@@ -122,7 +111,7 @@ let observe_free_query t =
     Obs.Counter.incr inst.queries;
     Obs.Histogram.observe inst.draws 0.
 
-let rec query t i j =
+let query t i j =
   if i < 0 || i >= t.size || j < 0 || j >= t.size then
     invalid_arg "Delay_backend.query: node out of range";
   if i = j then 0.
@@ -134,16 +123,6 @@ let rec query t i j =
     | Fn f ->
       observe_free_query t;
       f i j
-    | Sparse { base; edges } -> begin
-      observe_free_query t;
-      let key = if i < j then (i, j) else (j, i) in
-      match Hashtbl.find_opt edges key with
-      | Some d -> d
-      | None -> (
-        match base with
-        | Some b -> query b i j
-        | None -> nan)
-    end
     | Lazy ls -> begin
       let memo_hit =
         match ls.memo with
@@ -184,21 +163,6 @@ let rec query t i j =
         d
     end
 
-let set t i j d =
-  match t.kind with
-  | Sparse { edges; _ } ->
-    if i < 0 || i >= t.size || j < 0 || j >= t.size then
-      invalid_arg "Delay_backend.set: node out of range";
-    if i = j then invalid_arg "Delay_backend.set: diagonal is fixed at 0";
-    let key = if i < j then (i, j) else (j, i) in
-    if Float.is_nan d then Hashtbl.remove edges key
-    else Hashtbl.replace edges key d;
-    (match t.inst with
-    | Some inst ->
-      Obs.Gauge.set inst.materialized_gauge (float_of_int (Hashtbl.length edges))
-    | None -> ())
-  | _ -> invalid_arg "Delay_backend.set: not a sparse backend"
-
 let matrix t = match t.kind with Dense m -> Some m | _ -> None
 
 let labels t =
@@ -207,33 +171,6 @@ let labels t =
   | _ -> None
 
 let densify t = Matrix.init t.size (fun i j -> query t i j)
-
-let neighbors_sampled t rng i ~k =
-  if i < 0 || i >= t.size then
-    invalid_arg "Delay_backend.neighbors_sampled: node out of range";
-  let n = t.size in
-  let want = min k (n - 1) in
-  if want <= 0 then [||]
-  else begin
-    let picks = Rng.sample_indices rng ~n:(n - 1) ~k:want in
-    let out = ref [] in
-    Array.iter
-      (fun p ->
-        let j = if p >= i then p + 1 else p in
-        let d = query t i j in
-        if not (Float.is_nan d) then out := (j, d) :: !out)
-      picks;
-    Array.of_list (List.rev !out)
-  end
-
-let nearest_sampled t rng i ~k =
-  let candidates = neighbors_sampled t rng i ~k in
-  Array.fold_left
-    (fun best (j, d) ->
-      match best with
-      | Some (_, bd) when bd <= d -> best
-      | _ -> Some (j, d))
-    None candidates
 
 let oracle t =
   match t.kind with

@@ -9,7 +9,7 @@
     abstraction with three implementations:
 
     - {b Dense} — wraps an existing matrix.  Queries are [Matrix.get];
-      {!oracle} returns the historical [Oracle.of_matrix], so every
+      its {!engine} runs over the historical [Oracle.of_matrix], so every
       existing dense pipeline (and its golden trace) is bit-identical.
     - {b Lazy} — synthesizes each queried pair's delay on demand from a
       DS² {!Tivaware_topology.Synthesizer.model}.  Per-pair
@@ -18,9 +18,7 @@
       query order and never needs to be stored — resident state is the
       O(clusters²) model, the O(N) bucket assignment, and an optional
       bounded LRU memo of materialized pairs.
-    - {b Sparse} — a hash table of explicitly [set] edges over an
-      optional base backend (absent pairs fall through; with no base
-      they are [nan]).  For golden fixtures, repairs and overrides.
+    - {b Fn} — an arbitrary delay function ({!of_fn}).
 
     All backends answer [0.] on the diagonal and [nan] for
     unmeasurable pairs, matching the matrix contract. *)
@@ -48,10 +46,6 @@ val lazy_synth :
     Raises [Invalid_argument] on [size < 2], jitter outside [0, 1) or
     [memo < 1]. *)
 
-val sparse : ?base:t -> size:int -> unit -> t
-(** Explicit-edge backend.  Queries hit the edge table first, then
-    [base] (when given; sizes must agree), else [nan]. *)
-
 val of_fn : size:int -> (int -> int -> float) -> t
 (** Wraps an arbitrary symmetric delay function ([0.] diagonal, [nan]
     unmeasurable), e.g. to adapt a function-backed oracle. *)
@@ -64,29 +58,10 @@ val query : t -> int -> int -> float
 (** True delay in ms between two nodes; [0.] on the diagonal, [nan]
     when unmeasurable.  Raises [Invalid_argument] out of range. *)
 
-val set : t -> int -> int -> float -> unit
-(** Sparse backends only ([Invalid_argument] otherwise): sets the
-    delay for a pair ([nan] removes the override so the base shows
-    through again). *)
-
-val neighbors_sampled :
-  t -> Tivaware_util.Rng.t -> int -> k:int -> (int * float) array
-(** [neighbors_sampled t rng i ~k]: [k] distinct nodes sampled
-    uniformly (excluding [i]; capped at [size - 1]) with their measured
-    delays, unmeasurable pairs dropped.  The bounded replacement for
-    [Matrix.neighbors]' O(N) row scan — a lazy space materializes only
-    the sampled pairs. *)
-
-val nearest_sampled :
-  t -> Tivaware_util.Rng.t -> int -> k:int -> (int * float) option
-(** Closest node among a [k]-sample (the bounded replacement for
-    [Matrix.nearest_neighbor]); [None] when every sampled pair is
-    unmeasurable. *)
-
 (** {2 Introspection} *)
 
 val kind_name : t -> string
-(** ["dense"], ["lazy"], ["sparse"] or ["fn"] — the [backend] label on
+(** ["dense"], ["lazy"] or ["fn"] — the [backend] label on
     every {!attach_obs} series. *)
 
 val matrix : t -> Tivaware_delay_space.Matrix.t option
@@ -98,7 +73,7 @@ val labels : t -> int array option
 
 val materialized : t -> int
 (** Pairs currently held resident: all of them for dense, the live
-    memo entries for lazy, the explicit edges for sparse, 0 for fn. *)
+    memo entries for lazy, 0 for fn. *)
 
 val densify : t -> Tivaware_delay_space.Matrix.t
 (** Materializes the full matrix by querying every pair — O(N²); the
@@ -107,16 +82,13 @@ val densify : t -> Tivaware_delay_space.Matrix.t
 (** {2 Measurement plane} *)
 
 type Tivaware_measure.Oracle.ext += Backend of t
-(** How an oracle built by {!oracle} remembers its backend. *)
-
-val oracle : t -> Tivaware_measure.Oracle.t
-(** Dense backends return [Oracle.of_matrix] (bit-identical to the
-    historical path, backing matrix included); every other kind returns
-    a function-backed oracle tagged with {!Backend} so {!of_engine} can
-    recover it. *)
+(** How an engine's oracle built by {!engine} remembers its backend. *)
 
 val engine : ?config:Tivaware_measure.Engine.config -> t -> Tivaware_measure.Engine.t
-(** [Engine.create] over {!oracle}. *)
+(** [Engine.create] over an oracle for this backend: dense backends
+    use [Oracle.of_matrix] (bit-identical to the historical path,
+    backing matrix included); every other kind a function-backed
+    oracle tagged with {!Backend} so {!of_engine} can recover it. *)
 
 val of_engine : Tivaware_measure.Engine.t -> t
 (** Recovers the backend the engine's oracle was built from: the

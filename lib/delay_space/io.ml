@@ -59,16 +59,7 @@ let reconcile symmetrize a b =
     | `Max -> Float.max a b
     | `Mean -> (a +. b) /. 2.)
 
-let of_square ?(symmetrize = `Mean) rows =
-  let n = Array.length rows in
-  Array.iter
-    (fun row ->
-      if Array.length row <> n then
-        invalid_arg "Io.of_square: matrix is not square")
-    rows;
-  Matrix.init n (fun i j -> reconcile symmetrize rows.(i).(j) rows.(j).(i))
-
-let load_square ?symmetrize path =
+let load_square ?(symmetrize = `Mean) path =
   let parse_cell s =
     match float_of_string_opt s with
     | Some v when v > 0. && Float.is_finite v -> v
@@ -101,4 +92,4 @@ let load_square ?symmetrize path =
           (Printf.sprintf "Io.load_square: row %d has %d cells, expected %d" k
              (Array.length row) n))
     rows;
-  of_square ?symmetrize rows
+  Matrix.init n (fun i j -> reconcile symmetrize rows.(i).(j) rows.(j).(i))

@@ -18,7 +18,3 @@ val load_square : ?symmetrize:[ `Min | `Max | `Mean ] -> string -> Matrix.t
     delay values.  Non-positive and non-numeric entries become missing.
     Asymmetric inputs are reconciled per [symmetrize] (default [`Mean]).
     Raises [Failure] on ragged input. *)
-
-val of_square : ?symmetrize:[ `Min | `Max | `Mean ] -> float array array -> Matrix.t
-(** Same reconciliation, from an in-memory square matrix ([nan] =
-    missing).  Raises [Invalid_argument] on a non-square input. *)

@@ -48,12 +48,10 @@ let map f t =
   iter_edges t (fun i j v -> set out i j (f i j v));
   out
 
-let fold_edges t ~init ~f =
-  let acc = ref init in
-  iter_edges t (fun i j v -> acc := f !acc i j v);
-  !acc
-
-let edge_count t = fold_edges t ~init:0 ~f:(fun acc _ _ _ -> acc + 1)
+let edge_count t =
+  let count = ref 0 in
+  iter_edges t (fun _ _ _ -> incr count);
+  !count
 
 let edges t =
   let out = ref [] in
@@ -85,5 +83,3 @@ let nearest_neighbor t i =
   !best
 
 let row t i = Array.init t.n (fun j -> get t i j)
-
-let complete t = Array.for_all (fun v -> not (Float.is_nan v)) t.cells

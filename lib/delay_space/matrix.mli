@@ -38,8 +38,6 @@ val map : (int -> int -> float -> float) -> t -> t
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
 (** Iterates present entries with [i < j]. *)
 
-val fold_edges : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
-
 val edge_count : t -> int
 (** Number of present (unordered) edges. *)
 
@@ -57,6 +55,3 @@ val nearest_neighbor : t -> int -> (int * float) option
 
 val row : t -> int -> float array
 (** [row t i] is the dense row [i] ([nan] where missing, 0 at [i]). *)
-
-val complete : t -> bool
-(** [true] when every off-diagonal entry is present. *)

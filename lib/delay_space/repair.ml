@@ -19,16 +19,6 @@ let fill_missing_shortest_path m =
     out
   end
 
-let fill_missing_constant m ~value =
-  let n = Matrix.size m in
-  let out = Matrix.copy m in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Matrix.is_missing out i j then Matrix.set out i j value
-    done
-  done;
-  out
-
 let clamp_outliers m ~percentile =
   if percentile <= 0. || percentile > 100. then
     invalid_arg "Repair.clamp_outliers: percentile must be in (0, 100]";

@@ -12,9 +12,6 @@ val fill_missing_shortest_path : Matrix.t -> Matrix.t
 (** Fills each missing entry with the shortest-path distance through
     measured edges; entries with no path at all stay missing. *)
 
-val fill_missing_constant : Matrix.t -> value:float -> Matrix.t
-(** Fills each missing entry with [value] (e.g. the median delay). *)
-
 val clamp_outliers : Matrix.t -> percentile:float -> Matrix.t
 (** Caps every delay at the given percentile of all present delays
     (e.g. 99.9 to remove timeout artifacts).  Raises

@@ -376,9 +376,7 @@ module Store = struct
     let holders = Array.map (placement chord ~replicas) keys in
     { chord; keys; replicas; index; holders; migrated = 0; rehomes = 0 }
 
-  let key_count t = Array.length t.keys
   let key t i = t.keys.(i)
-  let replicas t = t.replicas
   let primary_of t i = t.holders.(i).(0)
   let holders t i = Array.copy t.holders.(i)
 
@@ -514,9 +512,6 @@ module Stabilizer = struct
       c_revived = counter ~labels "repair.revived";
       c_denied = counter ~labels "repair.denied";
     }
-
-  let config t = t.config
-  let store t = t.store
 
   let totals t =
     let n = Obs.Counter.count in
@@ -717,11 +712,6 @@ module Stabilizer = struct
           if moved > 0 then Obs.Counter.add t.c_migrated (float_of_int moved)
       end
     end
-
-  let sweep t =
-    for u = 0 to Array.length t.chord.ids - 1 do
-      round t u
-    done
 
   (* Recurring schedule: node u's first round fires at
      interval * (u+1) / n, then every interval — the stagger spreads

@@ -125,9 +125,10 @@ type chord := t
 (** A keyspace placed on the ring: each key has a primary copy on its
     live owner and replicas on the owner's first believed-live
     successor-list entries (classical Chord successor-list
-    replication).  {!Store.rehome} re-computes every key's placement
-    against the ring's current beliefs and counts the copies that
-    moved — the data-migration cost of a churn event. *)
+    replication).  A stabilizer round that changed the ring re-computes
+    every key's placement against the ring's current beliefs and counts
+    the copies that moved ({!Store.migrated}) — the data-migration cost
+    of a churn event. *)
 module Store : sig
   type t
 
@@ -137,11 +138,8 @@ module Store : sig
       [Invalid_argument] on a negative replica count, an empty
       keyspace, or a duplicate key. *)
 
-  val key_count : t -> int
   val key : t -> int -> int
   (** Key id at a key index. *)
-
-  val replicas : t -> int
 
   val primary_of : t -> int -> int
   (** Node currently holding the primary copy of a key index. *)
@@ -153,18 +151,12 @@ module Store : sig
   (** Whether [node] currently holds a copy of key id [key] ([false]
       for unknown keys). *)
 
-  val rehome : t -> int
-  (** Re-place every key against the ring's current successor
-      structure and failure beliefs; returns the number of copies that
-      moved to a new holder this sweep (dropped copies are free).
-      Key payload movement is not charged to the probe budget — only
-      the stabilization probes that changed the structure were. *)
-
   val migrated : t -> int
-  (** Cumulative copies moved across all {!rehome} sweeps. *)
+  (** Cumulative copies moved across all re-homing sweeps. *)
 
   val rehomes : t -> int
-  (** Number of {!rehome} sweeps performed. *)
+  (** Number of re-homing sweeps performed (one per stabilizer round that
+      changed the ring, with this store attached). *)
 end
 
 (** {2 Continuous stabilization} *)
@@ -225,8 +217,6 @@ module Stabilizer : sig
       [fingers_per_round], [candidates < 1], or a store built over a
       different ring. *)
 
-  val config : t -> config
-  val store : t -> Store.t option
   val totals : t -> totals
   (** A view of the engine's registry: each field reads the series
       named beside it, [plane] being [config.plane].  Those series are
@@ -242,11 +232,9 @@ module Stabilizer : sig
       answers, refresh the successor list from the successor's,
       notify, and refresh [fingers_per_round] finger slots from the
       per-node cursor.  When the round changed any belief and a store
-      is attached, the keys are re-homed. *)
-
-  val sweep : t -> unit
-  (** {!round} for every node in index order — the direct-driven
-      (simulator-free) way to run stabilization in tests. *)
+      is attached, the keys are re-homed.  Calling it directly, with
+      the engine clock standing still, drives the ring to a fixed
+      point. *)
 
   val schedule : t -> Tivaware_eventsim.Sim.t -> unit
   (** Schedule every node's rounds as recurring simulator events: node

@@ -11,11 +11,7 @@ type config = {
 
 let default_config = { dim = 5; landmarks = 15; restarts = 3 }
 
-type t = {
-  coords : Vec.t array;
-  landmark_ids : int array;
-  landmark_error : float;
-}
+type t = { coords : Vec.t array }
 
 (* Squared relative error, the GNP objective: robust to the delay
    scale and forgiving on long edges. *)
@@ -93,7 +89,7 @@ let fit ?(config = default_config) rng m =
       d;
     if !count = 0 then 100. else !acc /. float_of_int !count
   in
-  let x, landmark_error =
+  let x, _ =
     best_of_restarts rng config.restarts ~init_scale:scale ~dim_total:(l * dim)
       ~f:(landmark_objective d l dim)
   in
@@ -112,9 +108,6 @@ let fit ?(config = default_config) rng m =
       coords.(h) <- x
     end
   done;
-  { coords; landmark_ids; landmark_error }
+  { coords }
 
 let predicted t i j = Vec.dist t.coords.(i) t.coords.(j)
-let coord t i = Vec.copy t.coords.(i)
-let landmarks t = Array.copy t.landmark_ids
-let landmark_error t = t.landmark_error

@@ -25,10 +25,3 @@ val fit :
 
 val predicted : t -> int -> int -> float
 (** Euclidean distance between fitted coordinates. *)
-
-val coord : t -> int -> Tivaware_util.Vec.t
-val landmarks : t -> int array
-
-val landmark_error : t -> float
-(** Final value of the landmark objective (mean squared relative
-    error), a fitting-quality diagnostic. *)

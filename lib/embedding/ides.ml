@@ -17,7 +17,6 @@ let default_config =
 type t = {
   out_vecs : Vec.t array;
   in_vecs : Vec.t array;
-  landmark_ids : int array;
   landmark_rmse : float;
 }
 
@@ -135,7 +134,7 @@ let fit ?(config = default_config) rng m =
       | None -> ()
     end
   done;
-  { out_vecs; in_vecs; landmark_ids; landmark_rmse }
+  { out_vecs; in_vecs; landmark_rmse }
 
 let predicted t i j =
   let a = Vec.dot t.out_vecs.(i) t.in_vecs.(j)
@@ -143,4 +142,3 @@ let predicted t i j =
   Float.max 0. ((a +. b) /. 2.)
 
 let landmark_rmse t = t.landmark_rmse
-let landmarks t = Array.copy t.landmark_ids

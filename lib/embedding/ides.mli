@@ -22,8 +22,6 @@ type config = {
   nonnegative : bool;  (** project factors to [>= 0] (NMF variant) *)
 }
 
-val default_config : config
-
 type t
 
 val fit :
@@ -38,5 +36,3 @@ val predicted : t -> int -> int -> float
 val landmark_rmse : t -> float
 (** Root-mean-square reconstruction error over the landmark matrix —
     a fitting-quality diagnostic. *)
-
-val landmarks : t -> int array

@@ -30,7 +30,6 @@ let fit ?(sample_size = 32) rng system =
   in
   { coords; adjustments }
 
-let adjustment t i = t.adjustments.(i)
 
 let predicted t i j =
   Float.max 0.

@@ -25,6 +25,4 @@ val fit :
     [sample_size] (default 32) random nodes, using the system's current
     coordinates. *)
 
-val adjustment : t -> int -> float
-
 val predicted : t -> int -> int -> float

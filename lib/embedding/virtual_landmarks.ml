@@ -13,9 +13,7 @@ let default_config = { dim = 5; landmarks = 20; scale_sample = 2000 }
 
 type t = {
   coords : Vec.t array;
-  landmark_ids : int array;
   scale : float;
-  explained_variance : float;
 }
 
 let fit ?(config = default_config) rng m =
@@ -60,10 +58,8 @@ let fit ?(config = default_config) rng m =
             Array.iter (fun v -> acc := !acc +. (v.(a) *. v.(b))) centered;
             !acc /. float_of_int n))
   in
-  let total_variance = Array.to_list cov |> List.mapi (fun i row -> row.(i)) |> List.fold_left ( +. ) 0. in
   let eigenpairs = Linalg.symmetric_top_eigenpairs cov ~k:config.dim in
   let components = Array.of_list (List.map snd eigenpairs) in
-  let captured = List.fold_left (fun acc (lambda, _) -> acc +. lambda) 0. eigenpairs in
   let project v = Array.map (fun comp -> Vec.dot v comp) components in
   let coords = Array.map project centered in
   (* Fit the ms-per-unit scale on sampled measured pairs:
@@ -80,16 +76,6 @@ let fit ?(config = default_config) rng m =
     end
   done;
   let scale = if !den < 1e-12 then 1. else !num /. !den in
-  {
-    coords;
-    landmark_ids;
-    scale;
-    explained_variance =
-      (if total_variance < 1e-12 then 1. else captured /. total_variance);
-  }
+  { coords; scale }
 
 let predicted t i j = t.scale *. Vec.dist t.coords.(i) t.coords.(j)
-let coord t i = Vec.copy t.coords.(i)
-let landmarks t = Array.copy t.landmark_ids
-let scale t = t.scale
-let explained_variance t = t.explained_variance

@@ -19,8 +19,6 @@ type config = {
   scale_sample : int;  (** measured pairs used to fit the scale (default 2000) *)
 }
 
-val default_config : config
-
 type t
 
 val fit :
@@ -30,11 +28,3 @@ val fit :
     mean delay imputed. *)
 
 val predicted : t -> int -> int -> float
-val coord : t -> int -> Tivaware_util.Vec.t
-val landmarks : t -> int array
-val scale : t -> float
-(** The fitted ms-per-unit scale factor. *)
-
-val explained_variance : t -> float
-(** Fraction of Lipschitz-vector variance captured by the kept
-    components — a quality diagnostic. *)

@@ -34,30 +34,22 @@ let schedule_every t ?start ~every f =
   let rec fire () = if f () then schedule_after t every fire in
   schedule_after t first fire
 
-let pending t = Pqueue.length t.queue
-
-let step t =
-  match Pqueue.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-    set_clock t time;
-    f ();
-    true
-
 let run ?until t =
   (* No limit runs everything, events at [infinity] included; a [nan]
      limit admits no event. *)
   let limit = Option.value until ~default:infinity in
   while (not (Pqueue.is_empty t.queue)) && Pqueue.min_prio t.queue <= limit do
-    ignore (step t)
+    match Pqueue.pop t.queue with
+    | Some (time, f) ->
+      set_clock t time;
+      f ()
+    | None -> ()
   done;
+  (* An infinite limit is never reached: the clock stays at the last
+     event rather than jumping (and firing the observers) at infinity. *)
   match until with
-  | Some limit when t.clock < limit -> set_clock t limit
+  | Some limit when Float.is_finite limit && t.clock < limit -> set_clock t limit
   | _ -> ()
-
-let reset t =
-  Pqueue.clear t.queue;
-  t.clock <- 0.
 
 let work_cap = 1e7
 

@@ -33,9 +33,6 @@ val schedule_every : t -> ?start:float -> every:float -> (unit -> bool) -> unit
     from all landing on the same timestamp).  Raises [Invalid_argument]
     on a non-positive period or a negative start. *)
 
-val pending : t -> int
-(** Number of events not yet executed. *)
-
 val on_advance : t -> (float -> unit) -> unit
 (** [on_advance t f] registers [f] to be called with the new virtual
     time whenever the clock moves (before the due event runs).
@@ -46,13 +43,9 @@ val on_advance : t -> (float -> unit) -> unit
 val run : ?until:float -> t -> unit
 (** Executes events in order until the queue drains or the next event's
     timestamp exceeds [until].  The clock ends at the last executed
-    event's time (or [until] if given and reached). *)
-
-val step : t -> bool
-(** Executes exactly one event; [false] when the queue is empty. *)
-
-val reset : t -> unit
-(** Clears the queue and rewinds the clock to 0. *)
+    event's time, or at [until] when [until] is finite and past it (the
+    observers see that move).  An infinite [until] is never reached:
+    the clock stays at the last executed event. *)
 
 (** {2 Bounded runs} *)
 

@@ -31,11 +31,7 @@ let validate_config ctx c =
           plane carved)
     c.shares
 
-type t = {
-  carves : (string, Token_bucket.t) Hashtbl.t;
-  granted : (string, int ref) Hashtbl.t;
-  denied : (string, int ref) Hashtbl.t;
-}
+type t = { carves : (string, Token_bucket.t) Hashtbl.t }
 
 let create c =
   validate_config "Arbiter.create" c;
@@ -47,32 +43,9 @@ let create c =
         (Token_bucket.create ~capacity:(c.capacity *. w /. total)
            ~rate:(c.rate *. w /. total)))
     c.shares;
-  { carves; granted = Hashtbl.create 8; denied = Hashtbl.create 8 }
-
-let bump table plane =
-  match Hashtbl.find_opt table plane with
-  | Some r -> incr r
-  | None -> Hashtbl.replace table plane (ref 1)
-
-let count table plane =
-  match Hashtbl.find_opt table plane with Some r -> !r | None -> 0
+  { carves }
 
 let admit t ~now plane =
   match Hashtbl.find_opt t.carves plane with
-  | None ->
-    bump t.granted plane;
-    true
-  | Some carve ->
-    let admitted = Token_bucket.take carve ~now in
-    bump (if admitted then t.granted else t.denied) plane;
-    admitted
-
-let tokens t ~now plane =
-  match Hashtbl.find_opt t.carves plane with
-  | None -> infinity
-  | Some carve ->
-    Token_bucket.refill carve ~now;
-    Token_bucket.tokens carve
-
-let granted t plane = count t.granted plane
-let denied t plane = count t.denied plane
+  | None -> true
+  | Some carve -> Token_bucket.take carve ~now

@@ -28,17 +28,15 @@ type config = {
 
 val config : capacity:float -> rate:float -> shares:(string * float) list -> config
 
-val validate_config : string -> config -> unit
-(** Raises [Invalid_argument] with a [ctx]-prefixed message when the
-    capacity or rate is negative or NaN, a weight is non-positive or
-    NaN, a plane is listed twice, no plane is listed, or a plane's
-    carved capacity is below one token (a deny-all carve). *)
 
 type t
 
 val create : config -> t
-(** Every carve starts full.  Raises [Invalid_argument] on an invalid
-    config ({!validate_config}). *)
+(** Every carve starts full.  Raises [Invalid_argument] naming
+    [Arbiter.create] when the capacity or rate is negative or NaN, a
+    weight is non-positive or NaN, a plane is listed twice, no plane is
+    listed, or a plane's carved capacity is below one token (a deny-all
+    carve). *)
 
 val admit : t -> now:float -> string -> bool
 (** [admit t ~now plane] refills the plane's carve up to [now]
@@ -46,12 +44,3 @@ val admit : t -> now:float -> string -> bool
     [false] (and no withdrawal) when the carve is empty.  A plane
     without a share is always admitted — arbitration only governs the
     planes the config names. *)
-
-val tokens : t -> now:float -> string -> float
-(** Current token count of a plane's carve after refill; [infinity]
-    for unlisted planes. *)
-
-val granted : t -> string -> int
-val denied : t -> string -> int
-(** Cumulative admission outcomes per plane (unlisted planes count
-    under {!granted} too). *)

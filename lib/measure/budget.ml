@@ -56,8 +56,3 @@ let create config ~n =
 let config t = t.config
 
 let try_take t ~now i = Token_bucket.take_pair t.nodes.(i) t.global ~now
-
-let tokens t ~now i =
-  let b = t.nodes.(i) in
-  Token_bucket.refill b ~now;
-  Token_bucket.tokens b

@@ -14,9 +14,6 @@ type config = {
   global_rate : float;  (** engine-wide tokens per logical second *)
 }
 
-val unlimited : config
-(** All bounds [infinity] — every probe admitted. *)
-
 val per_node : capacity:float -> rate:float -> config
 (** Per-node bound only; the engine-wide bucket stays unlimited. *)
 
@@ -37,6 +34,3 @@ val try_take : t -> now:float -> int -> bool
 (** [try_take t ~now node] refills both buckets up to [now] (logical
     seconds) and withdraws one token from the node's bucket and the
     global bucket.  [false] (and no withdrawal) when either is empty. *)
-
-val tokens : t -> now:float -> int -> float
-(** Current per-node token count after refill, for introspection. *)

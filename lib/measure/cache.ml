@@ -19,7 +19,6 @@ type t = {
   capacity : int option;
   entries : (int, entry) Hashtbl.t;
   sentinel : entry;
-  mutable evictions : int;
 }
 
 let make_sentinel () =
@@ -39,12 +38,8 @@ let create ?capacity ~ttl () =
     capacity;
     entries = Hashtbl.create 256;
     sentinel = make_sentinel ();
-    evictions = 0;
   }
 
-let ttl t = t.ttl
-let capacity t = t.capacity
-let evictions t = t.evictions
 
 let unlink e =
   e.prev.next <- e.next;
@@ -116,7 +111,6 @@ let store t ~now i j value =
         let lru = s.prev in
         if lru != s then begin
           drop t lru;
-          t.evictions <- t.evictions + 1;
           1
         end
         else 0
@@ -124,9 +118,3 @@ let store t ~now i j value =
   end
 
 let length t = Hashtbl.length t.entries
-
-let clear t =
-  Hashtbl.reset t.entries;
-  let s = t.sentinel in
-  s.next <- s;
-  s.prev <- s

@@ -20,10 +20,6 @@ val create : ?capacity:int -> ttl:float -> unit -> t
     must be >= 1 when given; [None] = unbounded.  Raises
     [Invalid_argument] with a descriptive message otherwise. *)
 
-val ttl : t -> float
-
-val capacity : t -> int option
-
 type lookup =
   | Hit of float  (** fresh entry (refreshes its recency) *)
   | Stale  (** entry existed but expired; evicted *)
@@ -33,11 +29,10 @@ val find : t -> now:float -> int -> int -> lookup
 
 val code_hit : int
 val code_stale : int
-val code_miss : int
 
 val find_code : t -> now:float -> into:float array -> int -> int -> int
 (** Non-allocating {!find} for the probe hot path: returns
-    {!code_hit}, {!code_stale} or {!code_miss}; on a hit the cached
+    {!code_hit}, {!code_stale}, or a third code on a miss; on a hit the cached
     value is stored (unboxed) in [into.(0)] ([into] must have length
     >= 1, and is untouched otherwise).  Side effects match {!find}
     exactly — a hit refreshes recency, a stale entry is evicted. *)
@@ -49,11 +44,5 @@ val store : t -> now:float -> int -> int -> float -> int
     retain).  Re-storing a cached pair refreshes it in place and never
     evicts. *)
 
-val evictions : t -> int
-(** Cumulative capacity (LRU) evictions; TTL expiries are not counted
-    here (the engine reports those as [stale]). *)
-
 val length : t -> int
 (** Live entries, expired ones included until touched. *)
-
-val clear : t -> unit

@@ -95,7 +95,6 @@ let advance_to t time =
     t.time <- time
   end
 
-let now t = t.time
 
 let transitions t = t.transitions
 

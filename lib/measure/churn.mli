@@ -45,8 +45,6 @@ val config : t -> config
 val churning : t -> int -> bool
 (** Whether the node belongs to the churning subset. *)
 
-val now : t -> float
-
 val is_up : t -> int -> bool
 (** Node state at the schedule's current time (non-churning nodes are
     always up). *)

@@ -78,8 +78,6 @@ let create ?(config = default) base =
   { config; base; time = 0.; flaps = Hashtbl.create 64; route_changes = 0 }
 
 let config t = t.config
-let base t = t.base
-let now t = t.time
 
 let advance_to t time = if time > t.time then t.time <- time
 

@@ -70,14 +70,10 @@ val create : ?config:config -> Profile.t -> t
     [Invalid_argument] on an invalid config. *)
 
 val config : t -> config
-val base : t -> Profile.t
-
 val advance_to : t -> float -> unit
 (** Advance the dynamics clock (monotonic; earlier times are ignored).
     Route-change schedules catch up lazily, per link, on the next
     parameter lookup. *)
-
-val now : t -> float
 
 val link : t -> int -> int -> Profile.link
 (** The link's parameters under the conditions at the current clock:

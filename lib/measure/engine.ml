@@ -249,7 +249,9 @@ let sync_churn t =
   | Some c -> Churn.drive c t.fault ~time:t.clock
 
 (* A nan step or time would stop the clock for good: nan compares
-   false against every later time. *)
+   false against every later time.  An infinite one would never
+   return on a churned engine: churn replays its toggles up to the
+   new clock. *)
 let advance t dt =
   if not (Float.is_finite dt && dt >= 0.) then
     invalid_arg
@@ -258,7 +260,9 @@ let advance t dt =
   sync_churn t
 
 let advance_to t time =
-  if Float.is_nan time then invalid_arg "Engine.advance_to: time is nan";
+  if not (Float.is_finite time) then
+    invalid_arg
+      (Printf.sprintf "Engine.advance_to: time must be finite (got %g)" time);
   if time > t.clock then begin
     t.clock <- time;
     sync_churn t

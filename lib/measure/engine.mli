@@ -121,7 +121,8 @@ val advance : t -> float -> unit
 val advance_to : t -> float -> unit
 (** Monotonic absolute set: earlier times are ignored.  Used to slave
     the engine clock to an event simulator.  Raises [Invalid_argument]
-    on a [nan] time. *)
+    naming [time] when it is not finite ([nan] or infinite: a churned
+    engine would replay toggles for ever to reach infinity). *)
 
 val clock_work : t -> links:int -> until:float -> float
 (** The expected number of transitions the engine replays while its

@@ -182,13 +182,9 @@ let link_down t i j lk =
       v
   end
 
-type attempt = Delivered of float | Dropped
-
 (* The non-allocating attempt used by the probe hot path: the sample
-   lands in [into.(0)] instead of a [Delivered] block, and the link's
-   parameters come from the caller's one lookup per request.  Draw
-   order (loss, then jitter) matches [attempt] exactly — both are the
-   same stream. *)
+   lands in [into.(0)], and the link's parameters come from the
+   caller's one lookup per request.  Draw order: loss, then jitter. *)
 let attempt_into t lk ~rtt ~into =
   if lk.Profile.loss > 0. && Rng.bernoulli t.rng lk.Profile.loss then false
   else begin
@@ -201,10 +197,6 @@ let attempt_into t lk ~rtt ~into =
     into.(0) <- sample;
     true
   end
-
-let attempt t i j ~rtt =
-  let buf = [| nan |] in
-  if attempt_into t (link t i j) ~rtt ~into:buf then Delivered buf.(0) else Dropped
 
 let link_key t i j = (i * t.n) + j
 

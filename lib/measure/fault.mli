@@ -109,25 +109,17 @@ val link_down : t -> int -> int -> Profile.link -> bool
     a memoized draw that is deterministic in [(seed, i, j)] and never
     consumes the main fault stream. *)
 
-type attempt =
-  | Delivered of float  (** jittered RTT sample (extra delay included) *)
-  | Dropped
-
-val attempt : t -> int -> int -> rtt:float -> attempt
-(** One wire attempt on the directed link [i -> j] whose true RTT is
-    [rtt].  Draws loss first, then jitter, so loss and jitter streams
-    stay aligned across profiles with equal parameters; the link's
-    [extra_delay] is added to the RTT before jitter. *)
-
 val attempt_into : t -> Profile.link -> rtt:float -> into:float array -> bool
-(** Non-allocating {!attempt} for the probe hot path, on a link whose
+(** One wire attempt, whose true RTT is [rtt], on a link whose
     parameters the caller looked up once ([link t i j]; the engine
     does so once per request, since its clock does not move between a
-    request's attempts): [true] means delivered, with the sample
-    stored in [into.(0)] (unboxed — [into] must have length >= 1);
-    [false] means dropped and [into] is untouched.  Consumes the
-    generator exactly as {!attempt} does, so the two are
-    interchangeable draw for draw. *)
+    request's attempts).  Draws loss first, then jitter, so loss and
+    jitter streams stay aligned across profiles with equal parameters;
+    the link's [extra_delay] is added to the RTT before jitter.
+    [true] means delivered, with the jittered sample stored in
+    [into.(0)] (unboxed, so the probe hot path allocates nothing;
+    [into] must have length >= 1); [false] means dropped and [into] is
+    untouched. *)
 
 (** {2 Per-link loss estimation and retry budgets} *)
 

@@ -43,11 +43,10 @@ let fail ctx what (field, cond, v) =
 let validate_link ctx ~id l =
   match bad_field l with None -> () | Some bad -> fail ctx ("link " ^ id) bad
 
-let uniform ?(name = "uniform") l =
-  validate_link "Profile.uniform" ~id:(name ^ " (all links)") l;
+let of_rates ~loss ~jitter =
+  let l = { clean with loss; jitter } in
+  validate_link "Profile.uniform" ~id:"uniform (all links)" l;
   Uniform l
-
-let of_rates ~loss ~jitter = uniform { clean with loss; jitter }
 
 let make name f =
   let ctx = "Profile " ^ name in
@@ -62,9 +61,11 @@ let make name f =
 (* ------------------------------------------------------------------ *)
 (* Topology-derived profile                                            *)
 
-(* Link classes mirror Tivaware_topology.Generator.link_class without a
-   dependency on the topology library: the caller hands us its cluster
-   labels ([-1] = noise host). *)
+(* Link classes from the caller's cluster labels ([-1] = noise host),
+   without a dependency on the topology library: anything touching a
+   noise host is dominated by its poor access link; otherwise the path
+   either stays inside one cluster or crosses the inter-cluster
+   backbone. *)
 let class_of_labels cluster_of i j =
   let ci = cluster_of.(i) and cj = cluster_of.(j) in
   if ci < 0 || cj < 0 then `Access

@@ -9,13 +9,13 @@
     the {!Fault} injector consults the profile on every wire attempt.
 
     Profiles are pure: parameter lookup never touches the injector's
-    random stream, so a {!uniform} profile built from the old global
+    random stream, so an {!of_rates} profile built from the old global
     rates reproduces the global model probe for probe under the same
     seed, and an all-zero profile never consults the generator at all
     (bit-identical to oracle mode).
 
     Profiles are valid by construction, so no consumer scans their
-    links: {!uniform}, {!topology} and {!random} check what they are
+    links: {!of_rates}, {!topology} and {!random} check what they are
     built from when they are created, and a {!make} function is checked
     on each link it yields.  Building an engine over any profile costs
     O(1) in the number of links. *)
@@ -42,14 +42,11 @@ val link : t -> int -> int -> link
 (** Parameters of the directed link [i -> j].  Self links are always
     {!clean}. *)
 
-val uniform : ?name:string -> link -> t
-(** Every directed link carries the same parameters — the back-compat
-    constructor the engine builds from a global {!Fault.config}.
-    Raises [Invalid_argument] naming [name] (default ["uniform"]) and
-    the field when the link is out of range. *)
-
 val of_rates : loss:float -> jitter:float -> t
-(** [uniform] over [{ clean with loss; jitter }]. *)
+(** Every directed link carries [{ clean with loss; jitter }] — the
+    back-compat profile the engine builds from a global
+    {!Fault.config}.  Raises [Invalid_argument] naming the field when
+    a rate is out of range. *)
 
 val make : string -> (int -> int -> link) -> t
 (** [make name f]: arbitrary per-link profile; [f i j] must be pure
@@ -85,14 +82,9 @@ val random :
   t
 (** Seeded heterogeneous profile: each directed link draws its loss and
     jitter uniformly from [[0, 2 * base)] (mean = base, so sweeps
-    compare equal average severity against {!uniform}), and is down for
+    compare equal average severity against {!of_rates}), and is down for
     the injector's lifetime with probability [outage] (default 0).
     Parameters depend only on [(seed, i, j)], never on query order.
     Raises [Invalid_argument] naming the field on a NaN or out-of-range
     base ([loss] and [outage] in [[0, 1]], [jitter] in [[0, 1)]); the
     draws are clamped, so every link is then in range. *)
-
-val validate_link : string -> id:string -> link -> unit
-(** [validate_link ctx ~id l] raises [Invalid_argument], as
-    ["ctx: link id: field ..."], on a NaN or out-of-range loss, jitter,
-    outage or extra delay: the range check every constructor applies. *)

@@ -13,8 +13,6 @@ let refill t ~now =
     t.stamp <- now
   end
 
-let tokens t = t.tokens
-
 let take t ~now =
   refill t ~now;
   if t.tokens >= 1. then begin

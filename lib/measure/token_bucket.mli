@@ -11,16 +11,11 @@ type t
 val create : capacity:float -> rate:float -> t
 (** A full bucket, last refilled at time 0. *)
 
-val refill : t -> now:float -> unit
-(** Accrue [rate * (now - last)] tokens, capped at the capacity.  Times
-    at or before the last refill change nothing. *)
-
-val tokens : t -> float
-(** Current level, as of the last {!refill}. *)
-
 val take : t -> now:float -> bool
-(** {!refill} to [now], then withdraw one token; [false] (and no
-    withdrawal) when less than one token is available. *)
+(** Refill to [now] (accrue [rate * (now - last)] tokens, capped at the
+    capacity; times at or before the last refill change nothing), then
+    withdraw one token; [false] (and no withdrawal) when less than one
+    token is available. *)
 
 val take_pair : t -> t -> now:float -> bool
 (** {!take} from two buckets at once (a per-node bucket and the

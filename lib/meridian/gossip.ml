@@ -17,14 +17,13 @@ type t = {
   mutable messages : int;
 }
 
-let known t node =
+let candidates_hook t node =
   match Hashtbl.find_opt t.slot_of node with
-  | None -> invalid_arg "Gossip.known: not a participant"
+  | None -> invalid_arg "Gossip.candidates_hook: not a participant"
   | Some s ->
     let out = Hashtbl.fold (fun id () acc -> id :: acc) t.views.(s) [] in
     Array.of_list (List.sort compare out)
 
-let candidates_hook t node = known t node
 
 let coverage t =
   let count = Array.length t.meridian_nodes in

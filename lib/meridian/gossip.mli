@@ -18,8 +18,6 @@ type config = {
   fanout : int;  (** node ids carried per message (default 8) *)
 }
 
-val default_config : config
-
 type t
 
 val run :
@@ -33,11 +31,10 @@ val run :
 (** Runs the protocol for [duration] virtual seconds.  Gossip to a peer
     with no measured delay is silently dropped (unreachable peer). *)
 
-val known : t -> int -> int array
-(** Participants discovered by a node (never includes itself). *)
-
 val candidates_hook : t -> int -> int array
-(** Shaped for {!Overlay.build}'s [?candidates]. *)
+(** Participants discovered by a node (never includes itself), shaped
+    for {!Overlay.build}'s [?candidates].  Raises [Invalid_argument] on
+    a node that is not a participant. *)
 
 val coverage : t -> float
 (** Mean fraction of the other participants each node knows — 1.0 means

@@ -7,20 +7,12 @@
     close ring.  The census counts the fraction that fall outside this
     window: those are ring-placement errors waiting to happen. *)
 
-type sample = {
-  dij : float;
-  near_nj : int;  (** nodes within [beta * dij] of Nj *)
-  misplaced : int;  (** of those, outside the window around dij at Ni *)
-}
-
-val census :
-  Tivaware_delay_space.Matrix.t -> beta:float -> sample array
-(** One sample per ordered measured pair with [near_nj > 0]. *)
-
 val misplaced_fraction_by_delay :
   Tivaware_delay_space.Matrix.t ->
   beta:float ->
   bin_width:float ->
   (float * float) list
 (** [(bin_center, mean misplaced fraction)] series — the Figure 13
-    curve for one [beta]. *)
+    curve for one [beta].  Each ordered measured pair with at least one
+    node within [beta * dij] of Nj contributes its misplaced share to
+    the bin of [dij]. *)

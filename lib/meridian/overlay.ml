@@ -276,9 +276,6 @@ let repair_engine ?(label = "meridian-repair") t engine =
 
 let pending_reentries t = Hashtbl.length t.pending_reentry
 
-let ring_population t node =
-  Array.map List.length t.rings.(slot t node)
-
 let mean_ring_population t =
   let count = Array.length t.meridian_nodes in
   let sums = Array.make t.config.Ring.rings 0. in

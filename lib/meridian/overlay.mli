@@ -81,9 +81,6 @@ val all_entries : t -> int -> member list
 (** Every ring entry of [node], including both entries of a dual-placed
     member. *)
 
-val ring_population : t -> int -> int array
-(** Member count per ring (1-based index shifted to 0). *)
-
 (** {2 Churn-aware ring maintenance} *)
 
 type repair = {

@@ -20,11 +20,3 @@ let ring_of cfg delay =
     let i = int_of_float (ceil (log (delay /. cfg.alpha) /. log cfg.s)) in
     min cfg.rings (max 1 i)
   end
-
-let inner_radius cfg i =
-  assert (i >= 1 && i <= cfg.rings);
-  if i = 1 then 0. else cfg.alpha *. (cfg.s ** float_of_int (i - 1))
-
-let outer_radius cfg i =
-  assert (i >= 1 && i <= cfg.rings);
-  if i = cfg.rings then infinity else cfg.alpha *. (cfg.s ** float_of_int i)

@@ -28,9 +28,3 @@ val ring_of : config -> float -> int
 (** [ring_of cfg delay] is the 1-based ring index for a member at
     [delay] ms; delays [<= alpha] map to ring 1, delays beyond the
     outermost boundary map to ring [rings]. *)
-
-val inner_radius : config -> int -> float
-(** Inner radius of ring [i] (0 for ring 1). *)
-
-val outer_radius : config -> int -> float
-(** Outer radius of ring [i]; [infinity] for the outermost ring. *)

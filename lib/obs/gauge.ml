@@ -7,9 +7,4 @@ let set t x =
     invalid_arg (Printf.sprintf "Gauge.set: value must be finite (got %g)" x);
   t.v <- x
 
-let add t d =
-  if not (Float.is_finite d) then
-    invalid_arg (Printf.sprintf "Gauge.add: delta must be finite (got %g)" d);
-  t.v <- t.v +. d
-
 let value t = t.v

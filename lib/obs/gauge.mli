@@ -10,8 +10,4 @@ val create : unit -> t
 val set : t -> float -> unit
 (** Raises [Invalid_argument] on a non-finite value. *)
 
-val add : t -> float -> unit
-(** Signed adjustment; raises [Invalid_argument] on a non-finite
-    delta. *)
-
 val value : t -> float

@@ -28,13 +28,7 @@
     interpolation); [mean], [p50] and [p99] are [null] for an empty
     histogram. *)
 
-val to_json : ?clock:float -> Registry.t -> Json.t
-(** [clock] stamps the run's logical end time (the engine clock);
-    omitted when absent. *)
-
-val to_string : ?clock:float -> Registry.t -> string
-(** [Json.to_string] of {!to_json} (indented), plus a trailing
-    newline. *)
-
 val write : ?clock:float -> Registry.t -> string -> unit
-(** Write {!to_string} to a file path. *)
+(** Write the summary (indented JSON plus a trailing newline) to a file
+    path.  [clock] stamps the run's logical end time (the engine
+    clock); omitted when absent. *)

@@ -25,7 +25,6 @@ let record t ~time ~label message =
   t.ring.(t.next) <- Some { time; label; message };
   t.next <- (t.next + 1) mod cap
 
-let length t = t.length
 let dropped t = t.dropped
 
 let events t =

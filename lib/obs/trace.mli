@@ -23,7 +23,6 @@ val record : t -> time:float -> label:string -> string -> unit
 val events : t -> event list
 (** Oldest first. *)
 
-val length : t -> int
 val dropped : t -> int
 (** Events displaced by the capacity bound. *)
 

@@ -44,7 +44,6 @@ let attach t node p =
   t.kids.(p) <- insert t.kids.(p);
   t.parent.(node) <- p
 
-let root t = t.root
 
 let parent t node =
   let p = t.parent.(node) in

@@ -25,7 +25,6 @@ val default_config : config
 
 type t
 
-val root : t -> int
 val parent : t -> int -> int option
 (** [None] for the root and for nodes that failed to join. *)
 

@@ -158,5 +158,3 @@ let run_partition t ~domain ~domains =
 
 let obs t = Engine.obs t.engine
 let clock t = Engine.now t.engine
-let engine t = t.engine
-let size t = t.size

@@ -63,8 +63,6 @@ val obs : t -> Tivaware_obs.Registry.t
 val clock : t -> float
 (** Engine clock after (or during) the run, in seconds. *)
 
-val engine : t -> Tivaware_measure.Engine.t
-val size : t -> int
 
 val latency_edges : float array
 (** Bucket edges of [service.latency_ms] (milliseconds). *)

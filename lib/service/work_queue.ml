@@ -56,5 +56,3 @@ let close t =
       Condition.broadcast t.not_empty;
       Condition.broadcast t.not_full)
 
-let is_closed t = with_lock t (fun () -> t.closed)
-let length t = with_lock t (fun () -> Queue.length t.items)

@@ -26,8 +26,3 @@ val pop : 'a t -> 'a option
 val close : 'a t -> unit
 (** Idempotent.  Wakes every blocked producer and consumer. *)
 
-val is_closed : 'a t -> bool
-
-val length : 'a t -> int
-(** Items currently queued (racy under concurrency, exact when
-    quiescent). *)

@@ -39,9 +39,6 @@ val default_mix : mix
 val validate_mix : mix -> unit
 (** Raises [Invalid_argument] on a negative weight or an all-zero mix. *)
 
-val query_rng : seed:int -> qid:int -> Tivaware_util.Rng.t
-(** The query's private generator. *)
-
 val draws :
   seed:int -> qid:int -> rate:float option -> mix -> float * kind * Tivaware_util.Rng.t
 (** [(gap, kind, rng)] for one query: the exponential inter-arrival gap

@@ -5,22 +5,17 @@
     partition is assigned [replicas] distinct {e devices}.  Devices
     carry a relative [weight] (capacity) and live in a failure [zone];
     the builder targets weight-proportional slot counts while keeping a
-    partition's replicas in as many distinct zones as possible.  A
-    rebalance after adding or removing a device moves only the minimal
-    number of partition replicas: the new device pulls at most its
-    (rounded) fair share, a removed device's slots are the only ones
-    reassigned, and no slot moves between surviving devices.
+    partition's replicas in as many distinct zones as possible.
 
-    Everything is a pure function of the construction sequence and the
-    [seed]: same inputs, bit-identical assignment. *)
+    Everything is a pure function of the device specs and the [seed]:
+    same inputs, bit-identical assignment. *)
 
 type spec = { node : int; zone : int; weight : float }
 (** A device to place: the delay-space node it lives on, its failure
     zone, and its relative capacity. *)
 
 type device = { id : int; node : int; zone : int; weight : float }
-(** A placed device.  Ids are dense, assigned in creation order, and
-    never reused after removal. *)
+(** A placed device.  Ids are dense, assigned in spec order. *)
 
 type t
 
@@ -31,19 +26,14 @@ val create : ?seed:int -> part_power:int -> replicas:int -> spec array -> t
     is non-positive or exceeds the device count, a [weight] is not
     positive and finite, or a [node] or [zone] is negative. *)
 
-val part_power : t -> int
 val parts : t -> int
 val replicas : t -> int
-val seed : t -> int
-
-val size : t -> int
-(** Live device count. *)
 
 val devices : t -> device array
-(** Live devices in id order. *)
+(** Devices in id order. *)
 
 val device : t -> int -> device option
-(** [None] for removed or never-assigned ids. *)
+(** [None] for ids outside the ring. *)
 
 val assignment : t -> int -> int array
 (** Device ids assigned to a partition (length [replicas], all
@@ -51,35 +41,17 @@ val assignment : t -> int -> int array
 
 val partition_of : t -> int -> int
 (** Hash an object id to its partition.  Independent of the device
-    set, so rebalances never remap objects to other partitions. *)
+    set: rings over different devices with the same seed map objects
+    to the same partitions. *)
 
 val handoff : t -> int -> int array
-(** The [get_more_nodes] walk: every live device {e not} assigned to
+(** The [get_more_nodes] walk: every device {e not} assigned to
     the partition, in a deterministic seeded order that visits one
     device from each zone missing from the partition before any
     other — so the first handoffs restore zone dispersion.  Never
     repeats an assigned device. *)
 
-val add_device : t -> spec -> int
-(** Adds a device and rebalances: the newcomer steals slots from the
-    most-overfull donors (preferring partitions where its zone is not
-    yet present) until it holds its rounded fair share.  Only
-    donor → newcomer moves happen.  Returns the new id. *)
-
-val remove_device : t -> int -> unit
-(** Removes a live device and reassigns exactly the slots it held to
-    the most-underfull eligible survivors.  Raises [Invalid_argument]
-    on an unknown id or when removal would leave fewer devices than
-    [replicas]. *)
-
-val last_moves : t -> int
-(** Partition-replica slots reassigned by the most recent
-    {!add_device} or {!remove_device} (0 after [create]). *)
-
 val desired_share : t -> int -> float
-(** The weight-proportional slot count the builder targets for a live
+(** The weight-proportional slot count the builder targets for a
     device, capped at [parts] (a device holds at most one replica of a
     partition); excess is redistributed over the uncapped devices. *)
-
-val assigned : t -> int -> int
-(** Slots currently held by a device (0 for removed ids). *)

@@ -177,9 +177,6 @@ let create ?arbiter ~config ~policy ~backend ~engine () =
   }
 
 let ring t = t.ring
-let config t = t.config
-let policy t = t.policy
-let clients t = Array.copy t.clients
 
 let serving t part =
   Array.init t.config.replicas (fun r -> t.serving.((part * t.config.replicas) + r))

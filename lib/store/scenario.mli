@@ -71,17 +71,11 @@ val create :
     to a device), which are named [duration]. *)
 
 val ring : t -> Ring.t
-val config : t -> config
-val policy : t -> Tivaware_tiv.Selection.t
 
-val serving : t -> int -> int array
-(** The device ids currently serving a partition — the ring assignment
-    with believed-dead devices substituted by repair (a copy). *)
-
-val clients : t -> int array
-(** Nodes reads are issued from (every node not hosting a device; all
-    nodes when the sample uses the whole space). *)
-
+(** One GET, as {!run}'s [trace] sees it.  Service delay is the true
+    backend delay plus the dynamics plane's current extra delay on the
+    chosen link, so stale estimates mispredict exactly when routes
+    shift. *)
 type read_outcome = {
   obj : int;
   part : int;
@@ -93,12 +87,10 @@ type read_outcome = {
   handoff : bool;  (** the handoff walk was needed *)
 }
 
-val read : t -> client:int -> obj:int -> read_outcome
-(** One GET at the engine's current clock.  Service delay is the true
-    backend delay plus the dynamics plane's current extra delay on the
-    chosen link, so stale estimates mispredict exactly when routes
-    shift. *)
-
+(** One repair sweep, as {!run}'s [repair_trace] sees it: every
+    device's liveness is probed (plane ["store_repair"]) from its
+    nearest believed-up peer by id; transitions re-home or restore the
+    serving table through the ring's handoff order. *)
 type pass_outcome = {
   pass : int;
   time : float;
@@ -107,12 +99,6 @@ type pass_outcome = {
   restored : int;  (** partitions returned to revived primaries *)
   denied : int;  (** liveness probes refused by the arbiter *)
 }
-
-val repair_pass : t -> pass_outcome
-(** One repair sweep at the engine's current clock: every device's
-    liveness is probed (plane ["store_repair"]) from its nearest
-    believed-up peer by id; transitions re-home or restore the serving
-    table through the ring's handoff order. *)
 
 type repair_totals = {
   passes : int;
@@ -135,8 +121,7 @@ type result = {
 }
 (** A view of the engine's registry: each counted field reads the
     series named beside it once, after the run.  Those series are
-    engine-wide, so the view assumes one scenario per engine, and a
-    {!read} or {!repair_pass} called outside {!run} counts too. *)
+    engine-wide, so the view assumes one scenario per engine. *)
 
 val run :
   ?trace:(read_outcome -> unit) ->

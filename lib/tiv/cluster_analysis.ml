@@ -72,10 +72,6 @@ let analyze_with ~severity ~counts assignment =
     cross_mean_severity = Stats.mean (Array.of_list !cross_sev);
   }
 
-let analyze delays assignment =
-  let severity, counts = Severity.all_with_counts delays in
-  analyze_with ~severity ~counts assignment
-
 let pp ppf t =
   Format.fprintf ppf
     "within: mean_sev=%.4f mean_viol=%.1f  cross: mean_sev=%.4f mean_viol=%.1f@."

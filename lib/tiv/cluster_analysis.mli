@@ -22,19 +22,13 @@ type t = {
   cross_mean_severity : float;
 }
 
-val analyze :
-  Tivaware_delay_space.Matrix.t ->
-  Tivaware_delay_space.Clustering.assignment ->
-  t
-(** [analyze delays assignment] computes severities internally. *)
-
 val analyze_with :
   severity:Tivaware_delay_space.Matrix.t ->
   counts:(int * int * int) array ->
   Tivaware_delay_space.Clustering.assignment ->
   t
-(** Variant reusing a precomputed severity matrix and violation
-    counts (from {!Severity.all_with_counts}). *)
+(** Per-block statistics from a precomputed severity matrix and
+    violation counts ({!Severity.all_with_counts}). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -38,13 +38,10 @@ val coordinate : (int -> int -> float) -> t
 
 val probe : unit -> t
 
-val default_threshold : float
-(** 0.5 — an edge measured at more than twice its predicted distance is
-    flagged as likely-severe. *)
-
 val alert : ?threshold:float -> (int -> int -> float) -> t
 (** [alert predicted] with the prediction-ratio [threshold] (default
-    {!default_threshold}).  Raises [Invalid_argument] naming
+    0.5: an edge measured at more than twice its predicted distance is
+    flagged as likely-severe).  Raises [Invalid_argument] naming
     [Selection.alert] on a non-positive or non-finite threshold. *)
 
 val rank : label:string -> t -> Tivaware_measure.Engine.t -> int -> int -> float

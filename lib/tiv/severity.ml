@@ -86,7 +86,6 @@ let all_with_counts m =
 
 let all m = fst (all_with_counts m)
 
-let severities m = Matrix.delays (all m)
 
 let worst_edges severity_matrix ~fraction =
   assert (fraction >= 0. && fraction <= 1.);

@@ -44,9 +44,6 @@ val all_with_counts :
 (** As {!all}, also returning per-edge violation counts
     [(i, j, count)]. *)
 
-val severities : Tivaware_delay_space.Matrix.t -> float array
-(** Flattened severity samples of every present edge (for CDFs). *)
-
 val worst_edges :
   Tivaware_delay_space.Matrix.t -> fraction:float -> (int * int) array
 (** The [fraction] (e.g. [0.2]) of present edges with the highest

@@ -47,42 +47,3 @@ let census m =
     done
   done;
   finish !triangles !violating !worst
-
-let sample_triangle rng m =
-  let n = Matrix.size m in
-  let i = Rng.int rng n in
-  let j = Rng.int rng n in
-  let k = Rng.int rng n in
-  if i = j || j = k || i = k then None
-  else begin
-    let a = Matrix.get m i j and b = Matrix.get m i k and c = Matrix.get m j k in
-    if Float.is_nan a || Float.is_nan b || Float.is_nan c then None
-    else Some (a, b, c)
-  end
-
-let sampled_census rng m ~samples =
-  let triangles = ref 0 and violating = ref 0 and worst = ref 1. in
-  for _ = 1 to samples do
-    match sample_triangle rng m with
-    | None -> ()
-    | Some (a, b, c) ->
-      incr triangles;
-      (match classify a b c with
-      | Some ratio ->
-        incr violating;
-        if ratio > !worst then worst := ratio
-      | None -> ())
-  done;
-  finish !triangles !violating !worst
-
-let violation_ratios rng m ~samples =
-  let out = ref [] in
-  for _ = 1 to samples do
-    match sample_triangle rng m with
-    | None -> ()
-    | Some (a, b, c) -> (
-      match classify a b c with
-      | Some ratio -> out := ratio :: !out
-      | None -> ())
-  done;
-  Array.of_list !out

@@ -1,8 +1,7 @@
 (** Triangle census of a delay space.
 
     Supports the in-text claim that ~12% of all triangles in the DS²
-    data violate the triangle inequality, and provides the raw
-    triangulation-ratio distribution earlier studies reported. *)
+    data violate the triangle inequality. *)
 
 type census = {
   triangles : int;  (** triangles with all three edges measured *)
@@ -13,13 +12,3 @@ type census = {
 
 val census : Tivaware_delay_space.Matrix.t -> census
 (** Exact O(n³) count over all measured triangles. *)
-
-val sampled_census :
-  Tivaware_util.Rng.t -> Tivaware_delay_space.Matrix.t -> samples:int -> census
-(** Monte-Carlo estimate for large matrices: [samples] random triangles.
-    [triangles] is the number of valid sampled triangles. *)
-
-val violation_ratios :
-  Tivaware_util.Rng.t -> Tivaware_delay_space.Matrix.t -> samples:int -> float array
-(** Triangulation ratios of violating sampled triangles (for ratio
-    CDFs). *)

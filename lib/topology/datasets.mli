@@ -24,8 +24,6 @@ val name : ?size:int -> preset -> string
     to the preset's scaled-down paper size (DS² 560, Meridian 350,
     p2psim 245, PlanetLab 229, keeping the paper's relative sizes). *)
 
-val params : ?size:int -> preset -> Generator.params
-
 val generate : ?size:int -> seed:int -> preset -> Generator.t
 (** Generates the preset's delay space deterministically from [seed]. *)
 

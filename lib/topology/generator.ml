@@ -72,18 +72,6 @@ type t = {
   params : params;
 }
 
-type link_class = Access | Intra_cluster | Inter_cluster
-
-(* End-to-end paths fall into the three structural classes the model is
-   built from: anything touching a noise host is dominated by its poor
-   access link; otherwise the path either stays inside one cluster or
-   crosses the inter-cluster backbone. *)
-let link_class t i j =
-  let ci = t.cluster_of.(i) and cj = t.cluster_of.(j) in
-  if ci < 0 || cj < 0 then Access
-  else if ci = cj then Intra_cluster
-  else Inter_cluster
-
 let validate p =
   let err msg = Error msg in
   let total_fraction =

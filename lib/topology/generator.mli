@@ -67,16 +67,3 @@ type t = {
 val generate : Tivaware_util.Rng.t -> params -> t
 (** Raises [Invalid_argument] on inconsistent parameters (fractions not
     summing to ~1, too few nodes for the requested clusters, ...). *)
-
-type link_class =
-  | Access  (** at least one endpoint is a noise host: the path is
-                dominated by its heavy-tailed access link *)
-  | Intra_cluster  (** both endpoints in the same major cluster *)
-  | Inter_cluster  (** the path crosses the inter-cluster backbone *)
-
-val link_class : t -> int -> int -> link_class
-(** Structural class of the end-to-end path between two nodes, from the
-    ground-truth cluster assignment.  Feeds topology-derived per-link
-    fault profiles ([Tivaware_measure.Profile.topology]). *)
-
-val validate : params -> (unit, string) result

@@ -1,21 +1,16 @@
 module Rng = Tivaware_util.Rng
 module Pqueue = Tivaware_util.Pqueue
 
-type t = { n : int; adj : (int * float) list array; mutable edges : int }
+type t = { n : int; adj : (int * float) list array }
 
-let create n = { n; adj = Array.make n []; edges = 0 }
-
-let size t = t.n
+let create n = { n; adj = Array.make n [] }
 
 let add_edge t a b w =
   if a = b then invalid_arg "Router_graph.add_edge: self-loop";
   if w <= 0. then invalid_arg "Router_graph.add_edge: non-positive weight";
   assert (a >= 0 && a < t.n && b >= 0 && b < t.n);
   t.adj.(a) <- (b, w) :: t.adj.(a);
-  t.adj.(b) <- (a, w) :: t.adj.(b);
-  t.edges <- t.edges + 1
-
-let edge_count t = t.edges
+  t.adj.(b) <- (a, w) :: t.adj.(b)
 
 let neighbors t i = t.adj.(i)
 

@@ -10,14 +10,10 @@ type t
 val create : int -> t
 (** [create n] is an edgeless graph on routers [0 .. n-1]. *)
 
-val size : t -> int
-
 val add_edge : t -> int -> int -> float -> unit
 (** Adds an undirected edge; parallel edges are allowed (shortest paths
     use the cheapest).  Raises [Invalid_argument] on self-loops or
     non-positive weights. *)
-
-val edge_count : t -> int
 
 val neighbors : t -> int -> (int * float) list
 

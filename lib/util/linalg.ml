@@ -77,11 +77,6 @@ let lstsq a b =
   let atb = mat_vec at b in
   solve ata atb
 
-let frobenius a =
-  let acc = ref 0. in
-  Array.iter (fun row -> Array.iter (fun x -> acc := !acc +. (x *. x)) row) a;
-  sqrt !acc
-
 let symmetric_top_eigenpairs ?(iterations = 200) c ~k =
   let n = Array.length c in
   assert (n > 0 && Array.length c.(0) = n);

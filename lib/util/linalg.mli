@@ -8,23 +8,11 @@
 exception Singular
 (** Raised when a system has no unique solution (pivot below tolerance). *)
 
-val solve : float array array -> float array -> float array
-(** [solve a b] solves [a x = b] for square [a].  Raises {!Singular}. *)
-
 val lstsq : float array array -> float array -> float array
 (** [lstsq a b] minimizes [||a x - b||_2] for an [m x n] matrix with
     [m >= n], solving the normal equations [aᵀa x = aᵀ b] with a small
     ridge term for stability.  Raises {!Singular} if the system is
     degenerate even after regularization. *)
-
-val mat_vec : float array array -> float array -> float array
-
-val mat_mul : float array array -> float array array -> float array array
-
-val transpose : float array array -> float array array
-
-val frobenius : float array array -> float
-(** Frobenius norm. *)
 
 val symmetric_top_eigenpairs :
   ?iterations:int -> float array array -> k:int -> (float * float array) list

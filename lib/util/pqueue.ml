@@ -9,7 +9,6 @@ type 'a t = {
 let create () = { data = [||]; size = 0; next_seq = 0 }
 
 let is_empty q = q.size = 0
-let length q = q.size
 
 let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
 
@@ -65,11 +64,4 @@ let pop q =
     Some (top.prio, top.value)
   end
 
-let peek q = if q.size = 0 then None else Some (q.data.(0).prio, q.data.(0).value)
-
 let min_prio q = if q.size = 0 then infinity else q.data.(0).prio
-
-let clear q =
-  q.data <- [||];
-  q.size <- 0;
-  q.next_seq <- 0

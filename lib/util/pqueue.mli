@@ -8,7 +8,6 @@ type 'a t
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 val push : 'a t -> float -> 'a -> unit
 (** [push q priority v] inserts [v]. *)
@@ -17,10 +16,6 @@ val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element; earliest-inserted
     wins ties. *)
 
-val peek : 'a t -> (float * 'a) option
-
 val min_prio : 'a t -> float
-(** The minimum priority, [infinity] when the queue is empty; unlike
-    {!peek} it allocates nothing. *)
-
-val clear : 'a t -> unit
+(** The minimum priority, [infinity] when the queue is empty; it
+    allocates nothing. *)

@@ -6,11 +6,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 on the empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance; 0 when fewer than two samples. *)
-
-val stddev : float array -> float
-
 val sorted_copy : float array -> float array
 
 val percentile_sorted : float array -> float -> float
@@ -29,7 +24,7 @@ val min_max : float array -> float * float
 type summary = {
   count : int;
   mean : float;
-  stddev : float;
+  stddev : float;  (** unbiased sample standard deviation; 0 below two samples *)
   min : float;
   p10 : float;
   p50 : float;

@@ -3,22 +3,7 @@ type t = float array
 let zero d = Array.make d 0.
 let copy = Array.copy
 let dim = Array.length
-
-let add a b =
-  assert (dim a = dim b);
-  Array.mapi (fun i x -> x +. b.(i)) a
-
-let sub a b =
-  assert (dim a = dim b);
-  Array.mapi (fun i x -> x -. b.(i)) a
-
 let scale k a = Array.map (fun x -> k *. x) a
-
-let add_inplace dst src =
-  assert (dim dst = dim src);
-  for i = 0 to dim dst - 1 do
-    dst.(i) <- dst.(i) +. src.(i)
-  done
 
 let dot a b =
   assert (dim a = dim b);
@@ -39,11 +24,6 @@ let dist a b =
   done;
   sqrt !acc
 
-let unit_direction a b =
-  let d = sub a b in
-  let n = norm d in
-  if n < 1e-12 then None else Some (scale (1. /. n) d)
-
 let random_unit rng d =
   let v = Array.init d (fun _ -> Rng.gauss rng ~mean:0. ~stddev:1.) in
   let n = norm v in
@@ -53,10 +33,3 @@ let random_unit rng d =
     v
   end
   else scale (1. /. n) v
-
-let pp ppf v =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf x -> Format.fprintf ppf "%.3f" x))
-    (Array.to_list v)

@@ -1,30 +1,15 @@
 (** Small dense float vectors for coordinate embeddings.
 
     Vectors are plain [float array]s; all operations allocate fresh
-    results unless the name says otherwise.  Dimensions must agree; this
-    is enforced with assertions. *)
+    results.  Dimensions must agree; this is enforced with assertions. *)
 
 type t = float array
 
 val zero : int -> t
 val copy : t -> t
-val dim : t -> int
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-val add_inplace : t -> t -> unit
-(** [add_inplace dst src] accumulates [src] into [dst]. *)
-
 val dot : t -> t -> float
-val norm : t -> float
 val dist : t -> t -> float
 (** Euclidean distance. *)
 
-val unit_direction : t -> t -> t option
-(** [unit_direction a b] is the unit vector pointing from [b] toward [a],
-    or [None] when the two points coincide. *)
-
 val random_unit : Rng.t -> int -> t
 (** Uniformly random direction (isotropic via Gaussian components). *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,6 +1,5 @@
 type t = {
   n : int;
-  s : float;
   cumulative : float array;  (* cumulative.(r) = P(rank <= r); last = 1 *)
 }
 
@@ -19,10 +18,7 @@ let create ~n ~s =
     cumulative.(r) <- cumulative.(r) /. norm
   done;
   cumulative.(n - 1) <- 1.;
-  { n; s; cumulative }
-
-let n t = t.n
-let s t = t.s
+  { n; cumulative }
 
 let probability t r =
   if r < 0 || r >= t.n then invalid_arg "Zipf.probability: rank out of range";

@@ -15,11 +15,9 @@ val create : n:int -> s:float -> t
     concentrates mass on low ranks).  Raises [Invalid_argument] when
     [n < 1] or [s] is negative or NaN. *)
 
-val n : t -> int
-val s : t -> float
-
 val sample : t -> Rng.t -> int
 (** A rank in [0, n), rank 0 most popular.  One generator draw. *)
 
 val probability : t -> int -> float
-(** The sampling probability of a rank (for assertions and tables). *)
+(** The sampling probability of a rank: the closed form the sampler's
+    empirical frequencies are checked against. *)

@@ -20,19 +20,17 @@ type schedule = {
   iterations : int;
 }
 
-val refresh_neighbors : System.t -> unit
-(** One refresh step for every node: sample as many new random
-    candidates as the node currently has, probe the prediction ratio of
-    every candidate in the union, and keep the top half (largest
-    ratios — the least shrunk edges).  A node with fewer measured
-    candidates than neighbors keeps its current set. *)
-
 val run :
   ?on_iteration:(int -> System.t -> unit) ->
   System.t ->
   schedule ->
   unit
-(** Runs the schedule: embed, refresh, repeat.  [on_iteration k system]
+(** Runs the schedule: embed, refresh, repeat.  A refresh step covers
+    every node: sample as many new random candidates as the node
+    currently has, probe the prediction ratio of every candidate in the
+    union, and keep the top half (largest ratios — the least shrunk
+    edges); a node with fewer measured candidates than neighbors keeps
+    its current set.  [on_iteration k system]
     is called after iteration [k] (1-based) has embedded and refreshed —
     use it to snapshot neighbor-edge severities or selection quality at
     the iteration counts the paper plots (1, 2, 5, 10). *)

@@ -18,8 +18,6 @@ type config = {
   jitter : float;  (** uniform fraction of the period (default 0.1) *)
 }
 
-val default_config : config
-
 type stats = {
   probes_sent : int;
   probes_completed : int;  (** responses applied before the deadline *)

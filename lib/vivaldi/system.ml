@@ -1,6 +1,5 @@
 module Rng = Tivaware_util.Rng
 module Vec = Tivaware_util.Vec
-module Welford = Tivaware_util.Welford
 module Matrix = Tivaware_delay_space.Matrix
 module Engine = Tivaware_measure.Engine
 module Backend = Tivaware_backend.Delay_backend
@@ -34,8 +33,6 @@ type t = {
   coords : Vec.t array;
   errors : float array;
   neighbor_sets : int array array;
-  mutable movement : Welford.t;
-  mutable rounds : int;
 }
 
 let random_neighbors rng n self count =
@@ -68,16 +65,12 @@ let create_with_engine ?(config = default_config) rng engine =
     errors = Array.make n 1.;
     neighbor_sets =
       Array.init n (fun i -> random_neighbors rng n i config.neighbors_per_node);
-    movement = Welford.create ();
-    rounds = 0;
   }
 
 let create ?config rng matrix =
   create_with_engine ?config rng (Engine.of_matrix matrix)
 
-let config t = t.config
 let size t = Array.length t.coords
-let backend t = t.backend
 
 let matrix t =
   match Backend.matrix t.backend with
@@ -143,35 +136,24 @@ let observe_rtt t i j rtt =
     let force = delta *. (rtt -. dist) in
     (* Euclidean part: move along the unit vector from j toward i. *)
     let eu = euclidean_part_dist t xi xj in
-    let moved = ref 0. in
     if eu > 1e-12 then
       for d = 0 to dim - 1 do
         let u = (xi.(d) -. xj.(d)) /. eu in
-        let step = force *. u in
-        xi.(d) <- xi.(d) +. step;
-        moved := !moved +. (step *. step)
+        xi.(d) <- xi.(d) +. (force *. u)
       done
     else begin
       let u = Vec.random_unit t.rng dim in
       for d = 0 to dim - 1 do
-        let step = force *. u.(d) in
-        xi.(d) <- xi.(d) +. step;
-        moved := !moved +. (step *. step)
+        xi.(d) <- xi.(d) +. (force *. u.(d))
       done
     end;
     (* Height part: the [x, h] unit vector's height component is
        (h_i + h_j) / dist (Dabek et al.), with the height floored. *)
     if t.config.height && dist > 1e-12 then begin
       let h_component = (xi.(dim) +. xj.(dim)) /. dist in
-      let old_h = xi.(dim) in
-      xi.(dim) <- Float.max min_height (xi.(dim) +. (force *. h_component));
-      let dh = xi.(dim) -. old_h in
-      moved := !moved +. (dh *. dh)
-    end;
-    Welford.add t.movement (sqrt !moved)
+      xi.(dim) <- Float.max min_height (xi.(dim) +. (force *. h_component))
+    end
   end
-
-let observe t i j = observe_rtt t i j (Engine.rtt ~label:"vivaldi" t.engine i j)
 
 let reset_node t i =
   let storage_dim = t.config.dim + if t.config.height then 1 else 0 in
@@ -187,7 +169,10 @@ let round t =
   Array.iter
     (fun i ->
       let ns = t.neighbor_sets.(i) in
-      if Array.length ns > 0 then observe t i (Rng.choice t.rng ns))
+      if Array.length ns > 0 then begin
+        let j = Rng.choice t.rng ns in
+        observe_rtt t i j (Engine.rtt ~label:"vivaldi" t.engine i j)
+      end)
     order;
   (* One synchronous round lasts at least one virtual second of
      measurement-plane time (budget refill, cache aging).  With a
@@ -195,19 +180,12 @@ let round t =
      a round whose measurements cost more than a second takes exactly
      what they cost — convergence time becomes measurement-aware. *)
   let elapsed = Engine.now t.engine -. started in
-  if elapsed < 1. then Engine.advance t.engine (1. -. elapsed);
-  t.rounds <- t.rounds + 1
+  if elapsed < 1. then Engine.advance t.engine (1. -. elapsed)
 
 let run t ~rounds =
   for _ = 1 to rounds do
     round t
   done
-
-let rounds_elapsed t = t.rounds
-
-let movement t = t.movement
-
-let reset_movement t = t.movement <- Welford.create ()
 
 let absolute_errors t =
   let out = ref [] in
@@ -215,13 +193,7 @@ let absolute_errors t =
       out := abs_float (predicted t i j -. d) :: !out);
   Array.of_list !out
 
-let relative_errors t =
-  let out = ref [] in
-  Matrix.iter_edges (matrix t) (fun i j d ->
-      if d > 1e-9 then out := (abs_float (predicted t i j -. d) /. d) :: !out);
-  Array.of_list !out
-
-(* Sampled counterpart of [relative_errors] for backends where
+(* Relative errors over sampled pairs, for backends where
    iterating every pair is off the table (a 100k-node lazy space has
    5e9 pairs). *)
 let sampled_relative_errors t rng ~pairs =

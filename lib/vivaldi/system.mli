@@ -49,16 +49,12 @@ val create_with_engine :
     {!Tivaware_tiv.Alert.probed_ratio} over {!engine} and
     {!predictor}. *)
 
-val config : t -> config
 val size : t -> int
 
 val matrix : t -> Tivaware_delay_space.Matrix.t
 (** The dense ground-truth matrix.  Raises [Invalid_argument] when the
-    system runs over a non-dense backend — use {!backend} (and the
-    sampled error statistics) there. *)
-
-val backend : t -> Tivaware_backend.Delay_backend.t
-(** The ground-truth delay backend evaluation reads. *)
+    system runs over a non-dense backend — use the sampled error
+    statistics ({!sampled_relative_errors}) there. *)
 
 val engine : t -> Tivaware_measure.Engine.t
 (** The measurement plane observations go through ({!create} installs
@@ -88,17 +84,13 @@ val set_neighbors : t -> int -> int array -> unit
 val neighbor_edges : t -> (int * int) list
 (** All (node, neighbor) pairs, normalized to [i < j], deduplicated. *)
 
-val observe : t -> int -> int -> unit
-(** [observe t i j]: node [i] probes its delay to [j] through the
-    engine and updates its coordinate (and error estimate).  No-op when
-    the probe fails (missing measurement, loss, outage, budget
-    denial). *)
-
 val observe_rtt : t -> int -> int -> float -> unit
-(** [observe_rtt t i j rtt] applies an already-measured sample (the
-    event-driven protocol probes the engine itself so the same sample
-    that timed the response updates the coordinate).  No-op on
-    [nan]. *)
+(** [observe_rtt t i j rtt]: node [i] applies a measured delay sample
+    to [j], updating its coordinate (and error estimate).  No-op on
+    [nan] (missing measurement, loss, outage, budget denial).  {!round}
+    probes through the engine; the event-driven protocol probes the
+    engine itself so the same sample that timed the response updates
+    the coordinate. *)
 
 val reset_node : t -> int -> unit
 (** Re-initializes one node's coordinate (small random position, error
@@ -115,22 +107,10 @@ val round : t -> unit
 
 val run : t -> rounds:int -> unit
 
-val rounds_elapsed : t -> int
-
-val movement : t -> Tivaware_util.Welford.t
-(** Distribution of per-update coordinate displacements (ms per step),
-    matching the paper's "movement speed" statistic. *)
-
-val reset_movement : t -> unit
-
 val absolute_errors : t -> float array
 (** |predicted - measured| over all present edges at the current
     state.  Dense systems only (it iterates the full matrix); raises
     [Invalid_argument] otherwise — see {!sampled_relative_errors}. *)
-
-val relative_errors : t -> float array
-(** |predicted - measured| / measured over all present edges.  Dense
-    systems only, as {!absolute_errors}. *)
 
 val sampled_relative_errors :
   t -> Tivaware_util.Rng.t -> pairs:int -> float array

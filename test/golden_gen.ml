@@ -518,6 +518,13 @@ let store () =
         Store_scenario.create ~arbiter ~config ~policy ~backend ~engine:e ()
       in
       let ring = Store_scenario.ring sc in
+      let assigned id =
+        let k = ref 0 in
+        for p = 0 to Store_ring.parts ring - 1 do
+          Array.iter (fun d -> if d = id then incr k) (Store_ring.assignment ring p)
+        done;
+        !k
+      in
       Array.iter
         (fun (d : Store_ring.device) ->
           Printf.fprintf oc
@@ -525,7 +532,7 @@ let store () =
             d.Store_ring.id d.Store_ring.node d.Store_ring.zone
             d.Store_ring.weight
             (Store_ring.desired_share ring d.Store_ring.id)
-            (Store_ring.assigned ring d.Store_ring.id))
+            (assigned d.Store_ring.id))
         (Store_ring.devices ring);
       for p = 0 to Store_ring.parts ring - 1 do
         let ids a =

@@ -62,36 +62,6 @@ let test_dense_query () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_sparse_overrides () =
-  let m = euclidean_matrix 2 10 in
-  let s = Backend.sparse ~base:(Backend.dense m) ~size:10 () in
-  (* Fall-through to the base. *)
-  checkf "base shows through" (Matrix.get m 1 2) (Backend.query s 1 2);
-  Backend.set s 1 2 7.5;
-  checkf "override wins" 7.5 (Backend.query s 1 2);
-  checkf "symmetric" 7.5 (Backend.query s 2 1);
-  Alcotest.(check int) "one edge materialized" 1 (Backend.materialized s);
-  Backend.set s 1 2 nan;
-  checkf "nan removes the override" (Matrix.get m 1 2) (Backend.query s 1 2);
-  (* Without a base, absent pairs are unmeasurable. *)
-  let bare = Backend.sparse ~size:5 () in
-  Alcotest.(check bool) "no base = nan" true
-    (Float.is_nan (Backend.query bare 0 1));
-  Backend.set bare 0 1 3.;
-  checkf "explicit edge" 3. (Backend.query bare 0 1);
-  Alcotest.(check bool) "set on dense raises" true
-    (match Backend.set (Backend.dense m) 0 1 1. with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "diagonal set raises" true
-    (match Backend.set bare 2 2 1. with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "base size mismatch raises" true
-    (match Backend.sparse ~base:(Backend.dense m) ~size:11 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let test_densify_roundtrip () =
   let m = euclidean_matrix 3 25 in
   let d = Backend.densify (Backend.dense m) in
@@ -99,29 +69,6 @@ let test_densify_roundtrip () =
   Matrix.iter_edges m (fun i j v ->
       if not (same_delay (Matrix.get d i j) v) then same := false);
   Alcotest.(check bool) "densify (dense m) = m" true !same
-
-let test_neighbors_sampled () =
-  let m = euclidean_matrix 4 40 in
-  let b = Backend.dense m in
-  let picks = Backend.neighbors_sampled b (Rng.create 5) 7 ~k:10 in
-  Alcotest.(check int) "k samples" 10 (Array.length picks);
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun (j, d) ->
-      Alcotest.(check bool) "never self" true (j <> 7);
-      Alcotest.(check bool) "distinct" false (Hashtbl.mem seen j);
-      Hashtbl.replace seen j ();
-      checkf "delay matches query" (Backend.query b 7 j) d)
-    picks;
-  (* k capped at size - 1. *)
-  Alcotest.(check int) "capped at n-1" 39
-    (Array.length (Backend.neighbors_sampled b (Rng.create 6) 0 ~k:500));
-  match Backend.nearest_sampled b (Rng.create 7) 3 ~k:39 with
-  | None -> Alcotest.fail "expected a nearest node on a complete space"
-  | Some (j, d) ->
-    checkf "nearest is the row minimum" d
-      (snd (Option.get (Matrix.nearest_neighbor m 3)));
-    ignore j
 
 let test_oracle_recovery () =
   let m = euclidean_matrix 8 20 in
@@ -592,9 +539,7 @@ let () =
       ( "query",
         [
           Alcotest.test_case "dense query" `Quick test_dense_query;
-          Alcotest.test_case "sparse overrides" `Quick test_sparse_overrides;
           Alcotest.test_case "densify roundtrip" `Quick test_densify_roundtrip;
-          Alcotest.test_case "neighbors sampled" `Quick test_neighbors_sampled;
           Alcotest.test_case "oracle recovery" `Quick test_oracle_recovery;
         ] );
       ( "dense_equivalence",

@@ -167,11 +167,7 @@ let test_monotone_clock_under_churn () =
     Alcotest.(check bool) "clock never goes backwards" true (now >= !last);
     last := now
   done;
-  Alcotest.(check bool) "charged workload advanced the clock" true (!last > 0.);
-  (* The churn schedule tracked the charged clock. *)
-  let churn = Option.get (Engine.churn e) in
-  Alcotest.(check (float 1e-9)) "churn clock slaved to engine clock"
-    (Engine.now e) (Churn.now churn)
+  Alcotest.(check bool) "charged workload advanced the clock" true (!last > 0.)
 
 let test_meridian_completes_under_churn () =
   (* Online queries through a churning engine terminate (degraded, not

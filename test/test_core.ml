@@ -187,7 +187,7 @@ let test_meridian_build_tiv_aware_dual_entries () =
   in
   let total o =
     Array.fold_left
-      (fun acc node -> acc + Array.fold_left ( + ) 0 (Overlay.ring_population o node))
+      (fun acc node -> acc + List.length (Overlay.all_entries o node))
       0 nodes
   in
   Alcotest.(check bool) "dual placement adds entries" true (total aware > total plain)

@@ -53,8 +53,7 @@ let test_matrix_init_and_edges () =
   let i, j, v = edges.(0) in
   Alcotest.(check int) "first i" 0 i;
   Alcotest.(check int) "first j" 1 j;
-  checkf "first v" 1. v;
-  Alcotest.(check bool) "complete" true (Matrix.complete m)
+  checkf "first v" 1. v
 
 let test_matrix_iter_order () =
   let m = Matrix.init 3 (fun i j -> float_of_int (i + j)) in
@@ -171,20 +170,27 @@ let test_io_square_import () =
   (* 1-2 had -1 one way and 0 the other: both invalid -> missing. *)
   Alcotest.(check bool) "invalid entries missing" true (Matrix.is_missing m 1 2)
 
+(* [load_square] over a square matrix given as text. *)
+let square_of_text ?symmetrize text =
+  let path = temp_path () in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  let m = Io.load_square ?symmetrize path in
+  Sys.remove path;
+  m
+
 let test_io_square_symmetrize_modes () =
-  let rows = [| [| 0.; 10. |]; [| 30.; 0. |] |] in
+  let rows = "0 10\n30 0\n" in
   Alcotest.(check (float 1e-9)) "min" 10.
-    (Matrix.get (Io.of_square ~symmetrize:`Min rows) 0 1);
+    (Matrix.get (square_of_text ~symmetrize:`Min rows) 0 1);
   Alcotest.(check (float 1e-9)) "max" 30.
-    (Matrix.get (Io.of_square ~symmetrize:`Max rows) 0 1);
+    (Matrix.get (square_of_text ~symmetrize:`Max rows) 0 1);
   Alcotest.(check (float 1e-9)) "mean" 20.
-    (Matrix.get (Io.of_square ~symmetrize:`Mean rows) 0 1)
+    (Matrix.get (square_of_text ~symmetrize:`Mean rows) 0 1)
 
 let test_io_square_one_sided () =
   (* A one-sided measurement is kept as-is. *)
-  let rows = [| [| 0.; nan |]; [| 25.; 0. |] |] in
   Alcotest.(check (float 1e-9)) "one-sided kept" 25.
-    (Matrix.get (Io.of_square rows) 0 1)
+    (Matrix.get (square_of_text "0 -1\n25 0\n") 0 1)
 
 let test_io_square_ragged () =
   let path = temp_path () in
@@ -398,13 +404,6 @@ let prop_repair_fill_never_creates_new_violations =
       done;
       !ok)
 
-let test_repair_fill_constant () =
-  let m = Matrix.create 3 in
-  Matrix.set m 0 1 5.;
-  let filled = Repair.fill_missing_constant m ~value:42. in
-  checkf "filled" 42. (Matrix.get filled 1 2);
-  checkf "kept" 5. (Matrix.get filled 0 1)
-
 let test_repair_clamp () =
   let m = Matrix.init 10 (fun i j -> if i = 0 && j = 1 then 1000. else 10.) in
   let clamped = Repair.clamp_outliers m ~percentile:90. in
@@ -495,7 +494,6 @@ let () =
           Alcotest.test_case "unreachable stays missing" `Quick
             test_repair_fill_unreachable_stays_missing;
           prop_repair_fill_never_creates_new_violations;
-          Alcotest.test_case "fill constant" `Quick test_repair_fill_constant;
           Alcotest.test_case "clamp outliers" `Quick test_repair_clamp;
           Alcotest.test_case "drop low degree" `Quick test_repair_drop_low_degree;
         ] );

@@ -55,9 +55,9 @@ let test_run_until () =
   Alcotest.(check (list (float 0.))) "only early events" [ 1.; 2. ]
     (List.rev !fired);
   checkf "clock advanced to limit" 5. (Sim.now sim);
-  Alcotest.(check int) "late events pending" 2 (Sim.pending sim);
   Sim.run sim;
-  Alcotest.(check int) "drained" 0 (Sim.pending sim)
+  Alcotest.(check (list (float 0.))) "late events run next" [ 1.; 2.; 8.; 9. ]
+    (List.rev !fired)
 
 let test_run_until_boundary () =
   (* An event scheduled exactly at the limit executes. *)
@@ -66,21 +66,6 @@ let test_run_until_boundary () =
   Sim.schedule_at sim 5. (fun () -> fired := true);
   Sim.run ~until:5. sim;
   Alcotest.(check bool) "boundary event fires" true !fired
-
-let test_step () =
-  let sim = Sim.create () in
-  Alcotest.(check bool) "empty step" false (Sim.step sim);
-  Sim.schedule_at sim 1. (fun () -> ());
-  Alcotest.(check bool) "one step" true (Sim.step sim);
-  Alcotest.(check bool) "drained" false (Sim.step sim)
-
-let test_reset () =
-  let sim = Sim.create () in
-  Sim.schedule_at sim 4. (fun () -> ());
-  ignore (Sim.step sim);
-  Sim.reset sim;
-  checkf "clock rewound" 0. (Sim.now sim);
-  Alcotest.(check int) "queue empty" 0 (Sim.pending sim)
 
 let test_cascading () =
   (* A chain of events, each scheduling the next: models a query hopping
@@ -127,8 +112,6 @@ let () =
           Alcotest.test_case "negative delay raises" `Quick test_negative_delay_raises;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "run until boundary" `Quick test_run_until_boundary;
-          Alcotest.test_case "step" `Quick test_step;
-          Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "cascading events" `Quick test_cascading;
           Alcotest.test_case "interleaved processes" `Quick test_interleaved_processes;
         ] );

@@ -33,9 +33,7 @@ let test_world_has_clusters_and_tivs () =
   let a = Clustering.cluster m in
   Alcotest.(check int) "three major clusters" 3 (Array.length a.Clustering.clusters);
   let sev = Lazy.force severity in
-  let max_sev =
-    Matrix.fold_edges sev ~init:0. ~f:(fun acc _ _ s -> Float.max acc s)
-  in
+  let max_sev = Array.fold_left Float.max 0. (Matrix.delays sev) in
   Alcotest.(check bool) "severe TIVs exist" true (max_sev > 0.5)
 
 let test_embedding_shrinks_severe_edges () =

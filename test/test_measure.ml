@@ -14,6 +14,7 @@ module Arbiter = Tivaware_measure.Arbiter
 module Engine = Tivaware_measure.Engine
 module Probe_stats = Tivaware_measure.Probe_stats
 module Churn = Tivaware_measure.Churn
+module Sim = Tivaware_eventsim.Sim
 module System = Tivaware_vivaldi.System
 module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
@@ -166,8 +167,7 @@ let test_cache_lru_eviction () =
   Alcotest.(check bool) "new entry kept" true
     (Cache.find c ~now:1. 0 3 = Cache.Hit 30.);
   (* Re-storing a resident pair refreshes in place: no eviction. *)
-  checki "refresh does not evict" 0 (Cache.store c ~now:2. 0 1 11.);
-  checki "cumulative evictions" 1 (Cache.evictions c)
+  checki "refresh does not evict" 0 (Cache.store c ~now:2. 0 1 11.)
 
 (* [find_code] is the non-allocating twin of [find] on the engine hot
    path: same outcome, same recency side effects (a hit refreshes LRU
@@ -176,7 +176,10 @@ let test_cache_lru_eviction () =
 let test_cache_find_code () =
   let c = Cache.create ~ttl:5. () in
   let into = [| nan |] in
-  checki "miss on empty" Cache.code_miss (Cache.find_code c ~now:0. ~into 1 2);
+  let miss name code =
+    Alcotest.(check bool) name true (code <> Cache.code_hit && code <> Cache.code_stale)
+  in
+  miss "miss on empty" (Cache.find_code c ~now:0. ~into 1 2);
   Alcotest.(check bool) "miss leaves out param untouched" true
     (Float.is_nan into.(0));
   ignore (Cache.store c ~now:0. 1 2 42.);
@@ -186,8 +189,7 @@ let test_cache_find_code () =
   checki "stale past ttl" Cache.code_stale (Cache.find_code c ~now:5.1 ~into 1 2);
   checkf "stale leaves out param untouched" (-1.) into.(0);
   (* The stale lookup evicted, exactly like [find]. *)
-  checki "stale evicted the entry" Cache.code_miss
-    (Cache.find_code c ~now:5.1 ~into 1 2);
+  miss "stale evicted the entry" (Cache.find_code c ~now:5.1 ~into 1 2);
   (* A hit through find_code refreshes recency: after touching (0,1),
      the LRU victim of a full cache is (0,2), not (0,1). *)
   let c = Cache.create ~capacity:2 ~ttl:100. () in
@@ -196,24 +198,19 @@ let test_cache_find_code () =
   checki "touch the older entry" Cache.code_hit
     (Cache.find_code c ~now:2. ~into 0 1);
   checki "third store evicts one" 1 (Cache.store c ~now:3. 0 3 30.);
-  checki "victim is the untouched entry" Cache.code_miss
-    (Cache.find_code c ~now:3. ~into 0 2);
+  miss "victim is the untouched entry" (Cache.find_code c ~now:3. ~into 0 2);
   checki "touched entry survives" Cache.code_hit
     (Cache.find_code c ~now:3. ~into 0 1);
-  checkf "and still reads its value" 10. into.(0);
-  checki "eviction counted" 1 (Cache.evictions c)
+  checkf "and still reads its value" 10. into.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection out-param path                                      *)
 
-(* [attempt_into] must consume the generator exactly as [attempt]
-   does: two injectors with the same seed driven through the two entry
-   points must agree drop-for-drop and sample-for-sample — that is
-   what lets the engine hot path switch freely between them.  The
-   engine looks a link up once per request and reuses it for every
-   attempt, so [attempt_into] here reuses one lookup for a burst of
-   attempts on a heterogeneous profile, as [attempt] looks it up each
-   time. *)
+(* The engine looks a link up once per request and reuses it for
+   every attempt: two injectors with the same seed, one reusing a
+   lookup for a burst of attempts on a heterogeneous profile and one
+   looking the link up for each attempt, must agree drop-for-drop and
+   sample-for-sample. *)
 let test_fault_attempt_into_equivalence () =
   let config = { Fault.default with Fault.loss = 0.3; jitter = 0.2 } in
   let profile = Profile.random ~loss:0.3 ~jitter:0.2 ~seed:9 () in
@@ -225,13 +222,11 @@ let test_fault_attempt_into_equivalence () =
     let lk = Fault.link b i j in
     for burst = 0 to k mod 3 do
       let rtt = 50. +. float_of_int (k + burst) in
-      let boxed = Fault.attempt a i j ~rtt in
+      let per_attempt = [| nan |] in
+      let expected = Fault.attempt_into a (Fault.link a i j) ~rtt ~into:per_attempt in
       let delivered = Fault.attempt_into b lk ~rtt ~into in
-      match boxed with
-      | Fault.Delivered d ->
-          Alcotest.(check bool) "both delivered" true delivered;
-          checkf "same jittered sample" d into.(0)
-      | Fault.Dropped -> Alcotest.(check bool) "both dropped" false delivered
+      Alcotest.(check bool) "same outcome" expected delivered;
+      if delivered then checkf "same jittered sample" per_attempt.(0) into.(0)
     done
   done
 
@@ -281,8 +276,6 @@ let test_arbiter_shares () =
   in
   checki "background carve" 10 (drain "chord_stabilize");
   checki "foreground carve" 30 (drain "dht");
-  checki "granted counted" 10 (Arbiter.granted a "chord_stabilize");
-  checki "denied counted" 1 (Arbiter.denied a "chord_stabilize");
   (* Refill is proportional to the share: 4 tokens/s split 1:3. *)
   Alcotest.(check bool) "background refilled one token" true
     (Arbiter.admit a ~now:1. "chord_stabilize");
@@ -294,8 +287,6 @@ let test_arbiter_shares () =
     Alcotest.(check bool) "unlisted plane admitted" true
       (Arbiter.admit a ~now:1. "vivaldi")
   done;
-  checkf "unlisted tokens are infinite" infinity
-    (Arbiter.tokens a ~now:1. "vivaldi");
   (* The clock is monotonic per plane: a lagging [now] neither refills
      nor raises. *)
   Alcotest.(check bool) "stale clock grants nothing extra" false
@@ -357,8 +348,9 @@ let test_budget_global_limit () =
   let m = euclidean_matrix 12 20 in
   let budget =
     {
-      Budget.unlimited with
-      Budget.global_capacity = 3.;
+      Budget.node_capacity = infinity;
+      node_rate = infinity;
+      global_capacity = 3.;
       global_rate = 0.;
     }
   in
@@ -550,7 +542,6 @@ let test_online_loss_inflates_simulator_time () =
      time under 20% loss + jitter than against a lossless network:
      timeouts and retransmit backoff are charged to the simulator
      clock. *)
-  let module Sim = Tivaware_eventsim.Sim in
   let module Online = Tivaware_meridian.Online in
   let m = euclidean_matrix 30 60 in
   let nodes = Rng.sample_indices (Rng.create 31) ~n:60 ~k:30 in
@@ -860,14 +851,32 @@ let test_clock_rejects_non_finite () =
               shown))
         (fun () -> Engine.advance e dt))
     [ (nan, "nan"); (infinity, "inf"); (-1., "-1") ];
-  Alcotest.check_raises "advance_to nan"
-    (Invalid_argument "Engine.advance_to: time is nan") (fun () ->
-      Engine.advance_to e nan);
+  (* On a fully churned engine an infinite time would replay churn
+     toggles for ever; it must raise instead. *)
+  let churned =
+    engine ~churn:{ Churn.default with Churn.fraction = 1. } (euclidean_matrix 61 10)
+  in
+  List.iter
+    (fun (e, time, shown) ->
+      Alcotest.check_raises
+        (Printf.sprintf "advance_to %s" shown)
+        (Invalid_argument
+           (Printf.sprintf "Engine.advance_to: time must be finite (got %s)" shown))
+        (fun () -> Engine.advance_to e time))
+    [ (e, nan, "nan"); (churned, infinity, "inf"); (e, neg_infinity, "-inf") ];
   checkf "clock untouched" 1. (Engine.now e);
   Engine.advance e 10.;
   checkf "advance still moves the clock" 11. (Engine.now e);
   Engine.advance_to e 20.;
-  checkf "advance_to still moves the clock" 20. (Engine.now e)
+  checkf "advance_to still moves the clock" 20. (Engine.now e);
+  (* An infinite simulator limit is never reached: the clock, and the
+     engine slaved to it, stay at the last executed event. *)
+  let sim = Sim.create () in
+  Sim.on_advance sim (Engine.advance_to churned);
+  Sim.schedule_at sim 5. ignore;
+  Sim.run ~until:infinity sim;
+  checkf "simulator clock at the last event" 5. (Sim.now sim);
+  checkf "slaved engine clock at the last event" 5. (Engine.now churned)
 
 let () =
   Alcotest.run "measure"

@@ -12,8 +12,6 @@ module Tiv_aware = Tivaware_meridian.Tiv_aware
 module Backend = Tivaware_backend.Delay_backend
 module Engine = Tivaware_measure.Engine
 
-let checkf = Alcotest.check (Alcotest.float 1e-9)
-
 (* The protocol entries take an engine (probing) or a backend (ground
    truth); these tests build both over a plain matrix. *)
 let oracle m = Engine.of_matrix m
@@ -36,13 +34,6 @@ let test_ring_of_boundaries () =
   Alcotest.(check int) "at 1024" 10 (Ring.ring_of cfg 1024.);
   Alcotest.(check int) "beyond outermost boundary" 11 (Ring.ring_of cfg 5000.)
 
-let test_ring_radii () =
-  checkf "ring 1 inner" 0. (Ring.inner_radius cfg 1);
-  checkf "ring 2 inner" 2. (Ring.inner_radius cfg 2);
-  checkf "ring 2 outer" 4. (Ring.outer_radius cfg 2);
-  Alcotest.(check bool) "outermost outer infinite" true
-    (Ring.outer_radius cfg cfg.Ring.rings = infinity)
-
 let test_unlimited_config () =
   let u = Ring.unlimited_config 500 in
   Alcotest.(check int) "capacity holds all" 500 u.Ring.k;
@@ -53,10 +44,11 @@ let prop_ring_of_consistent_with_radii =
     QCheck2.Gen.(float_range 0.01 10_000.)
     (fun d ->
       let i = Ring.ring_of cfg d in
-      (* The innermost ring also absorbs delays <= alpha; the outermost
-         absorbs everything beyond its inner radius. *)
-      d <= Ring.outer_radius cfg i
-      && (i = 1 || d > Ring.inner_radius cfg i))
+      (* Ring i spans (alpha s^(i-1), alpha s^i]; the innermost ring
+         also absorbs delays <= alpha, the outermost everything beyond
+         its inner radius. *)
+      let radius k = cfg.Ring.alpha *. (cfg.Ring.s ** float_of_int k) in
+      (i = cfg.Ring.rings || d <= radius i) && (i = 1 || d > radius (i - 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Overlay                                                             *)
@@ -99,11 +91,11 @@ let test_overlay_capacity () =
   let overlay, nodes = build_overlay 7 m 60 in
   Array.iter
     (fun node ->
-      Array.iter
-        (fun pop ->
-          Alcotest.(check bool) "ring within capacity" true
-            (pop <= cfg.Ring.k + cfg.Ring.l))
-        (Overlay.ring_population overlay node))
+      for i = 1 to cfg.Ring.rings do
+        Alcotest.(check bool) "ring within capacity" true
+          (List.length (Overlay.ring_members overlay node i)
+          <= cfg.Ring.k + cfg.Ring.l)
+      done)
     nodes
 
 let test_overlay_edge_filter () =
@@ -391,7 +383,7 @@ let test_gossip_views_valid () =
         (fun peer ->
           Alcotest.(check bool) "never self" true (peer <> node);
           Alcotest.(check bool) "only participants" true (List.mem peer node_set))
-        (Gossip.known g node))
+        (Gossip.candidates_hook g node))
     nodes
 
 let test_gossip_overlay_quality () =
@@ -606,8 +598,9 @@ let prop_no_misplacement_on_metric =
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
       let m = Euclidean.uniform_box (Rng.create seed) ~n:20 ~dim:3 ~side_ms:200. in
-      let samples = Misplacement.census m ~beta:0.5 in
-      Array.for_all (fun s -> s.Misplacement.misplaced = 0) samples)
+      List.for_all
+        (fun (_, frac) -> frac = 0.)
+        (Misplacement.misplaced_fraction_by_delay m ~beta:0.5 ~bin_width:100.))
 
 let test_misplacement_paper_triangle () =
   (* AB=5, BC=5, CA=100 plus a 4th node to have intermediates: the
@@ -616,13 +609,13 @@ let test_misplacement_paper_triangle () =
   Matrix.set m 0 1 5.;
   Matrix.set m 1 2 5.;
   Matrix.set m 2 0 100.;
-  let samples = Misplacement.census m ~beta:0.5 in
   (* Pair (0,2): d=100, nodes within 50 of node 2 = {1} (d=5);
-     d(0,1)=5 is outside [50,150] -> misplaced. *)
+     d(0,1)=5 is outside [50,150] -> misplaced, and likewise for (2,0);
+     the short edges have no node near enough to count.  So the bin of
+     d=100 is entirely misplaced. *)
   let found =
-    Array.exists
-      (fun s -> s.Misplacement.dij = 100. && s.Misplacement.misplaced = 1)
-      samples
+    Misplacement.misplaced_fraction_by_delay m ~beta:0.5 ~bin_width:100.
+    = [ (150., 1.) ]
   in
   Alcotest.(check bool) "TIV edge causes misplacement" true found
 
@@ -740,7 +733,6 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "ring_of boundaries" `Quick test_ring_of_boundaries;
-          Alcotest.test_case "radii" `Quick test_ring_radii;
           Alcotest.test_case "unlimited config" `Quick test_unlimited_config;
           prop_ring_of_consistent_with_radii;
         ] );

@@ -17,6 +17,9 @@ let euclidean_matrix seed n =
 
 let oracle m a b = Matrix.get m a b
 
+(* The tree's root: the one member without a parent. *)
+let root t = List.find (fun n -> Multicast.parent t n = None) (Multicast.members t)
+
 let build_oracle ?config seed n =
   let m = euclidean_matrix seed n in
   let order = Rng.permutation (Rng.create (seed + 1)) n in
@@ -59,9 +62,10 @@ let test_root_properties () =
   let t =
     Multicast.build ~predict:(oracle m) (Engine.of_matrix m) ~join_order:order
   in
-  Alcotest.(check int) "root is first joiner" order.(0) (Multicast.root t);
-  Alcotest.(check bool) "root has no parent" true
-    (Multicast.parent t (Multicast.root t) = None)
+  Alcotest.(check int) "root is first joiner" order.(0) (root t);
+  Alcotest.(check int) "exactly one member has no parent" 1
+    (List.length
+       (List.filter (fun n -> Multicast.parent t n = None) (Multicast.members t)))
 
 let test_unjoinable_nodes_left_out () =
   (* A node with no measured edge to anyone cannot join. *)
@@ -214,7 +218,7 @@ let prop_tree_invariant =
              let r = Rng.create rseed in
              let down =
                Array.init n (fun node ->
-                   if node = Multicast.root t then root_down else Rng.int r 100 < pct)
+                   if node = root t then root_down else Rng.int r 100 < pct)
              in
              let allowed () =
                (match Multicast.check t with
@@ -302,7 +306,7 @@ let prop_bound_keeps_choices =
           let pruned = Multicast.refresh ~predict:(counted pruned_calls) t pruned_rng e in
           let reference =
             reference_refresh ~max_degree ~sample:refresh_sample ~known
-              ~predict:(counted reference_calls) ~root:(Multicast.root t) parent degree
+              ~predict:(counted reference_calls) ~root:(root t) parent degree
               reference_rng
           in
           pruned = reference && parents () = parent && Multicast.check t = None

@@ -315,6 +315,9 @@ let test_multicast_tree_connected () =
    orphaned grandchild may fragment away — the tree re-hangs every
    surviving member in a single pass.  Uses the oracle-mode repair so
    the down set can be forced to exactly the root's children. *)
+(* The tree's root: the one member without a parent. *)
+let root t = List.find (fun n -> Multicast.parent t n = None) (Multicast.members t)
+
 let test_multicast_root_children_burst () =
   let m = Lazy.force matrix in
   let join_order =
@@ -333,7 +336,7 @@ let test_multicast_root_children_burst () =
   in
   let before = List.length (Multicast.members t) in
   checki "everyone joined a complete matrix" n before;
-  let victims = Multicast.children t (Multicast.root t) in
+  let victims = Multicast.children t (root t) in
   checkb "root has direct children" true (victims <> []);
   let orphaned =
     List.concat_map (fun v -> Multicast.children t v) victims

@@ -24,7 +24,6 @@ let test_queue_fifo () =
   for i = 1 to 5 do
     Work_queue.push q i
   done;
-  Alcotest.(check int) "length" 5 (Work_queue.length q);
   Work_queue.close q;
   let drained = List.init 6 (fun _ -> Work_queue.pop q) in
   Alcotest.(check (list (option int)))
@@ -35,7 +34,6 @@ let test_queue_fifo () =
 let test_queue_closed_push_raises () =
   let q = Work_queue.create () in
   Work_queue.close q;
-  Alcotest.(check bool) "closed" true (Work_queue.is_closed q);
   Alcotest.(check bool) "push raises" true
     (match Work_queue.push q 1 with
     | exception Invalid_argument _ -> true
@@ -156,8 +154,13 @@ let small_spec ?rate ?(queries = 60) ?(seed = 11) () =
     queries;
   }
 
+(* The summary file of a run, read back. *)
 let summary result =
-  Obs.Summary.to_string ~clock:result.Driver.clock result.Driver.obs
+  let path = Filename.temp_file "tivaware_service" ".json" in
+  Obs.Summary.write ~clock:result.Driver.clock result.Driver.obs path;
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  text
 
 let test_single_domain_matches_sequential () =
   let spec = small_spec () in

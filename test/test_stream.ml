@@ -269,10 +269,7 @@ let test_arbiter_starves_repair () =
   let r = Swarm.run sw in
   checkb "some passes were admitted" true (r.Swarm.repair.Swarm.passes > 0);
   checkb "the starved carve denied passes" true
-    (r.Swarm.repair.Swarm.denied > 0);
-  checki "the arbiter agrees with the result record"
-    r.Swarm.repair.Swarm.denied
-    (Arbiter.denied arbiter "stream_repair")
+    (r.Swarm.repair.Swarm.denied > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Known failure: full churn strands members below the root            *)

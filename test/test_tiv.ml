@@ -176,23 +176,6 @@ let test_census_missing_edges () =
   let c = Triangle.census m in
   Alcotest.(check int) "incomplete triangles skipped" 0 c.Triangle.triangles
 
-let test_sampled_census_approximates () =
-  let data =
-    Tivaware_topology.Datasets.generate ~size:100 ~seed:5 Tivaware_topology.Datasets.Ds2
-  in
-  let m = data.Tivaware_topology.Generator.matrix in
-  let exact = Triangle.census m in
-  let sampled = Triangle.sampled_census (Rng.create 6) m ~samples:60_000 in
-  checkf_loose 0.03 "sampled fraction near exact" exact.Triangle.fraction
-    sampled.Triangle.fraction
-
-let test_violation_ratios () =
-  let ratios = Triangle.violation_ratios (Rng.create 7) (paper_triangle ()) ~samples:500 in
-  Alcotest.(check bool) "found violations" true (Array.length ratios > 0);
-  Array.iter
-    (fun r -> Alcotest.(check bool) "ratio > 1" true (r > 1.))
-    ratios
-
 (* ------------------------------------------------------------------ *)
 (* Cluster analysis                                                    *)
 
@@ -220,7 +203,8 @@ let two_cluster_matrix () =
 let test_cluster_analysis_cross_worse () =
   let m = two_cluster_matrix () in
   let assignment = Clustering.cluster ~k:2 ~radius_ms:50. m in
-  let a = Cluster_analysis.analyze m assignment in
+  let severity, counts = Severity.all_with_counts m in
+  let a = Cluster_analysis.analyze_with ~severity ~counts assignment in
   Alcotest.(check bool) "cross severity exceeds within" true
     (a.Cluster_analysis.cross_mean_severity >= a.Cluster_analysis.within_mean_severity);
   Alcotest.(check bool) "cross violations exceed within" true
@@ -229,7 +213,8 @@ let test_cluster_analysis_cross_worse () =
 let test_cluster_analysis_blocks () =
   let m = two_cluster_matrix () in
   let assignment = Clustering.cluster ~k:2 ~radius_ms:50. m in
-  let a = Cluster_analysis.analyze m assignment in
+  let severity, counts = Severity.all_with_counts m in
+  let a = Cluster_analysis.analyze_with ~severity ~counts assignment in
   let total_edges =
     List.fold_left (fun acc b -> acc + b.Cluster_analysis.edges) 0 a.Cluster_analysis.blocks
   in
@@ -380,8 +365,6 @@ let () =
           Alcotest.test_case "paper triangle census" `Quick test_census_paper_triangle;
           Alcotest.test_case "metric census" `Quick test_census_metric;
           Alcotest.test_case "missing edges skipped" `Quick test_census_missing_edges;
-          Alcotest.test_case "sampled approximates exact" `Quick test_sampled_census_approximates;
-          Alcotest.test_case "violation ratios" `Quick test_violation_ratios;
         ] );
       ( "cluster_analysis",
         [

@@ -3,7 +3,6 @@
 module Rng = Tivaware_util.Rng
 module Stats = Tivaware_util.Stats
 module Vec = Tivaware_util.Vec
-module Welford = Tivaware_util.Welford
 module Matrix = Tivaware_delay_space.Matrix
 module Euclidean = Tivaware_topology.Euclidean
 module System = Tivaware_vivaldi.System
@@ -16,11 +15,14 @@ let checkf_loose eps = Alcotest.check (Alcotest.float eps)
 let euclidean_matrix seed n =
   Euclidean.uniform_box (Rng.create seed) ~n ~dim:3 ~side_ms:200.
 
+(* Relative embedding errors over a fixed sample of pairs. *)
+let relative_errors s = System.sampled_relative_errors s (Rng.create 0) ~pairs:2000
+
 let test_create_shape () =
   let m = euclidean_matrix 1 30 in
   let s = System.create (Rng.create 2) m in
   Alcotest.(check int) "size" 30 (System.size s);
-  Alcotest.(check int) "coordinate dim" 5 (Vec.dim (System.coord s 0));
+  Alcotest.(check int) "coordinate dim" 5 (Array.length (System.coord s 0));
   Alcotest.(check int) "neighbor count clamped to n-1"
     (min System.default_config.System.neighbors_per_node 29)
     (Array.length (System.neighbors s 0));
@@ -48,7 +50,7 @@ let test_euclidean_convergence () =
   let m = euclidean_matrix 6 40 in
   let s = System.create (Rng.create 7) m in
   System.run s ~rounds:400;
-  let rel = System.relative_errors s in
+  let rel = relative_errors s in
   Alcotest.(check bool) "median relative error under 12%" true
     (Stats.median rel < 0.12)
 
@@ -68,7 +70,7 @@ let test_observe_missing_noop () =
   let config = { System.default_config with System.neighbors_per_node = 2 } in
   let s = System.create ~config (Rng.create 10) m in
   let before = System.coord s 0 in
-  System.observe s 0 2;
+  System.observe_rtt s 0 2 (Matrix.get m 0 2);
   Alcotest.(check (array (float 0.))) "no movement on missing measurement" before
     (System.coord s 0)
 
@@ -81,7 +83,7 @@ let test_observe_moves_toward_target () =
   in
   let s = System.create ~config (Rng.create 11) m in
   let err_before = abs_float (System.predicted s 0 1 -. 100.) in
-  System.observe s 0 1;
+  System.observe_rtt s 0 1 (Matrix.get m 0 1);
   let err_after = abs_float (System.predicted s 0 1 -. 100.) in
   Alcotest.(check bool) "error shrank" true (err_after < err_before)
 
@@ -105,20 +107,13 @@ let test_neighbor_edges_dedupe () =
   Alcotest.(check (list (pair int int))) "deduplicated normalized edges"
     [ (0, 1); (0, 2); (0, 3) ] edges
 
-let test_movement_tracking () =
-  let m = euclidean_matrix 16 20 in
-  let s = System.create (Rng.create 17) m in
-  Alcotest.(check int) "no movement initially" 0 (Welford.count (System.movement s));
-  System.run s ~rounds:3;
-  Alcotest.(check bool) "movement recorded" true (Welford.count (System.movement s) > 0);
-  System.reset_movement s;
-  Alcotest.(check int) "reset" 0 (Welford.count (System.movement s))
-
+(* Each round lasts one virtual second on an oracle engine. *)
 let test_rounds_elapsed () =
   let m = euclidean_matrix 18 10 in
   let s = System.create (Rng.create 19) m in
   System.run s ~rounds:7;
-  Alcotest.(check int) "rounds counted" 7 (System.rounds_elapsed s)
+  Alcotest.(check (float 0.)) "rounds counted" 7.
+    (Tivaware_measure.Engine.now (System.engine s))
 
 (* A system's prediction ratio, probed through its own engine. *)
 let probed_ratio s i j =
@@ -154,7 +149,7 @@ let test_height_config_convergence () =
     in
     let s = System.create ~config (Rng.create 40) m in
     System.run s ~rounds:400;
-    Stats.median (System.relative_errors s)
+    Stats.median (relative_errors s)
   in
   let err_flat = run false and err_height = run true in
   Alcotest.(check bool)
@@ -255,7 +250,7 @@ let test_protocol_converges () =
   let s = System.create (Rng.create 53) m in
   let sim = Sim.create () in
   ignore (Protocol.run sim s ~duration:400.);
-  let rel = System.relative_errors s in
+  let rel = relative_errors s in
   Alcotest.(check bool)
     (Printf.sprintf "median rel error %.3f" (Stats.median rel))
     true
@@ -285,7 +280,7 @@ let test_protocol_churn_still_useful () =
   let s = System.create_with_engine (Rng.create 59) (churn_engine churn m) in
   let sim = Sim.create () in
   ignore (Protocol.run sim s ~duration:400.);
-  let rel = System.relative_errors s in
+  let rel = relative_errors s in
   Alcotest.(check bool)
     (Printf.sprintf "median rel error %.3f under churn" (Stats.median rel))
     true
@@ -375,7 +370,7 @@ let test_protocol_reset_node () =
   System.reset_node s 3;
   Alcotest.(check (float 0.)) "error reset" 1. (System.error_estimate s 3);
   Alcotest.(check bool) "coordinate re-randomized near origin" true
-    (Tivaware_util.Vec.norm (System.coord s 3) < 3.)
+    (Tivaware_util.Vec.dist (System.coord s 3) (Tivaware_util.Vec.zero 5) < 3.)
 
 let test_protocol_resumable () =
   let m = euclidean_matrix 54 15 in
@@ -395,12 +390,17 @@ let tiv_matrix seed n =
   (Tivaware_topology.Datasets.generate ~size:n ~seed Tivaware_topology.Datasets.Ds2)
     .Tivaware_topology.Generator.matrix
 
+(* One neighbor refresh with no embedding rounds before it. *)
+let refresh s =
+  Dynamic_neighbors.run s
+    { Dynamic_neighbors.rounds_per_iteration = 0; iterations = 1 }
+
 let test_refresh_preserves_count () =
   let m = tiv_matrix 29 60 in
   let s = System.create (Rng.create 30) m in
   System.run s ~rounds:50;
   let before = Array.length (System.neighbors s 0) in
-  Dynamic_neighbors.refresh_neighbors s;
+  refresh s;
   Alcotest.(check int) "count preserved" before (Array.length (System.neighbors s 0));
   Alcotest.(check bool) "no self neighbor" false
     (Array.exists (( = ) 0) (System.neighbors s 0))
@@ -410,7 +410,7 @@ let test_refresh_drops_shrunk () =
   let m = tiv_matrix 31 60 in
   let s = System.create (Rng.create 32) m in
   System.run s ~rounds:100;
-  Dynamic_neighbors.refresh_neighbors s;
+  refresh s;
   (* After refresh, a node's kept neighbors should not include edges with
      dramatically smaller ratio than the median of its candidates. *)
   let ratios =
@@ -440,7 +440,7 @@ let test_refresh_probes_through_engine () =
     Probe_stats.label_count (Engine.stats engine) "vivaldi-neighbors"
   in
   Alcotest.(check int) "no refresh probes before a refresh" 0 (count ());
-  Dynamic_neighbors.refresh_neighbors s;
+  refresh s;
   Alcotest.(check int) "one probe per pool member" (n * 2 * want) (count ());
   let lossy =
     Engine.of_matrix
@@ -453,7 +453,7 @@ let test_refresh_probes_through_engine () =
   in
   let s = System.create_with_engine ~config (Rng.create 43) lossy in
   let before = Array.init n (System.neighbors s) in
-  Dynamic_neighbors.refresh_neighbors s;
+  refresh s;
   Array.iteri
     (fun i ns ->
       Alcotest.(check (array int))
@@ -472,7 +472,7 @@ let test_run_schedule () =
     s
     { Dynamic_neighbors.rounds_per_iteration = 10; iterations = 4 };
   Alcotest.(check (list int)) "callbacks in order" [ 1; 2; 3; 4 ] (List.rev !iterations);
-  Alcotest.(check int) "rounds accumulated" 40 (System.rounds_elapsed s)
+  Alcotest.(check (float 0.)) "rounds accumulated" 40. (Engine.now (System.engine s))
 
 let test_dynamic_reduces_neighbor_severity () =
   let m = tiv_matrix 35 80 in
@@ -508,7 +508,6 @@ let () =
           Alcotest.test_case "observe moves toward target" `Quick test_observe_moves_toward_target;
           Alcotest.test_case "set_neighbors validation" `Quick test_set_neighbors_validation;
           Alcotest.test_case "neighbor_edges dedupe" `Quick test_neighbor_edges_dedupe;
-          Alcotest.test_case "movement tracking" `Quick test_movement_tracking;
           Alcotest.test_case "rounds elapsed" `Quick test_rounds_elapsed;
           Alcotest.test_case "prediction ratio" `Quick test_system_ratio;
         ] );
