@@ -97,6 +97,12 @@ let overflowed t q =
   let finite = t.count - t.counts.(Array.length t.edges) in
   t.count > 0
   && (finite = 0 || float_of_int finite < q *. float_of_int t.count)
+
+let quantile_label ~decimals t q =
+  let v = quantile t q in
+  if Float.is_nan v then "-"
+  else (if overflowed t q then ">" else "") ^ Printf.sprintf "%.*f" decimals v
+
 let sum t = t.sum
 let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
 let edges t = Array.copy t.edges

@@ -31,14 +31,14 @@ val quantile : t -> float -> float
     interpolated within its bucket (mass assumed uniform over the
     bucket's span; the first bucket spans from [min 0 (first edge)]).
     A rank landing in the overflow bucket reports the last finite edge
-    — a lower bound, see {!overflowed}.  [nan] when the histogram is
+    — a lower bound, see {!quantile_label}.  [nan] when the histogram is
     empty. *)
 
-val overflowed : t -> float -> bool
-(** [overflowed t q]: the [q]-quantile's rank lands in the overflow
-    bucket, so {!quantile} reports only a lower bound (print it as
-    such, e.g. [">50000.0"]).  [false] when empty; [Invalid_argument]
-    for [q] outside [0, 1]. *)
+val quantile_label : decimals:int -> t -> float -> string
+(** {!quantile} printed with [decimals] decimals: ["-"] when the
+    histogram is empty, and prefixed [">"] when the rank lands in the
+    overflow bucket, where the last edge is only a lower bound
+    (e.g. [">50000.0"]).  [Invalid_argument] for [q] outside [0, 1]. *)
 
 val edges : t -> float array
 (** A copy of the upper edges. *)

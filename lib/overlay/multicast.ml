@@ -3,6 +3,8 @@ module Stats = Tivaware_util.Stats
 module Engine = Tivaware_measure.Engine
 module Oracle = Tivaware_measure.Oracle
 module Obs = Tivaware_obs
+module Alert = Tivaware_tiv.Alert
+module Vivaldi = Tivaware_vivaldi.System
 
 type config = {
   max_degree : int;
@@ -10,6 +12,13 @@ type config = {
 }
 
 let default_config = { max_degree = 6; refresh_sample = 16 }
+
+(* What refresh learns from its own measurements, made by the first
+   pass: [build] does no work for it. *)
+type learned = {
+  coords : Vivaldi.t;  (* fed only by the delays refresh measures *)
+  shortlist : int list array;  (* per node, best measured cost first *)
+}
 
 type t = {
   config : config;
@@ -19,6 +28,7 @@ type t = {
   wants : bool array;
   (* group membership intent: everyone from the join order; a detached
      node with [wants] set rejoins when repair finds it up again *)
+  mutable learned : learned option;
 }
 
 (* The root never takes a parent, and every other member has one. *)
@@ -102,6 +112,7 @@ let build ?(config = default_config) ?(label = "multicast") ?predict engine
       parent = Array.make n (-1);
       kids = Array.make n [];
       wants = Array.make n false;
+      learned = None;
     }
   in
   Array.iter (fun node -> t.wants.(node) <- true) join_order;
@@ -161,6 +172,59 @@ let predicted_root_delays t ~predict =
   ignore (depths t ~visit:(fun node p -> out.(node) <- out.(p) +. predict node p));
   out
 
+(* The ranked rule.  A member probes every eligible candidate until
+   its coordinate's error estimate falls below [converged_error]; from
+   then on only the [ranked_probes] best by predicted cost among those
+   predicted to beat its current cost. *)
+
+(* Three dimensions rank a handful of candidates about as well as
+   Vivaldi's five, for less work per comparison. *)
+let coord_dim = 3
+
+(* Vivaldi's error estimate is a relative error: below one half, the
+   coordinates rank candidates mostly in their measured order. *)
+let converged_error = 0.5
+
+(* Reaches past one or two mis-ranked candidates, below the ~5 eligible
+   ones a converged member measures under the measure-all rule. *)
+let ranked_probes = 3
+
+(* Fresh draws per ranked member: enough to keep finding shallow
+   parents, half the measure-all sample so that coordinate error seldom
+   ranks an uncached pair into the top k. *)
+let ranked_sample = 8
+
+(* A shortlist and the parent edge for each of ~400 members stay inside
+   a 4096-entry probe cache. *)
+let shortlist_size = 4
+
+(* A candidate measured at more than twice its coordinate distance sits
+   on an edge the embedding shrank (Section 5.1): its prediction is not
+   worth ranking on. *)
+let alert_threshold = 0.5
+
+let learned t rng engine =
+  match t.learned with
+  | Some l -> l
+  | None ->
+    (* No probing neighbours of its own: refresh decides what each
+       coordinate observes. *)
+    let config =
+      { Vivaldi.default_config with dim = coord_dim; neighbors_per_node = 0 }
+    in
+    let l =
+      {
+        coords = Vivaldi.create_with_engine ~config rng engine;
+        shortlist = Array.make (Array.length t.parent) [];
+      }
+    in
+    t.learned <- Some l;
+    l
+
+let rec take k = function x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> []
+
+let by_cost (a, _) (b, _) = Float.compare a b
+
 let refresh ?(label = "multicast") ?predict t rng engine =
   let known = known_of_engine engine in
   let predict = predictor ~label ?predict engine in
@@ -168,36 +232,110 @@ let refresh ?(label = "multicast") ?predict t rng engine =
   let order = Array.copy all_members in
   Rng.shuffle rng order;
   let switches = ref 0 in
-  (* Root delays are recomputed once per pass; switches within the pass
-     use slightly stale values, as a real periodically-advertised
-     protocol would. *)
-  let root_delay = predicted_root_delays t ~predict in
-  let cost node cand = root_delay.(cand) +. predict node cand in
-  Array.iter
-    (fun node ->
-      if node <> t.root then begin
-        let current = t.parent.(node) in
-        (* [node]'s parent moves only when [node] is processed, so its
-           root delay is its current cost.  A candidate adds an edge
-           >= 0 to its own: one at or above that cost cannot win and is
-           not probed.  An unreachable [node] takes any reachable one. *)
-        let current_cost = root_delay.(node) in
-        let bound = if Float.is_nan current_cost then infinity else current_cost in
-        let sample =
-          List.init t.config.refresh_sample (fun _ -> Rng.choice rng all_members)
-        in
-        let eligible =
-          List.filter
-            (fun c -> root_delay.(c) < bound && c <> current && not (in_subtree t node c))
-            sample
-        in
-        match best_attachment t ~known ~predict:cost node eligible with
-        | Some (better, cost) when cost < bound ->
-          attach t node better;
-          incr switches
-        | _ -> ()
-      end)
-    order;
+  if Array.length order > 1 then begin
+    let { coords; shortlist } = learned t rng engine in
+    let reg = Engine.obs engine in
+    let ranked_out = Obs.Registry.counter reg "multicast.refresh.ranked_out"
+    and alerted = Obs.Registry.counter reg "multicast.refresh.alerted"
+    and fallback = Obs.Registry.counter reg "multicast.refresh.fallback" in
+    (* Every delay refresh measures moves both endpoints' coordinates. *)
+    let observe node c d =
+      Vivaldi.observe_rtt coords node c d;
+      Vivaldi.observe_rtt coords c node d
+    in
+    (* Root delays are recomputed once per pass; switches within the
+       pass use slightly stale values, as a real periodically-advertised
+       protocol would. *)
+    let root_delay =
+      predicted_root_delays t ~predict:(fun node p ->
+          let d = predict node p in
+          observe node p d;
+          d)
+    in
+    Array.iter
+      (fun node ->
+        if node <> t.root then begin
+          let current = t.parent.(node) in
+          (* [node]'s parent moves only when [node] is processed, so its
+             root delay is its current cost.  A candidate adds an edge
+             >= 0 to its own: one at or above that cost cannot win and is
+             not probed.  An unreachable [node] takes any reachable one. *)
+          let current_cost = root_delay.(node) in
+          let bound = if Float.is_nan current_cost then infinity else current_cost in
+          let ranked = Vivaldi.error_estimate coords node < converged_error in
+          let draws = if ranked then ranked_sample else t.config.refresh_sample in
+          let fits c =
+            root_delay.(c) < bound && c <> current && c <> node && joined t c
+            && degree t c < t.config.max_degree
+            && known node c
+            && not (in_subtree t node c)
+          in
+          (* The shortlist, then the fresh draws, each candidate once. *)
+          let eligible =
+            List.rev
+              (List.fold_left
+                 (fun acc c -> if List.mem c acc || not (fits c) then acc else c :: acc)
+                 []
+                 (shortlist.(node) @ List.init draws (fun _ -> Rng.choice rng all_members)))
+          in
+          let probed =
+            if ranked then begin
+              let promising =
+                List.filter_map
+                  (fun c ->
+                    let cost = root_delay.(c) +. Vivaldi.predicted coords node c in
+                    if cost < bound then Some (cost, c) else None)
+                  eligible
+              in
+              let top = take ranked_probes (List.stable_sort by_cost promising) in
+              Obs.Counter.add ranked_out (float_of_int (List.length eligible - List.length top));
+              List.map snd top
+            end
+            else begin
+              Obs.Counter.incr fallback;
+              eligible
+            end
+          in
+          (* Each measurement meets the alert before it moves the
+             coordinates; an unmeasured candidate drops out. *)
+          let measured =
+            List.filter_map
+              (fun c ->
+                let d = predict node c in
+                let shrunk =
+                  Alert.shrunk ~threshold:alert_threshold
+                    (Alert.ratio ~predicted:(Vivaldi.predicted coords) node c d)
+                in
+                if shrunk then Obs.Counter.incr alerted;
+                observe node c d;
+                if Float.is_nan d then None
+                else Some (root_delay.(c) +. d, (c, shrunk)))
+              probed
+          in
+          (* A switch needs a measured cost under the bound: the first
+             cheapest wins, and no prediction is ever accepted. *)
+          let by_measured = List.stable_sort by_cost measured in
+          (match by_measured with
+          | (cost, (better, _)) :: _ when cost < bound ->
+            attach t node better;
+            incr switches
+          | _ -> ());
+          (* The shortlist keeps the cheapest unalerted measurements,
+             then what it held and did not re-measure, never the parent. *)
+          let parent = t.parent.(node) in
+          let kept =
+            List.filter_map
+              (fun (_, (c, shrunk)) -> if shrunk || c = parent then None else Some c)
+              by_measured
+          and carried =
+            List.filter
+              (fun c -> c <> parent && not (List.exists (fun (_, (m, _)) -> m = c) measured))
+              shortlist.(node)
+          in
+          shortlist.(node) <- take shortlist_size (kept @ carried)
+        end)
+      order
+  end;
   !switches
 
 type metrics = {

@@ -13,12 +13,16 @@
 
     The module also implements a {e parent-refresh} pass in the spirit
     of the paper's dynamic-neighbor Vivaldi: periodically each node
-    re-evaluates a sample of members under the current predictor and
-    switches to a better parent if one exists (cycle-safe). *)
+    ranks candidate parents on coordinates learned from its own
+    measurements, measures the promising ones, drops the candidates the
+    TIV alert flags, and switches to a better parent if one exists
+    (cycle-safe). *)
 
 type config = {
   max_degree : int;  (** children cap per node (default 6) *)
-  refresh_sample : int;  (** candidate members sampled per refresh (default 16) *)
+  refresh_sample : int;
+      (** members drawn per repair candidate set, and per refresh until a
+          member's coordinate converges (default 16) *)
 }
 
 val default_config : config
@@ -61,19 +65,40 @@ val refresh :
   Tivaware_util.Rng.t ->
   Tivaware_measure.Engine.t ->
   int
-(** One refresh pass over all non-root members in random order: sample
-    candidates and switch parents when a member offers a strictly
-    smaller {e predicted root delay} (its tree delay to the root plus
-    the predicted edge to it) and has spare degree.  Descendants are
-    excluded to keep the tree acyclic.  Optimizing end-to-end delay
-    rather than the parent edge alone prevents refresh from collapsing
-    the tree into long low-latency chains.  Root delays are predicted
-    once per pass, and a candidate advertising at least the member's
-    own is not probed: assuming [predict] returns [>= 0] or [nan], it
-    cannot win.  A member cut off from the root takes the best
-    reachable candidate it samples, re-grafting its subtree.  Same
-    label, ground-truth and [predict] conventions as {!build}.  Returns
-    the number of switches. *)
+(** One refresh pass over all non-root members in random order.  A
+    member switches parents when a candidate with spare degree offers a
+    strictly smaller {e measured root delay} (its tree delay to the root
+    plus the measured edge to it).  Descendants are excluded to keep the
+    tree acyclic.  Optimizing end-to-end delay rather than the parent
+    edge alone prevents refresh from collapsing the tree into long
+    low-latency chains.  Root delays are measured once per pass, and a
+    candidate advertising at least the member's own is not probed:
+    assuming [predict] returns [>= 0] or [nan], it cannot win.  A member
+    cut off from the root takes the best reachable candidate it
+    measures, re-grafting its subtree.
+
+    Each member learns, from the delays refresh itself measures, a
+    3-D Vivaldi coordinate ({!Tivaware_vivaldi.System.observe_rtt}, both
+    endpoints of every measurement) and a shortlist of up to 4
+    candidates it measured cheapest.  Its candidates are the shortlist
+    plus fresh draws from the members.  Until its coordinate's error
+    estimate is below 0.5 it measures every eligible candidate among
+    the shortlist and [refresh_sample] draws; from then on it ranks the
+    shortlist and 8 draws by root delay plus coordinate distance and
+    measures at most the 3 best predicted to beat its current cost.  A
+    switch always rests on a measurement, never on a prediction.  A
+    measured candidate whose prediction ratio
+    ({!Tivaware_tiv.Alert.ratio}) is {!Tivaware_tiv.Alert.shrunk} at
+    0.5 leaves the shortlist.  The coordinates and shortlists are made
+    by the first pass; {!build} does no work for them.
+
+    Same label, ground-truth and [predict] conventions as {!build}:
+    [predict] replaces the measurement and the rule is otherwise the
+    same.  The engine registry's [multicast.refresh.ranked_out] counts
+    eligible candidates the ranking left unprobed,
+    [multicast.refresh.alerted] the shrunk verdicts and
+    [multicast.refresh.fallback] the members refreshed by the
+    measure-every-eligible rule.  Returns the number of switches. *)
 
 (** {2 Churn-aware tree repair} *)
 

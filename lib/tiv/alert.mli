@@ -15,6 +15,10 @@
     [nan] when the measurement is missing or below 1e-9 ms ([predicted]
     is then not consulted). *)
 
+val ratio : predicted:(int -> int -> float) -> int -> int -> float -> float
+(** [ratio ~predicted i j measured], the ratio of a measurement already
+    taken. *)
+
 val probed_ratio :
   label:string ->
   engine:Tivaware_measure.Engine.t ->

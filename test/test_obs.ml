@@ -79,26 +79,24 @@ let test_histogram_special_values () =
   Alcotest.(check (float 1e-9)) "sum skips non-finite" 1.5 (Histogram.sum h);
   Alcotest.(check (float 1e-9)) "mean over binned count" 0.75 (Histogram.mean h)
 
-(* A quantile whose rank lies past the last edge is only that edge as
-   a lower bound; [overflowed] says which quantiles those are. *)
+(* The quantile printer: a rank past the last edge is only that edge,
+   printed as a lower bound, and an empty histogram prints "-". *)
 let test_histogram_overflowed () =
   let h = Histogram.create ~edges:[| 1.; 2. |] in
-  Alcotest.(check bool) "empty never overflows" false (Histogram.overflowed h 0.5);
+  let label q = Histogram.quantile_label ~decimals:1 h q in
+  Alcotest.(check string) "empty prints -" "-" (label 0.5);
   Histogram.observe h 3.;
-  Alcotest.(check bool) "all mass past the edges, even at q = 0" true
-    (Histogram.overflowed h 0.);
+  Alcotest.(check string) "all mass past the edges, even at q = 0" ">2.0" (label 0.);
   Histogram.observe h 0.5;
   Histogram.observe h 3.;
   Histogram.observe h 3.;
-  Alcotest.(check bool) "rank inside the finite buckets" false
-    (Histogram.overflowed h 0.25);
-  Alcotest.(check (float 1e-9)) "interpolated quantile" 1. (Histogram.quantile h 0.25);
-  Alcotest.(check bool) "rank past the finite buckets" true
-    (Histogram.overflowed h 0.5);
+  Alcotest.(check string) "rank inside the finite buckets" "1.0" (label 0.25);
+  Alcotest.(check string) "rank past the finite buckets" ">2.0" (label 0.5);
   Alcotest.(check (float 1e-9)) "overflow reports the last edge" 2.
     (Histogram.quantile h 0.5);
+  Alcotest.(check string) "decimals" ">2.000" (Histogram.quantile_label ~decimals:3 h 0.99);
   Alcotest.(check bool) "q outside [0, 1] rejected" true
-    (raises_invalid (fun () -> Histogram.overflowed h 1.5))
+    (raises_invalid (fun () -> label 1.5))
 
 (* ---------------------------------------------------------------- *)
 (* Trace ring                                                        *)

@@ -233,12 +233,13 @@ let prop_tree_invariant =
                  allowed ()))
            repairs)
 
-(* The refresh rule before the root-delay bound, replayed on plain
-   parent and degree arrays: the pass probes the member's parent edge
-   and every eligible sampled candidate with a [known] edge, and
-   switches to the first cheapest candidate when it beats that cost.
-   Same draws from [rng] as [Multicast.refresh]: one shuffle of the
-   ascending members, then [sample] choices per non-root member. *)
+(* The measure-every-eligible rule, kept as the baseline the ranked
+   refresh is judged against, replayed on plain parent and degree
+   arrays: the pass probes the member's parent edge and every eligible
+   sampled candidate with a [known] edge whose root delay is below the
+   member's own, and switches to the first cheapest candidate when it
+   beats that cost.  One shuffle of the ascending members, then
+   [sample] choices per non-root member. *)
 let reference_refresh ~max_degree ~sample ~known ~predict ~root parent degree rng =
   let n = Array.length parent in
   let members =
@@ -257,7 +258,10 @@ let reference_refresh ~max_degree ~sample ~known ~predict ~root parent degree rn
   let rec below v c = c = v || (c <> root && below v parent.(c)) in
   let cost v c = root_delay.(c) +. predict v c in
   let pick v best c =
-    if c = parent.(v) || below v c || degree.(c) >= max_degree || not (known v c) then best
+    if
+      root_delay.(c) >= root_delay.(v)
+      || c = parent.(v) || below v c || degree.(c) >= max_degree || not (known v c)
+    then best
     else
       match (best, cost v c) with
       | Some (_, b), cost when b <= cost -> best
@@ -268,7 +272,7 @@ let reference_refresh ~max_degree ~sample ~known ~predict ~root parent degree rn
       if v = root then switches
       else
         let current = parent.(v) in
-        let current_cost = cost v current in
+        let current_cost = root_delay.(v) in
         match List.fold_left (pick v) None (List.init sample (fun _ -> Rng.choice rng members)) with
         | Some (c, cost) when cost < current_cost ->
           degree.(current) <- degree.(current) - 1;
@@ -278,40 +282,95 @@ let reference_refresh ~max_degree ~sample ~known ~predict ~root parent degree rn
         | _ -> switches)
     0 order
 
-(* The root-delay bound drops only candidates that cannot win: on TIV
-   worlds with missing edges, pruned refresh makes the reference's
-   switches pass for pass, and never predicts more often. *)
-let prop_bound_keeps_choices =
+(* Median stretch and max depth of a parent array under the matrix's
+   delays. *)
+let quality m ~root parent =
+  let rec up v =
+    if v = root then (0., 0)
+    else
+      let d, k = up parent.(v) in
+      (d +. Matrix.get m v parent.(v), k + 1)
+  in
+  let stretches = ref [] and depth = ref 0 in
+  Array.iteri
+    (fun v p ->
+      if v <> root && p >= 0 then begin
+        let d, k = up v in
+        depth := max !depth k;
+        let direct = Matrix.get m v root in
+        if direct > 0. then stretches := (d /. direct) :: !stretches
+      end)
+    parent;
+  (Tivaware_util.Stats.median (Array.of_list !stretches), !depth)
+
+(* The quality contract of the ranked refresh.  On a DS2 world both
+   rules refresh copies of one tree for [contract_passes] passes, enough
+   for most members' coordinates to converge; the ranked tree's median
+   stretch is then within [stretch_tolerance] of the reference tree's,
+   its max depth at most one deeper, it called the predictor no more
+   often, and [Multicast.check] held after every pass.  Returns whether
+   the contract held and whether the ranked rule, not its measure-all
+   fallback, refreshed most member passes. *)
+let stretch_tolerance = 0.1
+
+let contract_passes = 20
+
+let contract_world (seed, n, max_degree) =
+  let m = (Datasets.generate ~size:n ~seed Datasets.Ds2).Generator.matrix in
+  let e = Engine.of_matrix m in
+  let config = { Multicast.default_config with Multicast.max_degree } in
+  let order = Rng.permutation (Rng.create (seed + 1)) n in
+  let t = Multicast.build ~config ~predict:(oracle m) e ~join_order:order in
+  let root = root t in
+  let known a b = not (Float.is_nan (oracle m a b)) in
+  let counted calls a b = incr calls; oracle m a b in
+  let ranked_calls = ref 0 and reference_calls = ref 0 in
+  let parents () =
+    Array.init n (fun v -> Option.value (Multicast.parent t v) ~default:(-1))
+  in
+  let parent = parents () in
+  let degree = Array.init n (fun v -> List.length (Multicast.children t v)) in
+  let ranked_rng = Rng.create (seed + 2) and reference_rng = Rng.create (seed + 2) in
+  let whole =
+    List.for_all
+      (fun _ ->
+        ignore (Multicast.refresh ~predict:(counted ranked_calls) t ranked_rng e);
+        ignore
+          (reference_refresh ~max_degree ~sample:config.Multicast.refresh_sample ~known
+             ~predict:(counted reference_calls) ~root parent degree reference_rng);
+        Multicast.check t = None)
+      (List.init contract_passes Fun.id)
+  in
+  let fallback =
+    Tivaware_obs.Counter.value
+      (Tivaware_obs.Registry.counter (Engine.obs e) "multicast.refresh.fallback")
+  in
+  let ranked_stretch, ranked_depth = quality m ~root (parents ()) in
+  let reference_stretch, reference_depth = quality m ~root parent in
+  ( whole
+    && ranked_stretch <= reference_stretch *. (1. +. stretch_tolerance)
+    && ranked_depth <= reference_depth + 1
+    && !ranked_calls <= !reference_calls,
+    2. *. fallback < float_of_int (contract_passes * (n - 1)) )
+
+(* Eight worlds a case (n 40-120, degree caps 2-6): every one meets the
+   contract, and the ranked rule engaged on at least six.  The rules
+   draw different samples, so their trees also differ by chance: over
+   300 random worlds, the reference against itself under another
+   refresh seed missed depth + 1 on 5 and this tolerance on 4, the
+   ranked rule against the reference on 3 and 1.  The generator is
+   therefore seeded, and the same 40 worlds are checked on every run. *)
+let prop_ranked_quality =
   let open QCheck2.Gen in
-  qcheck ~count:100 "refresh bound changes no choice"
-    (tup5 (int_range 0 10_000) (int_range 20 60) (int_range 2 6) (int_range 1 16)
-       (int_range 1 3))
-    (fun (seed, n, max_degree, refresh_sample, passes) ->
-      let m = (Datasets.generate ~size:n ~seed Datasets.Ds2).Generator.matrix in
-      let e = Engine.of_matrix m in
-      let config = { Multicast.max_degree; refresh_sample } in
-      let order = Rng.permutation (Rng.create (seed + 1)) n in
-      let t = Multicast.build ~config ~predict:(oracle m) e ~join_order:order in
-      let known a b = not (Float.is_nan (oracle m a b)) in
-      let counted calls a b = incr calls; oracle m a b in
-      let pruned_calls = ref 0 and reference_calls = ref 0 in
-      let parents () =
-        Array.init n (fun v -> Option.value (Multicast.parent t v) ~default:(-1))
-      in
-      let parent = parents () in
-      let degree = Array.init n (fun v -> List.length (Multicast.children t v)) in
-      let pruned_rng = Rng.create (seed + 2) and reference_rng = Rng.create (seed + 2) in
-      List.for_all
-        (fun _ ->
-          let pruned = Multicast.refresh ~predict:(counted pruned_calls) t pruned_rng e in
-          let reference =
-            reference_refresh ~max_degree ~sample:refresh_sample ~known
-              ~predict:(counted reference_calls) ~root:(root t) parent degree
-              reference_rng
-          in
-          pruned = reference && parents () = parent && Multicast.check t = None
-          && !pruned_calls <= !reference_calls)
-        (List.init passes Fun.id))
+  let world = triple (int_range 0 10_000) (int_range 40 120) (int_range 2 6) in
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 30 |])
+    (QCheck2.Test.make ~count:5 ~name:"ranked refresh keeps tree quality"
+       (list_repeat 8 world)
+       (fun worlds ->
+         let verdicts = List.map contract_world worlds in
+         List.for_all fst verdicts
+         && List.length (List.filter snd verdicts) >= 6))
 
 let () =
   Alcotest.run "overlay"
@@ -330,6 +389,6 @@ let () =
           Alcotest.test_case "engine = oracle build/refresh" `Quick
             test_engine_build_refresh_equivalence;
           prop_tree_invariant;
-          prop_bound_keeps_choices;
+          prop_ranked_quality;
         ] );
     ]
