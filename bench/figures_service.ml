@@ -16,7 +16,7 @@ module Shard = Tivaware_service.Shard
 module Driver = Tivaware_service.Driver
 
 let quantile result kind q =
-  Obs.Histogram.quantile
+  Obs.Histogram.quantile_label ~decimals:1
     (Obs.Registry.histogram result.Driver.obs
        ~labels:[ ("kind", Workload.kind_label kind) ]
        ~edges:Shard.latency_edges "service.latency_ms")
@@ -75,10 +75,10 @@ let service_scaling ctx =
           Printf.sprintf "%.2f" wall;
           Printf.sprintf "%.0f" qps;
           Printf.sprintf "%.2fx" (qps /. !base_qps);
-          Printf.sprintf "%.1f / %.1f"
+          Printf.sprintf "%s / %s"
             (quantile result Workload.Closest 0.5)
             (quantile result Workload.Closest 0.99);
-          Printf.sprintf "%.1f / %.1f"
+          Printf.sprintf "%s / %s"
             (quantile result Workload.Dht_lookup 0.5)
             (quantile result Workload.Dht_lookup 0.99);
         ];

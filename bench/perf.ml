@@ -20,10 +20,12 @@ module Budget = Tivaware_measure.Budget
 module Churn = Tivaware_measure.Churn
 module Oracle = Tivaware_measure.Oracle
 module Multicast = Tivaware_overlay.Multicast
+module Chord = Tivaware_dht.Chord
 
 (* Probe-engine kernels: the per-lookup cost the measurement plane adds
    over a raw Matrix.get, plus the multicast refresh pass that issues
-   most of tivd's probes.  Collected separately into BENCH_measure.json. *)
+   most of tivd's probes and the Chord build every tivd shard runs.
+   Collected separately into BENCH_measure.json. *)
 let measure_tests m =
   let oracle_engine = Engine.of_matrix m in
   let faulty_engine =
@@ -111,6 +113,9 @@ let measure_tests m =
       ~join_order:(Rng.permutation (Rng.create 12) 100)
   in
   let refresh_clock = ref 0. and refresh_rng = Rng.create 13 in
+  (* One Chord ring over a 400-node DS2 world, fingers picked by ground
+     truth: the ring every tivd shard builds. *)
+  let ring_world = (Datasets.generate ~size:400 ~seed:2007 Datasets.Ds2).Generator.matrix in
   let rng = Rng.create 7 in
   [
     Test.make ~name:"measure/probe-oracle"
@@ -141,6 +146,8 @@ let measure_tests m =
            refresh_clock := !refresh_clock +. 0.005;
            Engine.advance_to refresh_engine !refresh_clock;
            ignore (Multicast.refresh tree refresh_rng refresh_engine)));
+    Test.make ~name:"dht/chord-build"
+      (Staged.stage (fun () -> ignore (Chord.build ~predict:(Matrix.get ring_world) 400)));
     Test.make ~name:"measure/matrix-get-baseline"
       (Staged.stage (fun () ->
            ignore (Matrix.get m (Rng.int rng 200) (Rng.int rng 200))));
@@ -192,7 +199,8 @@ let write_measure_json estimates =
   let module Json = Tivaware_obs.Json in
   let measure =
     List.filter
-      (fun (name, _) -> String.length name >= 8 && String.sub name 0 8 = "measure/")
+      (fun (name, _) ->
+        String.starts_with ~prefix:"measure/" name || String.starts_with ~prefix:"dht/" name)
       estimates
   in
   if measure <> [] then begin

@@ -101,20 +101,16 @@ let arc_candidates sorted lo hi limit =
   List.rev !out
 
 (* Routing's deduplicated finger table, derived from the raw per-slot
-   entries in k-ascending first-occurrence order — the same order the
-   original build loop produced, which keeps refreshed tables
-   byte-comparable to built ones. *)
+   entries: each distinct finger once, the one first seen in k-ascending
+   order last, as the original build loop left them, which keeps
+   refreshed tables byte-comparable to built ones.  A table holds a
+   dozen or so distinct fingers, so a scan of those seen beats a hash
+   set. *)
 let dedup_fingers raw =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  Array.iter
-    (fun f ->
-      if f >= 0 && not (Hashtbl.mem seen f) then begin
-        Hashtbl.replace seen f ();
-        out := f :: !out
-      end)
-    raw;
-  Array.of_list !out
+  Array.of_list
+    (Array.fold_left
+       (fun seen f -> if f < 0 || List.mem f seen then seen else f :: seen)
+       [] raw)
 
 let build ?(candidates = 8) ?(successor_list = 4) ?predict n =
   if n < 2 then
@@ -123,7 +119,9 @@ let build ?(candidates = 8) ?(successor_list = 4) ?predict n =
     invalid_arg "Chord.build: successor_list must be >= 1";
   let ids = Array.init n Id_space.of_node in
   let sorted = Array.init n (fun node -> (ids.(node), node)) in
-  Array.sort compare sorted;
+  Array.sort
+    (fun (a, x) (b, y) -> if a <> b then Int.compare a b else Int.compare x y)
+    sorted;
   let position = Array.make n 0 in
   Array.iteri (fun pos (_, node) -> position.(node) <- pos) sorted;
   let successors =
@@ -170,13 +168,22 @@ let build ?(candidates = 8) ?(successor_list = 4) ?predict n =
   in
   (* Fill the raw per-slot view in the exact node-major, k-ascending
      order the dedup loop used to call [finger_of] in, so an engine
-     predictor sees the same probe sequence (bit-identical builds). *)
+     predictor sees the same probe sequence (bit-identical builds).  An
+     arc [id + 2^k, id + 2^(k+1)) that ends at or before the node's
+     successor holds no node, and its finger is that successor: the
+     fallback [finger_of] would reach without calling [predict].  Some
+     52 of the 61 slots of a node in a 400-node ring are such arcs. *)
   let finger_at = Array.make_matrix n Id_space.bits (-1) in
   for node = 0 to n - 1 do
+    let succ = successors.(node) in
+    let gap = Id_space.distance_cw ids.(node) ids.(succ) in
     for k = 0 to Id_space.bits - 1 do
-      match finger_of node k with
-      | Some f -> finger_at.(node).(k) <- f
-      | None -> ()
+      if k + 1 < Id_space.bits && Id_space.power_offset (k + 1) <= gap then
+        finger_at.(node).(k) <- succ
+      else
+        match finger_of node k with
+        | Some f -> finger_at.(node).(k) <- f
+        | None -> ()
     done
   done;
   let finger_tables = Array.map dedup_fingers finger_at in

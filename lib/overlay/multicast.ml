@@ -14,10 +14,37 @@ type config = {
 let default_config = { max_degree = 6; refresh_sample = 16 }
 
 (* What refresh learns from its own measurements, made by the first
-   pass: [build] does no work for it. *)
+   pass that has two members: [build] does no work for it. *)
 type learned = {
   coords : Vivaldi.t;  (* fed only by the delays refresh measures *)
-  shortlist : int list array;  (* per node, best measured cost first *)
+  shortlist : int array;
+  (* [shortlist_size] slots per node, best measured cost first, -1
+     after the last entry *)
+}
+
+(* Candidates sorted by cost, equal costs in insertion order as
+   [List.stable_sort] leaves them, each with a flag. *)
+type sorted = {
+  costs : float array;
+  cands : int array;
+  flags : bool array;
+  mutable len : int;
+}
+
+(* The arrays one refresh pass works in, made by the first pass and
+   reused by every later one, so that a pass allocates O(its probes). *)
+type scratch = {
+  ascending : int array;  (* the joined members, ascending, in front *)
+  order : int array;  (* the same members, shuffled: the visiting order *)
+  root_delay : float array;
+  depth : int array;  (* [walk]'s memo *)
+  pool : int array;  (* one member's eligible candidates, each once *)
+  mutable pooled : int;
+  stamp : int array;  (* stamp.(c) = tick of the member whose pool holds c *)
+  mutable tick : int;
+  ranked : sorted;  (* by predicted cost *)
+  measured : sorted;  (* by measured cost, flagged when shrunk *)
+  next_shortlist : int array;
 }
 
 type t = {
@@ -29,6 +56,7 @@ type t = {
   (* group membership intent: everyone from the join order; a detached
      node with [wants] set rejoins when repair finds it up again *)
   mutable learned : learned option;
+  mutable scratch : scratch option;
 }
 
 (* The root never takes a parent, and every other member has one. *)
@@ -113,6 +141,7 @@ let build ?(config = default_config) ?(label = "multicast") ?predict engine
       kids = Array.make n [];
       wants = Array.make n false;
       learned = None;
+      scratch = None;
     }
   in
   Array.iter (fun node -> t.wants.(node) <- true) join_order;
@@ -132,26 +161,27 @@ let build ?(config = default_config) ?(label = "multicast") ?predict engine
 (* Is [candidate] in the subtree rooted at [node]?  Switching to a
    descendant would create a cycle. *)
 let in_subtree t node candidate =
-  let rec ascend cur steps =
-    if steps < 0 then false (* defensive: corrupted tree *)
-    else if cur = node then true
-    else if cur = t.root || cur < 0 then false
-    else ascend t.parent.(cur) (steps - 1)
-  in
-  ascend candidate (Array.length t.parent)
+  (* At most n steps: a corrupted tree with a parent cycle ends the
+     ascent rather than the program. *)
+  let cur = ref candidate and steps = ref (Array.length t.parent) in
+  while !steps >= 0 && !cur <> node && !cur <> t.root && !cur >= 0 do
+    cur := t.parent.(!cur);
+    decr steps
+  done;
+  !steps >= 0 && !cur = node
 
-(* The one tree walk: every node's depth below the root by memoised
-   ascent, -1 for non-members and for members on a parent cycle or
-   below a non-member.  [visit node p] runs once per member that
-   reaches the root, after it has run for [p]. *)
-let depths ?(visit = fun _ _ -> ()) t =
-  let n = Array.length t.parent in
-  let depth = Array.make n (-1) and seen = Array.make n false in
+(* The one tree walk: fills [depth] with every node's depth below the
+   root by memoised ascent, -1 for non-members and for members on a
+   parent cycle or below a non-member.  [visit node p] runs once per
+   member that reaches the root, after it has run for [p]. *)
+let walk ~visit ~depth t =
+  (* -2 = not reached yet; a node is marked -1 before its ascent, so a
+     cycle ends there. *)
+  Array.fill depth 0 (Array.length depth) (-2);
   depth.(t.root) <- 0;
-  seen.(t.root) <- true;
   let rec resolve node =
-    if not seen.(node) then begin
-      seen.(node) <- true;
+    if depth.(node) = -2 then begin
+      depth.(node) <- -1;
       let p = t.parent.(node) in
       if p >= 0 && resolve p >= 0 then begin
         visit node p;
@@ -160,17 +190,12 @@ let depths ?(visit = fun _ _ -> ()) t =
     end;
     depth.(node)
   in
-  for node = 0 to n - 1 do ignore (resolve node) done;
-  depth
+  for node = 0 to Array.length depth - 1 do ignore (resolve node) done
 
-(* Predicted delay from every member to the root along the current tree
-   edges, [nan] for a member that does not reach the root: the quantity
-   a member advertises to prospective children. *)
-let predicted_root_delays t ~predict =
-  let out = Array.make (Array.length t.parent) nan in
-  out.(t.root) <- 0.;
-  ignore (depths t ~visit:(fun node p -> out.(node) <- out.(p) +. predict node p));
-  out
+let depths ?(visit = fun _ _ -> ()) t =
+  let depth = Array.make (Array.length t.parent) (-1) in
+  walk ~visit ~depth t;
+  depth
 
 (* The ranked rule.  A member probes every eligible candidate until
    its coordinate's error estimate falls below [converged_error]; from
@@ -215,27 +240,84 @@ let learned t rng engine =
     let l =
       {
         coords = Vivaldi.create_with_engine ~config rng engine;
-        shortlist = Array.make (Array.length t.parent) [];
+        shortlist = Array.make (Array.length t.parent * shortlist_size) (-1);
       }
     in
     t.learned <- Some l;
     l
 
-let rec take k = function x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> []
+let sorted capacity =
+  {
+    costs = Array.make capacity nan;
+    cands = Array.make capacity 0;
+    flags = Array.make capacity false;
+    len = 0;
+  }
 
-let by_cost (a, _) (b, _) = Float.compare a b
+let insert b cost c flag =
+  let i = ref b.len in
+  while !i > 0 && Float.compare b.costs.(!i - 1) cost > 0 do
+    b.costs.(!i) <- b.costs.(!i - 1);
+    b.cands.(!i) <- b.cands.(!i - 1);
+    b.flags.(!i) <- b.flags.(!i - 1);
+    decr i
+  done;
+  b.costs.(!i) <- cost;
+  b.cands.(!i) <- c;
+  b.flags.(!i) <- flag;
+  b.len <- b.len + 1
+
+let scratch t =
+  match t.scratch with
+  | Some s -> s
+  | None ->
+    let n = Array.length t.parent in
+    let pool = shortlist_size + max t.config.refresh_sample ranked_sample in
+    let s =
+      {
+        ascending = Array.make n 0;
+        order = Array.make n 0;
+        root_delay = Array.make n nan;
+        depth = Array.make n (-1);
+        pool = Array.make pool 0;
+        pooled = 0;
+        stamp = Array.make n 0;
+        tick = 0;
+        ranked = sorted pool;
+        measured = sorted pool;
+        next_shortlist = Array.make shortlist_size (-1);
+      }
+    in
+    t.scratch <- Some s;
+    s
+
+(* The cost a candidate's root delay must beat: [node]'s parent moves
+   only when [node] is processed, so its root delay is its current
+   cost.  A candidate adds an edge >= 0 to its own: one at or above
+   that cost cannot win and is not probed.  An unreachable [node] takes
+   any reachable one. *)
+let[@inline] bound cost = if Float.is_nan cost then infinity else cost
 
 let refresh ?(label = "multicast") ?predict t rng engine =
   let known = known_of_engine engine in
   let predict = predictor ~label ?predict engine in
-  let all_members = Array.of_list (members t) in
-  let order = Array.copy all_members in
-  Rng.shuffle rng order;
+  let s = scratch t in
+  let m = ref 0 in
+  for node = 0 to Array.length t.parent - 1 do
+    if joined t node then begin
+      s.ascending.(!m) <- node;
+      incr m
+    end
+  done;
+  let m = !m in
+  Array.blit s.ascending 0 s.order 0 m;
+  Rng.shuffle ~len:m rng s.order;
   let switches = ref 0 in
-  if Array.length order > 1 then begin
+  if m > 1 then begin
     let { coords; shortlist } = learned t rng engine in
+    let predicted = Vivaldi.predicted coords in
     let reg = Engine.obs engine in
-    let ranked_out = Obs.Registry.counter reg "multicast.refresh.ranked_out"
+    let ranked_out = ref 0
     and alerted = Obs.Registry.counter reg "multicast.refresh.alerted"
     and fallback = Obs.Registry.counter reg "multicast.refresh.fallback" in
     (* Every delay refresh measures moves both endpoints' coordinates. *)
@@ -245,96 +327,117 @@ let refresh ?(label = "multicast") ?predict t rng engine =
     in
     (* Root delays are recomputed once per pass; switches within the
        pass use slightly stale values, as a real periodically-advertised
-       protocol would. *)
-    let root_delay =
-      predicted_root_delays t ~predict:(fun node p ->
-          let d = predict node p in
-          observe node p d;
-          d)
+       protocol would.  A member that does not reach the root keeps
+       [nan]. *)
+    let root_delay = s.root_delay in
+    Array.fill root_delay 0 (Array.length root_delay) nan;
+    root_delay.(t.root) <- 0.;
+    walk t ~depth:s.depth ~visit:(fun node p ->
+        let d = predict node p in
+        observe node p d;
+        root_delay.(node) <- root_delay.(p) +. d);
+    (* The shortlist, then the fresh draws, each eligible candidate
+       once. *)
+    let consider node c =
+      if
+        s.stamp.(c) <> s.tick
+        && root_delay.(c) < bound root_delay.(node)
+        && c <> t.parent.(node) && c <> node && joined t c
+        && degree t c < t.config.max_degree
+        && known node c
+        && not (in_subtree t node c)
+      then begin
+        s.stamp.(c) <- s.tick;
+        s.pool.(s.pooled) <- c;
+        s.pooled <- s.pooled + 1
+      end
     in
-    Array.iter
-      (fun node ->
-        if node <> t.root then begin
-          let current = t.parent.(node) in
-          (* [node]'s parent moves only when [node] is processed, so its
-             root delay is its current cost.  A candidate adds an edge
-             >= 0 to its own: one at or above that cost cannot win and is
-             not probed.  An unreachable [node] takes any reachable one. *)
-          let current_cost = root_delay.(node) in
-          let bound = if Float.is_nan current_cost then infinity else current_cost in
-          let ranked = Vivaldi.error_estimate coords node < converged_error in
-          let draws = if ranked then ranked_sample else t.config.refresh_sample in
-          let fits c =
-            root_delay.(c) < bound && c <> current && c <> node && joined t c
-            && degree t c < t.config.max_degree
-            && known node c
-            && not (in_subtree t node c)
+    for idx = 0 to m - 1 do
+      let node = s.order.(idx) in
+      if node <> t.root then begin
+        let bound = bound root_delay.(node) in
+        let ranked = Vivaldi.error_estimate coords node < converged_error in
+        let draws = if ranked then ranked_sample else t.config.refresh_sample in
+        s.tick <- s.tick + 1;
+        s.pooled <- 0;
+        let slots = node * shortlist_size in
+        for k = 0 to shortlist_size - 1 do
+          let c = shortlist.(slots + k) in
+          if c >= 0 then consider node c
+        done;
+        for _ = 1 to draws do
+          consider node s.ascending.(Rng.int rng m)
+        done;
+        let pooled = s.pooled in
+        (* The candidates to measure: the best ranked, or the pool. *)
+        let probed, probes =
+          if ranked then begin
+            let r = s.ranked in
+            r.len <- 0;
+            for k = 0 to pooled - 1 do
+              let c = s.pool.(k) in
+              let cost = root_delay.(c) +. Vivaldi.predicted coords node c in
+              if cost < bound then insert r cost c false
+            done;
+            let top = min ranked_probes r.len in
+            ranked_out := !ranked_out + pooled - top;
+            (r.cands, top)
+          end
+          else begin
+            Obs.Counter.incr fallback;
+            (s.pool, pooled)
+          end
+        in
+        (* Each measurement meets the alert before it moves the
+           coordinates; an unmeasured candidate drops out. *)
+        let measured = s.measured in
+        measured.len <- 0;
+        for k = 0 to probes - 1 do
+          let c = probed.(k) in
+          let d = predict node c in
+          let shrunk =
+            Alert.shrunk ~threshold:alert_threshold (Alert.ratio ~predicted node c d)
           in
-          (* The shortlist, then the fresh draws, each candidate once. *)
-          let eligible =
-            List.rev
-              (List.fold_left
-                 (fun acc c -> if List.mem c acc || not (fits c) then acc else c :: acc)
-                 []
-                 (shortlist.(node) @ List.init draws (fun _ -> Rng.choice rng all_members)))
-          in
-          let probed =
-            if ranked then begin
-              let promising =
-                List.filter_map
-                  (fun c ->
-                    let cost = root_delay.(c) +. Vivaldi.predicted coords node c in
-                    if cost < bound then Some (cost, c) else None)
-                  eligible
-              in
-              let top = take ranked_probes (List.stable_sort by_cost promising) in
-              Obs.Counter.add ranked_out (float_of_int (List.length eligible - List.length top));
-              List.map snd top
-            end
-            else begin
-              Obs.Counter.incr fallback;
-              eligible
-            end
-          in
-          (* Each measurement meets the alert before it moves the
-             coordinates; an unmeasured candidate drops out. *)
-          let measured =
-            List.filter_map
-              (fun c ->
-                let d = predict node c in
-                let shrunk =
-                  Alert.shrunk ~threshold:alert_threshold
-                    (Alert.ratio ~predicted:(Vivaldi.predicted coords) node c d)
-                in
-                if shrunk then Obs.Counter.incr alerted;
-                observe node c d;
-                if Float.is_nan d then None
-                else Some (root_delay.(c) +. d, (c, shrunk)))
-              probed
-          in
-          (* A switch needs a measured cost under the bound: the first
-             cheapest wins, and no prediction is ever accepted. *)
-          let by_measured = List.stable_sort by_cost measured in
-          (match by_measured with
-          | (cost, (better, _)) :: _ when cost < bound ->
-            attach t node better;
-            incr switches
-          | _ -> ());
-          (* The shortlist keeps the cheapest unalerted measurements,
-             then what it held and did not re-measure, never the parent. *)
-          let parent = t.parent.(node) in
-          let kept =
-            List.filter_map
-              (fun (_, (c, shrunk)) -> if shrunk || c = parent then None else Some c)
-              by_measured
-          and carried =
-            List.filter
-              (fun c -> c <> parent && not (List.exists (fun (_, (m, _)) -> m = c) measured))
-              shortlist.(node)
-          in
-          shortlist.(node) <- take shortlist_size (kept @ carried)
-        end)
-      order
+          if shrunk then Obs.Counter.incr alerted;
+          observe node c d;
+          if not (Float.is_nan d) then insert measured (root_delay.(c) +. d) c shrunk
+        done;
+        (* A switch needs a measured cost under the bound: the first
+           cheapest wins, and no prediction is ever accepted. *)
+        if measured.len > 0 && measured.costs.(0) < bound then begin
+          attach t node measured.cands.(0);
+          incr switches
+        end;
+        (* The shortlist keeps the cheapest unalerted measurements,
+           then what it held and did not re-measure, never the parent. *)
+        let now = t.parent.(node) in
+        let next = s.next_shortlist and len = ref 0 in
+        for k = 0 to measured.len - 1 do
+          let c = measured.cands.(k) in
+          if not (measured.flags.(k) || c = now) && !len < shortlist_size then begin
+            next.(!len) <- c;
+            incr len
+          end
+        done;
+        for k = 0 to shortlist_size - 1 do
+          let c = shortlist.(slots + k) in
+          let remeasured = ref false in
+          for j = 0 to measured.len - 1 do
+            if measured.cands.(j) = c then remeasured := true
+          done;
+          if c >= 0 && c <> now && (not !remeasured) && !len < shortlist_size then begin
+            next.(!len) <- c;
+            incr len
+          end
+        done;
+        for k = 0 to shortlist_size - 1 do
+          shortlist.(slots + k) <- (if k < !len then next.(k) else -1)
+        done
+      end
+    done;
+    Obs.Counter.add
+      (Obs.Registry.counter reg "multicast.refresh.ranked_out")
+      (float_of_int !ranked_out)
   end;
   !switches
 

@@ -52,8 +52,9 @@ val lognormal : t -> mu:float -> sigma:float -> float
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
+val shuffle : ?len:int -> t -> 'a array -> unit
+(** In-place Fisher–Yates shuffle of the first [len] elements (default:
+    all of them); the draws are those of shuffling an array of [len]. *)
 
 val sample_indices : t -> n:int -> k:int -> int array
 (** [sample_indices t ~n ~k] is [k] distinct indices drawn uniformly from

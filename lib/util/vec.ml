@@ -15,7 +15,7 @@ let dot a b =
 
 let norm a = sqrt (dot a a)
 
-let dist a b =
+let[@inline] dist a b =
   assert (dim a = dim b);
   let acc = ref 0. in
   for i = 0 to dim a - 1 do

@@ -82,8 +82,10 @@ let rng t = t.rng
 let coord t i = Vec.copy t.coords.(i)
 let error_estimate t i = t.errors.(i)
 
-(* Distance over the euclidean part only (ignores the height slot). *)
-let euclidean_part_dist t xi xj =
+(* Distances are inlined, so that a caller that compares or sums them
+   boxes no float.  Distance over the euclidean part only (ignores the
+   height slot). *)
+let[@inline] euclidean_part_dist t xi xj =
   let acc = ref 0. in
   for d = 0 to t.config.dim - 1 do
     let diff = xi.(d) -. xj.(d) in
@@ -91,12 +93,12 @@ let euclidean_part_dist t xi xj =
   done;
   sqrt !acc
 
-let distance t xi xj =
+let[@inline] distance t xi xj =
   if t.config.height then
     euclidean_part_dist t xi xj +. xi.(t.config.dim) +. xj.(t.config.dim)
   else Vec.dist xi xj
 
-let predicted t i j = distance t t.coords.(i) t.coords.(j)
+let[@inline] predicted t i j = distance t t.coords.(i) t.coords.(j)
 
 let neighbors t i = Array.copy t.neighbor_sets.(i)
 

@@ -19,6 +19,9 @@
      migration, and no probe accounting beyond its own label.
    - Determinism: the whole scheduled scenario is a function of
      (seed, interval, budget).
+   - Build: every finger table, successor, predecessor and successor
+     list equals a plain per-slot reference build's, and an engine
+     predictor sees the same probes.
 
    The suite uses a complete synthetic matrix (no missing pairs): the
    strict structural invariants require that silence always means
@@ -466,6 +469,110 @@ let test_validation () =
   checkb "unknown key not held" false
     (Chord.Store.holds store ~key:12345 ~node:0)
 
+(* ------------------------------------------------------------------ *)
+(* Build: the per-slot finger rule                                      *)
+
+(* [Chord.build]'s rule, written plainly and slot by slot: the nodes
+   sorted by (id, index) form the ring, and clockwise from a point means
+   from the first of them at or after it, found by a linear scan.  Slot
+   [k]'s candidates are the first [candidates] nodes of the arc
+   [id + 2^k, id + 2^(k+1)); [predict] picks the nearest of them other
+   than the node (the first on ties, [nan] skipped), else the first of
+   them is the finger.  An empty arc falls back to the first node at or
+   after [id + 2^k].  Each table keeps each finger once, the one seen
+   at the lowest slot last. *)
+let reference_build ~candidates ~successor_list ?predict n =
+  let ids = Array.init n Id_space.of_node in
+  let ring = Array.of_list (List.sort compare (List.init n (fun m -> (ids.(m), m)))) in
+  let at pos = snd ring.(pos mod n) in
+  let start lo =
+    let pos = ref 0 in
+    while !pos < n && fst ring.(!pos) < lo do incr pos done;
+    !pos mod n
+  in
+  let slot node k =
+    let lo = Id_space.add ids.(node) (Id_space.power_offset k) in
+    let span = if k + 1 >= Id_space.bits then 0 else Id_space.power_offset k in
+    let s = start lo in
+    let rec arc j =
+      if j >= min candidates n || Id_space.distance_cw lo ids.(at (s + j)) >= span then []
+      else at (s + j) :: arc (j + 1)
+    in
+    match arc 0 with
+    | [] -> if at s = node then -1 else at s
+    | first :: _ as cands ->
+      let best =
+        match predict with
+        | None -> None
+        | Some predict ->
+          List.fold_left
+            (fun acc c ->
+              if c = node then acc
+              else
+                let p = predict node c in
+                match acc with
+                | _ when Float.is_nan p -> acc
+                | Some (_, bp) when bp <= p -> acc
+                | _ -> Some (c, p))
+            None cands
+      in
+      (match best with Some (c, _) -> c | None -> if first = node then -1 else first)
+  in
+  let position = Array.make n 0 in
+  Array.iteri (fun pos (_, m) -> position.(m) <- pos) ring;
+  Array.init n (fun node ->
+      let pos = position.(node) in
+      let fingers =
+        List.fold_left
+          (fun seen k ->
+            let f = slot node k in
+            if f < 0 || List.mem f seen then seen else f :: seen)
+          [] (List.init Id_space.bits Fun.id)
+      in
+      ( Array.of_list fingers,
+        at (pos + 1),
+        at (pos + n - 1),
+        Array.init (min successor_list (n - 1)) (fun k -> at (pos + 1 + k)) ))
+
+(* Two lossy, jittered engines over one world: a predictor that probes
+   one answers differently if asked in a different order. *)
+let engine_pair ~seed n =
+  let m = Euclidean.uniform_box (Rng.create seed) ~n ~dim:3 ~side_ms:300. in
+  let config =
+    {
+      Engine.default_config with
+      Engine.fault = { Fault.default with Fault.loss = 0.1; jitter = 0.2 };
+      seed;
+    }
+  in
+  (Engine.of_matrix ~config m, Engine.of_matrix ~config m)
+
+let prop_build_matches_reference (n, candidates, successor_list, (engine, seed)) =
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  let built_engine, reference_engine = engine_pair ~seed n in
+  let predict e = if engine then Some (Engine.rtt e) else None in
+  let chord = Chord.build ~candidates ~successor_list ?predict:(predict built_engine) n in
+  let reference =
+    reference_build ~candidates ~successor_list ?predict:(predict reference_engine) n
+  in
+  Array.iteri
+    (fun node (fingers, succ, pred, succs) ->
+      if Chord.fingers chord node <> fingers then fail "node %d: fingers differ" node;
+      if Chord.successor chord node <> succ then fail "node %d: successor differs" node;
+      if Chord.predecessor chord node <> pred then fail "node %d: predecessor differs" node;
+      if Chord.successor_list chord node <> succs then
+        fail "node %d: successor list differs" node)
+    reference;
+  let stats e = Format.asprintf "%a" Probe_stats.pp (Engine.stats e) in
+  if stats built_engine <> stats reference_engine then
+    fail "probes differ: %s vs %s" (stats built_engine) (stats reference_engine);
+  true
+
+let gen_build =
+  QCheck2.Gen.(
+    quad (int_range 2 600) (int_range 1 8) (int_range 1 8)
+      (pair bool (int_range 0 9999)))
+
 let () =
   Alcotest.run "dht_properties"
     [
@@ -497,4 +604,11 @@ let () =
         ] );
       ( "validation",
         [ Alcotest.test_case "config and store guards" `Quick test_validation ] );
+      ( "build",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2007 + prop_seed |])
+            (QCheck2.Test.make ~count:25 ~name:"fingers match the per-slot rule"
+               gen_build prop_build_matches_reference);
+        ] );
     ]
