@@ -36,11 +36,11 @@ let ext_multicast ctx =
   in
   show "oracle" oracle;
   let t_vivaldi =
-    Multicast.build ~predict:(Selectors.vivaldi_predict vivaldi) engine ~join_order
+    Multicast.build ~predict:(System.predicted vivaldi) engine ~join_order
   in
   show "vivaldi" t_vivaldi;
   let t_aware =
-    Multicast.build ~predict:(Selectors.vivaldi_predict aware) engine ~join_order
+    Multicast.build ~predict:(System.predicted aware) engine ~join_order
   in
   show "tiv-aware vivaldi" t_aware;
   let refresh_rng = Context.rng ctx 402 in
@@ -48,7 +48,7 @@ let ext_multicast ctx =
   for _ = 1 to 3 do
     switches :=
       !switches
-      + Multicast.refresh ~predict:(Selectors.vivaldi_predict aware) t_aware
+      + Multicast.refresh ~predict:(System.predicted aware) t_aware
           refresh_rng engine
   done;
   show (Printf.sprintf "  + refresh (%d moves)" !switches) t_aware

@@ -96,7 +96,7 @@ let dynamic_run ctx =
     let penalties () =
       (Experiment.run_predictor (Context.rng ctx 23) m ~runs:3
          ~candidate_count:(Context.candidate_count ctx)
-         ~predict:(Selectors.vivaldi_predict system) ())
+         ~predict:(System.predicted system) ())
         .Experiment.penalties
     in
     let snapshots = ref [] in

@@ -4,6 +4,7 @@ module Rng = Tivaware_util.Rng
 module Matrix = Tivaware_delay_space.Matrix
 module Ides = Tivaware_embedding.Ides
 module Lat = Tivaware_embedding.Lat
+module System = Tivaware_vivaldi.System
 module Error = Tivaware_embedding.Error
 module Severity = Tivaware_tiv.Severity
 module Ring = Tivaware_meridian.Ring
@@ -15,7 +16,7 @@ let vivaldi_baseline ctx =
   let system = Context.vivaldi ctx in
   Experiment.run_predictor (Context.rng ctx 40) (Context.matrix ctx) ~runs:5
     ~candidate_count:(Context.candidate_count ctx)
-    ~predict:(Selectors.vivaldi_predict system) ()
+    ~predict:(System.predicted system) ()
 
 let fig15 ctx =
   Report.section "fig15" "Neighbor selection: IDES vs Vivaldi";
@@ -26,15 +27,15 @@ let fig15 ctx =
   let ides = Ides.fit (Context.rng ctx 15) m in
   Report.note "IDES landmark factorization RMSE: %.2f ms" (Ides.landmark_rmse ides);
   let vivaldi_err =
-    Error.evaluate m ~predicted:(Selectors.vivaldi_predict (Context.vivaldi ctx))
+    Error.evaluate m ~predicted:(System.predicted (Context.vivaldi ctx))
   in
-  let ides_err = Error.evaluate m ~predicted:(Selectors.ides_predict ides) in
+  let ides_err = Error.evaluate m ~predicted:(Ides.predicted ides) in
   Format.printf "aggregate error  Vivaldi: %a@." Error.pp vivaldi_err;
   Format.printf "aggregate error  IDES:    %a@." Error.pp ides_err;
   let r_ides =
     Experiment.run_predictor (Context.rng ctx 150) m ~runs:5
       ~candidate_count:(Context.candidate_count ctx)
-      ~predict:(Selectors.ides_predict ides) ()
+      ~predict:(Ides.predicted ides) ()
   in
   let r_vivaldi = vivaldi_baseline ctx in
   Report.penalty_cdf_table
@@ -48,12 +49,12 @@ let fig16 ctx =
   Report.expectation "LAT only marginally better than original Vivaldi";
   let m = Context.matrix ctx in
   let lat = Lat.fit (Context.rng ctx 16) (Context.vivaldi ctx) in
-  let lat_err = Error.evaluate m ~predicted:(Selectors.lat_predict lat) in
+  let lat_err = Error.evaluate m ~predicted:(Lat.predicted lat) in
   Format.printf "aggregate error  Vivaldi+LAT: %a@." Error.pp lat_err;
   let r_lat =
     Experiment.run_predictor (Context.rng ctx 160) m ~runs:5
       ~candidate_count:(Context.candidate_count ctx)
-      ~predict:(Selectors.lat_predict lat) ()
+      ~predict:(Lat.predicted lat) ()
   in
   let r_vivaldi = vivaldi_baseline ctx in
   Report.penalty_cdf_table
@@ -80,7 +81,7 @@ let fig17 ctx =
   let r_filtered =
     Experiment.run_predictor (Context.rng ctx 170) m ~runs:5
       ~candidate_count:(Context.candidate_count ctx)
-      ~predict:(Selectors.vivaldi_predict filtered) ()
+      ~predict:(System.predicted filtered) ()
   in
   let r_vivaldi = vivaldi_baseline ctx in
   Report.penalty_cdf_table

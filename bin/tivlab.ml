@@ -241,13 +241,13 @@ let vivaldi_cmd =
       Dynamic_neighbors.run system
         { Dynamic_neighbors.rounds_per_iteration = rounds; iterations = dynamic };
     let err =
-      Error.evaluate m ~predicted:(Selectors.vivaldi_predict system)
+      Error.evaluate m ~predicted:(System.predicted system)
     in
     Format.printf "embedding error: %a@." Error.pp err;
     let result =
       or_usage_error (fun () ->
           Experiment.run_predictor rng m ~runs:5 ~candidate_count:candidates
-            ~predict:(Selectors.vivaldi_predict system) ())
+            ~predict:(System.predicted system) ())
     in
     Printf.printf "neighbor selection: %s (failures %d)\n"
       (Penalty.summarize result.Experiment.penalties)
@@ -641,14 +641,14 @@ let dht_cmd =
           (* PNS probes pay the measurement plane (--loss, --retry-policy,
              --cache-capacity, ...). *)
           Some (Engine.rtt ~label:"dht" engine)
-        | `Vivaldi -> Some (Selectors.vivaldi_predict (vivaldi ()))
+        | `Vivaldi -> Some (System.predicted (vivaldi ()))
         | `Tiv_aware ->
           let system = vivaldi () in
           Dynamic_neighbors.run system
             { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
-          Some (Selectors.vivaldi_predict system)
+          Some (System.predicted system)
       in
-      let overlay = Chord.build ~candidates ?predict n in
+      let overlay = or_usage_error (fun () -> Chord.build ~candidates ?predict n) in
       let latencies = ref [] and hops = ref 0 in
       for _ = 1 to lookups do
         let l =
@@ -760,6 +760,7 @@ let dht_cmd =
 
 let multicast_cmd =
   let run world max_degree refreshes tiv_aware measured meas =
+    or_usage_error (fun () -> Harness.at_least "refresh" 0 refreshes);
     let backend, _, engine = Harness.build ~prog world meas in
     let seed = world.Harness.seed in
     let rng = Rng.create seed in
@@ -777,10 +778,12 @@ let multicast_cmd =
         if tiv_aware then
           Dynamic_neighbors.run system
             { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
-        Some (Selectors.vivaldi_predict system)
+        Some (System.predicted system)
       end
     in
-    let t = Multicast.build ~config ?predict engine ~join_order in
+    let t =
+      or_usage_error (fun () -> Multicast.build ~config ?predict engine ~join_order)
+    in
     let switches = ref 0 in
     for _ = 1 to refreshes do
       switches := !switches + Multicast.refresh ?predict t rng engine

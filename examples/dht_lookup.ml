@@ -19,6 +19,7 @@ module Generator = Tivaware_topology.Generator
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
+module System = Tivaware_vivaldi.System
 module Selectors = Tivaware_core.Selectors
 
 let () =
@@ -34,8 +35,8 @@ let () =
   let overlays =
     [
       ("plain Chord", Chord.build n);
-      ("PNS / Vivaldi", Chord.build ~predict:(Selectors.vivaldi_predict vivaldi) n);
-      ("PNS / TIV-aware", Chord.build ~predict:(Selectors.vivaldi_predict aware) n);
+      ("PNS / Vivaldi", Chord.build ~predict:(System.predicted vivaldi) n);
+      ("PNS / TIV-aware", Chord.build ~predict:(System.predicted aware) n);
       ("PNS / oracle", Chord.build ~predict:(Backend.query truth) n);
     ]
   in

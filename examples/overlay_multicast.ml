@@ -17,6 +17,7 @@ module Generator = Tivaware_topology.Generator
 module Multicast = Tivaware_overlay.Multicast
 module Engine = Tivaware_measure.Engine
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
+module System = Tivaware_vivaldi.System
 module Selectors = Tivaware_core.Selectors
 
 let show name (m : Multicast.metrics) =
@@ -39,7 +40,7 @@ let () =
   (* Mechanism 2: raw Vivaldi coordinates. *)
   let vivaldi = Selectors.embed_vivaldi (Rng.create 24) m in
   let t_vivaldi =
-    Multicast.build ~predict:(Selectors.vivaldi_predict vivaldi) engine ~join_order
+    Multicast.build ~predict:(System.predicted vivaldi) engine ~join_order
   in
 
   (* Mechanism 3: TIV-aware dynamic-neighbor Vivaldi. *)
@@ -47,7 +48,7 @@ let () =
   Dynamic_neighbors.run aware
     { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
   let t_aware =
-    Multicast.build ~predict:(Selectors.vivaldi_predict aware) engine ~join_order
+    Multicast.build ~predict:(System.predicted aware) engine ~join_order
   in
 
   Printf.printf "%-28s %8s %12s %10s %9s %7s %8s\n" "mechanism" "members"
@@ -62,7 +63,7 @@ let () =
   for _ = 1 to 3 do
     total_switches :=
       !total_switches
-      + Multicast.refresh ~predict:(Selectors.vivaldi_predict aware) t_aware
+      + Multicast.refresh ~predict:(System.predicted aware) t_aware
           refresh_rng engine
   done;
   Printf.printf "\nafter 3 refresh passes (%d parent switches):\n" !total_switches;

@@ -35,7 +35,7 @@ let () =
   let system = Selectors.embed_vivaldi rng m in
   let result =
     Experiment.run_predictor rng m ~runs:3 ~candidate_count:40
-      ~predict:(Selectors.vivaldi_predict system) ()
+      ~predict:(System.predicted system) ()
   in
   Printf.printf "Vivaldi neighbor selection:           %s\n"
     (Penalty.summarize result.Experiment.penalties);
@@ -46,7 +46,7 @@ let () =
     { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
   let result' =
     Experiment.run_predictor rng m ~runs:3 ~candidate_count:40
-      ~predict:(Selectors.vivaldi_predict system) ()
+      ~predict:(System.predicted system) ()
   in
   Printf.printf "dynamic-neighbor Vivaldi (TIV-aware): %s\n"
     (Penalty.summarize result'.Experiment.penalties)

@@ -1,4 +1,5 @@
 module Rng = Tivaware_util.Rng
+module Stats = Tivaware_util.Stats
 module Matrix = Tivaware_delay_space.Matrix
 module Query = Tivaware_meridian.Query
 module Overlay = Tivaware_meridian.Overlay
@@ -16,22 +17,14 @@ let split_population rng n subset_count =
   let rest = Array.sub ids subset_count (n - subset_count) in
   (subset, rest)
 
-(* Measured optimum among candidates; None when the client has no
-   measured candidate edge. *)
+(* Index and delay of the measured optimum among candidates; None when
+   the client has no measured candidate edge. *)
 let optimal_candidate m client candidates =
-  Array.fold_left
-    (fun acc c ->
-      if c = client then acc
-      else begin
-        let d = Matrix.get m client c in
-        if Float.is_nan d then acc
-        else begin
-          match acc with
-          | Some (_, bd) when bd <= d -> acc
-          | _ -> Some (c, d)
-        end
-      end)
-    None candidates
+  Stats.argmin_index
+    (fun i ->
+      let c = candidates.(i) in
+      if c = client then Float.nan else Matrix.get m client c)
+    (Array.length candidates)
 
 let run_predictor rng m ?(runs = 5) ~candidate_count ~predict () =
   let n = Matrix.size m in
@@ -47,20 +40,13 @@ let run_predictor rng m ?(runs = 5) ~candidate_count ~predict () =
       (fun client ->
         (* The client trusts its predictor to rank candidates. *)
         let selected =
-          Array.fold_left
-            (fun acc c ->
-              let p = predict client c in
-              if Float.is_nan p then acc
-              else begin
-                match acc with
-                | Some (_, bp) when bp <= p -> acc
-                | _ -> Some (c, p)
-              end)
-            None candidates
+          Stats.argmin_index
+            (fun i -> predict client candidates.(i))
+            (Array.length candidates)
         in
         match (selected, optimal_candidate m client candidates) with
         | Some (sel, _), Some (_, opt_d) ->
-          let sel_d = Matrix.get m client sel in
+          let sel_d = Matrix.get m client candidates.(sel) in
           if Float.is_nan sel_d || opt_d <= 0. then incr failures
           else penalties := Penalty.percentage ~selected:sel_d ~optimal:opt_d :: !penalties
         | _ -> incr failures)

@@ -1,8 +1,6 @@
 module Rng = Tivaware_util.Rng
 module Matrix = Tivaware_delay_space.Matrix
 module System = Tivaware_vivaldi.System
-module Ides = Tivaware_embedding.Ides
-module Lat = Tivaware_embedding.Lat
 module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
 module Tiv_aware = Tivaware_meridian.Tiv_aware
@@ -64,12 +62,6 @@ let embed_vivaldi_filtered ?config ?(rounds = default_rounds) ~banned rng m =
   done;
   System.run system ~rounds;
   system
-
-let vivaldi_predict system i j = System.predicted system i j
-
-let ides_predict ides i j = Ides.predicted ides i j
-
-let lat_predict lat i j = Lat.predicted lat i j
 
 let banned_set pairs =
   let table = Hashtbl.create (Array.length pairs) in

@@ -50,12 +50,6 @@ val embed_vivaldi_filtered :
     (min i j, max i j)] holds are never used (Section 4.3's global
     TIV-severity filter). *)
 
-val vivaldi_predict : Tivaware_vivaldi.System.t -> int -> int -> float
-
-val ides_predict : Tivaware_embedding.Ides.t -> int -> int -> float
-
-val lat_predict : Tivaware_embedding.Lat.t -> int -> int -> float
-
 val banned_set : (int * int) array -> (int * int) -> bool
 (** Membership test over normalized [(min, max)] pairs. *)
 

@@ -71,15 +71,8 @@ let neighbors t i =
   !out
 
 let nearest_neighbor t i =
-  let best = ref None in
-  for j = 0 to t.n - 1 do
-    if known t i j then begin
-      let d = get t i j in
-      match !best with
-      | Some (_, bd) when bd <= d -> ()
-      | _ -> best := Some (j, d)
-    end
-  done;
-  !best
+  Tivaware_util.Stats.argmin_index
+    (fun j -> if j = i then Float.nan else get t i j)
+    t.n
 
 let row t i = Array.init t.n (fun j -> get t i j)

@@ -1,4 +1,6 @@
 module Backend = Tivaware_backend.Delay_backend
+module Engine = Tivaware_measure.Engine
+module Stats = Tivaware_util.Stats
 
 type t = {
   ids : int array;  (* ids.(node) = identifier *)
@@ -31,8 +33,9 @@ let fingers t node = Array.copy t.finger_tables.(node)
 let predecessor t node = t.predecessors.(node)
 let believed_dead t node = t.dead.(node)
 
-(* First (id, node) whose id is >= key, wrapping to the smallest. *)
-let owner_entry sorted key =
+(* The one ring search: the position in [sorted] of the first id at or
+   after [key], wrapping past the largest id to position 0. *)
+let lower_bound sorted (key : int) =
   let n = Array.length sorted in
   let rec search lo hi =
     (* invariant: fst sorted.(i) < key for i < lo; >= key for i >= hi *)
@@ -43,62 +46,75 @@ let owner_entry sorted key =
     end
   in
   let pos = search 0 n in
-  sorted.(if pos = n then 0 else pos)
+  if pos = n then 0 else pos
 
-let owner_of t key = snd (owner_entry t.sorted key)
+let owner_of t key = snd t.sorted.(lower_bound t.sorted key)
 
 (* First node at or after [key] not believed dead: the node that
    answers for the key once healing has routed responsibility past the
    failures.  With an all-false belief (no healing) this is [owner_of]. *)
 let live_owner_of t key =
   let n = Array.length t.sorted in
-  let start =
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if fst t.sorted.(mid) < key then search (mid + 1) hi else search lo mid
-      end
-    in
-    let pos = search 0 n in
-    if pos = n then 0 else pos
-  in
   let rec walk pos steps =
     let node = snd t.sorted.(pos) in
     if steps >= n || not t.dead.(node) then node
     else walk ((pos + 1) mod n) (steps + 1)
   in
-  walk start 0
+  walk (lower_bound t.sorted key) 0
 
-(* Nodes whose ids fall in the clockwise arc [lo, hi), in arc order,
-   at most [limit] of them. *)
-let arc_candidates sorted lo hi limit =
+(* The one finger choice, made by [build] and by the stabilizer's
+   fix-fingers: slot [k] of [node] holds the node the pick rule finds
+   cheapest under [cost node] ([nan] skips) among the first [limit]
+   nodes of the arc [id + 2^k, id + 2^(k+1)), else the arc's first
+   node; an empty arc falls back to classical Chord's successor of
+   [id + 2^k].  -1 when the choice is [node] itself. *)
+let choose_finger sorted ids ~limit ~cost node k =
   let n = Array.length sorted in
-  let start =
-    let rec search l h =
-      if l >= h then l
-      else begin
-        let mid = (l + h) / 2 in
-        if fst sorted.(mid) < lo then search (mid + 1) h else search l mid
-      end
-    in
-    let pos = search 0 n in
-    if pos = n then 0 else pos
-  in
-  let span = Id_space.distance_cw lo hi in
-  let out = ref [] and count = ref 0 and k = ref start in
-  let continue_ = ref (span > 0) in
-  while !continue_ && !count < limit do
-    let id, node = sorted.(!k mod n) in
-    if Id_space.distance_cw lo id < span then begin
-      out := node :: !out;
-      incr count;
-      k := !k + 1;
-      if !k - start >= n then continue_ := false
-    end
-    else continue_ := false
+  let lo = Id_space.add ids.(node) (Id_space.power_offset k) in
+  (* The top slot's arc would wrap the whole ring: it counts as empty. *)
+  let span = if k + 1 >= Id_space.bits then 0 else Id_space.power_offset k in
+  let start = lower_bound sorted lo in
+  let len = ref 0 in
+  while
+    !len < limit && !len < n
+    && Id_space.distance_cw lo (fst sorted.((start + !len) mod n)) < span
+  do
+    incr len
   done;
-  List.rev !out
+  let at i = snd sorted.((start + i) mod n) in
+  let choice =
+    match
+      Stats.argmin_index
+        (fun i ->
+          let c = at i in
+          if c = node then Float.nan else cost node c)
+        !len
+    with
+    | Some (i, _) -> at i
+    | None -> at 0
+  in
+  if choice = node then -1 else choice
+
+(* The one liveness-belief rule, applied to every probe of [v] the heal
+   pass and the stabilizer make: an answer clears the shared failure
+   belief, a timed-out probe sets it (the belief is gossiped, so only
+   conclusive silence may), and an unmeasurable link (missing pair) or
+   a budget refusal says nothing about [v]'s liveness.  [`Revived] and
+   [`Accused] report that the belief moved. *)
+let believe t v = function
+  | Engine.Rtt d | Engine.Cached d ->
+    if t.dead.(v) then begin
+      t.dead.(v) <- false;
+      `Revived d
+    end
+    else `Alive d
+  | Engine.Down | Engine.Lost ->
+    if t.dead.(v) then `Dead
+    else begin
+      t.dead.(v) <- true;
+      `Accused
+    end
+  | Engine.Unmeasured | Engine.Denied -> `Unknown
 
 (* Routing's deduplicated finger table, derived from the raw per-slot
    entries: each distinct finger once, the one first seen in k-ascending
@@ -117,6 +133,9 @@ let build ?(candidates = 8) ?(successor_list = 4) ?predict n =
     invalid_arg (Printf.sprintf "Chord.build: n must be >= 2 (got %d)" n);
   if successor_list < 1 then
     invalid_arg "Chord.build: successor_list must be >= 1";
+  if candidates < 1 then
+    invalid_arg
+      (Printf.sprintf "Chord.build: candidates must be >= 1 (got %d)" candidates);
   let ids = Array.init n Id_space.of_node in
   let sorted = Array.init n (fun node -> (ids.(node), node)) in
   Array.sort
@@ -132,58 +151,23 @@ let build ?(candidates = 8) ?(successor_list = 4) ?predict n =
     Array.init n (fun node ->
         Array.init r (fun k -> snd sorted.((position.(node) + 1 + k) mod n)))
   in
-  let finger_of node k =
-    let lo = Id_space.add ids.(node) (Id_space.power_offset k) in
-    let hi =
-      if k + 1 >= Id_space.bits then lo (* empty arc: full wrap handled below *)
-      else Id_space.add ids.(node) (Id_space.power_offset (k + 1))
-    in
-    match arc_candidates sorted lo hi candidates with
-    | [] ->
-      (* Classical Chord fallback: successor of (id + 2^k). *)
-      let owner = snd (owner_entry sorted lo) in
-      if owner = node then None else Some owner
-    | first :: _ as cands -> (
-      match predict with
-      | None -> if first = node then None else Some first
-      | Some predict ->
-        let best =
-          List.fold_left
-            (fun acc c ->
-              if c = node then acc
-              else begin
-                let p = predict node c in
-                if Float.is_nan p then acc
-                else begin
-                  match acc with
-                  | Some (_, bp) when bp <= p -> acc
-                  | _ -> Some (c, p)
-                end
-              end)
-            None cands
-        in
-        (match best with
-        | Some (c, _) -> Some c
-        | None -> if first = node then None else Some first))
-  in
-  (* Fill the raw per-slot view in the exact node-major, k-ascending
-     order the dedup loop used to call [finger_of] in, so an engine
+  (* Plain Chord: no cost, so every arc falls back to its first node. *)
+  let cost = match predict with Some p -> p | None -> fun _ _ -> Float.nan in
+  (* Fill the raw per-slot view node-major, k-ascending, so an engine
      predictor sees the same probe sequence (bit-identical builds).  An
      arc [id + 2^k, id + 2^(k+1)) that ends at or before the node's
      successor holds no node, and its finger is that successor: the
-     fallback [finger_of] would reach without calling [predict].  Some
-     52 of the 61 slots of a node in a 400-node ring are such arcs. *)
+     fallback [choose_finger] would reach without calling [predict].
+     Some 52 of the 61 slots of a node in a 400-node ring are such
+     arcs. *)
   let finger_at = Array.make_matrix n Id_space.bits (-1) in
   for node = 0 to n - 1 do
     let succ = successors.(node) in
     let gap = Id_space.distance_cw ids.(node) ids.(succ) in
     for k = 0 to Id_space.bits - 1 do
-      if k + 1 < Id_space.bits && Id_space.power_offset (k + 1) <= gap then
-        finger_at.(node).(k) <- succ
-      else
-        match finger_of node k with
-        | Some f -> finger_at.(node).(k) <- f
-        | None -> ()
+      finger_at.(node).(k) <-
+        (if k + 1 < Id_space.bits && Id_space.power_offset (k + 1) <= gap then succ
+         else choose_finger sorted ids ~limit:candidates ~cost node k)
     done
   done;
   let finger_tables = Array.map dedup_fingers finger_at in
@@ -276,7 +260,6 @@ type heal = {
    way; chains of up to [successor_list] consecutive failures are
    walked past.  All probes are charged under [label]. *)
 let heal_engine ?(label = "dht-repair") t engine =
-  let module Engine = Tivaware_measure.Engine in
   let checked = ref 0 and rerouted = ref 0 in
   let marked = ref 0 and revived = ref 0 in
   Array.iteri
@@ -287,25 +270,13 @@ let heal_engine ?(label = "dht-repair") t engine =
           (fun c ->
             if !chosen = None then begin
               incr checked;
-              match Engine.probe ~label engine node c with
-              | Engine.Rtt _ | Engine.Cached _ ->
-                if t.dead.(c) then begin
-                  t.dead.(c) <- false;
-                  incr revived
-                end;
+              match believe t c (Engine.probe ~label engine node c) with
+              | `Revived _ ->
+                incr revived;
                 chosen := Some c
-              | Engine.Down | Engine.Lost ->
-                (* A timed-out probe is failure detection: the belief
-                   is gossiped, so only conclusive silence may set it. *)
-                if not t.dead.(c) then begin
-                  t.dead.(c) <- true;
-                  incr marked
-                end
-              | Engine.Unmeasured | Engine.Denied ->
-                (* This link cannot carry a probe (missing pair) or the
-                   budget refused it — says nothing about [c]'s
-                   liveness; skip the candidate without accusing it. *)
-                ()
+              | `Alive _ -> chosen := Some c
+              | `Accused -> incr marked
+              | `Dead | `Unknown -> ()
             end)
           t.successor_lists.(node);
         match !chosen with
@@ -423,7 +394,6 @@ end
 (* Continuous stabilization                                            *)
 
 module Stabilizer = struct
-  module Engine = Tivaware_measure.Engine
   module Arbiter = Tivaware_measure.Arbiter
   module Obs = Tivaware_obs
   module Sim = Tivaware_eventsim.Sim
@@ -531,12 +501,11 @@ module Stabilizer = struct
       denied = n t.c_denied;
     }
 
-  (* One arbitrated liveness/RTT probe with the heal-pass belief rules:
-     an answer revives, conclusive silence accuses, an unmeasurable
-     link or a budget refusal says nothing.  [`Skipped] means the
-     arbiter refused the token and the probe was never issued; the
-     first refusal marks the round dry (one denial counted, the rest
-     of the round suppressed — a carve cannot refill mid-round). *)
+  (* One arbitrated liveness/RTT probe, its outcome passed through
+     [believe].  [`Skipped] means the arbiter refused the token and the
+     probe was never issued; the first refusal marks the round dry (one
+     denial counted, the rest of the round suppressed — a carve cannot
+     refill mid-round). *)
   let probe t u v =
     let admitted =
       (not t.dry)
@@ -554,58 +523,29 @@ module Stabilizer = struct
     end
     else begin
       Obs.Counter.incr t.c_checked;
-      match Engine.probe ~label:t.config.label t.engine u v with
-      | Engine.Rtt d | Engine.Cached d ->
-        if t.chord.dead.(v) then begin
-          t.chord.dead.(v) <- false;
-          t.changed <- true;
-          Obs.Counter.incr t.c_revived
-        end;
+      match believe t.chord v (Engine.probe ~label:t.config.label t.engine u v) with
+      | `Revived d ->
+        t.changed <- true;
+        Obs.Counter.incr t.c_revived;
         `Alive d
-      | Engine.Down | Engine.Lost ->
-        if not t.chord.dead.(v) then begin
-          t.chord.dead.(v) <- true;
-          t.changed <- true;
-          Obs.Counter.incr t.c_marked
-        end;
+      | `Accused ->
+        t.changed <- true;
+        Obs.Counter.incr t.c_marked;
         `Dead
-      | Engine.Unmeasured | Engine.Denied -> `Unknown
+      | (`Alive _ | `Dead | `Unknown) as seen -> seen
     end
 
-  (* Refresh finger slot [k] of node [u]: probe the same arc candidates
-     the build selected from, with the same proximity fold and
-     tie-break, so on a fault-free engine a refresh reproduces the
+  (* Refresh finger slot [k] of node [u] with the build's choice, its
+     cost a probe, so on a fault-free engine a refresh reproduces the
      built entry exactly (structural inertness without churn). *)
   let refresh_finger t u k =
     let chord = t.chord in
-    let lo = Id_space.add chord.ids.(u) (Id_space.power_offset k) in
-    let hi =
-      if k + 1 >= Id_space.bits then lo
-      else Id_space.add chord.ids.(u) (Id_space.power_offset (k + 1))
-    in
     let entry =
-      match arc_candidates chord.sorted lo hi t.config.candidates with
-      | [] ->
-        let owner = snd (owner_entry chord.sorted lo) in
-        if owner = u then -1 else owner
-      | first :: _ as cands ->
-        let best =
-          List.fold_left
-            (fun acc c ->
-              if c = u then acc
-              else begin
-                match probe t u c with
-                | `Alive p -> (
-                  match acc with
-                  | Some (_, bp) when bp <= p -> acc
-                  | _ -> Some (c, p))
-                | `Dead | `Unknown | `Skipped -> acc
-              end)
-            None cands
-        in
-        (match best with
-        | Some (c, _) -> c
-        | None -> if first = u then -1 else first)
+      choose_finger chord.sorted chord.ids ~limit:t.config.candidates u k
+        ~cost:(fun u c ->
+          match probe t u c with
+          | `Alive p -> p
+          | `Dead | `Unknown | `Skipped -> Float.nan)
     in
     if chord.finger_at.(u).(k) <> entry then begin
       chord.finger_at.(u).(k) <- entry;

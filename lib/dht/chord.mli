@@ -18,7 +18,23 @@
       [[id + 2^k, id + 2^(k+1))] (Gummadi et al.'s PNS(k)).
 
     Lookups use greedy clockwise routing and report both hop count and
-    accumulated measured network latency. *)
+    accumulated measured network latency.
+
+    Two rules live in one place each and are shared:
+    - {e The finger choice.}  {!build} and the {!Stabilizer}'s
+      fix-fingers choose a finger the same way, with the pick rule
+      ({!Tivaware_util.Stats.argmin}: the first strict minimum, [nan]
+      skipped) over the arc candidates.  The cost is [predict] at build
+      time and a probe in the stabilizer; with no finite cost the arc's
+      first node is the finger, and an empty arc falls back to plain
+      Chord's.
+    - {e The liveness-belief rule.}  Every probe {!heal_engine} and the
+      {!Stabilizer} make updates the shared failure belief
+      ({!believed_dead}) the router consults: an answer clears it, a
+      timed-out probe ([Down]/[Lost]) sets it, and an unmeasurable pair
+      or a budget denial says nothing about the node's liveness, so the
+      gossiped belief never marks a node that is up (false suspicion is
+      still possible under loss, as in any real failure detector). *)
 
 type t
 
@@ -40,7 +56,8 @@ val build :
     [nan]).  Every node also records its [successor_list] (default 4,
     capped at [n - 1]) next nodes clockwise — the healing candidates
     {!heal_engine} falls back on when a successor dies.  Raises
-    [Invalid_argument] when [n < 2] or [successor_list < 1]. *)
+    [Invalid_argument] when [n < 2], [successor_list < 1] or
+    [candidates < 1]. *)
 
 val size : t -> int
 val node_id : t -> int -> int
@@ -106,13 +123,9 @@ val heal_engine : ?label:string -> t -> Tivaware_measure.Engine.t -> heal
 (** One healing pass against the engine's current churn state: every
     node that is itself up walks its successor list in clockwise order,
     probing each candidate through the engine until one answers; the
-    first live candidate becomes its successor, and the shared failure
-    belief ({!believed_dead}) the router consults is updated from the
-    probe outcomes.  Only timed-out probes ([Down]/[Lost]) accuse a
-    node — an unmeasurable pair or a budget denial says nothing about
-    the candidate's liveness and merely skips it, so the gossiped
-    belief never marks a node that is up (false suspicion is possible
-    under loss, as in any real failure detector).  A revived node is
+    first live candidate becomes its successor, and every probe
+    updates the failure belief by the liveness-belief rule above (a
+    candidate that says nothing is skipped).  A revived node is
     re-probed — and its belief cleared — by its predecessor on the next
     pass, because it is always the first entry of that predecessor's
     list.  Probes are charged and accounted under [label] (default

@@ -1,6 +1,7 @@
 module Backend = Tivaware_backend.Delay_backend
 module Engine = Tivaware_measure.Engine
 module Obs = Tivaware_obs
+module Stats = Tivaware_util.Stats
 
 type termination = Threshold | Any_improvement
 
@@ -164,29 +165,26 @@ let arrive w node =
 
 let window w = w.window
 
-(* The hop rule's fold: members' measurements in ring-member order.
-   Visited members are skipped (best-seen already holds their delays);
-   best-seen moves on a strict improvement; unmeasurable members are
-   skipped; the first strict minimum is the candidate. *)
+(* The hop rule: members' measurements in ring-member order.  Visited
+   members are skipped unprobed (best-seen already holds their delays);
+   best-seen moves on a strict improvement; the pick rule takes the
+   first strict minimum. *)
 let best_member w members =
-  List.fold_left
-    (fun acc m ->
-      let id = m.Overlay.id in
-      if Hashtbl.mem w.visited id then acc
-      else begin
-        let d, _ = probe w id in
-        if d < w.best_delay then begin
-          w.best <- id;
-          w.best_delay <- d
-        end;
-        if Float.is_nan d then acc
-        else begin
-          match acc with
-          | Some (_, bd) when bd <= d -> acc
-          | _ -> Some (id, d)
-        end
-      end)
-    None members
+  Option.map
+    (fun (m, d) -> (m.Overlay.id, d))
+    (Stats.argmin
+       (fun m ->
+         let id = m.Overlay.id in
+         if Hashtbl.mem w.visited id then Float.nan
+         else begin
+           let d, _ = probe w id in
+           if d < w.best_delay then begin
+             w.best <- id;
+             w.best_delay <- d
+           end;
+           d
+         end)
+       members)
 
 (* The forwarding rule: whether a candidate justifies leaving the
    current node. *)
@@ -270,19 +268,15 @@ let closest_multi ?(termination = Threshold) overlay engine ~start
 
 let optimal_multi overlay backend ~targets =
   if targets = [] then invalid_arg "Query.optimal_multi: no targets";
-  Array.fold_left
-    (fun acc node ->
-      if List.mem node targets then acc
-      else begin
-        let d = max_norm (Backend.query backend) node targets in
-        if Float.is_nan d then acc
-        else begin
-          match acc with
-          | Some (_, bd) when bd <= d -> acc
-          | _ -> Some (node, d)
-        end
-      end)
-    None (Overlay.meridian_nodes overlay)
+  let nodes = Overlay.meridian_nodes overlay in
+  Option.map
+    (fun (i, d) -> (nodes.(i), d))
+    (Stats.argmin_index
+       (fun i ->
+         let node = nodes.(i) in
+         if List.mem node targets then Float.nan
+         else max_norm (Backend.query backend) node targets)
+       (Array.length nodes))
 
 (* Delays are non-negative, so the max-norm over one target is the
    delay itself. *)

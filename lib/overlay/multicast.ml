@@ -105,23 +105,15 @@ let predictor ~label ?predict engine =
 
 (* Predicted-nearest joined member with spare degree among candidates. *)
 let best_attachment t ~known ~predict node candidates =
-  List.fold_left
-    (fun acc cand ->
+  Stats.argmin
+    (fun cand ->
       if
         cand <> node && joined t cand
         && degree t cand < t.config.max_degree
         && known node cand
-      then begin
-        let p = predict node cand in
-        if Float.is_nan p then acc
-        else begin
-          match acc with
-          | Some (_, bp) when bp <= p -> acc
-          | _ -> Some (cand, p)
-        end
-      end
-      else acc)
-    None candidates
+      then predict node cand
+      else Float.nan)
+    candidates
 
 (* Joins predict edge delays by probing through the engine unless
    [predict] overrides; edge existence consults the engine's ground
@@ -130,6 +122,14 @@ let build ?(config = default_config) ?(label = "multicast") ?predict engine
     ~join_order =
   if Array.length join_order = 0 then
     invalid_arg "Multicast.build: join_order must be non-empty";
+  if config.max_degree < 1 then
+    invalid_arg
+      (Printf.sprintf "Multicast.build: max_degree must be >= 1 (got %d)"
+         config.max_degree);
+  if config.refresh_sample < 1 then
+    invalid_arg
+      (Printf.sprintf "Multicast.build: refresh_sample must be >= 1 (got %d)"
+         config.refresh_sample);
   let known = known_of_engine engine in
   let predict = predictor ~label ?predict engine in
   let n = Engine.size engine in

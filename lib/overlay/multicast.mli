@@ -56,7 +56,8 @@ val build :
     [nan]" — matrix-backed and lazy backend engines both work.  Nodes
     with no measurable candidate are left out (reported by
     {!members}); a node's later repeats in [join_order] are ignored.
-    Raises [Invalid_argument] on an empty [join_order]. *)
+    Raises [Invalid_argument] on an empty [join_order], [max_degree < 1]
+    or [refresh_sample < 1]. *)
 
 val refresh :
   ?label:string ->

@@ -119,19 +119,12 @@ let select ~label t ~engine ~client ~candidates =
   | Alert_aware { predicted; threshold } ->
       alert_walk ~label ~engine ~predicted ~threshold ~client candidates
   | Cached _ | Random _ | Coordinate _ | Probe ->
-      (* First strict minimum in candidate order, nan skipped. *)
       let probes = ref 0 in
       let rank = ranker ~label t engine probes in
-      let best = ref None in
-      Array.iter
-        (fun (device, node) ->
-          let e = rank client node in
-          if not (Float.is_nan e) then
-            match !best with
-            | Some (_, _, be) when be <= e -> ()
-            | _ -> best := Some (device, node, e))
-        candidates;
       Option.map
-        (fun (device, node, estimate) ->
+        (fun (i, estimate) ->
+          let device, node = candidates.(i) in
           { device; node; estimate; probes = !probes; skipped_flagged = 0 })
-        !best
+        (Tivaware_util.Stats.argmin_index
+           (fun i -> rank client (snd candidates.(i)))
+           (Array.length candidates))

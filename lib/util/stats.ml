@@ -35,6 +35,37 @@ let percentile xs p = percentile_sorted (sorted_copy xs) p
 
 let median xs = percentile xs 50.
 
+(* The pick rule's one comparison: cost [c] displaces [best], the best
+   cost so far ([nan] while there is none), when it is a number below
+   it. *)
+let[@inline] improves c best =
+  (not (Float.is_nan c)) && (Float.is_nan best || c < best)
+
+(* [best] is the list cell whose head is the best candidate so far, so
+   an improvement allocates nothing. *)
+let argmin cost xs =
+  let rec go best best_cost = function
+    | x :: rest as cell ->
+      let c = cost x in
+      if improves c best_cost then go cell c rest else go best best_cost rest
+    | [] -> (
+      match best with
+      | x :: _ when not (Float.is_nan best_cost) -> Some (x, best_cost)
+      | _ -> None)
+  in
+  go xs Float.nan xs
+
+let argmin_index cost n =
+  let best = ref (-1) and best_cost = ref Float.nan in
+  for i = 0 to n - 1 do
+    let c = cost i in
+    if improves c !best_cost then begin
+      best := i;
+      best_cost := c
+    end
+  done;
+  if !best < 0 then None else Some (!best, !best_cost)
+
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Stats.min_max: empty array";
   Array.fold_left

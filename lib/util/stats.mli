@@ -18,6 +18,17 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 
+val argmin : ('a -> float) -> 'a list -> ('a * float) option
+(** The pick rule: the first strict minimum of [cost] over [xs] in list
+    order, with its cost, or [None] when every cost is [nan].  A [nan]
+    cost skips its candidate, so a cost function excludes a candidate
+    by returning [nan].  [cost] is called exactly once per candidate,
+    in order; the search itself allocates nothing per candidate. *)
+
+val argmin_index : (int -> float) -> int -> (int * float) option
+(** {!argmin} over the indices [0 .. n-1]: the same rule, for arrays
+    and index ranges. *)
+
 val min_max : float array -> float * float
 (** Raises [Invalid_argument] on the empty array. *)
 

@@ -165,6 +165,11 @@ let test_build_too_small () =
     (Invalid_argument "Chord.build: n must be >= 2 (got 1)")
     (fun () -> ignore (Chord.build 1))
 
+let test_build_no_candidates () =
+  Alcotest.check_raises "candidates < 1 names the field"
+    (Invalid_argument "Chord.build: candidates must be >= 1 (got 0)")
+    (fun () -> ignore (Chord.build ~candidates:0 8))
+
 let prop_lookup_deterministic =
   qcheck ~count:30 "same lookup, same route"
     QCheck2.Gen.(pair (int_range 0 30) int)
@@ -327,6 +332,7 @@ let () =
           Alcotest.test_case "successor minimal" `Quick test_successor_is_id_order;
           Alcotest.test_case "owner_of" `Quick test_owner_of;
           Alcotest.test_case "too small" `Quick test_build_too_small;
+          Alcotest.test_case "no candidates" `Quick test_build_no_candidates;
           Alcotest.test_case "fingers valid" `Quick test_fingers_not_self;
         ] );
       ( "lookup",

@@ -80,7 +80,7 @@ let test_dynamic_neighbor_vivaldi_improves_selection () =
   System.run system ~rounds:100;
   let penalties () =
     (Experiment.run_predictor (Rng.create 57) m ~runs:3 ~candidate_count:30
-       ~predict:(Selectors.vivaldi_predict system) ())
+       ~predict:(System.predicted system) ())
       .Experiment.penalties
   in
   let before = Stats.median (penalties ()) in
@@ -153,7 +153,7 @@ let test_full_pipeline_determinism () =
     let m = data.Generator.matrix in
     let system = Selectors.embed_vivaldi ~rounds:50 (Rng.create 3) m in
     (Experiment.run_predictor (Rng.create 4) m ~runs:2 ~candidate_count:16
-       ~predict:(Selectors.vivaldi_predict system) ())
+       ~predict:(System.predicted system) ())
       .Experiment.penalties
   in
   let a = run () and b = run () in

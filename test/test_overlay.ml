@@ -145,6 +145,26 @@ let test_empty_join_order () =
       ignore
         (Multicast.build (Engine.of_matrix (euclidean_matrix 1 5)) ~join_order:[||]))
 
+let test_bad_max_degree () =
+  Alcotest.check_raises "max_degree < 1 names the field"
+    (Invalid_argument "Multicast.build: max_degree must be >= 1 (got 0)")
+    (fun () ->
+      ignore
+        (Multicast.build
+           ~config:{ Multicast.default_config with Multicast.max_degree = 0 }
+           (Engine.of_matrix (euclidean_matrix 1 5))
+           ~join_order:[| 0; 1; 2 |]))
+
+let test_bad_refresh_sample () =
+  Alcotest.check_raises "refresh_sample < 1 names the field"
+    (Invalid_argument "Multicast.build: refresh_sample must be >= 1 (got 0)")
+    (fun () ->
+      ignore
+        (Multicast.build
+           ~config:{ Multicast.default_config with Multicast.refresh_sample = 0 }
+           (Engine.of_matrix (euclidean_matrix 1 5))
+           ~join_order:[| 0; 1; 2 |]))
+
 let test_engine_build_refresh_equivalence () =
   (* Build and refresh probing through a default-config measurement
      engine must be bit-for-bit identical to the oracle-predictor path:
@@ -382,6 +402,8 @@ let () =
           Alcotest.test_case "degree cap" `Quick test_degree_cap_respected;
           Alcotest.test_case "root properties" `Quick test_root_properties;
           Alcotest.test_case "empty join order" `Quick test_empty_join_order;
+          Alcotest.test_case "max_degree below 1" `Quick test_bad_max_degree;
+          Alcotest.test_case "refresh_sample below 1" `Quick test_bad_refresh_sample;
           Alcotest.test_case "unjoinable nodes" `Quick test_unjoinable_nodes_left_out;
           Alcotest.test_case "oracle attaches nearest" `Quick test_oracle_attaches_nearest;
           Alcotest.test_case "evaluate fields" `Quick test_evaluate_fields;

@@ -205,6 +205,71 @@ let prop_mean_bounded =
       let m = Stats.mean xs in
       m >= lo -. 1e-9 && m <= hi +. 1e-9)
 
+(* Costs on a coarse grid, so ties occur, with [nan]s mixed in. *)
+let pick_costs_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 30)
+      (frequency [ (3, map float_of_int (int_range 0 5)); (1, return nan) ]))
+
+let prop_pick_rule =
+  qcheck "pick rule: first strict minimum, nan skipped, one call each"
+    pick_costs_gen (fun costs ->
+      let indexed = List.mapi (fun i c -> (i, c)) costs in
+      let expected =
+        match
+          List.stable_sort
+            (fun (_, a) (_, b) -> Float.compare a b)
+            (List.filter (fun (_, c) -> not (Float.is_nan c)) indexed)
+        with
+        | [] -> None
+        | (i, _) :: _ -> Some i
+      in
+      let calls = ref [] in
+      let on_list =
+        Stats.argmin
+          (fun (i, c) ->
+            calls := i :: !calls;
+            c)
+          indexed
+      in
+      let list_calls = List.rev !calls in
+      calls := [];
+      let costs_a = Array.of_list costs in
+      let on_index =
+        Stats.argmin_index
+          (fun i ->
+            calls := i :: !calls;
+            costs_a.(i))
+          (Array.length costs_a)
+      in
+      let all = List.init (List.length costs) Fun.id in
+      let cost_of = function
+        | None -> None
+        | Some i -> Some (i, costs_a.(i))
+      in
+      let same a b =
+        match (a, b) with
+        | None, None -> true
+        | Some (i, c), Some (j, d) -> i = j && Float.equal c d
+        | _ -> false
+      in
+      same (Option.map (fun ((i, _), c) -> (i, c)) on_list) (cost_of expected)
+      && same on_index (cost_of expected)
+      && list_calls = all
+      && List.rev !calls = all)
+
+let test_pick_allocation () =
+  (* Preboxed, descending costs: every candidate improves on the best,
+     and the cost function returns a float it did not allocate, so any
+     growth is the search's own. *)
+  let words len =
+    let xs = List.init len (fun i -> float_of_int (len - i)) in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Stats.argmin Fun.id xs));
+    Gc.minor_words () -. before
+  in
+  checkf "no words per candidate" (words 10) (words 10_000)
+
 (* ------------------------------------------------------------------ *)
 (* Cdf                                                                 *)
 
@@ -629,6 +694,9 @@ let () =
           Alcotest.test_case "single element" `Quick test_stats_single;
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "min max" `Quick test_stats_min_max;
+          Alcotest.test_case "pick allocates nothing per candidate" `Quick
+            test_pick_allocation;
+          prop_pick_rule;
           Alcotest.test_case "sorted_copy pure" `Quick test_sorted_copy_pure;
           prop_percentile_monotone;
           prop_mean_bounded;
