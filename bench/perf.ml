@@ -21,11 +21,13 @@ module Churn = Tivaware_measure.Churn
 module Oracle = Tivaware_measure.Oracle
 module Multicast = Tivaware_overlay.Multicast
 module Chord = Tivaware_dht.Chord
+module Selection = Tivaware_tiv.Selection
+module Store_scenario = Tivaware_store.Scenario
 
 (* Probe-engine kernels: the per-lookup cost the measurement plane adds
    over a raw Matrix.get, plus the multicast refresh pass that issues
-   most of tivd's probes and the Chord build every tivd shard runs.
-   Collected separately into BENCH_measure.json. *)
+   most of tivd's probes, the Chord build every tivd shard runs and the
+   store's repair pass.  Collected separately into BENCH_measure.json. *)
 let measure_tests m =
   let oracle_engine = Engine.of_matrix m in
   let faulty_engine =
@@ -116,6 +118,39 @@ let measure_tests m =
   (* One Chord ring over a 400-node DS2 world, fingers picked by ground
      truth: the ring every tivd shard builds. *)
   let ring_world = (Datasets.generate ~size:400 ~seed:2007 Datasets.Ds2).Generator.matrix in
+  (* One store repair pass at store-churn's ring shape (96 devices, 64
+     partitions, 3 replicas) over a churning, 3%-lossy engine on that
+     world: every device's liveness probed, newly suspected devices
+     rehomed through their partitions' handoff order, revived ones
+     restored.  Each run is one pass 10 s after the last, so churn keeps
+     moving devices; the passes run past the config's [duration], which
+     only bounds a run's own schedule. *)
+  let store =
+    let backend = Backend.dense ring_world in
+    let engine =
+      Backend.engine
+        ~config:
+          {
+            Engine.default_config with
+            Engine.fault = { Fault.default with Fault.loss = 0.03 };
+            churn = Some Churn.default;
+            seed = 19;
+          }
+        backend
+    in
+    Store_scenario.create
+      ~config:
+        {
+          Store_scenario.default_config with
+          Store_scenario.devices = 96;
+          objects = 4096;
+          reads = 0;
+          duration = 1.;
+          repair_interval = 0.;
+        }
+      ~policy:(Selection.probe ()) ~backend ~engine ()
+  in
+  let pass_clock = ref 0. in
   let rng = Rng.create 7 in
   [
     Test.make ~name:"measure/probe-oracle"
@@ -148,6 +183,11 @@ let measure_tests m =
            ignore (Multicast.refresh tree refresh_rng refresh_engine)));
     Test.make ~name:"dht/chord-build"
       (Staged.stage (fun () -> ignore (Chord.build ~predict:(Matrix.get ring_world) 400)));
+    Test.make ~name:"store/repair-pass"
+      (Staged.stage (fun () ->
+           pass_clock := !pass_clock +. 10.;
+           ignore
+             (Store_scenario.run_ordered store ~order:(fun ~read:_ ~pass -> pass !pass_clock))));
     Test.make ~name:"measure/matrix-get-baseline"
       (Staged.stage (fun () ->
            ignore (Matrix.get m (Rng.int rng 200) (Rng.int rng 200))));
@@ -200,7 +240,7 @@ let write_measure_json estimates =
   let measure =
     List.filter
       (fun (name, _) ->
-        String.starts_with ~prefix:"measure/" name || String.starts_with ~prefix:"dht/" name)
+        List.exists (fun prefix -> String.starts_with ~prefix name) [ "measure/"; "dht/"; "store/" ])
       estimates
   in
   if measure <> [] then begin

@@ -7,6 +7,7 @@ type t = {
   seed : int;
   devs : device array;  (* indexed by id *)
   table : int array;  (* parts * replicas, flattened *)
+  handoffs : int array option array;  (* by partition, filled by [handoff] *)
 }
 
 (* SplitMix64 finalizer: the per-slot tie-break and the object hash
@@ -26,9 +27,6 @@ let hash2 a b =
 let parts t = t.parts
 let replicas t = t.replicas
 let devices t = Array.copy t.devs
-
-let device t id =
-  if id < 0 || id >= Array.length t.devs then None else Some t.devs.(id)
 
 let assignment t part =
   if part < 0 || part >= t.parts then
@@ -67,7 +65,7 @@ let desired_shares t =
   des
 
 let desired_share t id =
-  if device t id = None then
+  if id < 0 || id >= Array.length t.devs then
     invalid_arg (Printf.sprintf "Store.Ring.desired_share: unknown device %d" id);
   (desired_shares t).(id)
 
@@ -158,14 +156,13 @@ let create ?(seed = 1) ~part_power ~replicas specs =
           (fun id (s : spec) -> { id; node = s.node; zone = s.zone; weight = s.weight })
           specs;
       table = Array.make (parts * replicas) (-1);
+      handoffs = Array.make parts None;
     }
   in
   build t;
   t
 
-let handoff t part =
-  if part < 0 || part >= t.parts then
-    invalid_arg (Printf.sprintf "Store.Ring.handoff: partition %d out of range" part);
+let compute_handoff t part =
   let primaries = assignment t part in
   let is_primary id = Array.exists (( = ) id) primaries in
   let others = List.filter (fun id -> not (is_primary id)) (live_ids t) in
@@ -195,3 +192,15 @@ let handoff t part =
       (List.filter (fun id -> not (List.mem id phase1)) others)
   in
   Array.of_list (phase1 @ phase2)
+
+(* The walk is a pure function of the ring, so each partition's is
+   computed on first use and shared by every later call. *)
+let handoff t part =
+  if part < 0 || part >= t.parts then
+    invalid_arg (Printf.sprintf "Store.Ring.handoff: partition %d out of range" part);
+  match t.handoffs.(part) with
+  | Some walk -> walk
+  | None ->
+      let walk = compute_handoff t part in
+      t.handoffs.(part) <- Some walk;
+      walk

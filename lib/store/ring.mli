@@ -32,9 +32,6 @@ val replicas : t -> int
 val devices : t -> device array
 (** Devices in id order. *)
 
-val device : t -> int -> device option
-(** [None] for ids outside the ring. *)
-
 val assignment : t -> int -> int array
 (** Device ids assigned to a partition (length [replicas], all
     distinct).  A copy. *)
@@ -49,7 +46,9 @@ val handoff : t -> int -> int array
     the partition, in a deterministic seeded order that visits one
     device from each zone missing from the partition before any
     other — so the first handoffs restore zone dispersion.  Never
-    repeats an assigned device. *)
+    repeats an assigned device.  Each partition's walk is computed on
+    its first call and the same array is returned by every later one:
+    callers must not mutate it. *)
 
 val desired_share : t -> int -> float
 (** The weight-proportional slot count the builder targets for a

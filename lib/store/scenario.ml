@@ -50,11 +50,13 @@ let validate ~clock ctx c =
   if c.replicas > c.devices then
     fail "%s: replicas (%d) exceeds devices (%d)" ctx c.replicas c.devices;
   if c.objects < 1 then fail "%s: objects must be >= 1 (got %d)" ctx c.objects;
-  if Float.is_nan c.zipf_s || c.zipf_s < 0. then
-    fail "%s: zipf_s must be non-negative (got %g)" ctx c.zipf_s;
+  if not (Float.is_finite c.zipf_s) || c.zipf_s < 0. then
+    fail "%s: zipf_s must be non-negative and finite (got %g)" ctx c.zipf_s;
   if c.reads < 0 then fail "%s: reads must be >= 0 (got %d)" ctx c.reads;
   if not (Float.is_finite c.duration) || c.duration <= 0. then
     fail "%s: duration must be positive (got %g)" ctx c.duration;
+  if not (Float.is_finite c.repair_interval) then
+    fail "%s: repair_interval must be finite (got %g)" ctx c.repair_interval;
   if Float.is_nan c.failure_penalty_ms || c.failure_penalty_ms < 0. then
     fail "%s: failure_penalty_ms must be >= 0 (got %g)" ctx c.failure_penalty_ms;
   (* Each read is one event; each repair pass probes every device. *)
@@ -97,11 +99,32 @@ type t = {
   zipf : Zipf.t;
   wl : Rng.t;  (* workload stream: client draws *)
   obj_rng : Rng.t;  (* workload stream: object draws *)
+  nodes : int array;  (* delay-space node, by device id *)
+  pairs : (int * int) array;  (* (device id, node), by device id *)
   believed_down : bool array;  (* by device id *)
+  primary : int array;  (* parts * replicas: the ring's assignment *)
   serving : int array;  (* parts * replicas, device ids; repair-maintained *)
+  reading : reading;
   inst : instruments;
   mutable passes : int;
 }
+
+(* The read in progress, reused by every read so a read allocates no
+   state of its own: the policy's candidates are the first [len] of
+   [cands], and [latency_ms] (a float-only record, stored flat) holds
+   the penalties paid so far, then the read's latency. *)
+and reading = {
+  cands : (int * int) array;  (* replicas long *)
+  mutable len : int;
+  mutable part : int;
+  mutable served : int;  (* the serving device; -1 = none (yet) *)
+  mutable probes : int;
+  mutable attempts : int;
+  mutable handoff : bool;
+  latency_ms : latency;
+}
+
+and latency = { mutable ms : float }
 
 let make_instruments obs =
   let labels = [ ("plane", "store") ] in
@@ -153,10 +176,11 @@ let create ?arbiter ~config ~policy ~backend ~engine () =
     | cs -> Array.of_list cs
   in
   let parts = Ring.parts ring and replicas = Ring.replicas ring in
-  let serving = Array.make (parts * replicas) (-1) in
+  let primary = Array.make (parts * replicas) (-1) in
   for p = 0 to parts - 1 do
-    Array.blit (Ring.assignment ring p) 0 serving (p * replicas) replicas
+    Array.blit (Ring.assignment ring p) 0 primary (p * replicas) replicas
   done;
+  let pairs = Array.mapi (fun id node -> (id, node)) nodes in
   Engine.register_plane engine "store";
   Engine.register_plane engine "store_repair";
   {
@@ -170,23 +194,27 @@ let create ?arbiter ~config ~policy ~backend ~engine () =
     zipf = Zipf.create ~n:config.objects ~s:config.zipf_s;
     wl = Rng.create ((config.seed * 0x9e37) + 0x6d);
     obj_rng = Rng.create ((config.seed * 0x9e37) + 0x7f);
+    nodes;
+    pairs;
     believed_down = Array.make config.devices false;
-    serving;
+    primary;
+    serving = Array.copy primary;
+    reading =
+      {
+        cands = Array.make replicas pairs.(0);
+        len = 0;
+        part = 0;
+        served = -1;
+        probes = 0;
+        attempts = 0;
+        handoff = false;
+        latency_ms = { ms = 0. };
+      };
     inst = make_instruments (Engine.obs engine);
     passes = 0;
   }
 
 let ring t = t.ring
-
-let serving t part =
-  Array.init t.config.replicas (fun r -> t.serving.((part * t.config.replicas) + r))
-
-let device_node t id =
-  match Ring.device t.ring id with
-  | Some d -> d.Ring.node
-  | None -> invalid_arg (Printf.sprintf "Store.Scenario: unknown device %d" id)
-
-let ground_up t id = Engine.up t.engine (device_node t id)
 
 (* What the read actually experiences on the chosen link right now:
    the static true delay plus whatever extra delay the dynamics plane
@@ -211,65 +239,91 @@ type read_outcome = {
   handoff : bool;
 }
 
+(* One attempt on device [id]: [true] when it serves, adding its
+   service delay to the penalties already paid; otherwise it pays
+   [failure_penalty_ms]. *)
+let attempt t ~client id =
+  let rd = t.reading in
+  rd.attempts <- rd.attempts + 1;
+  let node = t.nodes.(id) in
+  let d = if Engine.up t.engine node then service_delay t client node else nan in
+  if Float.is_nan d then begin
+    rd.latency_ms.ms <- rd.latency_ms.ms +. t.config.failure_penalty_ms;
+    Obs.Counter.incr t.inst.c_dead;
+    false
+  end
+  else begin
+    rd.latency_ms.ms <- rd.latency_ms.ms +. d;
+    rd.served <- id;
+    true
+  end
+
+(* Drop every candidate on device [id], keeping candidate order. *)
+let drop_candidate rd id =
+  let kept = ref 0 in
+  for k = 0 to rd.len - 1 do
+    let ((dev, _) as c) = rd.cands.(k) in
+    if dev <> id then begin
+      rd.cands.(!kept) <- c;
+      incr kept
+    end
+  done;
+  rd.len <- !kept
+
+(* One GET into [t.reading]: the policy picks among the partition's
+   serving devices, each failed attempt drops its device, and when the
+   policy has nobody left (or can rank nobody) the read walks the
+   ring's handoff order. *)
 let read t ~client ~obj =
+  let rd = t.reading and replicas = t.config.replicas in
   let part = Ring.partition_of t.ring obj in
-  let penalties = ref 0. and probes = ref 0 and attempts = ref 0 in
-  let remaining =
-    ref (Array.to_list (Array.map (fun id -> (id, device_node t id)) (serving t part)))
-  in
-  let finish ?device latency handoff =
-    Obs.Counter.incr t.inst.c_reads;
-    if handoff then Obs.Counter.incr t.inst.c_handoff;
-    (match device with
-    | Some _ -> Obs.Histogram.observe t.inst.h_read_ms latency
-    | None -> Obs.Counter.incr t.inst.c_failures);
-    { obj; part; client; device; latency_ms = latency; probes = !probes;
-      attempts = !attempts; handoff }
-  in
-  let try_serve id node =
-    incr attempts;
-    if ground_up t id then begin
-      let d = service_delay t client node in
-      if Float.is_nan d then begin
-        penalties := !penalties +. t.config.failure_penalty_ms;
-        Obs.Counter.incr t.inst.c_dead;
-        None
-      end
-      else Some (!penalties +. d)
-    end
-    else begin
-      penalties := !penalties +. t.config.failure_penalty_ms;
-      Obs.Counter.incr t.inst.c_dead;
-      None
-    end
-  in
-  let rec policy_attempts () =
-    match !remaining with
-    | [] -> handoff_walk ()
-    | cands -> (
-        match
-          Selection.select ~label:"store" t.policy ~engine:t.engine ~client
-            ~candidates:(Array.of_list cands)
-        with
-        | None -> handoff_walk ()
-        | Some c -> (
-            probes := !probes + c.Selection.probes;
-            match try_serve c.Selection.device c.Selection.node with
-            | Some latency -> finish ~device:c.Selection.device latency false
-            | None ->
-                remaining := List.filter (fun (id, _) -> id <> c.Selection.device) cands;
-                policy_attempts ()))
-  and handoff_walk () =
-    let rec walk = function
-      | [] -> finish !penalties true
-      | id :: rest -> (
-          match try_serve id (device_node t id) with
-          | Some latency -> finish ~device:id latency true
-          | None -> walk rest)
-    in
-    walk (Array.to_list (Ring.handoff t.ring part))
-  in
-  policy_attempts ()
+  for r = 0 to replicas - 1 do
+    rd.cands.(r) <- t.pairs.(t.serving.((part * replicas) + r))
+  done;
+  rd.len <- replicas;
+  rd.part <- part;
+  rd.served <- -1;
+  rd.probes <- 0;
+  rd.attempts <- 0;
+  rd.handoff <- false;
+  rd.latency_ms.ms <- 0.;
+  let asking = ref true in
+  while !asking && rd.len > 0 do
+    match
+      Selection.select ~label:"store" t.policy ~engine:t.engine ~client
+        ~candidates:rd.cands ~len:rd.len
+    with
+    | None -> asking := false
+    | Some c ->
+        rd.probes <- rd.probes + c.Selection.probes;
+        if attempt t ~client c.Selection.device then asking := false
+        else drop_candidate rd c.Selection.device
+  done;
+  if rd.served < 0 then begin
+    rd.handoff <- true;
+    let walk = Ring.handoff t.ring part in
+    let k = ref 0 in
+    while !k < Array.length walk && not (attempt t ~client walk.(!k)) do
+      incr k
+    done
+  end;
+  Obs.Counter.incr t.inst.c_reads;
+  if rd.handoff then Obs.Counter.incr t.inst.c_handoff;
+  if rd.served >= 0 then Obs.Histogram.observe t.inst.h_read_ms rd.latency_ms.ms
+  else Obs.Counter.incr t.inst.c_failures
+
+let read_outcome t ~client ~obj =
+  let rd = t.reading in
+  {
+    obj;
+    part = rd.part;
+    client;
+    device = (if rd.served >= 0 then Some rd.served else None);
+    latency_ms = rd.latency_ms.ms;
+    probes = rd.probes;
+    attempts = rd.attempts;
+    handoff = rd.handoff;
+  }
 
 type pass_outcome = {
   pass : int;
@@ -281,98 +335,95 @@ type pass_outcome = {
 }
 
 (* The believed-up device nearest [id] by cyclic id order: who probes
-   [id]'s liveness.  Falls back to any live peer so a fully-suspected
+   [id]'s liveness.  Falls back to [id]'s successor so a fully-suspected
    cluster still gets probed (from a possibly-dead peer, whose probes
-   then fail — honest pessimism). *)
+   then fail — honest pessimism).  Ids are dense [0 .. n-1]. *)
 let prober_for t id =
-  let ids = Array.map (fun d -> d.Ring.id) (Ring.devices t.ring) in
-  let n = Array.length ids in
-  let pos = ref 0 in
-  Array.iteri (fun k d -> if d = id then pos := k) ids;
+  let n = Array.length t.believed_down in
   let rec find k =
-    if k >= n then ids.((!pos + 1) mod n)
+    if k >= n then (id + 1) mod n
     else
-      let cand = ids.((!pos + k) mod n) in
-      if cand <> id && not t.believed_down.(cand) then cand else find (k + 1)
+      let cand = (id + k) mod n in
+      if not t.believed_down.(cand) then cand else find (k + 1)
   in
   find 1
+
+(* Whether device [id] serves a replica of the partition at [base]. *)
+let serves t ~base id =
+  let rec go r = r < t.config.replicas && (t.serving.(base + r) = id || go (r + 1)) in
+  go 0
 
 let rehome t id =
   let replicas = t.config.replicas in
   let moved = ref 0 in
   for part = 0 to Ring.parts t.ring - 1 do
+    let base = part * replicas in
     for r = 0 to replicas - 1 do
-      let slot = (part * replicas) + r in
-      if t.serving.(slot) = id then begin
-        let current = serving t part in
-        let eligible cand =
-          (not t.believed_down.(cand)) && not (Array.exists (( = ) cand) current)
-        in
-        match Array.to_seq (Ring.handoff t.ring part) |> Seq.find eligible with
-        | Some cand ->
-            t.serving.(slot) <- cand;
-            incr moved
-        | None -> ()
+      if t.serving.(base + r) = id then begin
+        let walk = Ring.handoff t.ring part in
+        let k = ref 0 in
+        while
+          !k < Array.length walk
+          && (t.believed_down.(walk.(!k)) || serves t ~base walk.(!k))
+        do
+          incr k
+        done;
+        if !k < Array.length walk then begin
+          t.serving.(base + r) <- walk.(!k);
+          incr moved
+        end
       end
     done
   done;
   !moved
 
 let restore t id =
-  let replicas = t.config.replicas in
   let moved = ref 0 in
-  for part = 0 to Ring.parts t.ring - 1 do
-    let primary = Ring.assignment t.ring part in
-    for r = 0 to replicas - 1 do
-      let slot = (part * replicas) + r in
-      if primary.(r) = id && t.serving.(slot) <> id then begin
-        t.serving.(slot) <- id;
-        incr moved
-      end
-    done
+  for slot = 0 to Array.length t.primary - 1 do
+    if t.primary.(slot) = id && t.serving.(slot) <> id then begin
+      t.serving.(slot) <- id;
+      incr moved
+    end
   done;
   !moved
 
 let repair_pass t =
   let now = Engine.now t.engine in
   let checked = ref 0 and rehomed = ref 0 and restored = ref 0 and denied = ref 0 in
-  Array.iter
-    (fun d ->
-      let id = d.Ring.id in
-      let admitted =
-        match t.arbiter with
-        | Some a -> Arbiter.admit a ~now "store_repair"
-        | None -> true
+  for id = 0 to Array.length t.nodes - 1 do
+    let admitted =
+      match t.arbiter with
+      | Some a -> Arbiter.admit a ~now "store_repair"
+      | None -> true
+    in
+    if not admitted then begin
+      incr denied;
+      Obs.Counter.incr t.inst.c_denied
+    end
+    else begin
+      let prober = prober_for t id in
+      let rtt =
+        if prober = id then 0.
+        else
+          Engine.rtt ~label:"store_repair" t.engine t.nodes.(prober) t.nodes.(id)
       in
-      if not admitted then begin
-        incr denied;
-        Obs.Counter.incr t.inst.c_denied
+      incr checked;
+      Obs.Counter.incr t.inst.c_checked;
+      let alive = not (Float.is_nan rtt) in
+      if alive && t.believed_down.(id) then begin
+        t.believed_down.(id) <- false;
+        let k = restore t id in
+        restored := !restored + k;
+        Obs.Counter.add t.inst.c_restored (float_of_int k)
       end
-      else begin
-        let prober = prober_for t id in
-        let rtt =
-          if prober = id then 0.
-          else
-            Engine.rtt ~label:"store_repair" t.engine (device_node t prober)
-              (device_node t id)
-        in
-        incr checked;
-        Obs.Counter.incr t.inst.c_checked;
-        let alive = not (Float.is_nan rtt) in
-        if alive && t.believed_down.(id) then begin
-          t.believed_down.(id) <- false;
-          let k = restore t id in
-          restored := !restored + k;
-          Obs.Counter.add t.inst.c_restored (float_of_int k)
-        end
-        else if (not alive) && not t.believed_down.(id) then begin
-          t.believed_down.(id) <- true;
-          let k = rehome t id in
-          rehomed := !rehomed + k;
-          Obs.Counter.add t.inst.c_rehomed (float_of_int k)
-        end
-      end)
-    (Ring.devices t.ring);
+      else if (not alive) && not t.believed_down.(id) then begin
+        t.believed_down.(id) <- true;
+        let k = rehome t id in
+        rehomed := !rehomed + k;
+        Obs.Counter.add t.inst.c_rehomed (float_of_int k)
+      end
+    end
+  done;
   t.passes <- t.passes + 1;
   {
     pass = t.passes;
@@ -403,30 +454,71 @@ type result = {
   repair : repair_totals;
 }
 
-let run ?trace ?repair_trace t =
-  let sim = Sim.create () in
-  Sim.on_advance sim (fun time -> Engine.advance_to t.engine time);
-  let c = t.config in
-  if c.repair_interval > 0. then
-    Sim.schedule_every sim ~start:c.repair_interval ~every:c.repair_interval (fun () ->
-        let out = repair_pass t in
-        Option.iter (fun f -> f out) repair_trace;
-        true);
-  let probes = ref 0 and lat = ref [] in
+let read_time c i = c.duration *. float_of_int (i + 1) /. float_of_int (c.reads + 1)
+
+(* [run]'s event order, the one a simulator heap (time, then scheduling
+   order) pops: the reads are all scheduled before the run starts, and
+   each repair pass when the previous one fires.  So at equal times the
+   first pass runs before the read, and every later pass after it. *)
+let cursor c ~read ~pass =
+  let every = c.repair_interval in
+  let next_pass = ref (if every > 0. then every else infinity) and first = ref true in
   for i = 0 to c.reads - 1 do
-    let at = c.duration *. float_of_int (i + 1) /. float_of_int (c.reads + 1) in
-    Sim.schedule_at sim at (fun () ->
-        let client = t.clients.(Rng.int t.wl (Array.length t.clients)) in
-        let obj = Zipf.sample t.zipf t.obj_rng in
-        if not (Engine.up t.engine client) then Obs.Counter.incr t.inst.c_skipped
-        else begin
-          let out = read t ~client ~obj in
-          Option.iter (fun f -> f out) trace;
-          probes := !probes + out.probes;
-          if out.device <> None then lat := out.latency_ms :: !lat
-        end)
+    let at = read_time c i in
+    while !next_pass < at || (!first && !next_pass = at) do
+      first := false;
+      pass !next_pass;
+      next_pass := !next_pass +. every
+    done;
+    read i
   done;
-  Sim.run sim ~until:c.duration;
+  while !next_pass <= c.duration do
+    pass !next_pass;
+    next_pass := !next_pass +. every
+  done
+
+let run_ordered ?trace ?repair_trace t ~order =
+  let c = t.config in
+  (* The engine clock follows each event, and ends at [duration]. *)
+  let clock = ref 0. in
+  let advance time =
+    if time < !clock then
+      invalid_arg
+        (Printf.sprintf "Store.Scenario.run_ordered: event at %g precedes the clock (%g)" time
+           !clock);
+    clock := time;
+    Engine.advance_to t.engine time
+  in
+  let probes = ref 0 and lat = Array.create_float c.reads and n_lat = ref 0 in
+  let next_read = ref 0 in
+  let read_event i =
+    if i <> !next_read || i >= c.reads then
+      invalid_arg
+        (Printf.sprintf "Store.Scenario.run_ordered: read %d out of order (next is %d of %d)" i
+           !next_read c.reads);
+    incr next_read;
+    advance (read_time c i);
+    let client = t.clients.(Rng.int t.wl (Array.length t.clients)) in
+    let obj = Zipf.sample t.zipf t.obj_rng in
+    if not (Engine.up t.engine client) then Obs.Counter.incr t.inst.c_skipped
+    else begin
+      read t ~client ~obj;
+      (match trace with Some f -> f (read_outcome t ~client ~obj) | None -> ());
+      let rd = t.reading in
+      probes := !probes + rd.probes;
+      if rd.served >= 0 then begin
+        lat.(!n_lat) <- rd.latency_ms.ms;
+        incr n_lat
+      end
+    end
+  in
+  let pass_event time =
+    advance time;
+    let out = repair_pass t in
+    match repair_trace with Some f -> f out | None -> ()
+  in
+  order ~read:read_event ~pass:pass_event;
+  if !clock < c.duration then advance c.duration;
   let n = Obs.Counter.count and i = t.inst in
   let issued = n i.c_reads and failed = n i.c_failures in
   {
@@ -437,7 +529,7 @@ let run ?trace ?repair_trace t =
     handoffs = n i.c_handoff;
     dead_attempts = n i.c_dead;
     policy_probes = !probes;
-    latencies = Array.of_list (List.rev !lat);
+    latencies = Array.sub lat 0 !n_lat;
     repair =
       {
         passes = t.passes;
@@ -447,3 +539,5 @@ let run ?trace ?repair_trace t =
         total_denied = n i.c_denied;
       };
   }
+
+let run ?trace ?repair_trace t = run_ordered ?trace ?repair_trace t ~order:(cursor t.config)

@@ -41,7 +41,8 @@ val validate_config : string -> config -> unit
     or [objects] non-positive, [replicas] non-positive or exceeding
     [devices], [zones] non-positive, [part_power] outside [0, 20],
     [zipf_s] negative or non-finite, [reads] negative, [duration]
-    non-positive, [failure_penalty_ms] negative; and [reads] or
+    non-positive, [repair_interval] non-finite, [failure_penalty_ms]
+    negative; and [reads] or
     [duration] when reads plus repair passes times devices exceed
     {!Tivaware_eventsim.Sim.work_cap}. *)
 
@@ -128,8 +129,29 @@ val run :
   ?repair_trace:(pass_outcome -> unit) ->
   t ->
   result
-(** Drives the scenario on a fresh event simulator: [reads] GETs at
-    evenly spaced times over [duration] (Zipf objects, seeded round-
-    robin clients; a read whose client is down is skipped), repair
-    passes every [repair_interval] seconds, the engine clock slaved to
-    the simulator.  Callbacks observe each event in order. *)
+(** Drives the scenario: [reads] GETs at evenly spaced times over
+    [duration] (Zipf objects, seeded round-robin clients; a read whose
+    client is down is skipped) and repair passes every
+    [repair_interval] seconds, the engine clock following each event
+    and ending at [duration].  Callbacks observe each event in order.
+    The reads walk a cursor beside the repair timer, in the order a
+    simulator heap (time, then scheduling order) pops them when every
+    read is scheduled before the run and each pass when the previous
+    one fires: at equal times the first pass runs before the read, and
+    every later pass after it. *)
+
+val run_ordered :
+  ?trace:(read_outcome -> unit) ->
+  ?repair_trace:(pass_outcome -> unit) ->
+  t ->
+  order:(read:(int -> unit) -> pass:(float -> unit) -> unit) ->
+  result
+(** {!run} with its events in the order [order] calls them: [read i] is
+    the [i]th read (at [duration * (i + 1) / (reads + 1)]), [pass time]
+    a repair pass at [time].  Raises [Invalid_argument] naming
+    [run_ordered] when a read comes out of index order (each of
+    [0 .. reads - 1] at most once, ascending) or an event's time
+    precedes the previous one's.  {!run} is
+    [run_ordered] with its own cursor order; the event-order property
+    gives it the order a simulator heap pops, to check that cursor, and
+    the [store/repair-pass] microbenchmark one pass per call. *)

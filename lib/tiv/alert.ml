@@ -37,11 +37,13 @@ let alerted ~ratios ~threshold =
       if shrunk ~threshold r then out := (i, j) :: !out);
   Array.of_list (List.rev !out)
 
-(* Selection ranks by the probed delay, so this verdict applies [ratio]
+(* Selection ranks by the probed delay, so the verdict applies [ratio]
    to its probe itself: [probed_ratio] returns the ratio alone, and
    returning both would allocate on every selection probe. *)
+let flagged ~threshold ~predicted i j d = shrunk ~threshold (ratio ~predicted i j d)
+
 let alert_pair ?(label = "alert") ~engine ~predicted ~threshold i j =
   let d = Engine.rtt ~label engine i j in
   if Float.is_nan d then `Unmeasurable
-  else if shrunk ~threshold (ratio ~predicted i j d) then `Flagged d
+  else if flagged ~threshold ~predicted i j d then `Flagged d
   else `Clean d

@@ -62,6 +62,14 @@ val alerted :
   ratios:Tivaware_delay_space.Matrix.t -> threshold:float -> (int * int) array
 (** Edges whose ratio is {!shrunk} at [threshold]. *)
 
+val flagged :
+  threshold:float -> predicted:(int -> int -> float) -> int -> int -> float -> bool
+(** [flagged ~threshold ~predicted i j d], the verdict on a delay [d]
+    already measured for [i -> j]: its {!ratio} is {!shrunk} at
+    [threshold].  [false] when [d] is [nan] or the prediction is
+    missing.  {!alert_pair} and {!Selection}'s alert walk both decide
+    by it. *)
+
 val alert_pair :
   ?label:string ->
   engine:Tivaware_measure.Engine.t ->

@@ -77,47 +77,61 @@ type choice = {
   skipped_flagged : int;
 }
 
-(* Alert: walk candidates by ascending prediction, one verification
-   probe each, and stop at the first clean one.  Stable sort keeps
-   candidate order on equal predictions, matching the argmin
-   tie-break. *)
-let alert_walk ~label ~engine ~predicted ~threshold ~client candidates =
-  let order = Array.mapi (fun k (_, node) -> (k, predicted client node)) candidates in
-  Array.stable_sort
-    (fun (_, a) (_, b) ->
-      match (Float.is_nan a, Float.is_nan b) with
-      | true, true -> 0
-      | true, false -> 1  (* unpredicted candidates go last *)
-      | false, true -> -1
-      | false, false -> compare a b)
-    order;
-  let probes = ref 0 and skipped = ref 0 in
-  let best_flagged = ref None in
-  let clean = ref None in
-  let k = ref 0 in
-  while !clean = None && !k < Array.length order do
-    let idx, _ = order.(!k) in
-    let device, node = candidates.(idx) in
-    incr probes;
-    (match Alert.alert_pair ~label ~engine ~predicted ~threshold client node with
-    | `Unmeasurable -> ()
-    | `Clean d -> clean := Some (device, node, d)
-    | `Flagged d -> (
-        incr skipped;
-        match !best_flagged with
-        | Some (_, _, bd) when bd <= d -> ()
-        | _ -> best_flagged := Some (device, node, d)));
-    incr k
-  done;
-  Option.map
-    (fun (device, node, estimate) ->
-      { device; node; estimate; probes = !probes; skipped_flagged = !skipped })
-    (match !clean with Some c -> Some c | None -> !best_flagged)
+(* [a] sorts strictly after [b]: ascending, unpredicted ([nan]) last. *)
+let sorts_after a b = (not (Float.is_nan b)) && (Float.is_nan a || a > b)
 
-let select ~label t ~engine ~client ~candidates =
+(* Alert: walk candidates by ascending prediction, one verification
+   probe each, and stop at the first clean one.  The order is a stable
+   insertion sort, so equal predictions keep candidate order, matching
+   the argmin tie-break.  The verdict is [Alert.flagged] on the probed
+   delay, as in [Alert.alert_pair], without boxing it in a variant. *)
+let alert_walk ~label ~engine ~predicted ~threshold ~client candidates len =
+  let order = Array.make len 0 and keys = Array.make len nan in
+  for k = 0 to len - 1 do
+    let key = predicted client (snd candidates.(k)) in
+    let j = ref k in
+    while !j > 0 && sorts_after keys.(!j - 1) key do
+      keys.(!j) <- keys.(!j - 1);
+      order.(!j) <- order.(!j - 1);
+      decr j
+    done;
+    keys.(!j) <- key;
+    order.(!j) <- k
+  done;
+  let skipped = ref 0 in
+  (* The first clean candidate, else the first flagged one with the
+     smallest measured delay ([nan] never flags). *)
+  let clean = ref (-1) and clean_d = ref nan in
+  let best_flagged = ref (-1) and best_flagged_d = ref nan in
+  let walked = ref 0 in
+  while !clean < 0 && !walked < len do
+    let idx = order.(!walked) in
+    let node = snd candidates.(idx) in
+    let d = Engine.rtt ~label engine client node in
+    if Alert.flagged ~threshold ~predicted client node d then begin
+      incr skipped;
+      if !best_flagged < 0 || d < !best_flagged_d then begin
+        best_flagged := idx;
+        best_flagged_d := d
+      end
+    end
+    else if not (Float.is_nan d) then begin
+      clean := idx;
+      clean_d := d
+    end;
+    incr walked
+  done;
+  let idx = if !clean >= 0 then !clean else !best_flagged in
+  if idx < 0 then None
+  else
+    let device, node = candidates.(idx) in
+    let estimate = if !clean >= 0 then !clean_d else !best_flagged_d in
+    Some { device; node; estimate; probes = !walked; skipped_flagged = !skipped }
+
+let select ~label t ~engine ~client ~candidates ~len =
   match t with
   | Alert_aware { predicted; threshold } ->
-      alert_walk ~label ~engine ~predicted ~threshold ~client candidates
+      alert_walk ~label ~engine ~predicted ~threshold ~client candidates len
   | Cached _ | Random _ | Coordinate _ | Probe ->
       let probes = ref 0 in
       let rank = ranker ~label t engine probes in
@@ -125,6 +139,4 @@ let select ~label t ~engine ~client ~candidates =
         (fun (i, estimate) ->
           let device, node = candidates.(i) in
           { device; node; estimate; probes = !probes; skipped_flagged = 0 })
-        (Tivaware_util.Stats.argmin_index
-           (fun i -> rank client (snd candidates.(i)))
-           (Array.length candidates))
+        (Tivaware_util.Stats.argmin_index (fun i -> rank client (snd candidates.(i))) len)

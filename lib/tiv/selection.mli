@@ -73,12 +73,13 @@ val select :
   engine:Tivaware_measure.Engine.t ->
   client:int ->
   candidates:(int * int) array ->
+  len:int ->
   choice option
-(** Pick one of [candidates] ([(device, node)]) for [client]; probes
-    carry [label].  Every policy but {!alert} takes the first strict
-    minimum of [rank client node] in candidate order, skipping [nan].
-    {!alert} walks candidates in ascending predicted order (stable;
-    unpredicted last), probes each once, and stops at the first clean
-    one — or, when every walked candidate was flagged, falls back to
-    the best-measured flagged one.  [None] when nobody can be ranked
-    (empty list, or every probe failed). *)
+(** Pick one of the first [len] [candidates] ([(device, node)]) for
+    [client]; probes carry [label].  Every policy but {!alert} takes the
+    first strict minimum of [rank client node] in candidate order,
+    skipping [nan].  {!alert} walks candidates in ascending predicted
+    order (stable; unpredicted last), probes each once, and stops at the
+    first clean one — or, when every walked candidate was flagged, falls
+    back to the best-measured flagged one.  [None] when nobody can be ranked ([len = 0], or every
+    probe failed). *)

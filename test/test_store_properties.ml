@@ -10,12 +10,12 @@
      live device, and visits the partition's missing zones first.
    - Balance: each device's slot count tracks its weight-proportional
      desired share within a small tolerance.
-   - Minimal movement: adding a device moves at most its rounded fair
-     share of slots, all of them toward the newcomer; removing one
-     reassigns exactly the slots it held.
    - Determinism: the whole ring is a pure function of
      (seed, part_power, replicas, specs); a scenario run is a pure
      function of its seeds.
+   - Event order: a run's reads and repair passes, ties included, run
+     in the order a simulator heap pops them when every read is
+     scheduled up front and each pass when the previous one fires.
    - Policies: under a triangle-inequality delay space with an exact
      predictor, all four policies pick the same replica; the
      alert-aware policy never picks a flagged (likely-TIV) replica
@@ -41,6 +41,8 @@ module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
 module Backend = Tivaware_backend.Delay_backend
+module Arbiter = Tivaware_measure.Arbiter
+module Sim = Tivaware_eventsim.Sim
 module Ring = Tivaware_store.Ring
 module Alert = Tivaware_tiv.Alert
 module Selection = Tivaware_tiv.Selection
@@ -90,7 +92,7 @@ let test_partitions_distinct =
         if Array.length a <> replicas then ok := false;
         Array.iteri
           (fun i id ->
-            if Ring.device ring id = None then ok := false;
+            if id < 0 || id >= Array.length (Ring.devices ring) then ok := false;
             Array.iteri (fun j id' -> if i < j && id = id' then ok := false) a)
           a
       done;
@@ -100,7 +102,7 @@ let test_zone_dispersion =
   qcheck ~count:40 ~name:"replicas land in distinct zones (balanced zones)"
     gen_case (fun case ->
       let ring, specs, _, _, replicas = ring_of_case case in
-      let zone id = (Option.get (Ring.device ring id)).Ring.zone in
+      let zone id = (Ring.devices ring).(id).Ring.zone in
       ignore specs;
       let ok = ref true in
       for p = 0 to Ring.parts ring - 1 do
@@ -119,7 +121,7 @@ let test_handoff =
   qcheck ~count:40 ~name:"handoff never repeats a primary, covers everyone, missing zones first"
     gen_case (fun case ->
       let ring, _, _, _, replicas = ring_of_case case in
-      let zone id = (Option.get (Ring.device ring id)).Ring.zone in
+      let zone id = (Ring.devices ring).(id).Ring.zone in
       let live = Array.length (Ring.devices ring) in
       let ok = ref true in
       let check_part p =
@@ -213,6 +215,7 @@ let test_policies_agree_under_ti =
       let predicted i j = Matrix.get m i j in
       let pick policy =
         Selection.select ~label:"store" policy ~engine:(oracle_engine m) ~client ~candidates
+          ~len:k
       in
       let choices =
         [
@@ -266,6 +269,7 @@ let test_alert_skips_flagged =
       let candidates = Array.init k (fun i -> (i, i + 1)) in
       match
         Selection.select ~label:"store" (Selection.alert predicted) ~engine ~client:0 ~candidates
+          ~len:k
       with
       | Some c -> (not flagged.(c.Selection.device)) && c.Selection.skipped_flagged >= 1
       | None -> false)
@@ -278,7 +282,10 @@ let test_alert_all_flagged_picks_best_measured () =
   let predicted i j = if min i j = 0 then delays.(max i j) *. 0.1 else nan in
   let engine = Backend.engine backend in
   let candidates = [| (0, 1); (1, 2); (2, 3) |] in
-  match Selection.select ~label:"store" (Selection.alert predicted) ~engine ~client:0 ~candidates with
+  match
+    Selection.select ~label:"store" (Selection.alert predicted) ~engine ~client:0 ~candidates
+      ~len:3
+  with
   | Some c ->
       checki "falls back to the best measured flagged replica" 1 c.Selection.device;
       checki "every candidate was flagged" 3 c.Selection.skipped_flagged
@@ -343,7 +350,7 @@ let test_rank_select_agree =
         List.for_all
           (fun () ->
             let a0 = requests a and b0 = requests b in
-            let got = Selection.select ~label pa ~engine:a ~client ~candidates in
+            let got = Selection.select ~label pa ~engine:a ~client ~candidates ~len:k in
             let rank = Selection.rank ~label pb b in
             let want =
               first_strict_argmin
@@ -367,7 +374,7 @@ let test_rank_select_agree =
         let a0 = requests a in
         let got =
           Selection.select ~label (Selection.alert predicted) ~engine:a ~client
-            ~candidates
+            ~candidates ~len:k
         in
         let probes = requests a - a0 in
         let order =
@@ -442,6 +449,18 @@ let test_validation () =
   expect_invalid "zipf_s" "zipf_s" (fun () ->
       Scenario.validate_config "Store.Scenario"
         { Scenario.default_config with Scenario.zipf_s = -0.5 });
+  List.iter
+    (fun zipf_s ->
+      expect_invalid "zipf_s non-finite" "zipf_s must be non-negative and finite" (fun () ->
+          Scenario.validate_config "Store.Scenario"
+            { Scenario.default_config with Scenario.zipf_s }))
+    [ nan; infinity ];
+  List.iter
+    (fun repair_interval ->
+      expect_invalid "repair_interval non-finite" "repair_interval must be finite" (fun () ->
+          Scenario.validate_config "Store.Scenario"
+            { Scenario.default_config with Scenario.repair_interval }))
+    [ nan; infinity; neg_infinity ];
   expect_invalid "duration" "duration" (fun () ->
       Scenario.validate_config "Store.Scenario"
         { Scenario.default_config with Scenario.duration = 0. });
@@ -572,6 +591,140 @@ let test_outcomes_counted_once =
       if store then store_accounted (k, fraction, repair, seed)
       else stream_accounted (k + 1, fraction, repair, seed))
 
+(* --- event order --- *)
+
+(* The reference order: every read scheduled on a simulator heap before
+   the run, each repair pass by [Sim.schedule_every] when the previous
+   one fires, popped up to [duration] — how [run] scheduled its events
+   before it walked a cursor. *)
+let heap_order (c : Scenario.config) ~read ~pass =
+  let sim = Sim.create () in
+  if c.Scenario.repair_interval > 0. then
+    Sim.schedule_every sim ~start:c.Scenario.repair_interval ~every:c.Scenario.repair_interval
+      (fun () ->
+        pass (Sim.now sim);
+        true);
+  for i = 0 to c.Scenario.reads - 1 do
+    let at =
+      c.Scenario.duration *. float_of_int (i + 1) /. float_of_int (c.Scenario.reads + 1)
+    in
+    Sim.schedule_at sim at (fun () -> read i)
+  done;
+  Sim.run sim ~until:c.Scenario.duration
+
+(* A lossy, churning, diurnal engine over the 60-node world. *)
+let event_order_world ~fraction seed =
+  let backend = Backend.dense (Lazy.force scenario_matrix) in
+  let engine =
+    Backend.engine
+      ~config:
+        {
+          Engine.fault = { Fault.default with Fault.loss = 0.1; jitter = 0.05; retries = 1 };
+          profile = None;
+          churn = Some { Churn.fraction; mean_up = 12.; mean_down = 6.; seed = seed + 3 };
+          dynamics =
+            Some
+              { Dynamics.default with Dynamics.diurnal = Some Dynamics.default_diurnal; seed };
+          budget = None;
+          cache_ttl = None;
+          cache_capacity = None;
+          charge_time = false;
+          seed;
+        }
+      backend
+  in
+  (backend, engine)
+
+(* Read trace, repair trace and result of one run, its events in the
+   order [order] gives ([None]: [run]'s own). *)
+let traced_run ?order ~policy ~arbiter ~fraction ~seed config =
+  let backend, engine = event_order_world ~fraction seed in
+  let arbiter =
+    if arbiter then
+      Some
+        (Arbiter.create
+           (Arbiter.config ~capacity:6. ~rate:1.
+              ~shares:[ ("store_repair", 1.); ("store", 1.) ]))
+    else None
+  in
+  let sc = Scenario.create ?arbiter ~config ~policy:(policy ()) ~backend ~engine () in
+  let reads = ref [] and passes = ref [] in
+  let trace o = reads := o :: !reads and repair_trace p = passes := p :: !passes in
+  let r =
+    match order with
+    | None -> Scenario.run ~trace ~repair_trace sc
+    | Some order -> Scenario.run_ordered ~trace ~repair_trace sc ~order
+  in
+  (List.rev !reads, List.rev !passes, r, Engine.now engine)
+
+let tie_policies =
+  let m = Lazy.force scenario_matrix in
+  (* Every fifth pair predicted shrunk, so the alert walk skips some. *)
+  let predicted i j = Matrix.get m i j *. if (i + j) mod 5 = 0 then 0.2 else 1. in
+  [|
+    ("cached", Selection.cached);
+    ("random", fun () -> Selection.random ~seed:5);
+    ("coordinate", fun () -> Selection.coordinate predicted);
+    ("probe", Selection.probe);
+    ("alert", fun () -> Selection.alert predicted);
+  |]
+
+(* Configs whose read times coincide with repair passes: [reads + 1]
+   gaps of a dyadic [gap] span [duration], and the repair interval is a
+   whole number of gaps (0: repair off), so the float times tie
+   exactly. *)
+let gen_tie_case =
+  QCheck2.Gen.(
+    pair
+      (quad (oneofl [ 0.25; 0.5; 1.; 2. ]) (int_range 1 60) (int_range 0 7) (int_range 2 12))
+      (quad (int_range 0 4) bool (oneofl [ 0.3; 1. ]) (int_bound 9999)))
+
+let print_tie_case ((gap, reads, mult, devices), (policy, arbiter, fraction, seed)) =
+  Printf.sprintf "gap=%g reads=%d repair=%d gaps devices=%d policy=%s arbiter=%b churn=%g seed=%d"
+    gap reads mult devices (fst tie_policies.(policy)) arbiter fraction seed
+
+let test_event_order =
+  qcheck ~count:60 ~name:"run's cursor replays the simulator heap's order, ties included"
+    ~print:print_tie_case gen_tie_case
+    (fun (((gap, reads, mult, devices), (policy, arbiter, fraction, seed)) as case) ->
+      let seed = seed + prop_seed in
+      let config =
+        {
+          Scenario.default_config with
+          Scenario.devices;
+          zones = 3;
+          part_power = 4;
+          replicas = min 3 devices;
+          objects = 32;
+          reads;
+          duration = gap *. float_of_int (reads + 1);
+          repair_interval = gap *. float_of_int mult;
+          failure_penalty_ms = 700.;
+          seed = seed + 11;
+        }
+      in
+      let policy = snd tie_policies.(policy) in
+      let run order = traced_run ?order ~policy ~arbiter ~fraction ~seed config in
+      let want = run (Some (heap_order config)) and got = run None in
+      want = got || QCheck2.Test.fail_reportf "%s: traces differ" (print_tie_case case))
+
+(* [run_ordered] refuses a read out of index order and an event
+   earlier than the clock. *)
+let test_run_ordered_rejects () =
+  let config = { Scenario.default_config with Scenario.reads = 4; duration = 10. } in
+  let bad name order =
+    expect_invalid name "run_ordered" (fun () ->
+        traced_run ~order ~policy:Selection.probe ~arbiter:false ~fraction:0.3 ~seed:3 config)
+  in
+  bad "read twice" (fun ~read ~pass:_ ->
+      read 0;
+      read 0);
+  bad "read past the end" (fun ~read ~pass:_ -> for i = 0 to 4 do read i done);
+  bad "read skipped" (fun ~read ~pass:_ -> read 1);
+  bad "time backwards" (fun ~read:_ ~pass ->
+      pass 5.;
+      pass 4.)
+
 let () =
   Alcotest.run "store_properties"
     [
@@ -600,5 +753,7 @@ let () =
           Alcotest.test_case "seeded run is deterministic" `Quick
             test_scenario_deterministic;
           test_outcomes_counted_once;
+          test_event_order;
+          Alcotest.test_case "run_ordered rejects a bad order" `Quick test_run_ordered_rejects;
         ] );
     ]
