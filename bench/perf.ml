@@ -23,11 +23,13 @@ module Multicast = Tivaware_overlay.Multicast
 module Chord = Tivaware_dht.Chord
 module Selection = Tivaware_tiv.Selection
 module Store_scenario = Tivaware_store.Scenario
+module Sim = Tivaware_eventsim.Sim
 
 (* Probe-engine kernels: the per-lookup cost the measurement plane adds
    over a raw Matrix.get, plus the multicast refresh pass that issues
-   most of tivd's probes, the Chord build every tivd shard runs and the
-   store's repair pass.  Collected separately into BENCH_measure.json. *)
+   most of tivd's probes, the Chord build every tivd shard runs, the
+   store's repair pass and the simulator's event sequence.  Collected
+   separately into BENCH_measure.json. *)
 let measure_tests m =
   let oracle_engine = Engine.of_matrix m in
   let faulty_engine =
@@ -123,21 +125,20 @@ let measure_tests m =
      world: every device's liveness probed, newly suspected devices
      rehomed through their partitions' handoff order, revived ones
      restored.  Each run is one pass 10 s after the last, so churn keeps
-     moving devices; the passes run past the config's [duration], which
-     only bounds a run's own schedule. *)
+     moving devices. *)
+  let store_backend = Backend.dense ring_world in
+  let store_engine =
+    Backend.engine
+      ~config:
+        {
+          Engine.default_config with
+          Engine.fault = { Fault.default with Fault.loss = 0.03 };
+          churn = Some Churn.default;
+          seed = 19;
+        }
+      store_backend
+  in
   let store =
-    let backend = Backend.dense ring_world in
-    let engine =
-      Backend.engine
-        ~config:
-          {
-            Engine.default_config with
-            Engine.fault = { Fault.default with Fault.loss = 0.03 };
-            churn = Some Churn.default;
-            seed = 19;
-          }
-        backend
-    in
     Store_scenario.create
       ~config:
         {
@@ -148,9 +149,19 @@ let measure_tests m =
           duration = 1.;
           repair_interval = 0.;
         }
-      ~policy:(Selection.probe ()) ~backend ~engine ()
+      ~policy:(Selection.probe ()) ~backend:store_backend ~engine:store_engine ()
   in
   let pass_clock = ref 0. in
+  (* A store-churn-sized timeline on an empty simulator: 100k events
+     of one sequence, 1 ms apart, beside a timer firing every second.
+     A run is the whole timeline: divide by 1e5 for the cost per
+     event. *)
+  let sequence_run () =
+    let sim = Sim.create () in
+    Sim.schedule_every sim ~every:1. (fun () -> true);
+    Sim.schedule_sequence sim ~count:100_000 ~time:(fun i -> float_of_int (i + 1) /. 1000.) ignore;
+    Sim.run sim ~until:100.
+  in
   let rng = Rng.create 7 in
   [
     Test.make ~name:"measure/probe-oracle"
@@ -186,8 +197,9 @@ let measure_tests m =
     Test.make ~name:"store/repair-pass"
       (Staged.stage (fun () ->
            pass_clock := !pass_clock +. 10.;
-           ignore
-             (Store_scenario.run_ordered store ~order:(fun ~read:_ ~pass -> pass !pass_clock))));
+           Engine.advance_to store_engine !pass_clock;
+           ignore (Store_scenario.repair_pass store)));
+    Test.make ~name:"sim/sequence-event" (Staged.stage sequence_run);
     Test.make ~name:"measure/matrix-get-baseline"
       (Staged.stage (fun () ->
            ignore (Matrix.get m (Rng.int rng 200) (Rng.int rng 200))));
@@ -240,7 +252,7 @@ let write_measure_json estimates =
   let measure =
     List.filter
       (fun (name, _) ->
-        List.exists (fun prefix -> String.starts_with ~prefix name) [ "measure/"; "dht/"; "store/" ])
+        List.exists (fun prefix -> String.starts_with ~prefix name) [ "measure/"; "dht/"; "store/"; "sim/" ])
       estimates
   in
   if measure <> [] then begin

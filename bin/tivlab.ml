@@ -552,7 +552,9 @@ let dht_cmd =
       replicas stab_share fingers_per_round meas =
     let module Chord = Tivaware_dht.Chord in
     let module Id_space = Tivaware_dht.Id_space in
-    if stabilize_ms > 0. then begin
+    (* A [nan] or infinite interval takes the scenario path too, whose
+       validation rejects it. *)
+    if not (stabilize_ms <= 0.) then begin
       (* Continuous stabilization: Dht.Scenario replays the key workload
          over simulated time while every node runs Chord's periodic
          stabilize/notify/fix-fingers rounds.  It always probes through

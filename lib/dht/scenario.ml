@@ -36,9 +36,12 @@ let validate ~clock ~nodes ctx c =
   if c.keys < 1 then fail "%s: keys must be >= 1 (got %d)" ctx c.keys;
   if Float.is_nan c.zipf_s || c.zipf_s < 0. then
     fail "%s: zipf_s must be non-negative (got %g)" ctx c.zipf_s;
+  if c.zipf_s = infinity then fail "%s: zipf_s must be finite (got %g)" ctx c.zipf_s;
   if c.lookups < 1 then fail "%s: lookups must be >= 1 (got %d)" ctx c.lookups;
   if not (Float.is_finite c.duration) || c.duration <= 0. then
     fail "%s: duration must be positive (got %g)" ctx c.duration;
+  if not (Float.is_finite c.interval) then
+    fail "%s: interval must be finite (got %g)" ctx c.interval;
   if c.fingers_per_round < 0 then
     fail "%s: fingers_per_round must be >= 0 (got %d)" ctx c.fingers_per_round;
   if c.replicas < 0 then fail "%s: replicas must be >= 0 (got %d)" ctx c.replicas;
@@ -125,27 +128,27 @@ let run t =
   (* Lookup hops are charged as probes on the dht plane. *)
   let probed = Backend.of_fn ~size:n (Engine.rtt ~label:"dht" engine) in
   let rng = Rng.create (c.seed + 13) in
-  let latencies = ref [] and hops = ref 0 and issued = ref 0 and skipped = ref 0 in
-  for i = 0 to c.lookups - 1 do
-    let at = c.duration *. float_of_int (i + 1) /. float_of_int (c.lookups + 1) in
-    Sim.schedule_at sim at (fun () ->
-        let source = Rng.int rng n in
-        let key = Chord.Store.key t.store (Tivaware_util.Zipf.sample zipf rng) in
-        if not (Engine.up engine source) then incr skipped
-        else begin
-          incr issued;
-          let l = Chord.lookup t.chord probed ~source ~key in
-          latencies := l.Chord.latency :: !latencies;
-          hops := !hops + l.Chord.hops;
-          (* Correct = ends at a node that is actually up (ground truth,
-             not belief) and holds the key. *)
-          if
-            not
-              (Engine.up engine l.Chord.owner
-              && Chord.Store.holds t.store ~key ~node:l.Chord.owner)
-          then Obs.Counter.incr t.wrong
-        end)
-  done;
+  let latencies = Array.create_float c.lookups in
+  let hops = ref 0 and issued = ref 0 and skipped = ref 0 in
+  Sim.schedule_sequence sim ~count:c.lookups
+    ~time:(fun i -> c.duration *. float_of_int (i + 1) /. float_of_int (c.lookups + 1))
+    (fun _ ->
+      let source = Rng.int rng n in
+      let key = Chord.Store.key t.store (Tivaware_util.Zipf.sample zipf rng) in
+      if not (Engine.up engine source) then incr skipped
+      else begin
+        let l = Chord.lookup t.chord probed ~source ~key in
+        latencies.(!issued) <- l.Chord.latency;
+        incr issued;
+        hops := !hops + l.Chord.hops;
+        (* Correct = ends at a node that is actually up (ground truth,
+           not belief) and holds the key. *)
+        if
+          not
+            (Engine.up engine l.Chord.owner
+            && Chord.Store.holds t.store ~key ~node:l.Chord.owner)
+        then Obs.Counter.incr t.wrong
+      end);
   Sim.run sim ~until:c.duration;
   let totals =
     match t.stabilizer with
@@ -159,7 +162,7 @@ let run t =
     skipped = !skipped;
     wrong = Obs.Counter.count t.wrong;
     hops = !hops;
-    latencies = Array.of_list (List.rev !latencies);
+    latencies = Array.sub latencies 0 !issued;
     totals;
     migrated = Chord.Store.migrated t.store;
     rehomes = Chord.Store.rehomes t.store;

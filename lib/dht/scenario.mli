@@ -28,8 +28,9 @@ val default_config : config
 
 val validate_config : nodes:int -> string -> config -> unit
 (** Raises [Invalid_argument] naming the offending field: [keys],
-    [lookups] or [candidates] below 1, [zipf_s] negative or [nan],
-    [duration] non-positive or non-finite, [fingers_per_round] or
+    [lookups] or [candidates] below 1, [zipf_s] negative or not
+    finite, [duration] non-positive or non-finite, [interval] not
+    finite, [fingers_per_round] or
     [replicas] negative; and [keys], [lookups] or [duration] when keys
     plus lookups plus rounds over a ring of [nodes] exceed
     {!Tivaware_eventsim.Sim.work_cap}. *)

@@ -4,6 +4,9 @@
     are closures scheduled at absolute or relative virtual times; running
     the simulator pops events in timestamp order (FIFO among equal
     timestamps) and executes them, which may schedule further events.
+    A {!schedule_sequence} of [count] events takes its [count] places
+    in that FIFO order at registration, as if each had been scheduled
+    then with {!schedule_at}.
 
     The engine is deliberately minimal: Meridian's online recursive query
     only needs message-at-a-delay semantics, and keeping the core small
@@ -19,7 +22,7 @@ val now : t -> float
 
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** [schedule_at t time f] runs [f] when the clock reaches [time].
-    Scheduling in the past raises [Invalid_argument]. *)
+    A [time] before now, or [nan], raises [Invalid_argument]. *)
 
 val schedule_after : t -> float -> (unit -> unit) -> unit
 (** [schedule_after t delay f] = [schedule_at t (now t +. delay)]. *)
@@ -31,7 +34,15 @@ val schedule_every : t -> ?start:float -> every:float -> (unit -> bool) -> unit
     maintenance schedule from.  [start] overrides the delay before the
     {e first} firing only (staggering many periodic tasks keeps them
     from all landing on the same timestamp).  Raises [Invalid_argument]
-    on a non-positive period or a negative start. *)
+    on a non-positive period or a negative or [nan] start. *)
+
+val schedule_sequence : t -> count:int -> time:(int -> float) -> (int -> unit) -> unit
+(** [schedule_sequence t ~count ~time f] runs [f i] at [time i] for
+    [i = 0 .. count - 1] from one heap entry, re-pushed as each event
+    fires under the sequence number reserved for the next.  Raises
+    [Invalid_argument] naming [schedule_sequence] on a negative
+    [count] and on a [nan] time or one before the previous (before
+    now for [time 0]; later ones raise from {!run}). *)
 
 val on_advance : t -> (float -> unit) -> unit
 (** [on_advance t f] registers [f] to be called with the new virtual

@@ -85,12 +85,10 @@ let step_node t st time =
 let advance_to t time =
   if time > t.time then begin
     while (not (Pqueue.is_empty t.due)) && Pqueue.min_prio t.due <= time do
-      match Pqueue.pop t.due with
-      | None -> ()
-      | Some (_, st) ->
-        step_node t st time;
-        Pqueue.push t.due st.next st;
-        t.dirty <- st :: t.dirty
+      let st = Pqueue.pop t.due in
+      step_node t st time;
+      Pqueue.push t.due st.next st;
+      t.dirty <- st :: t.dirty
     done;
     t.time <- time
   end

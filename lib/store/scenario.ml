@@ -454,71 +454,35 @@ type result = {
   repair : repair_totals;
 }
 
-let read_time c i = c.duration *. float_of_int (i + 1) /. float_of_int (c.reads + 1)
-
-(* [run]'s event order, the one a simulator heap (time, then scheduling
-   order) pops: the reads are all scheduled before the run starts, and
-   each repair pass when the previous one fires.  So at equal times the
-   first pass runs before the read, and every later pass after it. *)
-let cursor c ~read ~pass =
-  let every = c.repair_interval in
-  let next_pass = ref (if every > 0. then every else infinity) and first = ref true in
-  for i = 0 to c.reads - 1 do
-    let at = read_time c i in
-    while !next_pass < at || (!first && !next_pass = at) do
-      first := false;
-      pass !next_pass;
-      next_pass := !next_pass +. every
-    done;
-    read i
-  done;
-  while !next_pass <= c.duration do
-    pass !next_pass;
-    next_pass := !next_pass +. every
-  done
-
-let run_ordered ?trace ?repair_trace t ~order =
+let run ?trace ?repair_trace t =
   let c = t.config in
-  (* The engine clock follows each event, and ends at [duration]. *)
-  let clock = ref 0. in
-  let advance time =
-    if time < !clock then
-      invalid_arg
-        (Printf.sprintf "Store.Scenario.run_ordered: event at %g precedes the clock (%g)" time
-           !clock);
-    clock := time;
-    Engine.advance_to t.engine time
-  in
+  let sim = Sim.create () in
+  Sim.on_advance sim (Engine.advance_to t.engine);
+  (* Timer first: at equal times the first pass runs before the read,
+     every later one (scheduled as the previous fires) after it. *)
+  if c.repair_interval > 0. then
+    Sim.schedule_every sim ~start:c.repair_interval ~every:c.repair_interval (fun () ->
+        let out = repair_pass t in
+        (match repair_trace with Some f -> f out | None -> ());
+        true);
   let probes = ref 0 and lat = Array.create_float c.reads and n_lat = ref 0 in
-  let next_read = ref 0 in
-  let read_event i =
-    if i <> !next_read || i >= c.reads then
-      invalid_arg
-        (Printf.sprintf "Store.Scenario.run_ordered: read %d out of order (next is %d of %d)" i
-           !next_read c.reads);
-    incr next_read;
-    advance (read_time c i);
-    let client = t.clients.(Rng.int t.wl (Array.length t.clients)) in
-    let obj = Zipf.sample t.zipf t.obj_rng in
-    if not (Engine.up t.engine client) then Obs.Counter.incr t.inst.c_skipped
-    else begin
-      read t ~client ~obj;
-      (match trace with Some f -> f (read_outcome t ~client ~obj) | None -> ());
-      let rd = t.reading in
-      probes := !probes + rd.probes;
-      if rd.served >= 0 then begin
-        lat.(!n_lat) <- rd.latency_ms.ms;
-        incr n_lat
-      end
-    end
-  in
-  let pass_event time =
-    advance time;
-    let out = repair_pass t in
-    match repair_trace with Some f -> f out | None -> ()
-  in
-  order ~read:read_event ~pass:pass_event;
-  if !clock < c.duration then advance c.duration;
+  Sim.schedule_sequence sim ~count:c.reads
+    ~time:(fun i -> c.duration *. float_of_int (i + 1) /. float_of_int (c.reads + 1))
+    (fun _ ->
+      let client = t.clients.(Rng.int t.wl (Array.length t.clients)) in
+      let obj = Zipf.sample t.zipf t.obj_rng in
+      if not (Engine.up t.engine client) then Obs.Counter.incr t.inst.c_skipped
+      else begin
+        read t ~client ~obj;
+        (match trace with Some f -> f (read_outcome t ~client ~obj) | None -> ());
+        let rd = t.reading in
+        probes := !probes + rd.probes;
+        if rd.served >= 0 then begin
+          lat.(!n_lat) <- rd.latency_ms.ms;
+          incr n_lat
+        end
+      end);
+  Sim.run sim ~until:c.duration;
   let n = Obs.Counter.count and i = t.inst in
   let issued = n i.c_reads and failed = n i.c_failures in
   {
@@ -539,5 +503,3 @@ let run_ordered ?trace ?repair_trace t ~order =
         total_denied = n i.c_denied;
       };
   }
-
-let run ?trace ?repair_trace t = run_ordered ?trace ?repair_trace t ~order:(cursor t.config)

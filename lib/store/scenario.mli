@@ -101,6 +101,9 @@ type pass_outcome = {
   denied : int;  (** liveness probes refused by the arbiter *)
 }
 
+val repair_pass : t -> pass_outcome
+(** One repair sweep at the engine's current time, as {!run}'s timer fires it. *)
+
 type repair_totals = {
   passes : int;
   total_checked : int;  (** [repair.checked{plane=store}] *)
@@ -134,24 +137,7 @@ val run :
     client is down is skipped) and repair passes every
     [repair_interval] seconds, the engine clock following each event
     and ending at [duration].  Callbacks observe each event in order.
-    The reads walk a cursor beside the repair timer, in the order a
-    simulator heap (time, then scheduling order) pops them when every
-    read is scheduled before the run and each pass when the previous
-    one fires: at equal times the first pass runs before the read, and
-    every later pass after it. *)
-
-val run_ordered :
-  ?trace:(read_outcome -> unit) ->
-  ?repair_trace:(pass_outcome -> unit) ->
-  t ->
-  order:(read:(int -> unit) -> pass:(float -> unit) -> unit) ->
-  result
-(** {!run} with its events in the order [order] calls them: [read i] is
-    the [i]th read (at [duration * (i + 1) / (reads + 1)]), [pass time]
-    a repair pass at [time].  Raises [Invalid_argument] naming
-    [run_ordered] when a read comes out of index order (each of
-    [0 .. reads - 1] at most once, ascending) or an event's time
-    precedes the previous one's.  {!run} is
-    [run_ordered] with its own cursor order; the event-order property
-    gives it the order a simulator heap pops, to check that cursor, and
-    the [store/repair-pass] microbenchmark one pass per call. *)
+    The run is one {!Tivaware_eventsim.Sim} run: the repair timer is
+    registered first, then the reads as one
+    {!Tivaware_eventsim.Sim.schedule_sequence}, so at equal times the
+    first pass runs before the read and every later pass after it. *)

@@ -50,6 +50,8 @@ let validate ~clock ctx c =
     fail "%s: pull_interval must be positive (got %g)" ctx c.pull_interval;
   if Float.is_nan c.repair_interval || c.repair_interval < 0. then
     fail "%s: repair_interval must be >= 0 (got %g)" ctx c.repair_interval;
+  if c.repair_interval = infinity then
+    fail "%s: repair_interval must be finite (got %g)" ctx c.repair_interval;
   if c.max_degree < 1 then
     fail "%s: max_degree must be >= 1 (got %d)" ctx c.max_degree;
   if not (Float.is_finite c.duration) || c.duration <= 0. then
@@ -379,15 +381,17 @@ let run t =
   (* Maintenance planes stay up until the last chunk's deadline, so a
      gap opened late in the broadcast still has its recovery chance. *)
   let stop = (float_of_int (t.chunks - 1) *. chunk_s) +. deadline_s in
-  for k = 0 to t.chunks - 1 do
-    let at = float_of_int k *. chunk_s in
-    Sim.schedule_at sim at (fun () ->
-        t.recv.(t.src_idx).(k) <- at;
-        Obs.Counter.incr t.inst.c_emitted;
-        forward t sim t.src_idx k at);
-    Sim.schedule_at sim (at +. deadline_s) (fun () ->
-        deadline_check t at k (Sim.now sim))
-  done;
+  let emit_time k = float_of_int k *. chunk_s in
+  (* Deadlines are registered first: a deadline runs before a later
+     chunk's emit at the same time, as when both were pushed per chunk. *)
+  Sim.schedule_sequence sim ~count:t.chunks
+    ~time:(fun k -> emit_time k +. deadline_s)
+    (fun k -> deadline_check t (emit_time k) k (Sim.now sim));
+  Sim.schedule_sequence sim ~count:t.chunks ~time:emit_time (fun k ->
+      let at = emit_time k in
+      t.recv.(t.src_idx).(k) <- at;
+      Obs.Counter.incr t.inst.c_emitted;
+      forward t sim t.src_idx k at);
   Sim.schedule_every sim ~start:(c.pull_interval /. 2.) ~every:c.pull_interval
     (fun () ->
       let now = Sim.now sim in

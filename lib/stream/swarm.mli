@@ -25,7 +25,7 @@ type config = {
   deadline_ms : float;  (** playback deadline after emission, ms *)
   buffer_chunks : int;  (** have-map / pull window, in chunks (>= 1) *)
   pull_interval : float;  (** seconds between pull exchanges (> 0) *)
-  repair_interval : float;  (** seconds between repair passes (0 = off) *)
+  repair_interval : float;  (** seconds between repair passes (0 = off; finite) *)
   max_degree : int;  (** children cap per member *)
   duration : float;  (** seconds of stream emission *)
   seed : int;  (** membership / join-order / repair-sampling seed *)

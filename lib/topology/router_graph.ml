@@ -19,22 +19,19 @@ let single_source t src =
   let queue = Pqueue.create () in
   dist.(src) <- 0.;
   Pqueue.push queue 0. src;
-  let rec drain () =
-    match Pqueue.pop queue with
-    | None -> ()
-    | Some (d, u) ->
-      if d <= dist.(u) then
-        List.iter
-          (fun (v, w) ->
-            let nd = d +. w in
-            if nd < dist.(v) then begin
-              dist.(v) <- nd;
-              Pqueue.push queue nd v
-            end)
-          t.adj.(u);
-      drain ()
-  in
-  drain ();
+  while not (Pqueue.is_empty queue) do
+    let d = Pqueue.min_prio queue in
+    let u = Pqueue.pop queue in
+    if d <= dist.(u) then
+      List.iter
+        (fun (v, w) ->
+          let nd = d +. w in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            Pqueue.push queue nd v
+          end)
+        t.adj.(u)
+  done;
   dist
 
 let connected t =

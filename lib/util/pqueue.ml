@@ -44,24 +44,26 @@ let rec sift_down q i =
     sift_down q !smallest
   end
 
-let push q prio value =
-  let entry = { prio; seq = q.next_seq; value } in
-  q.next_seq <- q.next_seq + 1;
+let reserve q n =
+  if n < 0 then invalid_arg "Pqueue.reserve: negative count";
+  q.next_seq <- q.next_seq + n;
+  q.next_seq - n
+
+let push_reserved q ~seq prio value =
+  let entry = { prio; seq; value } in
   grow q entry;
   q.data.(q.size) <- entry;
   q.size <- q.size + 1;
   sift_up q (q.size - 1)
 
+let push q prio value = push_reserved q ~seq:(reserve q 1) prio value
+
 let pop q =
-  if q.size = 0 then None
-  else begin
-    let top = q.data.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.data.(0) <- q.data.(q.size);
-      sift_down q 0
-    end;
-    Some (top.prio, top.value)
-  end
+  if q.size = 0 then invalid_arg "Pqueue.pop: empty queue";
+  let top = q.data.(0) in
+  q.size <- q.size - 1;
+  q.data.(0) <- q.data.(q.size);
+  sift_down q 0;
+  top.value
 
 let min_prio q = if q.size = 0 then infinity else q.data.(0).prio

@@ -449,6 +449,14 @@ let test_validation () =
        });
   checkb "zero candidates rejected" true
     (bad { Chord.Stabilizer.default_config with Chord.Stabilizer.candidates = 0 });
+  let bad_scenario c = raises_invalid (fun () -> Scenario.validate_config ~nodes:60 "test" c) in
+  checkb "infinite zipf_s rejected" true
+    (bad_scenario { Scenario.default_config with Scenario.zipf_s = infinity });
+  List.iter
+    (fun interval ->
+      checkb (Printf.sprintf "interval %g rejected" interval) true
+        (bad_scenario { Scenario.default_config with Scenario.interval }))
+    [ infinity; nan; neg_infinity ];
   let other = chord_of e in
   let store = Chord.Store.create other ~keys:[| 1 |] in
   checkb "store over a different ring rejected" true

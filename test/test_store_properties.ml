@@ -13,9 +13,10 @@
    - Determinism: the whole ring is a pure function of
      (seed, part_power, replicas, specs); a scenario run is a pure
      function of its seeds.
-   - Event order: a run's reads and repair passes, ties included, run
-     in the order a simulator heap pops them when every read is
-     scheduled up front and each pass when the previous one fires.
+   - Event order: a run's reads (one simulator sequence) and repair
+     passes, ties included, run in the order a simulator heap pops them
+     when every read is scheduled up front, one by one, and each pass
+     when the previous one fires.
    - Policies: under a triangle-inequality delay space with an exact
      predictor, all four policies pick the same replica; the
      alert-aware policy never picks a flagged (likely-TIV) replica
@@ -593,24 +594,28 @@ let test_outcomes_counted_once =
 
 (* --- event order --- *)
 
-(* The reference order: every read scheduled on a simulator heap before
-   the run, each repair pass by [Sim.schedule_every] when the previous
-   one fires, popped up to [duration] — how [run] scheduled its events
-   before it walked a cursor. *)
-let heap_order (c : Scenario.config) ~read ~pass =
-  let sim = Sim.create () in
+(* A run's events as its callbacks see them: a read or a repair pass,
+   at its time. *)
+type event = Read of float | Pass of float
+
+(* The reference order: every read scheduled on a simulator heap, one
+   by one, before the run, each repair pass by [Sim.schedule_every]
+   when the previous one fires, popped up to [duration]. *)
+let heap_order (c : Scenario.config) =
+  let sim = Sim.create () and log = ref [] in
   if c.Scenario.repair_interval > 0. then
     Sim.schedule_every sim ~start:c.Scenario.repair_interval ~every:c.Scenario.repair_interval
       (fun () ->
-        pass (Sim.now sim);
+        log := Pass (Sim.now sim) :: !log;
         true);
   for i = 0 to c.Scenario.reads - 1 do
     let at =
       c.Scenario.duration *. float_of_int (i + 1) /. float_of_int (c.Scenario.reads + 1)
     in
-    Sim.schedule_at sim at (fun () -> read i)
+    Sim.schedule_at sim at (fun () -> log := Read at :: !log)
   done;
-  Sim.run sim ~until:c.Scenario.duration
+  Sim.run sim ~until:c.Scenario.duration;
+  List.rev !log
 
 (* A lossy, churning, diurnal engine over the 60-node world. *)
 let event_order_world ~fraction seed =
@@ -635,9 +640,9 @@ let event_order_world ~fraction seed =
   in
   (backend, engine)
 
-(* Read trace, repair trace and result of one run, its events in the
-   order [order] gives ([None]: [run]'s own). *)
-let traced_run ?order ~policy ~arbiter ~fraction ~seed config =
+(* The events one [run] calls back, in order, and the engine clock it
+   ends at.  A read logs the engine clock, a pass its own time. *)
+let traced_run ~policy ~arbiter ~fraction ~seed config =
   let backend, engine = event_order_world ~fraction seed in
   let arbiter =
     if arbiter then
@@ -648,14 +653,11 @@ let traced_run ?order ~policy ~arbiter ~fraction ~seed config =
     else None
   in
   let sc = Scenario.create ?arbiter ~config ~policy:(policy ()) ~backend ~engine () in
-  let reads = ref [] and passes = ref [] in
-  let trace o = reads := o :: !reads and repair_trace p = passes := p :: !passes in
-  let r =
-    match order with
-    | None -> Scenario.run ~trace ~repair_trace sc
-    | Some order -> Scenario.run_ordered ~trace ~repair_trace sc ~order
-  in
-  (List.rev !reads, List.rev !passes, r, Engine.now engine)
+  let log = ref [] in
+  let trace _ = log := Read (Engine.now engine) :: !log
+  and repair_trace p = log := Pass p.Scenario.time :: !log in
+  ignore (Scenario.run ~trace ~repair_trace sc : Scenario.result);
+  (List.rev !log, Engine.now engine)
 
 let tie_policies =
   let m = Lazy.force scenario_matrix in
@@ -684,7 +686,7 @@ let print_tie_case ((gap, reads, mult, devices), (policy, arbiter, fraction, see
     gap reads mult devices (fst tie_policies.(policy)) arbiter fraction seed
 
 let test_event_order =
-  qcheck ~count:60 ~name:"run's cursor replays the simulator heap's order, ties included"
+  qcheck ~count:60 ~name:"run replays the simulator heap's order, ties included"
     ~print:print_tie_case gen_tie_case
     (fun (((gap, reads, mult, devices), (policy, arbiter, fraction, seed)) as case) ->
       let seed = seed + prop_seed in
@@ -703,27 +705,19 @@ let test_event_order =
           seed = seed + 11;
         }
       in
-      let policy = snd tie_policies.(policy) in
-      let run order = traced_run ?order ~policy ~arbiter ~fraction ~seed config in
-      let want = run (Some (heap_order config)) and got = run None in
-      want = got || QCheck2.Test.fail_reportf "%s: traces differ" (print_tie_case case))
-
-(* [run_ordered] refuses a read out of index order and an event
-   earlier than the clock. *)
-let test_run_ordered_rejects () =
-  let config = { Scenario.default_config with Scenario.reads = 4; duration = 10. } in
-  let bad name order =
-    expect_invalid name "run_ordered" (fun () ->
-        traced_run ~order ~policy:Selection.probe ~arbiter:false ~fraction:0.3 ~seed:3 config)
-  in
-  bad "read twice" (fun ~read ~pass:_ ->
-      read 0;
-      read 0);
-  bad "read past the end" (fun ~read ~pass:_ -> for i = 0 to 4 do read i done);
-  bad "read skipped" (fun ~read ~pass:_ -> read 1);
-  bad "time backwards" (fun ~read:_ ~pass ->
-      pass 5.;
-      pass 4.)
+      let got, clock =
+        traced_run ~policy:(snd tie_policies.(policy)) ~arbiter ~fraction ~seed config
+      in
+      (* A skipped read (its client down) makes no callback; read times
+         are distinct, so the reference keeps exactly the traced ones. *)
+      let traced = List.filter_map (function Read at -> Some at | Pass _ -> None) got in
+      let want =
+        List.filter
+          (function Read at -> List.mem at traced | Pass _ -> true)
+          (heap_order config)
+      in
+      (got = want && clock = config.Scenario.duration)
+      || QCheck2.Test.fail_reportf "%s: event orders differ" (print_tie_case case))
 
 let () =
   Alcotest.run "store_properties"
@@ -754,6 +748,5 @@ let () =
             test_scenario_deterministic;
           test_outcomes_counted_once;
           test_event_order;
-          Alcotest.test_case "run_ordered rejects a bad order" `Quick test_run_ordered_rejects;
         ] );
     ]

@@ -229,6 +229,8 @@ let test_validate_config () =
     { Swarm.default_config with Swarm.pull_interval = 0. };
   expect_invalid "negative repair interval"
     { Swarm.default_config with Swarm.repair_interval = -1. };
+  expect_invalid "infinite repair interval"
+    { Swarm.default_config with Swarm.repair_interval = infinity };
   expect_invalid "zero degree" { Swarm.default_config with Swarm.max_degree = 0 };
   expect_invalid "zero duration" { Swarm.default_config with Swarm.duration = 0. };
   (match

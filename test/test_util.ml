@@ -468,23 +468,30 @@ let prop_linalg_lstsq_exact =
 (* ------------------------------------------------------------------ *)
 (* Pqueue                                                              *)
 
+(* Pops one element as [(priority, value)]: [min_prio], then [pop]. *)
+let pqueue_take q =
+  let p = Pqueue.min_prio q in
+  (p, Pqueue.pop q)
+
 let test_pqueue_order () =
   let q = Pqueue.create () in
   Pqueue.push q 3. "c";
   Pqueue.push q 1. "a";
   Pqueue.push q 2. "b";
-  Alcotest.(check (option (pair (float 0.) string))) "pop a" (Some (1., "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.) string))) "pop b" (Some (2., "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.) string))) "pop c" (Some (3., "c")) (Pqueue.pop q);
-  Alcotest.(check bool) "empty" true (Pqueue.pop q = None)
+  Alcotest.(check (pair (float 0.) string)) "pop a" (1., "a") (pqueue_take q);
+  Alcotest.(check (pair (float 0.) string)) "pop b" (2., "b") (pqueue_take q);
+  Alcotest.(check (pair (float 0.) string)) "pop c" (3., "c") (pqueue_take q);
+  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Pqueue.pop: empty queue") (fun () ->
+      ignore (Pqueue.pop q))
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
   Pqueue.push q 1. "first";
   Pqueue.push q 1. "second";
   Pqueue.push q 1. "third";
-  Alcotest.(check (option (pair (float 0.) string))) "tie 1" (Some (1., "first")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.) string))) "tie 2" (Some (1., "second")) (Pqueue.pop q)
+  Alcotest.(check (pair (float 0.) string)) "tie 1" (1., "first") (pqueue_take q);
+  Alcotest.(check (pair (float 0.) string)) "tie 2" (1., "second") (pqueue_take q)
 
 let prop_pqueue_sorted =
   qcheck "pops come out sorted"
@@ -492,11 +499,7 @@ let prop_pqueue_sorted =
     (fun prios ->
       let q = Pqueue.create () in
       List.iter (fun p -> Pqueue.push q p p) prios;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
-      in
+      let rec drain acc = if Pqueue.is_empty q then List.rev acc else drain (fst (pqueue_take q) :: acc) in
       let out = drain [] in
       out = List.sort compare prios)
 
